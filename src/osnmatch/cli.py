@@ -81,7 +81,6 @@ class RunConfig:
     k: int
     seed: int
     user_disjoint: bool
-    jobs: int
     hidden_nodes: int
     n_hidden_layers: int
     dropout_rate: float
@@ -230,8 +229,6 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--user-disjoint", is_flag=True, default=False,
               help="stricter folds: no user appears in both train and test")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="train folds in parallel (deterministic per-fold seeds)")
 @click.option("--hidden-nodes", type=int, default=None,
               help="[default: 50; 300 for the embedding model]")
 @click.option("--learning-rate", type=float, default=1e-3, show_default=True)
@@ -252,8 +249,8 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--output", "output_dir", type=click.Path(), default="osnmatch-out",
               show_default=True)
 def run(model, measure, all_measures, temporal_mode, include_names,
-        include_description, neg_ratio, k, seed, user_disjoint, jobs,
-        hidden_nodes, learning_rate, dropout_rate, batch_size, max_epochs,
+        include_description, neg_ratio, k, seed, user_disjoint, hidden_nodes,
+        learning_rate, dropout_rate, batch_size, max_epochs,
         patience, embedding_seed, embeddings, char_embeddings, data_dir,
         profiles, posts, pairs, output_dir):
     """Run one model end-to-end with k-fold cross-validation."""
@@ -271,7 +268,6 @@ def run(model, measure, all_measures, temporal_mode, include_names,
         k=k,
         seed=seed,
         user_disjoint=user_disjoint,
-        jobs=jobs,
         hidden_nodes=hidden_nodes or DEFAULT_HIDDEN_NODES[model],
         n_hidden_layers=3,
         dropout_rate=dropout_rate,
@@ -324,7 +320,6 @@ def _execute_run(cfg: RunConfig) -> dict:
         cfg.k,
         cfg.seed,
         user_disjoint=cfg.user_disjoint,
-        n_jobs=cfg.jobs,
     )
 
     out = Path(cfg.output_dir)

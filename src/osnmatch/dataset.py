@@ -4,7 +4,7 @@ Input files:
   profiles.jsonl  one JSON object per line:
                   {"platform": "twitter"|"flickr", "user_id", "user_name",
                    "real_name", "description", "location", "post_count"}
-                  (missing text fields default to "")
+                  (missing or null text fields default to "")
   posts.jsonl     {"platform", "user_id", "timestamp": ISO-8601 with zone}
   pairs.csv       header "twitter_id,flickr_id"; every row is a positive pair
 """
@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     TooFewExamplesError,
 )
-from .profile_features import Platform, UserProfile
+from .profile_features import PS_TEXT_FIELDS, Platform, UserProfile
 from .temporal_features import PostEvent
 
 _EARLIEST_TIMESTAMP = datetime(1990, 1, 1, tzinfo=timezone.utc)
@@ -110,18 +110,18 @@ def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
                     path, line_no, f"duplicate profile {platform.value}/{user_id}"
                 )
             post_count = obj.get("post_count", 0)
-            if not isinstance(post_count, int) or post_count < 0:
+            if type(post_count) is not int or post_count < 0:  # bool is no count
                 raise ParseError(
                     path, line_no, "post_count must be a nonnegative integer"
                 )
+            texts = {}
+            for name in PS_TEXT_FIELDS:
+                value = obj.get(name)
+                if value is not None and not isinstance(value, str):
+                    raise ParseError(path, line_no, f"{name} must be a string or null")
+                texts[name] = value or ""
             profiles[(platform, user_id)] = UserProfile(
-                platform=platform,
-                user_id=user_id,
-                user_name=obj.get("user_name", "") or "",
-                real_name=obj.get("real_name", "") or "",
-                description=obj.get("description", "") or "",
-                location=obj.get("location", "") or "",
-                post_count=post_count,
+                platform=platform, user_id=user_id, post_count=post_count, **texts
             )
     return profiles
 
@@ -136,6 +136,8 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], list[PostEvent]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise ParseError(path, line_no, "expected a JSON object")
             platform = _parse_platform(obj.get("platform"), path, line_no)
             user_id = obj.get("user_id")
             if not user_id or not isinstance(user_id, str):

@@ -7,7 +7,6 @@ alongside.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -124,39 +123,23 @@ def cross_validate(
     k: int,
     seed: int,
     user_disjoint: bool = False,
-    n_jobs: int = 1,
 ) -> tuple[EvalReport, list[MlpModel]]:
     """Train on k-1 folds and score the held-out fold, k times.
 
     Each pair is featurized once up front. Per-fold seeds are derived as
     seed XOR fold index; within each fold an inner stratified slice of the
-    training pairs serves as the early-stopping set. Folds are independent,
-    so ``n_jobs`` > 1 trains them in parallel threads without changing the
-    result.
+    training pairs serves as the early-stopping set.
     """
     folder = k_folds_user_disjoint if user_disjoint else k_folds
     folds = folder(pair_set, k, seed)
     vectors = featurizer(pair_set.pairs)
     by_pair = {pair: vec for pair, vec in zip(pair_set.pairs, vectors)}
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda item: _run_fold(cfg, by_pair, item[0], *item[1], seed),
-                    enumerate(folds),
-                )
-            )
-    else:
-        outcomes = [
-            _run_fold(cfg, by_pair, i, train_p, test_p, seed)
-            for i, (train_p, test_p) in enumerate(folds)
-        ]
-
     total = ConfusionCounts()
     per_fold: list[EvalReport] = []
     models: list[MlpModel] = []
-    for model, counts in outcomes:
+    for i, (train_p, test_p) in enumerate(folds):
+        model, counts = _run_fold(cfg, by_pair, i, train_p, test_p, seed)
         models.append(model)
         total = total + counts
         per_fold.append(metrics(counts))

@@ -4,6 +4,28 @@ All measures compare lowercase-folded text at the level of Unicode code
 points. Distance-like measures (Levenshtein, Damerau-Levenshtein, Editex)
 return raw nonnegative integers; ``normalized_similarity`` maps every
 measure onto [0, 1] with 1.0 meaning identical.
+
+Algorithms:
+  Levenshtein     bit-vector DP of Myers (J. ACM 46(3), 1999) in the
+                  global-distance form of Hyyrö (Nordic J. Computing
+                  10(1), 2003)
+  Damerau (OSA)   Hyyrö's bit-vector DP with the transposition term
+                  (Nordic J. Computing 10(1), 2003)
+  LCS             bit-vector recurrence V' = (V + U) | (V - U), U = V & M
+                  (Allison & Dix, IPL 23(6), 1986; Crochemore et al.,
+                  IPL 80(6), 2001)
+  Editex          Zobel & Dart (SIGIR 1996), row-by-row DP
+  Smith-Waterman  Smith & Waterman (J. Mol. Biol. 147(1), 1981),
+                  row-by-row DP
+  NCD             Cilibrasi & Vitányi (IEEE Trans. Inf. Theory 51(4),
+                  2005) with bzip2 as the compressor
+  Jaro-Winkler    Winkler (1990)
+
+The bit-vector measures keep one bit per character of the longer string
+(bit i is row i + 1 of the DP matrix) in Python ints and loop over the
+shorter string. Python's ``~`` yields negative ints and shifts and carries
+grow the width, so every vector carried to the next column is masked back
+to the string's n bits; the low n bits are exact either way.
 """
 
 from __future__ import annotations
@@ -12,6 +34,7 @@ import bz2
 import math
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
 
 
 class Measure(str, Enum):
@@ -32,21 +55,45 @@ def _fold(text: str) -> str:
     return text.lower()
 
 
+def _match_masks(s: str) -> dict[str, int]:
+    """Bit i of ``masks[c]`` is set where ``s[i] == c``."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for c in s:
+        masks[c] = masks.get(c, 0) | bit
+        bit <<= 1
+    return masks
+
+
 def levenshtein(a: str, b: str) -> int:
     """Minimum number of single-character insertions, deletions or
     substitutions turning one string into the other."""
     s, t = _fold(a), _fold(b)
     if len(s) < len(t):
         s, t = t, s
+    m = len(s)
     if not t:
-        return len(s)
-    prev = list(range(len(t) + 1))
-    for i, cs in enumerate(s, 1):
-        cur = [i]
-        for j, ct in enumerate(t, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (cs != ct)))
-        prev = cur
-    return prev[-1]
+        return m
+    peq = _match_masks(s)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    # vertical +1/-1 deltas of the current column; column 0 is 0..m
+    pv, mv, dist = full, 0, m
+    for c in t:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 grows by one per column
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 def damerau_levenshtein(a: str, b: str) -> int:
@@ -54,21 +101,32 @@ def damerau_levenshtein(a: str, b: str) -> int:
     characters (optimal string alignment: a transposed block is not
     edited again), so never exceeds plain Levenshtein."""
     s, t = _fold(a), _fold(b)
-    m, n = len(s), len(t)
-    if m == 0 or n == 0:
-        return max(m, n)
-    prev2 = [0] * (n + 1)
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            cost = s[i - 1] != t[j - 1]
-            d = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-            if i > 1 and j > 1 and s[i - 1] == t[j - 2] and s[i - 2] == t[j - 1]:
-                d = min(d, prev2[j - 2] + 1)
-            cur[j] = d
-        prev2, prev = prev, cur
-    return prev[n]
+    if len(s) < len(t):
+        s, t = t, s
+    m = len(s)
+    if not t:
+        return m
+    peq = _match_masks(s)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, d0, pm_prev, dist = full, 0, 0, 0, m
+    for c in t:
+        pm = peq.get(c, 0)
+        # diagonal zero-deltas reachable through a transposition
+        tr = ((~d0 & pm) << 1) & pm_prev
+        d0 = ((((pm & vp) + vp) ^ vp) | pm | vn | tr) & full
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & full
+        vn = hp & d0
+        pm_prev = pm
+    return dist
 
 
 # Phonetic letter groups: a substitution inside one group costs 1 instead
@@ -77,28 +135,30 @@ _EDITEX_GROUPS = (
     "aeiouy", "bp", "ckq", "dt", "lr", "mn", "gj", "fpv", "sxz", "csz",
 )
 
-_GROUPS_BY_CHAR: dict[str, frozenset[int]] = {}
+# bit g is set when the letter is in group g; letters in no group map to 0
+_GROUP_BITS: dict[str, int] = {}
 for _gi, _letters in enumerate(_EDITEX_GROUPS):
     for _ch in _letters:
-        _GROUPS_BY_CHAR.setdefault(_ch, frozenset())
-        _GROUPS_BY_CHAR[_ch] = _GROUPS_BY_CHAR[_ch] | {_gi}
+        _GROUP_BITS[_ch] = _GROUP_BITS.get(_ch, 0) | (1 << _gi)
 
 
-def _editex_r(x: str | None, y: str | None) -> int:
-    if x == y:
-        return 0
-    if x is None or y is None:
-        return 2
-    if _GROUPS_BY_CHAR.get(x, frozenset()) & _GROUPS_BY_CHAR.get(y, frozenset()):
-        return 1
-    return 2
-
-
-def _editex_d(x: str | None, y: str | None) -> int:
-    # h and w are often silent: skipping over them costs 1, not 2.
-    if x in ("h", "w") and x != y:
-        return 1
-    return _editex_r(x, y)
+def _editex_deletions(s: str, groups: list[int]) -> list[int]:
+    """Cost of deleting each character of ``s`` against its predecessor:
+    2 after the start sentinel, 0 after an equal character, 1 after a
+    silent h/w or a letter of a shared group, else 2."""
+    costs = []
+    prev, prev_groups = None, 0
+    for c, g in zip(s, groups):
+        if prev is None:
+            costs.append(2)
+        elif prev == c:
+            costs.append(0)
+        elif prev in "hw" or prev_groups & g:
+            costs.append(1)
+        else:
+            costs.append(2)
+        prev, prev_groups = c, g
+    return costs
 
 
 def editex(a: str, b: str) -> int:
@@ -115,25 +175,29 @@ def editex(a: str, b: str) -> int:
     m, n = len(s), len(t)
     if m == 0 and n == 0:
         return 0
-
-    def s_prev(i: int) -> str | None:  # predecessor of s_i, 1-based
-        return s[i - 2] if i >= 2 else None
-
-    def t_prev(j: int) -> str | None:
-        return t[j - 2] if j >= 2 else None
-
-    prev = [0] * (n + 1)
-    for j in range(1, n + 1):
-        prev[j] = prev[j - 1] + _editex_d(t_prev(j), t[j - 1])
-    for i in range(1, m + 1):
-        del_cost = _editex_d(s_prev(i), s[i - 1])
-        cur = [prev[0] + del_cost] + [0] * n
-        for j in range(1, n + 1):
-            cur[j] = min(
-                prev[j] + del_cost,
-                cur[j - 1] + _editex_d(t_prev(j), t[j - 1]),
-                prev[j - 1] + _editex_r(s[i - 1], t[j - 1]),
-            )
+    groups_s = [_GROUP_BITS.get(c, 0) for c in s]
+    groups_t = [_GROUP_BITS.get(c, 0) for c in t]
+    del_t = _editex_deletions(t, groups_t)
+    prev = [0]
+    for cost in del_t:
+        prev.append(prev[-1] + cost)
+    columns = list(zip(t, groups_t, del_t))
+    for cs, gs, ds in zip(s, groups_s, _editex_deletions(s, groups_s)):
+        left = prev[0] + ds
+        cur = [left]
+        for (ct, gt, dt), diag, up in zip(columns, prev, prev[1:]):
+            if cs == ct:
+                v = diag
+            elif gs & gt:
+                v = diag + 1
+            else:
+                v = diag + 2
+            if up + ds < v:
+                v = up + ds
+            if left + dt < v:
+                v = left + dt
+            cur.append(v)
+            left = v
         prev = cur
     return prev[n]
 
@@ -202,7 +266,9 @@ def jaccard_2gram(a: str, b: str) -> float:
     return len(ga & gb) / len(ga | gb)
 
 
+@lru_cache(maxsize=4096)
 def _compressed_len(data: bytes) -> int:
+    """C(x) of one string; an account field recurs in about nine pairs."""
     return len(bz2.compress(data))
 
 
@@ -213,7 +279,7 @@ def ncd_bzip2(a: str, b: str) -> float:
     exceed 1 due to compressor overhead."""
     xa, xb = _fold(a).encode("utf-8"), _fold(b).encode("utf-8")
     ca, cb = _compressed_len(xa), _compressed_len(xb)
-    cab = _compressed_len(xa + xb)
+    cab = len(bz2.compress(xa + xb))
     assert max(ca, cb) > 0  # bzip2 headers are never empty
     return (cab - min(ca, cb)) / max(ca, cb)
 
@@ -221,18 +287,17 @@ def ncd_bzip2(a: str, b: str) -> float:
 def lcs_length(a: str, b: str) -> int:
     """Length of the longest common subsequence."""
     s, t = _fold(a), _fold(b)
-    if not s or not t:
+    if len(s) < len(t):
+        s, t = t, s
+    if not t:
         return 0
-    prev = [0] * (len(t) + 1)
-    for cs in s:
-        cur = [0]
-        for j, ct in enumerate(t, 1):
-            if cs == ct:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    peq = _match_masks(s)
+    full = (1 << len(s)) - 1
+    v = full  # zero bits mark the rows where the LCS grew
+    for c in t:
+        u = v & peq.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(s) - v.bit_count()
 
 
 def smith_waterman(a: str, b: str) -> int:
@@ -245,17 +310,22 @@ def smith_waterman(a: str, b: str) -> int:
     best = 0
     prev = [0] * (len(t) + 1)
     for cs in s:
+        left = 0
         cur = [0]
-        for j, ct in enumerate(t, 1):
-            score = max(
-                0,
-                prev[j - 1] + (1 if cs == ct else -1),
-                prev[j] - 1,
-                cur[j - 1] - 1,
-            )
-            cur.append(score)
-            if score > best:
-                best = score
+        for ct, diag, up in zip(t, prev, prev[1:]):
+            v = diag + 1 if cs == ct else diag - 1
+            if up > left:
+                if up - 1 > v:
+                    v = up - 1
+            elif left - 1 > v:
+                v = left - 1
+            if v < 0:
+                v = 0
+            cur.append(v)
+            left = v
+        row_best = max(cur)
+        if row_best > best:
+            best = row_best
         prev = cur
     return best
 

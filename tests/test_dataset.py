@@ -146,6 +146,31 @@ class TestLoadCorpus:
         corpus = load_corpus(*paths)
         assert len(corpus.posts_for(Platform.TWITTER, "t0")) == 1
 
+    def test_non_object_post_line_rejected(self, tmp_path):
+        paths = write_corpus(tmp_path, posts=["[1, 2]"])
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert exc.value.line_no == 1
+
+    def test_non_string_text_field_rejected(self, tmp_path):
+        paths = write_corpus(tmp_path)
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text(
+            profile_line("twitter", "t0") + "\n"
+            + profile_line("twitter", "t1", user_name=123) + "\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            load_corpus(str(profiles), paths[1], paths[2])
+        assert exc.value.line_no == 2
+
+    def test_boolean_post_count_rejected(self, tmp_path):
+        paths = write_corpus(tmp_path)
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text(profile_line("twitter", "t0", post_count=True) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_corpus(str(profiles), paths[1], paths[2])
+        assert exc.value.line_no == 1
+
     def test_duplicate_profile_rejected(self, tmp_path):
         paths = write_corpus(tmp_path)
         profiles = tmp_path / "profiles.jsonl"

@@ -1,9 +1,15 @@
+import bz2
 import math
+import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osnmatch.dataset import load_corpus, negative_sample
+from osnmatch.profile_features import PS_TEXT_FIELDS, Platform
 from osnmatch.strsim import (
     Measure,
     cosine_2gram,
@@ -17,17 +23,36 @@ from osnmatch.strsim import (
     normalized_similarity,
     smith_waterman,
 )
+from osnmatch.synth import generate_corpus
 
 from .oracles import (
+    editex_memo,
     editex_naive,
+    lcs_memo,
     lcs_naive,
+    levenshtein_memo,
     levenshtein_naive,
+    osa_memo,
     osa_naive,
     smith_waterman_full_matrix,
 )
 
 words = st.text(alphabet="abcd", max_size=6)
 any_text = st.text(max_size=12)
+# long enough to fill several 30-bit digits of the bit-vector masks
+long_text = st.text(alphabet="abcshwxz é", min_size=40, max_size=150)
+long_examples = settings(max_examples=30, deadline=None)
+
+
+@contextmanager
+def deep_recursion():
+    """The memo oracles recurse as deep as the two lengths added up."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 10_000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class TestLevenshtein:
@@ -48,6 +73,12 @@ class TestLevenshtein:
     def test_matches_recursion(self, a, b):
         assert levenshtein(a, b) == levenshtein_naive(a, b)
 
+    @given(long_text, long_text)
+    @long_examples
+    def test_matches_recursion_long(self, a, b):
+        with deep_recursion():
+            assert levenshtein(a, b) == levenshtein_memo(a, b)
+
 
 class TestDamerauLevenshtein:
     def test_single_transposition(self):
@@ -63,6 +94,12 @@ class TestDamerauLevenshtein:
     @given(words, words)
     def test_matches_recursion(self, a, b):
         assert damerau_levenshtein(a, b) == osa_naive(a, b)
+
+    @given(long_text, long_text)
+    @long_examples
+    def test_matches_recursion_long(self, a, b):
+        with deep_recursion():
+            assert damerau_levenshtein(a, b) == osa_memo(a, b)
 
     @given(any_text, any_text)
     def test_never_exceeds_levenshtein(self, a, b):
@@ -98,6 +135,12 @@ class TestEditex:
     @given(words, words)
     def test_matches_recursion(self, a, b):
         assert editex(a, b) == editex_naive(a, b)
+
+    @given(long_text, long_text)
+    @long_examples
+    def test_matches_recursion_long(self, a, b):
+        with deep_recursion():
+            assert editex(a, b) == editex_memo(a, b)
 
     @given(st.text(alphabet="chw1", max_size=5), st.text(alphabet="chw1", max_size=5))
     def test_matches_recursion_silent_letters(self, a, b):
@@ -168,6 +211,12 @@ class TestLcs:
     def test_matches_recursion(self, a, b):
         assert lcs_length(a, b) == lcs_naive(a, b)
 
+    @given(long_text, long_text)
+    @long_examples
+    def test_matches_recursion_long(self, a, b):
+        with deep_recursion():
+            assert lcs_length(a, b) == lcs_memo(a, b)
+
 
 class TestSmithWaterman:
     def test_identity_scores_length(self):
@@ -182,6 +231,11 @@ class TestSmithWaterman:
     @given(any_text, any_text)
     def test_matches_full_matrix(self, a, b):
         assert smith_waterman(a, b) == smith_waterman_full_matrix(a.lower(), b.lower())
+
+    @given(long_text, long_text)
+    @long_examples
+    def test_matches_full_matrix_long(self, a, b):
+        assert smith_waterman(a, b) == smith_waterman_full_matrix(a, b)
 
     @given(any_text, any_text)
     def test_bounded_by_shorter_string(self, a, b):
@@ -252,3 +306,53 @@ class TestNormalizedSimilarity:
 
     def test_one_sided_empty_smith_waterman(self):
         assert normalized_similarity(Measure.SMITH_WATERMAN, "", "abc") == 0.0
+
+
+class TestCorpusFields:
+    """The measures against the oracles on the fields of a synthetic corpus,
+    where each account field recurs across pairs."""
+
+    DP_ORACLES = [
+        (levenshtein, levenshtein_memo),
+        (damerau_levenshtein, osa_memo),
+        (editex, editex_memo),
+        (lcs_length, lcs_memo),
+        (smith_waterman, smith_waterman_full_matrix),
+    ]
+
+    @pytest.fixture(scope="class")
+    def field_pairs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("corpus")
+        generate_corpus(30, 0.15, 0, str(out))
+        corpus = load_corpus(
+            str(out / "profiles.jsonl"), str(out / "posts.jsonl"), str(out / "pairs.csv")
+        )
+        pairs = negative_sample(corpus, 8, seed=0).pairs
+        negatives = [p for p in pairs if not p[2]]
+        chosen = [p for p in pairs if p[2]]
+        chosen += random.Random(0).sample(negatives, 30)
+        out_pairs = []
+        for t_id, f_id, _ in chosen:
+            a = corpus.profile(Platform.TWITTER, t_id)
+            b = corpus.profile(Platform.FLICKR, f_id)
+            for name in PS_TEXT_FIELDS:
+                out_pairs.append((getattr(a, name), getattr(b, name)))
+        return out_pairs
+
+    def test_dp_measures_match_oracles(self, field_pairs):
+        assert len(field_pairs) == 4 * (30 + 30)
+        with deep_recursion():
+            for a, b in field_pairs:
+                fa, fb = a.lower(), b.lower()
+                for measure, oracle in self.DP_ORACLES:
+                    assert measure(a, b) == oracle(fa, fb), (measure.__name__, a, b)
+
+    def test_ncd_cached_lengths_match_direct(self, field_pairs):
+        def c(x: bytes) -> int:
+            return len(bz2.compress(x))
+
+        for a, b in field_pairs:
+            xa, xb = a.lower().encode("utf-8"), b.lower().encode("utf-8")
+            ca, cb = c(xa), c(xb)
+            want = (c(xa + xb) - min(ca, cb)) / max(ca, cb)
+            assert ncd_bzip2(a, b) == ncd_bzip2(a, b) == want
