@@ -104,9 +104,10 @@ def _fail(exc: Exception) -> None:
 
 def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     """Eager --config callback: file values become parameter defaults, so
-    explicit flags still win."""
+    explicit flags still win. A key that names no option is an error."""
     if not value:
         return value
+    known = {p.name for p in ctx.command.params if p is not param}
     overrides = {}
     with open(value, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -118,7 +119,10 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
                     f"{value}:{line_no}: expected key=value, got {stripped!r}"
                 )
             key, _, raw = stripped.partition("=")
-            overrides[key.strip().replace("-", "_")] = raw.strip()
+            key = key.strip().replace("-", "_")
+            if key not in known:
+                raise click.BadParameter(f"{value}:{line_no}: unknown key {key!r}")
+            overrides[key] = raw.strip()
     ctx.default_map = {**(ctx.default_map or {}), **overrides}
     return value
 

@@ -30,6 +30,14 @@ class DimensionMismatchError(OsnMatchError):
     """A vector or matrix has an unexpected dimension."""
 
 
+class ModelFormatError(OsnMatchError, ValueError):
+    """A saved model file is malformed, truncated or of another format."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
 class ParseError(OsnMatchError):
     """A corpus input file could not be parsed."""
 

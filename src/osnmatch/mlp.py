@@ -5,22 +5,35 @@ each hidden activation during training, a 2-way softmax output trained
 with categorical cross-entropy and Adam, plus early stopping on
 validation loss. All randomness flows from explicit seeds, so training
 runs are bit-reproducible.
+
+A model keeps all of its parameters in one contiguous float64 vector,
+``params``, ordered W0, b0, W1, b1, ... as in the on-disk format;
+``weights[i]`` and ``biases[i]`` are reshaped views into it, so an edit
+through either shows up in the other. The Adam moments are two vectors
+of the same length, and one Adam step updates the whole vector in place.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyDatasetError
+from .errors import DimensionMismatchError, EmptyDatasetError, ModelFormatError
 from .profile_features import PairFeatureVector
 
 _PROB_FLOOR = 1e-12
 
 # class index 1 means "same individual"
 POSITIVE_CLASS = 1
+
+# elements per pass of the Adam update: the five vectors of one pass
+# (128 KiB each) stay in a core's L2 cache
+_ADAM_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -60,17 +73,50 @@ class MlpConfig:
         )
         return list(zip(dims[:-1], dims[1:]))
 
+    @property
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Parameter shapes in ``params`` order: W0, b0, W1, b1, ..."""
+        return [s for fan_in, fan_out in self.layer_dims
+                for s in ((fan_in, fan_out), (fan_out,))]
+
+    @property
+    def n_params(self) -> int:
+        return sum(math.prod(shape) for shape in self.param_shapes)
+
 
 @dataclass
 class MlpModel:
+    """Parameters of one network plus its Adam state.
+
+    ``adam_m``, ``adam_v`` and ``adam_scratch`` (the flat gradient and one
+    work vector) are allocated by the first ``adam_step``, so a freshly
+    built or loaded model holds no optimizer memory.
+    """
+
     config: MlpConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    adam_m_w: list[np.ndarray] = field(default_factory=list)
-    adam_v_w: list[np.ndarray] = field(default_factory=list)
-    adam_m_b: list[np.ndarray] = field(default_factory=list)
-    adam_v_b: list[np.ndarray] = field(default_factory=list)
+    params: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+    adam_m: np.ndarray | None = None
+    adam_v: np.ndarray | None = None
     adam_t: int = 0
+    adam_scratch: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        n = self.config.n_params
+        if self.params.dtype != np.float64 or self.params.shape != (n,):
+            raise DimensionMismatchError(
+                f"expected {n} float64 parameters, got "
+                f"{self.params.dtype} {self.params.shape}"
+            )
+        views = []
+        offset = 0
+        for shape in self.config.param_shapes:
+            size = math.prod(shape)
+            views.append(self.params[offset : offset + size].reshape(shape))
+            offset += size
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
 
 @dataclass
@@ -90,25 +136,14 @@ class EpochStats:
 
 def init_model(cfg: MlpConfig, rng: np.random.Generator | None = None) -> MlpModel:
     """Weights uniform in ±sqrt(6/fan_in) (He-style bound for ReLU),
-    biases zero, Adam accumulators zero."""
+    biases zero, Adam state empty."""
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    weights, biases = [], []
-    for fan_in, fan_out in cfg.layer_dims:
+    model = MlpModel(config=cfg, params=np.zeros(cfg.n_params))
+    for w, (fan_in, fan_out) in zip(model.weights, cfg.layer_dims):
         bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    model = MlpModel(config=cfg, weights=weights, biases=biases)
-    _reset_adam(model)
+        w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
     return model
-
-
-def _reset_adam(model: MlpModel) -> None:
-    model.adam_m_w = [np.zeros_like(w) for w in model.weights]
-    model.adam_v_w = [np.zeros_like(w) for w in model.weights]
-    model.adam_m_b = [np.zeros_like(b) for b in model.biases]
-    model.adam_v_b = [np.zeros_like(b) for b in model.biases]
-    model.adam_t = 0
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -227,24 +262,61 @@ def backward(model: MlpModel, cache: dict, labels) -> dict:
 
 
 def adam_step(model: MlpModel, grads: dict) -> MlpModel:
-    """One bias-corrected Adam update, in place; returns the model."""
+    """One bias-corrected Adam update, in place; returns the model.
+
+    The gradients are flattened into one vector in ``params`` order, and
+    the update runs over the whole vector, one cache-sized chunk at a
+    time. Each elementwise operation and its order are those of the
+    per-array form ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``, so the results
+    are the same to the bit.
+    """
     cfg = model.config
-    for g, w in zip(grads["weights"], model.weights):
-        if g.shape != w.shape:
-            raise DimensionMismatchError(f"gradient {g.shape} for weight {w.shape}")
+    grads_w, grads_b = grads["weights"], grads["biases"]
+    if len(grads_w) != len(model.weights) or len(grads_b) != len(model.biases):
+        raise DimensionMismatchError(
+            f"gradients for {len(grads_w)}/{len(grads_b)} arrays, "
+            f"model has {len(model.weights)}/{len(model.biases)}"
+        )
+    flat = []
+    for g_w, g_b, w, b in zip(grads_w, grads_b, model.weights, model.biases):
+        if g_w.shape != w.shape or g_b.shape != b.shape:
+            raise DimensionMismatchError(
+                f"gradient {g_w.shape}, {g_b.shape} for layer {w.shape}, {b.shape}"
+            )
+        flat += (g_w, g_b)
+    n = model.params.size
+    # the scratch outlives the step: allocating two parameter-sized vectors
+    # on every call costs more than the update on a 220k-parameter net
+    if model.adam_m is None:
+        model.adam_m = np.zeros(n)
+        model.adam_v = np.zeros(n)
+        model.adam_scratch = np.empty((2, n))
+    grad, scratch = model.adam_scratch
+    np.concatenate(flat, axis=None, out=grad)
     model.adam_t += 1
     t = model.adam_t
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
-    for params, grad_list, m_list, v_list in (
-        (model.weights, grads["weights"], model.adam_m_w, model.adam_v_w),
-        (model.biases, grads["biases"], model.adam_m_b, model.adam_v_b),
-    ):
-        for i, g in enumerate(grad_list):
-            m_list[i] = b1 * m_list[i] + (1.0 - b1) * g
-            v_list[i] = b2 * v_list[i] + (1.0 - b2) * g * g
-            m_hat = m_list[i] / (1.0 - b1**t)
-            v_hat = v_list[i] / (1.0 - b2**t)
-            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for lo in range(0, n, _ADAM_CHUNK):
+        part = slice(lo, lo + _ADAM_CHUNK)
+        p, m, v = model.params[part], model.adam_m[part], model.adam_v[part]
+        g, s = grad[part], scratch[part]
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(g, 1.0 - b2, out=s)
+        np.multiply(s, g, out=s)
+        np.multiply(v, b2, out=v)
+        np.add(v, s, out=v)
+        # g is spent: it now holds lr * m_hat, and s sqrt(v_hat) + eps
+        np.divide(m, c1, out=g)
+        np.multiply(g, lr, out=g)
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, eps, out=s)
+        np.divide(g, s, out=g)
+        np.subtract(p, g, out=p)
     return model
 
 
@@ -282,7 +354,7 @@ def train(
     model = init_model(cfg, rng=rng)
 
     best_val = np.inf
-    best_params: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+    best_params: np.ndarray | None = None
     stale = 0
     history: list[EpochStats] = []
     n = len(x_train)
@@ -302,16 +374,14 @@ def train(
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_params = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+            best_params = model.params.copy()
             stale = 0
         else:
             stale += 1
             if stale > cfg.early_stop_patience:
                 break
     assert best_params is not None
-    best = MlpModel(config=cfg, weights=best_params[0], biases=best_params[1])
-    _reset_adam(best)
-    return best, history
+    return MlpModel(config=cfg, params=best_params), history
 
 
 def predict(model: MlpModel, x: np.ndarray) -> Prediction:
@@ -330,47 +400,69 @@ def predict_batch(model: MlpModel, xs: np.ndarray) -> list[Prediction]:
 
 # On-disk model format "osnmatch-mlp/1": one UTF-8 JSON header line holding
 # the config and parameter shapes, then the parameters as raw little-endian
-# float64, row-major, ordered W0, b0, W1, b1, ...
+# float64, row-major, ordered W0, b0, W1, b1, ... (the layout of ``params``).
 FORMAT_TAG = "osnmatch-mlp/1"
 
 
 def save_model(model: MlpModel, path: str) -> None:
+    """Write the model atomically: into a temporary file next to ``path``,
+    then renamed over it, so ``path`` is never left half-written."""
     header = {
         "format": FORMAT_TAG,
         "config": {k: getattr(model.config, k) for k in MlpConfig.__dataclass_fields__},
-        "shapes": [list(a.shape) for pair in zip(model.weights, model.biases) for a in pair],
+        "shapes": model.config.param_shapes,
     }
-    with open(path, "wb") as fh:
-        fh.write(
-            json.dumps(
-                header, sort_keys=True, default=lambda o: o.item()
-            ).encode("utf-8")
-        )
-        fh.write(b"\n")
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(
+                json.dumps(
+                    header, sort_keys=True, default=lambda o: o.item()
+                ).encode("utf-8")
+            )
+            fh.write(b"\n")
+            fh.write(model.params.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str) -> MlpModel:
-    """Inverse of save_model; Adam state starts zeroed."""
+    """Inverse of save_model; Adam state starts empty.
+
+    Raises ModelFormatError unless the file is exactly one well-formed
+    header followed by exactly the parameters it declares.
+    """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != FORMAT_TAG:
-            raise ValueError(f"unsupported model format in {path}")
-        cfg = MlpConfig(**header["config"])
-        weights, biases = [], []
-        for shape in header["shapes"]:
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"truncated parameter data in {path}")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            if len(shape) == 1:
-                biases.append(arr)
-            else:
-                weights.append(arr)
-    model = MlpModel(config=cfg, weights=weights, biases=biases)
-    _reset_adam(model)
-    return model
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise ModelFormatError(path, f"header is not JSON ({exc})") from None
+        if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+            raise ModelFormatError(path, "unsupported model format")
+        raw_cfg = header.get("config")
+        if not isinstance(raw_cfg, dict):
+            raise ModelFormatError(path, "config is not a JSON object")
+        fields = MlpConfig.__dataclass_fields__.keys()
+        unknown, missing = raw_cfg.keys() - fields, fields - raw_cfg.keys()
+        if unknown or missing:
+            raise ModelFormatError(
+                path, f"config keys: unknown {sorted(unknown)}, missing {sorted(missing)}"
+            )
+        try:
+            cfg = MlpConfig(**raw_cfg)
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(path, f"bad config ({exc})") from None
+        if header.get("shapes") != [list(shape) for shape in cfg.param_shapes]:
+            raise ModelFormatError(
+                path, f"shapes {header.get('shapes')} do not match the config"
+            )
+        n_bytes = 8 * cfg.n_params
+        buf = bytearray(n_bytes)
+        if fh.readinto(buf) != n_bytes:
+            raise ModelFormatError(path, "truncated parameter data")
+        if fh.read(1):
+            raise ModelFormatError(path, "trailing bytes after the parameters")
+    return MlpModel(config=cfg, params=np.frombuffer(buf, dtype="<f8"))

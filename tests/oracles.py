@@ -5,11 +5,16 @@ recurrence, kept deliberately separate from the iterative DP code under
 test (including its own copy of the phonetic letter groups). The *_memo
 variants evaluate the identical recurrence with memoization so larger
 strings stay affordable.
+
+``adam_step_reference`` is the per-layer Adam update that the flat,
+in-place one in ``osnmatch.mlp`` replaced.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def levenshtein_naive(a: str, b: str) -> int:
@@ -175,3 +180,25 @@ def all_strings(alphabet: str, max_len: int):
         frontier = [s + c for s in frontier for c in alphabet]
         out.extend(frontier)
     return out
+
+
+def adam_step_reference(model, grads: dict) -> None:
+    """One bias-corrected Adam update, array by array, each operation
+    allocating its result. ``model`` holds ``config``, per-layer lists
+    ``weights``, ``biases``, ``adam_m_w``, ``adam_v_w``, ``adam_m_b``,
+    ``adam_v_b`` and the step count ``adam_t``; the list entries are
+    rebound, never written in place."""
+    cfg = model.config
+    model.adam_t += 1
+    t = model.adam_t
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    for params, grad_list, m_list, v_list in (
+        (model.weights, grads["weights"], model.adam_m_w, model.adam_v_w),
+        (model.biases, grads["biases"], model.adam_m_b, model.adam_v_b),
+    ):
+        for i, g in enumerate(grad_list):
+            m_list[i] = b1 * m_list[i] + (1.0 - b1) * g
+            v_list[i] = b2 * v_list[i] + (1.0 - b2) * g * g
+            m_hat = m_list[i] / (1.0 - b1**t)
+            v_hat = v_list[i] / (1.0 - b2**t)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)

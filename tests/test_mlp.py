@@ -1,9 +1,14 @@
+import errno
+import hashlib
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from osnmatch.errors import DimensionMismatchError, EmptyDatasetError
+import osnmatch.mlp as mlp
+from osnmatch.errors import DimensionMismatchError, EmptyDatasetError, ModelFormatError
 from osnmatch.mlp import (
     MlpConfig,
     Prediction,
@@ -21,6 +26,8 @@ from osnmatch.mlp import (
     train,
 )
 from osnmatch.profile_features import PairFeatureVector
+
+from .oracles import adam_step_reference
 
 
 def fv(values, label):
@@ -429,3 +436,197 @@ class TestSaveLoad:
         path.write_bytes(b'{"format": "other"}\n')
         with pytest.raises(ValueError):
             load_model(str(path))
+
+
+def _interleave(weights, biases):
+    """Per-layer arrays flattened in ``params`` order: W0, b0, W1, b1, ..."""
+    return np.concatenate([a for pair in zip(weights, biases) for a in pair], axis=None)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("hidden_nodes", [16, 100])  # 1 chunk; 2 chunks, one partial
+    def test_matches_per_layer_reference_bitwise(self, hidden_nodes):
+        cfg = MlpConfig(input_dim=5, hidden_nodes=hidden_nodes, n_hidden_layers=3,
+                        learning_rate=0.01, rng_seed=3)
+        model = init_model(cfg)
+        ref = SimpleNamespace(
+            config=cfg,
+            weights=[w.copy() for w in model.weights],
+            biases=[b.copy() for b in model.biases],
+            adam_m_w=[np.zeros_like(w) for w in model.weights],
+            adam_v_w=[np.zeros_like(w) for w in model.weights],
+            adam_m_b=[np.zeros_like(b) for b in model.biases],
+            adam_v_b=[np.zeros_like(b) for b in model.biases],
+            adam_t=0,
+        )
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            grads = {
+                "weights": [rng.normal(0, 0.1, w.shape) for w in model.weights],
+                "biases": [rng.normal(0, 0.1, b.shape) for b in model.biases],
+            }
+            adam_step(model, grads)
+            adam_step_reference(ref, grads)
+        assert model.adam_t == ref.adam_t == 20
+        assert np.array_equal(model.params, _interleave(ref.weights, ref.biases))
+        assert np.array_equal(model.adam_m, _interleave(ref.adam_m_w, ref.adam_m_b))
+        assert np.array_equal(model.adam_v, _interleave(ref.adam_v_w, ref.adam_v_b))
+
+    def test_bias_shape_mismatch(self):
+        model = init_model(MlpConfig(input_dim=3, hidden_nodes=4))
+        grads = {
+            "weights": [np.zeros_like(w) for w in model.weights],
+            "biases": [np.zeros(b.size + 1) for b in model.biases],
+        }
+        with pytest.raises(DimensionMismatchError):
+            adam_step(model, grads)
+
+    def test_missing_layer_gradient(self):
+        model = init_model(MlpConfig(input_dim=3, hidden_nodes=4))
+        grads = {
+            "weights": [np.zeros_like(w) for w in model.weights[:-1]],
+            "biases": [np.zeros_like(b) for b in model.biases[:-1]],
+        }
+        with pytest.raises(DimensionMismatchError):
+            adam_step(model, grads)
+
+    def test_trained_model_is_bitwise_golden(self, tmp_path):
+        # digest of the model trained by the per-layer optimizer before the
+        # flat one replaced it
+        data = toy_separable(30)
+        cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=12,
+                        early_stop_patience=200)
+        model, _ = train(cfg, data, data)
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "67322dbb21e885660420aa0d5e19f1fee8566588f70f2dd38fc4ecea4bbd88ae"
+        )
+
+    def test_returned_models_hold_no_adam_state(self, tmp_path):
+        data = toy_separable(10)
+        cfg = MlpConfig(input_dim=2, hidden_nodes=8, rng_seed=1, max_epochs=3)
+        model, _ = train(cfg, data, data)
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        for m in (model, load_model(str(path))):
+            assert m.adam_t == 0
+            assert m.adam_m is None and m.adam_v is None and m.adam_scratch is None
+
+
+class TestFlatLayout:
+    def test_views_share_params(self, tmp_path):
+        cfg = MlpConfig(input_dim=3, hidden_nodes=4, rng_seed=2)
+        model = init_model(cfg)
+        assert all(np.shares_memory(a, model.params) for a in model.weights + model.biases)
+        assert np.array_equal(model.params, _interleave(model.weights, model.biases))
+        model.weights[1][2, 3] = 7.5
+        model.biases[2][1] = -2.25
+        w1_at = 3 * 4 + 4 + 2 * 4 + 3  # W0, b0, then row 2, column 3 of W1
+        b2_at = 3 * 4 + 4 + 4 * 4 + 4 + 4 * 4 + 1
+        assert model.params[w1_at] == 7.5
+        assert model.params[b2_at] == -2.25
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert np.frombuffer(body, dtype="<f8")[[w1_at, b2_at]].tolist() == [7.5, -2.25]
+        loaded = load_model(str(path))
+        assert loaded.weights[1][2, 3] == 7.5 and loaded.biases[2][1] == -2.25
+
+    def test_wrong_params_length(self):
+        cfg = MlpConfig(input_dim=3, hidden_nodes=4)
+        with pytest.raises(DimensionMismatchError):
+            mlp.MlpModel(config=cfg, params=np.zeros(cfg.n_params + 1))
+
+
+class TestLoadModelStrict:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg = MlpConfig(input_dim=3, hidden_nodes=4, rng_seed=2)
+        path = tmp_path / "model.bin"
+        save_model(init_model(cfg), str(path))
+        header, body = path.read_bytes().split(b"\n", 1)
+        return path, json.loads(header), body
+
+    @staticmethod
+    def _write(path, header, body):
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+    def _assert_rejected(self, path, fragment):
+        with pytest.raises(ModelFormatError) as info:
+            load_model(str(path))
+        assert str(path) in str(info.value)
+        assert fragment in str(info.value)
+
+    def test_header_not_json(self, saved):
+        path, _, body = saved
+        path.write_bytes(b"osnmatch-mlp/1 {\n" + body)
+        self._assert_rejected(path, "not JSON")
+
+    def test_unknown_config_key(self, saved):
+        path, header, body = saved
+        header["config"]["momentum"] = 0.9
+        self._write(path, header, body)
+        self._assert_rejected(path, "momentum")
+
+    def test_missing_config_key(self, saved):
+        path, header, body = saved
+        del header["config"]["adam_eps"]
+        self._write(path, header, body)
+        self._assert_rejected(path, "adam_eps")
+
+    def test_shapes_disagree_with_config(self, saved):
+        path, header, body = saved
+        header["shapes"][0] = [4, 3]
+        self._write(path, header, body)
+        self._assert_rejected(path, "shapes")
+
+    def test_truncated_parameters(self, saved):
+        path, header, body = saved
+        self._write(path, header, body[:-8])
+        self._assert_rejected(path, "truncated")
+
+    def test_trailing_bytes(self, saved):
+        path, header, body = saved
+        self._write(path, header, body + b"\0")
+        self._assert_rejected(path, "trailing")
+
+    def test_invalid_config_value(self, saved):
+        path, header, body = saved
+        header["config"]["dropout_rate"] = 1.5
+        self._write(path, header, body)
+        self._assert_rejected(path, "dropout_rate")
+
+
+class TestAtomicSave:
+    def test_leaves_only_the_target(self, tmp_path):
+        path = tmp_path / "fold-00.bin"
+        path.write_bytes(b"old")
+        save_model(init_model(MlpConfig(input_dim=3, hidden_nodes=4)), str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["fold-00.bin"]
+        assert load_model(str(path)).config.input_dim == 3
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "fold-00.bin"
+        path.write_bytes(b"old")
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data[:5]))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(mlp, "open", lambda *a, **kw: DiskFull(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_model(init_model(MlpConfig(input_dim=3, hidden_nodes=4)), str(path))
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["fold-00.bin"]
