@@ -7,13 +7,17 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TextIO
 
 import click
 
 from . import synth
+from .atomic import replacing
 from .dataset import (
     Corpus,
+    LabeledPairSet,
     load_corpus,
     negative_sample,
     k_folds,
@@ -354,11 +358,13 @@ def _execute_run(cfg: RunConfig) -> dict:
     }
     json_path = out / "report.json"
     txt_path = out / "report.txt"
-    json_path.write_text(
-        json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with replacing(json_path) as tmp:
+        tmp.write_text(
+            json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
     title = f"model={cfg.model} measure={cfg.measure} mode={cfg.temporal_mode}"
-    txt_path.write_text(render_report(report, title=title), encoding="utf-8")
+    with replacing(txt_path) as tmp:
+        tmp.write_text(render_report(report, title=title), encoding="utf-8")
     return {
         "report_json": str(json_path),
         "report_txt": str(txt_path),
@@ -428,6 +434,35 @@ def score_pair(profile_a, profile_b, measure, include_names):
             click.echo(f"{name:<18} raw={raw_str} score={value:.4f}")
 
 
+def _pairs_json(pairs: list[tuple[str, str, bool]]) -> str:
+    if not pairs:
+        return "[]"
+    enc = encode_basestring_ascii
+    return "[\n" + ",\n".join(
+        f"      [\n        {enc(t)},\n        {enc(f)},\n        "
+        f"{'true' if lbl else 'false'}\n      ]"
+        for t, f, lbl in pairs
+    ) + "\n    ]"
+
+
+def write_folds_json(
+    fh: TextIO, partitions: list[tuple[LabeledPairSet, LabeledPairSet]]
+) -> None:
+    """Write the fold membership exactly as ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\\n"`` would, for doc = ``[{"fold": i, "test": [[t, f,
+    label], ...], "train": [...]}, ...]``. With an indent the json module
+    encodes in pure Python, so the triples are formatted here, one fold at a
+    time, with its C string encoder."""
+    fh.write("[")
+    for i, (train_set, test_set) in enumerate(partitions):
+        fh.write(f"{',' if i else ''}\n  {{\n    \"fold\": {i},\n    \"test\": ")
+        fh.write(_pairs_json(test_set.pairs))
+        fh.write(',\n    "train": ')
+        fh.write(_pairs_json(train_set.pairs))
+        fh.write("\n  }")
+    fh.write("\n]\n" if partitions else "]\n")
+
+
 @main.command()
 @click.option("--neg-ratio", type=int, default=8, show_default=True)
 @click.option("--k", type=int, default=10, show_default=True)
@@ -450,25 +485,16 @@ def folds(neg_ratio, k, seed, user_disjoint, data_dir, profiles, posts, pairs,
         pair_set = negative_sample(corpus, neg_ratio, seed)
         folder = k_folds_user_disjoint if user_disjoint else k_folds
         partitions = folder(pair_set, k, seed)
+        if output_path:
+            with replacing(output_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+                write_folds_json(fh, partitions)
     except (OsnMatchError, OSError, ValueError) as exc:
         _fail(exc)
     click.echo(f"{'fold':>4} {'train+':>7} {'train-':>7} {'test+':>6} {'test-':>6}")
-    doc = []
     for i, (train_set, test_set) in enumerate(partitions):
         click.echo(
             f"{i:>4} {train_set.n_pos:>7} {train_set.n_neg:>7} "
             f"{test_set.n_pos:>6} {test_set.n_neg:>6}"
-        )
-        doc.append(
-            {
-                "fold": i,
-                "train": [[t, f, lbl] for t, f, lbl in train_set.pairs],
-                "test": [[t, f, lbl] for t, f, lbl in test_set.pairs],
-            }
-        )
-    if output_path:
-        Path(output_path).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
 
 

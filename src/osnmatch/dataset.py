@@ -32,6 +32,8 @@ _EARLIEST_TIMESTAMP = datetime(1990, 1, 1, tzinfo=timezone.utc)
 
 PAIRS_HEADER = ("twitter_id", "flickr_id")
 
+_PLATFORMS = {p.value: p for p in Platform}
+
 
 @dataclass
 class Corpus:
@@ -69,24 +71,26 @@ class LabeledPairSet:
         return len(self.pairs) - self.n_pos
 
 
-def _parse_timestamp(raw: str, path: str, line_no: int) -> datetime:
+def _parse_timestamp(raw, path: str, line_no: int, latest: datetime) -> datetime:
+    """``latest`` is the upper bound, now + 1 h, read once per file."""
     try:
+        # 3.10's fromisoformat rejects a "Z" suffix
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except (ValueError, TypeError, AttributeError):
         raise ParseError(path, line_no, f"bad timestamp {raw!r}") from None
     if ts.tzinfo is None:
         raise ParseError(path, line_no, f"timestamp {raw!r} lacks a timezone")
-    now = datetime.now(timezone.utc) + timedelta(hours=1)
-    if not _EARLIEST_TIMESTAMP <= ts <= now:
+    if not _EARLIEST_TIMESTAMP <= ts <= latest:
         raise ParseError(path, line_no, f"timestamp {raw!r} outside 1990..now")
     return ts
 
 
 def _parse_platform(raw, path: str, line_no: int) -> Platform:
-    try:
-        return Platform(raw)
-    except ValueError:
-        raise ParseError(path, line_no, f"unknown platform {raw!r}") from None
+    # the isinstance guard keeps unhashable JSON (a list, an object) a ParseError
+    platform = _PLATFORMS.get(raw) if isinstance(raw, str) else None
+    if platform is None:
+        raise ParseError(path, line_no, f"unknown platform {raw!r}")
+    return platform
 
 
 def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
@@ -128,12 +132,14 @@ def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
 
 def _load_posts(path: str) -> dict[tuple[Platform, str], list[PostEvent]]:
     posts: dict[tuple[Platform, str], list[PostEvent]] = {}
+    loads = json.loads
+    latest = datetime.now(timezone.utc) + timedelta(hours=1)
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
             if not isinstance(obj, dict):
@@ -142,10 +148,12 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], list[PostEvent]]:
             user_id = obj.get("user_id")
             if not user_id or not isinstance(user_id, str):
                 raise ParseError(path, line_no, "user_id must be a nonempty string")
-            ts = _parse_timestamp(obj.get("timestamp"), path, line_no)
-            posts.setdefault((platform, user_id), []).append(
-                PostEvent(platform=platform, user_id=user_id, timestamp=ts)
-            )
+            ts = _parse_timestamp(obj.get("timestamp"), path, line_no, latest)
+            key = (platform, user_id)
+            events = posts.get(key)
+            if events is None:
+                events = posts[key] = []
+            events.append(PostEvent(platform, user_id, ts))
     return posts
 
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import DimensionMismatchError, EmptyDatasetError, ModelFormatError
 from .profile_features import PairFeatureVector
 
@@ -412,21 +411,12 @@ def save_model(model: MlpModel, path: str) -> None:
         "config": {k: getattr(model.config, k) for k in MlpConfig.__dataclass_fields__},
         "shapes": model.config.param_shapes,
     }
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(
-                json.dumps(
-                    header, sort_keys=True, default=lambda o: o.item()
-                ).encode("utf-8")
-            )
-            fh.write(b"\n")
-            fh.write(model.params.astype("<f8", copy=False).tobytes())
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(
+            json.dumps(header, sort_keys=True, default=lambda o: o.item()).encode("utf-8")
+        )
+        fh.write(b"\n")
+        fh.write(model.params.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: str) -> MlpModel:

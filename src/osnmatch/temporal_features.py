@@ -24,7 +24,7 @@ class HistogramMode(str, Enum):
         return 24 if self is HistogramMode.HOUR_OF_DAY else 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostEvent:
     """One timestamped piece of user-generated content."""
 

@@ -7,11 +7,14 @@ variants evaluate the identical recurrence with memoization so larger
 strings stay affordable.
 
 ``adam_step_reference`` is the per-layer Adam update that the flat,
-in-place one in ``osnmatch.mlp`` replaced.
+in-place one in ``osnmatch.mlp`` replaced, and ``folds_json_reference``
+is the ``json.dumps`` fold export that ``osnmatch.cli.write_folds_json``
+replaced.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -202,3 +205,16 @@ def adam_step_reference(model, grads: dict) -> None:
             m_hat = m_list[i] / (1.0 - b1**t)
             v_hat = v_list[i] / (1.0 - b2**t)
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def folds_json_reference(partitions) -> str:
+    """The fold file as one ``json.dumps`` of the whole document."""
+    doc = [
+        {
+            "fold": i,
+            "train": [[t, f, lbl] for t, f, lbl in train_set.pairs],
+            "test": [[t, f, lbl] for t, f, lbl in test_set.pairs],
+        }
+        for i, (train_set, test_set) in enumerate(partitions)
+    ]
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

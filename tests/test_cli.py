@@ -1,10 +1,20 @@
+import errno
+import io
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from osnmatch import synth
-from osnmatch.cli import main
+from osnmatch import cli, synth
+from osnmatch.cli import main, write_folds_json
+from osnmatch.dataset import (
+    LabeledPairSet,
+    k_folds,
+    k_folds_user_disjoint,
+    load_corpus,
+    negative_sample,
+)
+from tests.oracles import folds_json_reference
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +63,83 @@ class TestRunConfigFile:
         result, cfg, _ = _run(corpus_dir, tmp_path, "max_epochs 1\n")
         assert result.exit_code == 2
         assert f"{cfg}:1: expected key=value" in result.output
+
+
+def _folds(corpus_dir, out, *extra):
+    return CliRunner().invoke(
+        main,
+        ["folds", "--data-dir", str(corpus_dir), "--k", "3", "--output", str(out),
+         *extra],
+    )
+
+
+class TestFoldsExport:
+    @pytest.mark.parametrize("user_disjoint", [False, True])
+    def test_matches_json_dumps(self, corpus_dir, tmp_path, user_disjoint):
+        out = tmp_path / "folds.json"
+        result = _folds(corpus_dir, out, *(["--user-disjoint"] if user_disjoint else []))
+        assert result.exit_code == 0, result.output
+        corpus = load_corpus(*(str(corpus_dir / n) for n in
+                               ("profiles.jsonl", "posts.jsonl", "pairs.csv")))
+        folder = k_folds_user_disjoint if user_disjoint else k_folds
+        partitions = folder(negative_sample(corpus, 8, 42), 3, 42)
+        assert out.read_bytes() == folds_json_reference(partitions).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "partitions",
+        [
+            [
+                (
+                    LabeledPairSet([("tw-é", 'fl"q"', True), ("t\\b", "f/\n", False)], 1, 0),
+                    LabeledPairSet([("用户", "ü\u2028", True)], 1, 0),
+                ),
+                (LabeledPairSet([], 1, 0), LabeledPairSet([("a", "b", False)], 1, 0)),
+            ],
+            k_folds(
+                LabeledPairSet([("t0", "f0", True), ("t1", "f1", True),
+                                ("t0", "f1", False), ("t1", "f0", False)], 1, 0),
+                2,
+                5,
+            ),
+            [],
+        ],
+        ids=["escapes-and-empty-list", "k2", "no-folds"],
+    )
+    def test_unit_cases(self, partitions):
+        fh = io.StringIO()
+        write_folds_json(fh, partitions)
+        assert fh.getvalue() == folds_json_reference(partitions)
+
+    def test_missing_directory_is_an_error(self, corpus_dir, tmp_path):
+        out = tmp_path / "missing" / "x" / "folds.json"
+        result = _folds(corpus_dir, out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "error: FileNotFoundError: " in result.output
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_write_keeps_old_file(self, corpus_dir, tmp_path, monkeypatch):
+        out = tmp_path / "folds.json"
+        out.write_text("old", encoding="utf-8")
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:5])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: DiskFull(open(*a, **kw)),
+                            raising=False)
+        result = _folds(corpus_dir, out)
+        assert result.exit_code == 1
+        assert "error: OSError: [Errno 28] No space left on device" in result.output
+        assert out.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["folds.json"]

@@ -1,11 +1,14 @@
 import json
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osnmatch import synth
 from osnmatch.dataset import (
     LabeledPairSet,
+    _load_posts,
     k_folds,
     k_folds_user_disjoint,
     load_corpus,
@@ -21,6 +24,7 @@ from osnmatch.errors import (
     TooFewExamplesError,
 )
 from osnmatch.profile_features import Platform
+from osnmatch.temporal_features import PostEvent
 
 
 def profile_line(platform, user_id, **kwargs):
@@ -181,6 +185,73 @@ class TestLoadCorpus:
         )
         with pytest.raises(ParseError):
             load_corpus(str(profiles), paths[1], paths[2])
+
+
+def post_line(timestamp, platform="twitter", user_id="t0"):
+    return json.dumps({"platform": platform, "user_id": user_id, "timestamp": timestamp})
+
+
+def posts_reference(path):
+    """Posts grouped per account, decoded line by line with the standard
+    library alone."""
+    posts = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                obj = json.loads(line)
+                platform = Platform(obj["platform"])
+                ts = datetime.fromisoformat(obj["timestamp"].replace("Z", "+00:00"))
+                posts.setdefault((platform, obj["user_id"]), []).append(
+                    PostEvent(platform=platform, user_id=obj["user_id"], timestamp=ts)
+                )
+    return posts
+
+
+class TestLoaderEdgeCases:
+    BAD_PLATFORMS = [["twitter"], {"a": 1}, 1, None, "Twitter"]
+
+    @pytest.mark.parametrize("platform", BAD_PLATFORMS)
+    def test_bad_platform_in_posts(self, tmp_path, platform):
+        paths = write_corpus(tmp_path, posts=[post_line("2022-05-01T09:30:00+00:00"),
+                                              post_line("2022-05-01T09:30:00+00:00",
+                                                        platform=platform)])
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert str(exc.value) == f"{paths[1]}:2: unknown platform {platform!r}"
+
+    @pytest.mark.parametrize("platform", BAD_PLATFORMS)
+    def test_bad_platform_in_profiles(self, tmp_path, platform):
+        paths = write_corpus(tmp_path)
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text(
+            profile_line("twitter", "t0") + "\n" + profile_line(platform, "t1") + "\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert str(exc.value) == f"{profiles}:2: unknown platform {platform!r}"
+
+    def test_zone_suffixes_give_utc_instants(self, tmp_path):
+        stamps = ["2022-05-01T09:30:00Z", "2022-05-01T09:30:00+05:30",
+                  "2022-05-01T09:30:00-08:00"]
+        paths = write_corpus(tmp_path, posts=[post_line(s) for s in stamps])
+        events = load_corpus(*paths).posts_for(Platform.TWITTER, "t0")
+        utc = [e.timestamp.astimezone(timezone.utc) for e in events]
+        assert utc == [datetime.fromisoformat(s.replace("Z", "+00:00")) for s in stamps]
+        assert [t.hour for t in utc] == [9, 4, 17]
+
+    def test_timestamp_two_hours_ahead_rejected(self, tmp_path):
+        ahead = (datetime.now(timezone.utc) + timedelta(hours=2)).isoformat()
+        paths = write_corpus(tmp_path, posts=[post_line(ahead)])
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert str(exc.value) == f"{paths[1]}:1: timestamp {ahead!r} outside 1990..now"
+
+    def test_synthetic_posts_equal_the_reference(self, tmp_path):
+        summary = synth.generate_corpus(30, 0.15, 0, str(tmp_path))
+        loaded = _load_posts(summary["posts_path"])
+        reference = posts_reference(summary["posts_path"])
+        assert list(loaded.items()) == list(reference.items())
+        assert sum(len(v) for v in loaded.values()) == summary["posts"]
 
 
 class TestNegativeSample:
