@@ -2,47 +2,18 @@
 belong to the same person.
 
 Three feature families (profile-field similarity, temporal posting
-patterns, text embeddings) feed a small from-scratch MLP classifier that
+patterns, text embeddings) each turn a batch of candidate pairs into one
+``FeatureMatrix``, which feeds a small from-scratch MLP classifier that
 is trained and evaluated with negative sampling and stratified k-fold
 cross-validation.
 """
 
-from .dataset import Corpus, LabeledPairSet, k_folds, load_corpus, negative_sample, split
-from .embedding_features import (
-    EmbeddingTable,
-    embed_field,
-    hash_fallback_table,
-    load_embedding_file,
-    pair_embedding_features,
-)
-from .evaluation import ConfusionCounts, EvalReport, confusion, cross_validate, metrics
-from .mlp import (
-    MlpConfig,
-    MlpModel,
-    Prediction,
-    init_model,
-    load_model,
-    predict,
-    save_model,
-    train,
-)
-from .profile_features import (
-    PairFeatureVector,
-    Platform,
-    UserProfile,
-    extract_ps_features,
-    featurize_pairs,
-)
+from .dataset import Corpus, LabeledPairSet, k_folds, load_corpus, negative_sample
+from .embedding_features import hash_fallback_table, load_embedding_file, pair_embedding_features
+from .evaluation import cross_validate
+from .mlp import MlpConfig, load_model, predict_batch, save_model, train
+from .profile_features import FeatureMatrix, Platform, UserProfile, featurize_pairs
 from .strsim import Measure, normalized_similarity
-from .temporal_features import (
-    ActivityHistogram,
-    ActivityMask,
-    HistogramMode,
-    PostEvent,
-    boolean_jaccard,
-    build_histogram,
-    extract_temporal_features,
-    to_mask,
-)
+from .temporal_features import HistogramMode, extract_temporal_features
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ from .dataset import (
     negative_sample,
     k_folds,
     k_folds_user_disjoint,
+    parse_profile,
 )
 from .embedding_features import (
     EmbeddingTable,
@@ -33,40 +34,20 @@ from .errors import OsnMatchError
 from .evaluation import cross_validate, render_report, report_as_dict
 from .mlp import MlpConfig, save_model
 from .profile_features import (
+    PS_SCHEMA,
+    PS_SCHEMA_NO_NAMES,
+    FeatureMatrix,
     Platform,
     UserProfile,
+    all_measures_schema,
     extract_ps_features,
     extract_ps_features_all_measures,
     featurize_pairs,
 )
-from .strsim import (
-    Measure,
-    cosine_2gram,
-    damerau_levenshtein,
-    editex,
-    jaccard_2gram,
-    jaro_winkler,
-    lcs_length,
-    levenshtein,
-    ncd_bzip2,
-    normalized_similarity,
-    smith_waterman,
-)
+from .strsim import Measure, raw_measure
 from .temporal_features import HistogramMode, extract_temporal_features
 
 MEASURE_CHOICES = [m.value for m in Measure]
-
-RAW_MEASURE_FUNCS = {
-    Measure.LEVENSHTEIN: levenshtein,
-    Measure.DAMERAU_LEVENSHTEIN: damerau_levenshtein,
-    Measure.EDITEX: editex,
-    Measure.JARO_WINKLER: jaro_winkler,
-    Measure.JACCARD_2GRAM: jaccard_2gram,
-    Measure.NCD_BZIP2: ncd_bzip2,
-    Measure.LCS: lcs_length,
-    Measure.SMITH_WATERMAN: smith_waterman,
-    Measure.COSINE_2GRAM: cosine_2gram,
-}
 
 DEFAULT_HIDDEN_NODES = {"ps": 50, "temporal": 50, "embedding": 300}
 
@@ -141,59 +122,38 @@ def _resolve_paths(data_dir, profiles, posts, pairs):
 
 
 def _build_featurizer(corpus: Corpus, cfg: RunConfig, table: EmbeddingTable | None):
+    """``featurize(pairs) -> FeatureMatrix`` for the configured model."""
+    if cfg.model == "ps" and cfg.all_measures:
+        schema = all_measures_schema(cfg.include_names)
+
+        def featurize(pairs):
+            return FeatureMatrix.from_rows(
+                [
+                    extract_ps_features_all_measures(
+                        corpus.profile(Platform.TWITTER, t),
+                        corpus.profile(Platform.FLICKR, f),
+                        include_names=cfg.include_names,
+                    )
+                    for t, f, _ in pairs
+                ],
+                schema,
+            )
+
+        return featurize
     if cfg.model == "ps":
         measure = Measure(cfg.measure)
-
-        def featurize(pairs):
-            triples = [
-                (
-                    corpus.profile(Platform.TWITTER, t),
-                    corpus.profile(Platform.FLICKR, f),
-                    lbl,
-                )
-                for t, f, lbl in pairs
-            ]
-            if cfg.all_measures:
-                return [
-                    extract_ps_features_all_measures(
-                        a, b, include_names=cfg.include_names, label=lbl
-                    )
-                    for a, b, lbl in triples
-                ]
-            return featurize_pairs(triples, measure, include_names=cfg.include_names)
-
-    elif cfg.model == "temporal":
+        return lambda pairs: featurize_pairs(
+            corpus, pairs, measure, include_names=cfg.include_names
+        )
+    if cfg.model == "temporal":
         mode = HistogramMode(cfg.temporal_mode)
-
-        def featurize(pairs):
-            return [
-                extract_temporal_features(
-                    corpus.posts_for(Platform.TWITTER, t),
-                    corpus.posts_for(Platform.FLICKR, f),
-                    mode,
-                    label=lbl,
-                )
-                for t, f, lbl in pairs
-            ]
-
-    elif cfg.model == "embedding":
+        return lambda pairs: extract_temporal_features(corpus, pairs, mode)
+    if cfg.model == "embedding":
         assert table is not None
-
-        def featurize(pairs):
-            return [
-                pair_embedding_features(
-                    corpus.profile(Platform.TWITTER, t),
-                    corpus.profile(Platform.FLICKR, f),
-                    table,
-                    include_description=cfg.include_description,
-                    label=lbl,
-                )
-                for t, f, lbl in pairs
-            ]
-
-    else:
-        raise ValueError(f"unknown model {cfg.model!r}")
-    return featurize
+        return lambda pairs: pair_embedding_features(
+            corpus, pairs, table, include_description=cfg.include_description
+        )
+    raise ValueError(f"unknown model {cfg.model!r}")
 
 
 @click.group()
@@ -276,7 +236,7 @@ def run(model, measure, all_measures, temporal_mode, include_names,
         k=k,
         seed=seed,
         user_disjoint=user_disjoint,
-        hidden_nodes=hidden_nodes or DEFAULT_HIDDEN_NODES[model],
+        hidden_nodes=DEFAULT_HIDDEN_NODES[model] if hidden_nodes is None else hidden_nodes,
         n_hidden_layers=3,
         dropout_rate=dropout_rate,
         learning_rate=learning_rate,
@@ -308,8 +268,7 @@ def _execute_run(cfg: RunConfig) -> dict:
         else:
             table = hash_fallback_table(seed=cfg.embedding_seed)
     featurize = _build_featurizer(corpus, cfg, table)
-    probe = featurize(pair_set.pairs[:1])[0]
-    input_dim = len(probe.values)
+    input_dim = len(featurize(pair_set.pairs[:1]).schema)
     mlp_cfg = MlpConfig(
         input_dim=input_dim,
         hidden_nodes=cfg.hidden_nodes,
@@ -374,28 +333,12 @@ def _execute_run(cfg: RunConfig) -> dict:
     }
 
 
-def _parse_profile(raw: str, which: str) -> UserProfile:
-    text = raw
+def _read_profile(raw: str, which: str) -> UserProfile:
+    """A profile given inline as JSON, or as @path to a JSON file; it is
+    checked as the corpus loader checks each profile line."""
     if raw.startswith("@"):
-        text = Path(raw[1:]).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"profile {which}: bad JSON ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"profile {which}: expected a JSON object")
-    try:
-        return UserProfile(
-            platform=Platform(obj.get("platform")),
-            user_id=obj.get("user_id", which),
-            user_name=obj.get("user_name", "") or "",
-            real_name=obj.get("real_name", "") or "",
-            description=obj.get("description", "") or "",
-            location=obj.get("location", "") or "",
-            post_count=int(obj.get("post_count", 0)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"profile {which}: {exc}") from None
+        return parse_profile(Path(raw[1:]).read_text(encoding="utf-8"), raw[1:], 1)
+    return parse_profile(raw, f"--profile-{which}", 1)
 
 
 @main.command("score-pair")
@@ -409,27 +352,21 @@ def _parse_profile(raw: str, which: str) -> UserProfile:
 def score_pair(profile_a, profile_b, measure, include_names):
     """Print each profile feature's raw measure value and normalized score."""
     try:
-        a = _parse_profile(profile_a, "a")
-        b = _parse_profile(profile_b, "b")
+        a = _read_profile(profile_a, "a")
+        b = _read_profile(profile_b, "b")
         m = Measure(measure)
-        vec = extract_ps_features(a, b, m, include_names=include_names)
+        values = extract_ps_features(a, b, m, include_names=include_names)
     except (OsnMatchError, OSError, ValueError) as exc:
         _fail(exc)
-    raw_fn = RAW_MEASURE_FUNCS[m]
-    text_fields = {
-        "user_name_score": (a.user_name, b.user_name),
-        "real_name_score": (a.real_name, b.real_name),
-        "description_score": (a.description, b.description),
-        "location_score": (a.location, b.location),
-    }
-    for name, value in zip(vec.schema, vec.values):
+    schema = PS_SCHEMA if include_names else PS_SCHEMA_NO_NAMES
+    for name, value in zip(schema, values):
         if name == "post_ratio":
             click.echo(
                 f"{name:<18} raw={a.post_count}/{b.post_count} score={value:.4f}"
             )
         else:
-            fa, fb = text_fields[name]
-            raw = raw_fn(fa, fb)
+            field = name.removesuffix("_score")
+            raw = raw_measure(m, getattr(a, field), getattr(b, field))
             raw_str = f"{raw:.4f}" if isinstance(raw, float) else str(raw)
             click.echo(f"{name:<18} raw={raw_str} score={value:.4f}")
 

@@ -93,40 +93,44 @@ def _parse_platform(raw, path: str, line_no: int) -> Platform:
     return platform
 
 
+def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
+    """One profile from its JSON text; any malformed part raises
+    ``ParseError(path, line_no)``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(path, line_no, "expected a JSON object")
+    platform = _parse_platform(obj.get("platform"), path, line_no)
+    user_id = obj.get("user_id")
+    if not user_id or not isinstance(user_id, str):
+        raise ParseError(path, line_no, "user_id must be a nonempty string")
+    post_count = obj.get("post_count", 0)
+    if type(post_count) is not int or post_count < 0:  # bool is no count
+        raise ParseError(path, line_no, "post_count must be a nonnegative integer")
+    texts = {}
+    for name in PS_TEXT_FIELDS:
+        value = obj.get(name)
+        if value is not None and not isinstance(value, str):
+            raise ParseError(path, line_no, f"{name} must be a string or null")
+        texts[name] = value or ""
+    return UserProfile(platform=platform, user_id=user_id, post_count=post_count, **texts)
+
+
 def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
     profiles: dict[tuple[Platform, str], UserProfile] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(path, line_no, "expected a JSON object")
-            platform = _parse_platform(obj.get("platform"), path, line_no)
-            user_id = obj.get("user_id")
-            if not user_id or not isinstance(user_id, str):
-                raise ParseError(path, line_no, "user_id must be a nonempty string")
-            if (platform, user_id) in profiles:
+            profile = parse_profile(line, path, line_no)
+            key = (profile.platform, profile.user_id)
+            if key in profiles:
                 raise ParseError(
-                    path, line_no, f"duplicate profile {platform.value}/{user_id}"
+                    path, line_no, f"duplicate profile {key[0].value}/{key[1]}"
                 )
-            post_count = obj.get("post_count", 0)
-            if type(post_count) is not int or post_count < 0:  # bool is no count
-                raise ParseError(
-                    path, line_no, "post_count must be a nonnegative integer"
-                )
-            texts = {}
-            for name in PS_TEXT_FIELDS:
-                value = obj.get(name)
-                if value is not None and not isinstance(value, str):
-                    raise ParseError(path, line_no, f"{name} must be a string or null")
-                texts[name] = value or ""
-            profiles[(platform, user_id)] = UserProfile(
-                platform=platform, user_id=user_id, post_count=post_count, **texts
-            )
+            profiles[key] = profile
     return profiles
 
 
@@ -329,56 +333,6 @@ def _positive_components(pos: list[tuple[str, str, bool]]):
     for pair in pos:
         components.setdefault(find(("t", pair[0])), []).append(pair)
     return list(components.values())
-
-
-def split_user_disjoint(
-    s: LabeledPairSet, train_fraction: float, seed: int
-) -> tuple[LabeledPairSet, LabeledPairSet]:
-    """Stricter split where no user appears on both sides.
-
-    Positive pairs are partitioned by person (connected components over
-    shared users); every user inherits their person's side, users in no
-    positive pair get a random side. Negatives whose endpoints land on
-    different sides are dropped, so the negative ratio can shrink.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
-    pos, neg = _classes(s)
-    components = _positive_components(pos)
-    order = rng.permutation(len(components))
-    n_train_target = int(len(pos) * train_fraction)
-    sides: list[list[tuple[str, str, bool]]] = [[], []]
-    placed_train = 0
-    for i in order:
-        side = 0 if placed_train < n_train_target else 1
-        sides[side].extend(components[i])
-        if side == 0:
-            placed_train += len(components[i])
-    if pos and (not sides[0] or not sides[1]):
-        raise DegenerateSplitError(
-            f"fraction {train_fraction} leaves a side without positives"
-        )
-    twitter_side: dict[str, int] = {}
-    flickr_side: dict[str, int] = {}
-    for side in (0, 1):
-        for t, f, _ in sides[side]:
-            twitter_side[t] = side
-            flickr_side[f] = side
-    for pair in neg:
-        t, f, _ = pair
-        side_t = twitter_side.setdefault(t, int(rng.random() >= train_fraction))
-        side_f = flickr_side.setdefault(f, int(rng.random() >= train_fraction))
-        if side_t == side_f:
-            sides[side_t].append(pair)
-    train_pairs, test_pairs = sides
-    for side_pairs, name in ((train_pairs, "train"), (test_pairs, "test")):
-        if neg and not any(not lbl for _, _, lbl in side_pairs):
-            raise DegenerateSplitError(f"user-disjoint {name} side lost all negatives")
-    return (
-        LabeledPairSet(pairs=train_pairs, neg_ratio=s.neg_ratio, seed=seed),
-        LabeledPairSet(pairs=test_pairs, neg_ratio=s.neg_ratio, seed=seed),
-    )
 
 
 def k_folds_user_disjoint(

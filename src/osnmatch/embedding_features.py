@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedLineError, SamePlatformError
-from .profile_features import PairFeatureVector, UserProfile
+from .errors import DimensionMismatchError, MalformedLineError
+from .profile_features import FeatureMatrix, Platform, per_account
+
+if TYPE_CHECKING:
+    from .dataset import Corpus
 
 DEFAULT_DIM_WORD = 32
 DEFAULT_DIM_CHAR = 32
@@ -194,27 +198,31 @@ EMBEDDING_FIELDS_WITH_DESC = ("user_name", "real_name", "description")
 
 
 def pair_embedding_features(
-    a: UserProfile,
-    b: UserProfile,
+    corpus: Corpus,
+    pairs: Sequence[tuple],
     table: EmbeddingTable,
     include_description: bool = False,
-    label: bool | None = None,
-) -> PairFeatureVector:
-    """Per field: the element-wise absolute embedding difference mapped
-    through 1/(1+|d|), then the embedding cosine mapped to [0, 1]."""
-    if a.platform == b.platform:
-        raise SamePlatformError(
-            f"both accounts are on {a.platform.value}: {a.user_id!r}, {b.user_id!r}"
-        )
+) -> FeatureMatrix:
+    """Per (twitter_id, flickr_id, ...) pair and field: the element-wise
+    absolute embedding difference mapped through 1/(1+|d|), then the
+    embedding cosine mapped to [0, 1]. Each account's fields are embedded
+    once."""
     fields = EMBEDDING_FIELDS_WITH_DESC if include_description else EMBEDDING_FIELDS
-    values: list[float] = []
+
+    def embeddings(platform: Platform, ids: list[str], name: str) -> np.ndarray:
+        return per_account(
+            ids, table.dim,
+            lambda uid: embed_field(getattr(corpus.profile(platform, uid), name), table),
+        )
+
+    twitter_ids, flickr_ids = [p[0] for p in pairs], [p[1] for p in pairs]
+    blocks: list[np.ndarray] = []
     schema: list[str] = []
-    for field_name in fields:
-        e_a = embed_field(getattr(a, field_name), table)
-        e_b = embed_field(getattr(b, field_name), table)
-        diff = 1.0 / (1.0 + np.abs(e_a - e_b))
-        values.extend(float(v) for v in diff)
-        schema.extend(f"{field_name}_d{i:03d}" for i in range(table.dim))
-        values.append((_cosine(e_a, e_b) + 1.0) / 2.0)
-        schema.append(f"{field_name}_cosine")
-    return PairFeatureVector(values=values, schema=schema, label=label)
+    for name in fields:
+        e_a = embeddings(Platform.TWITTER, twitter_ids, name)
+        e_b = embeddings(Platform.FLICKR, flickr_ids, name)
+        # the cosine stays per pair: a batched dot product rounds differently
+        cosine = np.array([_cosine(x, y) for x, y in zip(e_a, e_b)], dtype=np.float64)
+        blocks += [1.0 / (1.0 + np.abs(e_a - e_b)), ((cosine + 1.0) / 2.0)[:, None]]
+        schema += [f"{name}_d{i:03d}" for i in range(table.dim)] + [f"{name}_cosine"]
+    return FeatureMatrix(np.hstack(blocks), schema)

@@ -76,4 +76,4 @@ class EmptyDatasetError(OsnMatchError):
 
 
 class LengthMismatchError(OsnMatchError):
-    """Prediction and label sequences differ in length."""
+    """Sequences that must pair up element by element differ in length."""

@@ -14,14 +14,14 @@ import numpy as np
 
 from .dataset import LabeledPairSet, k_folds, k_folds_user_disjoint, split
 from .errors import DegenerateSplitError, LengthMismatchError
-from .mlp import MlpConfig, MlpModel, Prediction, predict_batch, train
-from .profile_features import PairFeatureVector
+from .mlp import MlpConfig, MlpModel, predict_batch, train
+from .profile_features import FeatureMatrix
 
 # share of each fold's training pairs actually fitted; the rest is held
 # out for early stopping so the test fold never steers training
 INNER_TRAIN_FRACTION = 0.9
 
-Featurizer = Callable[[list[tuple[str, str, bool]]], list[PairFeatureVector]]
+Featurizer = Callable[[list[tuple[str, str, bool]]], FeatureMatrix]
 
 
 @dataclass
@@ -56,22 +56,19 @@ class EvalReport:
     macro_f1: float | None = None
 
 
-def confusion(preds: list[Prediction], labels: list[bool]) -> ConfusionCounts:
-    """Standard confusion counts with positive = "same individual"."""
-    if len(preds) != len(labels):
-        raise LengthMismatchError(f"{len(preds)} predictions for {len(labels)} labels")
-    counts = ConfusionCounts()
-    for pred, label in zip(preds, labels):
-        predicted = pred.predicted_same
-        if predicted and label:
-            counts.tp += 1
-        elif predicted and not label:
-            counts.fp += 1
-        elif not predicted and label:
-            counts.fn += 1
-        else:
-            counts.tn += 1
-    return counts
+def confusion(p_same, labels) -> ConfusionCounts:
+    """Standard confusion counts with positive = "same individual", which
+    is predicted where p(same) >= 0.5."""
+    predicted = np.asarray(p_same) >= 0.5
+    labels = np.asarray(labels, dtype=bool)
+    if predicted.shape != labels.shape:
+        raise LengthMismatchError(f"{len(predicted)} predictions for {len(labels)} labels")
+    return ConfusionCounts(
+        tp=int(np.count_nonzero(predicted & labels)),
+        fp=int(np.count_nonzero(predicted & ~labels)),
+        fn=int(np.count_nonzero(~predicted & labels)),
+        tn=int(np.count_nonzero(~predicted & ~labels)),
+    )
 
 
 def _ratio(num: int, den: int) -> float:
@@ -92,28 +89,28 @@ def metrics(counts: ConfusionCounts) -> EvalReport:
 
 def _run_fold(
     cfg: MlpConfig,
-    by_pair: dict,
+    x: np.ndarray,
+    y: np.ndarray,
+    row_of: dict,
     fold_i: int,
     train_pairs: LabeledPairSet,
     test_pairs: LabeledPairSet,
     seed: int,
 ) -> tuple[MlpModel, ConfusionCounts]:
     fold_seed = seed ^ fold_i
-    fold_cfg = replace(cfg, rng_seed=fold_seed)
-    train_vecs = [by_pair[p] for p in train_pairs.pairs]
+
+    def rows(s: LabeledPairSet) -> np.ndarray:
+        return np.array([row_of[p] for p in s.pairs], dtype=np.intp)
+
     try:
         fit_set, stop_set = split(train_pairs, INNER_TRAIN_FRACTION, fold_seed)
-        fit_vecs = [by_pair[p] for p in fit_set.pairs]
-        stop_vecs = [by_pair[p] for p in stop_set.pairs]
+        fit, stop = rows(fit_set), rows(stop_set)
     except DegenerateSplitError:
         # too few examples for an inner holdout; stop on training loss
-        fit_vecs = stop_vecs = train_vecs
-    model, _ = train(fold_cfg, fit_vecs, stop_vecs)
-    test_vecs = [by_pair[p] for p in test_pairs.pairs]
-    xs = np.array([v.values for v in test_vecs])
-    preds = predict_batch(model, xs)
-    labels = [p[2] for p in test_pairs.pairs]
-    return model, confusion(preds, labels)
+        fit = stop = rows(train_pairs)
+    model, _ = train(replace(cfg, rng_seed=fold_seed), x[fit], y[fit], x[stop], y[stop])
+    test = rows(test_pairs)
+    return model, confusion(predict_batch(model, x[test]), y[test])
 
 
 def cross_validate(
@@ -126,20 +123,22 @@ def cross_validate(
 ) -> tuple[EvalReport, list[MlpModel]]:
     """Train on k-1 folds and score the held-out fold, k times.
 
-    Each pair is featurized once up front. Per-fold seeds are derived as
-    seed XOR fold index; within each fold an inner stratified slice of the
-    training pairs serves as the early-stopping set.
+    All pairs are featurized once into one matrix; each fold picks its
+    rows by index. Per-fold seeds are derived as seed XOR fold index;
+    within each fold an inner stratified slice of the training pairs
+    serves as the early-stopping set.
     """
     folder = k_folds_user_disjoint if user_disjoint else k_folds
     folds = folder(pair_set, k, seed)
-    vectors = featurizer(pair_set.pairs)
-    by_pair = {pair: vec for pair, vec in zip(pair_set.pairs, vectors)}
+    features = featurizer(pair_set.pairs)
+    y = np.array([lbl for _, _, lbl in pair_set.pairs], dtype=bool)
+    row_of = {pair: i for i, pair in enumerate(pair_set.pairs)}
 
     total = ConfusionCounts()
     per_fold: list[EvalReport] = []
     models: list[MlpModel] = []
     for i, (train_p, test_p) in enumerate(folds):
-        model, counts = _run_fold(cfg, by_pair, i, train_p, test_p, seed)
+        model, counts = _run_fold(cfg, features.x, y, row_of, i, train_p, test_p, seed)
         models.append(model)
         total = total + counts
         per_fold.append(metrics(counts))

@@ -1,16 +1,14 @@
 """Small feed-forward classifier, implemented from scratch on numpy.
 
-Three fully connected hidden layers with ReLU, inverted dropout after
-each hidden activation during training, a 2-way softmax output trained
-with categorical cross-entropy and Adam, plus early stopping on
-validation loss. All randomness flows from explicit seeds, so training
-runs are bit-reproducible.
+ReLU hidden layers with inverted dropout, a 2-way softmax output, Adam on
+categorical cross-entropy and early stopping on validation loss.
+``train`` takes feature rows and boolean labels as arrays;
+``predict_batch`` returns p(same) per row. All randomness flows from
+explicit seeds, so training runs are bit-reproducible.
 
-A model keeps all of its parameters in one contiguous float64 vector,
-``params``, ordered W0, b0, W1, b1, ... as in the on-disk format;
-``weights[i]`` and ``biases[i]`` are reshaped views into it, so an edit
-through either shows up in the other. The Adam moments are two vectors
-of the same length, and one Adam step updates the whole vector in place.
+A model keeps its parameters in one float64 vector, ``params``, ordered
+W0, b0, W1, b1, ... as on disk; ``weights[i]`` and ``biases[i]`` are
+views into it.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 
 from .atomic import replacing
 from .errors import DimensionMismatchError, EmptyDatasetError, ModelFormatError
-from .profile_features import PairFeatureVector
 
 _PROB_FLOOR = 1e-12
 
@@ -119,14 +116,6 @@ class MlpModel:
 
 
 @dataclass
-class Prediction:
-    """Softmax output for one pair: [p(different), p(same)]."""
-
-    probabilities: np.ndarray
-    predicted_same: bool
-
-
-@dataclass
 class EpochStats:
     epoch: int
     train_loss: float
@@ -199,32 +188,6 @@ def _forward_batch(
         "probs": probs,
     }
     return probs, cache
-
-
-def forward(
-    model: MlpModel,
-    x: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Prediction, dict]:
-    """Single-example forward pass."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-d input, got shape {x.shape}")
-    probs, cache = _forward_batch(model, x[None, :], training=training, rng=rng)
-    p = probs[0]
-    return Prediction(probabilities=p, predicted_same=bool(p[POSITIVE_CLASS] >= 0.5)), cache
-
-
-def loss_cce(prediction: Prediction | np.ndarray, label: bool) -> float:
-    """Categorical cross-entropy: -log p of the true class, floored at 1e-12."""
-    probs = (
-        prediction.probabilities
-        if isinstance(prediction, Prediction)
-        else np.asarray(prediction)
-    )
-    p = probs[POSITIVE_CLASS if label else 1 - POSITIVE_CLASS]
-    return float(-np.log(max(p, _PROB_FLOOR)))
 
 
 def _batch_cce(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -319,36 +282,28 @@ def adam_step(model: MlpModel, grads: dict) -> MlpModel:
     return model
 
 
-def _as_arrays(vectors: list[PairFeatureVector], input_dim: int):
-    xs = np.empty((len(vectors), input_dim))
-    ys = np.empty(len(vectors), dtype=bool)
-    for i, vec in enumerate(vectors):
-        if len(vec.values) != input_dim:
-            raise DimensionMismatchError(
-                f"vector {i} has {len(vec.values)} features, expected {input_dim}"
-            )
-        if vec.label is None:
-            raise ValueError(f"vector {i} is unlabeled")
-        xs[i] = vec.values
-        ys[i] = vec.label
-    return xs, ys
-
-
 def train(
     cfg: MlpConfig,
-    train_set: list[PairFeatureVector],
-    val_set: list[PairFeatureVector],
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
 ) -> tuple[MlpModel, list[EpochStats]]:
     """Mini-batch training with seeded shuffling and early stopping.
 
-    Stops once validation loss has not improved for more than
-    ``early_stop_patience`` consecutive epochs (or at ``max_epochs``) and
-    returns the parameters from the best-validation epoch.
+    ``x_*`` are (n, input_dim) feature rows and ``y_*`` their boolean
+    same-individual labels. Stops once validation loss has not improved
+    for more than ``early_stop_patience`` consecutive epochs (or at
+    ``max_epochs``) and returns the parameters from the best-validation
+    epoch.
     """
-    if not train_set or not val_set:
+    if not len(x_train) or not len(x_val):
         raise EmptyDatasetError("train and validation sets must be nonempty")
-    x_train, y_train = _as_arrays(train_set, cfg.input_dim)
-    x_val, y_val = _as_arrays(val_set, cfg.input_dim)
+    for x, y in ((x_train, y_train), (x_val, y_val)):
+        if x.shape != (len(y), cfg.input_dim):
+            raise DimensionMismatchError(
+                f"{x.shape} features for {len(y)} labels, expected {cfg.input_dim} columns"
+            )
     rng = np.random.default_rng(cfg.rng_seed)
     model = init_model(cfg, rng=rng)
 
@@ -383,18 +338,10 @@ def train(
     return MlpModel(config=cfg, params=best_params), history
 
 
-def predict(model: MlpModel, x: np.ndarray) -> Prediction:
-    """Inference-mode forward pass (dropout disabled)."""
-    pred, _ = forward(model, x, training=False)
-    return pred
-
-
-def predict_batch(model: MlpModel, xs: np.ndarray) -> list[Prediction]:
+def predict_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
+    """p(same) of every row, from an inference-mode (dropout-free) pass."""
     probs, _ = _forward_batch(model, np.asarray(xs, dtype=np.float64), training=False)
-    return [
-        Prediction(probabilities=p, predicted_same=bool(p[POSITIVE_CLASS] >= 0.5))
-        for p in probs
-    ]
+    return probs[:, POSITIVE_CLASS]
 
 
 # On-disk model format "osnmatch-mlp/1": one UTF-8 JSON header line holding

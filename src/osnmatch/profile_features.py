@@ -1,17 +1,24 @@
-"""User profile records and the profile-similarity feature vector.
+"""User profile records, the feature matrix and the profile-similarity features.
 
-A candidate pair is one account on each platform. Its feature vector
-holds the normalized similarity of each textual profile field under one
-chosen measure, plus the ratio of lifetime post counts.
+A candidate pair is one account on each platform. Its profile features
+are the normalized similarity of each textual profile field under one
+chosen measure, plus the ratio of lifetime post counts. Every feature
+family turns a batch of pairs into one ``FeatureMatrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+
+import numpy as np
 
 from .errors import SamePlatformError
 from .strsim import Measure, normalized_similarity
+
+if TYPE_CHECKING:
+    from .dataset import Corpus
 
 
 class Platform(str, Enum):
@@ -39,25 +46,45 @@ class UserProfile:
 
 
 @dataclass
-class PairFeatureVector:
-    """Fixed-length numeric features for one candidate pair.
+class FeatureMatrix:
+    """Features of a batch of candidate pairs: row i of ``x`` belongs to
+    pair i, column j is named by ``schema[j]``, and every value lies in
+    [0, 1]."""
 
-    Every value lies in [0, 1] and is named by the schema entry at the
-    same index. ``label`` carries the same-person ground truth when known.
-    """
-
-    values: list[float]
+    x: np.ndarray
     schema: list[str]
-    label: bool | None = None
 
     def __post_init__(self):
-        if len(self.values) != len(self.schema):
+        self.x = np.asarray(self.x, dtype=np.float64)
+        if self.x.ndim != 2 or self.x.shape[1] != len(self.schema):
             raise ValueError(
-                f"{len(self.values)} values for {len(self.schema)} schema entries"
+                f"{self.x.shape} matrix for {len(self.schema)} schema entries"
             )
-        for name, v in zip(self.schema, self.values):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"feature {name} out of [0, 1]: {v}")
+        outside = ~((self.x >= 0.0) & (self.x <= 1.0))  # NaN compares False
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValueError(f"feature {self.schema[j]} out of [0, 1]: {self.x[i, j]}")
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    @classmethod
+    def from_rows(cls, rows: list[list[float]], schema: list[str]) -> "FeatureMatrix":
+        return cls(np.array(rows, dtype=np.float64).reshape(len(rows), len(schema)), schema)
+
+
+def per_account(
+    ids: Sequence[Hashable], width: int, compute: Callable, dtype=np.float64
+) -> np.ndarray:
+    """One row per id: ``compute(uid)`` runs once per distinct id, and its
+    result is repeated for every pair the account is in."""
+    first: dict = {}
+    for uid in ids:
+        first.setdefault(uid, len(first))
+    table = np.empty((len(first), width), dtype=dtype)
+    for row, uid in enumerate(first):
+        table[row] = compute(uid)
+    return table[np.fromiter((first[uid] for uid in ids), dtype=np.intp, count=len(ids))]
 
 
 PS_TEXT_FIELDS = ("user_name", "real_name", "description", "location")
@@ -93,66 +120,66 @@ def post_count_ratio(count_a: int, count_b: int) -> float:
     return min(count_a, count_b) / max(count_a, count_b)
 
 
-def extract_ps_features(
-    a: UserProfile,
-    b: UserProfile,
-    measure: Measure,
-    include_names: bool = True,
-    label: bool | None = None,
-) -> PairFeatureVector:
-    """Profile-similarity features of a cross-platform pair under one measure."""
+def _check_platforms(a: UserProfile, b: UserProfile) -> None:
     if a.platform == b.platform:
         raise SamePlatformError(
             f"both accounts are on {a.platform.value}: {a.user_id!r}, {b.user_id!r}"
         )
+
+
+def extract_ps_features(
+    a: UserProfile, b: UserProfile, measure: Measure, include_names: bool = True
+) -> list[float]:
+    """Profile-similarity features of a cross-platform pair under one
+    measure, in ``PS_SCHEMA`` order (``PS_SCHEMA_NO_NAMES`` without names)."""
+    _check_platforms(a, b)
     values = [
         post_count_ratio(a.post_count, b.post_count),
         text_field_score(measure, a.description, b.description),
         text_field_score(measure, a.location, b.location),
     ]
-    schema = list(PS_SCHEMA_NO_NAMES)
     if include_names:
         values = [
             text_field_score(measure, a.user_name, b.user_name),
             text_field_score(measure, a.real_name, b.real_name),
         ] + values
-        schema = list(PS_SCHEMA)
-    return PairFeatureVector(values=values, schema=schema, label=label)
+    return values
+
+
+def all_measures_schema(include_names: bool = True) -> list[str]:
+    fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
+    return [f"{name}_score_{m.value}" for m in Measure for name in fields] + ["post_ratio"]
 
 
 def extract_ps_features_all_measures(
-    a: UserProfile,
-    b: UserProfile,
-    include_names: bool = True,
-    label: bool | None = None,
-) -> PairFeatureVector:
-    """Extension: concatenate every measure's text-field scores (measure-major)
-    followed by the single post-count ratio."""
-    if a.platform == b.platform:
-        raise SamePlatformError(
-            f"both accounts are on {a.platform.value}: {a.user_id!r}, {b.user_id!r}"
-        )
+    a: UserProfile, b: UserProfile, include_names: bool = True
+) -> list[float]:
+    """Extension: every measure's text-field scores (measure-major)
+    followed by the single post-count ratio, in ``all_measures_schema`` order."""
+    _check_platforms(a, b)
     fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
-    values: list[float] = []
-    schema: list[str] = []
-    for measure in Measure:
-        for field_name in fields:
-            values.append(
-                text_field_score(measure, getattr(a, field_name), getattr(b, field_name))
-            )
-            schema.append(f"{field_name}_score_{measure.value}")
-    values.append(post_count_ratio(a.post_count, b.post_count))
-    schema.append("post_ratio")
-    return PairFeatureVector(values=values, schema=schema, label=label)
+    return [
+        text_field_score(m, getattr(a, name), getattr(b, name))
+        for m in Measure
+        for name in fields
+    ] + [post_count_ratio(a.post_count, b.post_count)]
 
 
 def featurize_pairs(
-    pairs: list[tuple[UserProfile, UserProfile, bool | None]],
+    corpus: Corpus,
+    pairs: Sequence[tuple],
     measure: Measure,
     include_names: bool = True,
-) -> list[PairFeatureVector]:
-    """Order-preserving featurization of labeled profile pairs."""
-    return [
-        extract_ps_features(a, b, measure, include_names=include_names, label=lbl)
-        for a, b, lbl in pairs
+) -> FeatureMatrix:
+    """Profile-similarity matrix of (twitter_id, flickr_id, ...) pairs, in order."""
+    twitter, flickr = Platform.TWITTER, Platform.FLICKR
+    rows = [
+        extract_ps_features(
+            corpus.profile(twitter, p[0]), corpus.profile(flickr, p[1]), measure,
+            include_names=include_names,
+        )
+        for p in pairs
     ]
+    return FeatureMatrix.from_rows(
+        rows, list(PS_SCHEMA if include_names else PS_SCHEMA_NO_NAMES)
+    )

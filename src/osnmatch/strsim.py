@@ -349,36 +349,43 @@ def cosine_2gram(a: str, b: str) -> float:
     return dot / norm
 
 
+def _longest(s: str, t: str) -> int:
+    return max(len(s), len(t))
+
+
+# Measure -> (name of its raw function in this module, map of (raw, s, t)
+# onto [0, 1]). Distances are scaled by the worst case on strings of these
+# lengths; Editex substitutions cost up to 2 per character, hence the
+# factor of 2. The raw function is looked up by name on every call, so the
+# module attribute is what runs, even after it is replaced.
+MEASURES = {
+    Measure.LEVENSHTEIN: ("levenshtein", lambda r, s, t: 1.0 - r / _longest(s, t)),
+    Measure.DAMERAU_LEVENSHTEIN: (
+        "damerau_levenshtein", lambda r, s, t: 1.0 - r / _longest(s, t)
+    ),
+    Measure.EDITEX: ("editex", lambda r, s, t: 1.0 - r / (2 * _longest(s, t))),
+    Measure.JARO_WINKLER: ("jaro_winkler", lambda r, s, t: r),
+    Measure.JACCARD_2GRAM: ("jaccard_2gram", lambda r, s, t: r),
+    Measure.NCD_BZIP2: ("ncd_bzip2", lambda r, s, t: min(max(1.0 - r, 0.0), 1.0)),
+    Measure.LCS: ("lcs_length", lambda r, s, t: r / _longest(s, t)),
+    Measure.SMITH_WATERMAN: (
+        "smith_waterman", lambda r, s, t: r / min(len(s), len(t)) if s and t else 0.0
+    ),
+    Measure.COSINE_2GRAM: ("cosine_2gram", lambda r, s, t: r),
+}
+
+
+def raw_measure(measure: Measure, a: str, b: str) -> int | float:
+    """The measure's own value: a distance, a score or a similarity."""
+    return globals()[MEASURES[measure][0]](a, b)
+
+
 def normalized_similarity(measure: Measure, a: str, b: str) -> float:
     """Map a raw measure onto [0, 1], higher meaning more similar.
 
-    Equal strings (after folding) always score 1.0. Distances are scaled
-    by the worst case on strings of these lengths; Editex substitutions
-    cost up to 2 per character, hence the factor of 2.
+    Equal strings (after folding) always score 1.0.
     """
     s, t = _fold(a), _fold(b)
     if s == t:
         return 1.0
-    longest = max(len(s), len(t))
-    if measure is Measure.LEVENSHTEIN:
-        return 1.0 - levenshtein(s, t) / longest
-    if measure is Measure.DAMERAU_LEVENSHTEIN:
-        return 1.0 - damerau_levenshtein(s, t) / longest
-    if measure is Measure.EDITEX:
-        return 1.0 - editex(s, t) / (2 * longest)
-    if measure is Measure.JARO_WINKLER:
-        return jaro_winkler(s, t)
-    if measure is Measure.JACCARD_2GRAM:
-        return jaccard_2gram(s, t)
-    if measure is Measure.NCD_BZIP2:
-        return min(max(1.0 - ncd_bzip2(s, t), 0.0), 1.0)
-    if measure is Measure.LCS:
-        return lcs_length(s, t) / longest
-    if measure is Measure.SMITH_WATERMAN:
-        shortest = min(len(s), len(t))
-        if shortest == 0:
-            return 0.0
-        return smith_waterman(s, t) / shortest
-    if measure is Measure.COSINE_2GRAM:
-        return cosine_2gram(s, t)
-    raise ValueError(f"unknown measure: {measure!r}")
+    return MEASURES[measure][1](raw_measure(measure, s, t), s, t)

@@ -218,3 +218,54 @@ def folds_json_reference(partitions) -> str:
         for i, (train_set, test_set) in enumerate(partitions)
     ]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def normalized_similarity_reference(measure, a: str, b: str) -> float:
+    """The if-chain form of ``strsim.normalized_similarity``."""
+    from osnmatch import strsim
+    from osnmatch.strsim import Measure
+
+    s, t = a.lower(), b.lower()
+    if s == t:
+        return 1.0
+    longest = max(len(s), len(t))
+    if measure is Measure.LEVENSHTEIN:
+        return 1.0 - strsim.levenshtein(s, t) / longest
+    if measure is Measure.DAMERAU_LEVENSHTEIN:
+        return 1.0 - strsim.damerau_levenshtein(s, t) / longest
+    if measure is Measure.EDITEX:
+        return 1.0 - strsim.editex(s, t) / (2 * longest)
+    if measure is Measure.JARO_WINKLER:
+        return strsim.jaro_winkler(s, t)
+    if measure is Measure.JACCARD_2GRAM:
+        return strsim.jaccard_2gram(s, t)
+    if measure is Measure.NCD_BZIP2:
+        return min(max(1.0 - strsim.ncd_bzip2(s, t), 0.0), 1.0)
+    if measure is Measure.LCS:
+        return strsim.lcs_length(s, t) / longest
+    if measure is Measure.SMITH_WATERMAN:
+        shortest = min(len(s), len(t))
+        if shortest == 0:
+            return 0.0
+        return strsim.smith_waterman(s, t) / shortest
+    if measure is Measure.COSINE_2GRAM:
+        return strsim.cosine_2gram(s, t)
+    raise ValueError(f"unknown measure: {measure!r}")
+
+
+def temporal_features_reference(a_events, b_events, mode) -> list[float]:
+    """One pair's temporal features, computed per pair with Python lists:
+    both activity masks as 0/1, then their Jaccard similarity."""
+    from datetime import timezone
+
+    masks = []
+    for events in (a_events, b_events):
+        counts = [0] * mode.n_bins
+        for e in events:
+            utc = e.timestamp.astimezone(timezone.utc)
+            counts[utc.hour if mode.value == "hod" else utc.weekday()] += 1
+        masks.append([c > 0 for c in counts])
+    inter = sum(1 for x, y in zip(*masks) if x and y)
+    union = sum(1 for x, y in zip(*masks) if x or y)
+    jaccard = inter / union if union else 0.0
+    return [1.0 if v else 0.0 for v in masks[0] + masks[1]] + [jaccard]

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from osnmatch import cli, synth
+from osnmatch import cli, strsim, synth
 from osnmatch.cli import main, write_folds_json
 from osnmatch.dataset import (
     LabeledPairSet,
@@ -143,3 +143,119 @@ class TestFoldsExport:
         assert "error: OSError: [Errno 28] No space left on device" in result.output
         assert out.read_text(encoding="utf-8") == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["folds.json"]
+
+
+class TestHiddenNodes:
+    def test_zero_is_rejected_not_replaced(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
+             "--max-epochs", "1", "--hidden-nodes", "0", "--output", str(out)],
+        )
+        assert result.exit_code == 1
+        assert "error: ValueError: layer dimensions must be positive" in result.output
+        assert not (out / "report.json").exists()
+
+    def test_default_depends_on_the_model(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
+             "--max-epochs", "1", "--output", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["run"]["hidden_nodes"] == report["mlp"]["hidden_nodes"] == 50
+
+
+PROFILE_A = {"platform": "twitter", "user_id": "t1", "user_name": "kwanhui",
+             "real_name": "Kwan Hui Lim", "description": "data science researcher",
+             "location": "Singapore", "post_count": 40}
+PROFILE_B = {"platform": "flickr", "user_id": "f1", "user_name": "kwan_hui",
+             "real_name": "Lim Kwan Hui", "description": "photos of research",
+             "location": "singapore", "post_count": 10}
+
+
+def _score(a, b, *extra):
+    return CliRunner().invoke(
+        main, ["score-pair", "-a", json.dumps(a), "-b", json.dumps(b), *extra]
+    )
+
+
+class TestScorePair:
+    def test_valid_pair_prints_every_feature(self):
+        result = _score(PROFILE_A, PROFILE_B)
+        assert result.exit_code == 0, result.output
+        names = [line.split()[0] for line in result.output.splitlines()]
+        assert names == ["user_name_score", "real_name_score", "post_ratio",
+                         "description_score", "location_score"]
+        assert "post_ratio         raw=40/10 score=0.2500" in result.output
+        assert "location_score     raw=0 score=1.0000" in result.output
+
+    def test_profile_from_file(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(PROFILE_B), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["score-pair", "-a", json.dumps(PROFILE_A), "-b", f"@{path}",
+                   "--no-names"]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(result.output.splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"user_name": 5}, "user_name must be a string or null"),
+            ({"location": {"c": 1}}, "location must be a string or null"),
+            ({"post_count": True}, "post_count must be a nonnegative integer"),
+            ({"post_count": "7"}, "post_count must be a nonnegative integer"),
+            ({"post_count": 2.9}, "post_count must be a nonnegative integer"),
+            ({"post_count": -1}, "post_count must be a nonnegative integer"),
+            ({"user_id": ["x"]}, "user_id must be a nonempty string"),
+            ({"platform": "Twitter"}, "unknown platform 'Twitter'"),
+        ],
+        ids=["user_name-number", "location-object", "post_count-true", "post_count-text",
+             "post_count-float", "post_count-negative", "user_id-list", "platform-case"],
+    )
+    def test_malformed_profile_is_rejected(self, change, message):
+        result = _score({**PROFILE_A, **change}, PROFILE_B)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"error: ParseError: --profile-a:1: {message}" in result.output
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_not_a_json_object(self, text):
+        result = CliRunner().invoke(
+            main, ["score-pair", "-a", json.dumps(PROFILE_A), "-b", text]
+        )
+        assert result.exit_code == 1
+        assert "error: ParseError: --profile-b:1: " in result.output
+
+    def test_same_platform_is_rejected(self):
+        result = _score(PROFILE_A, {**PROFILE_B, "platform": "twitter"})
+        assert result.exit_code == 1
+        assert "error: SamePlatformError: both accounts are on twitter" in result.output
+
+    @pytest.mark.parametrize("measure", list(strsim.Measure))
+    def test_raw_column_is_the_strsim_measure(self, measure):
+        fn = {
+            "levenshtein": strsim.levenshtein,
+            "damerau-levenshtein": strsim.damerau_levenshtein,
+            "editex": strsim.editex,
+            "jaro-winkler": strsim.jaro_winkler,
+            "jaccard": strsim.jaccard_2gram,
+            "ncd-bzip2": strsim.ncd_bzip2,
+            "lcs": strsim.lcs_length,
+            "smith-waterman": strsim.smith_waterman,
+            "cosine": strsim.cosine_2gram,
+        }[measure.value]
+        result = _score(PROFILE_A, PROFILE_B, "--measure", measure.value)
+        assert result.exit_code == 0, result.output
+        raws = [line.split()[1] for line in result.output.splitlines()]
+        for field, raw in zip(("user_name", "real_name", None, "description", "location"),
+                              raws):
+            if field is None:
+                continue
+            value = fn(PROFILE_A[field], PROFILE_B[field])
+            assert raw == (f"raw={value:.4f}" if isinstance(value, float) else f"raw={value}")

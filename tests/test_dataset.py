@@ -14,7 +14,6 @@ from osnmatch.dataset import (
     load_corpus,
     negative_sample,
     split,
-    split_user_disjoint,
 )
 from osnmatch.errors import (
     DegenerateSplitError,
@@ -386,13 +385,6 @@ class TestKFolds:
 
 
 class TestUserDisjoint:
-    def test_split_users_disjoint(self):
-        s = make_set(20, 100)
-        train, test = split_user_disjoint(s, 0.75, seed=1)
-        train_users = {u for t, f, _ in train.pairs for u in (("t", t), ("f", f))}
-        test_users = {u for t, f, _ in test.pairs for u in (("t", t), ("f", f))}
-        assert not train_users & test_users
-
     def test_folds_test_users_not_in_train(self):
         s = make_set(12, 60)
         for train, test in k_folds_user_disjoint(s, 4, seed=1):

@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osnmatch.embedding_features as embedding_features
+from osnmatch.dataset import Corpus
 from osnmatch.embedding_features import (
+    _cosine,
     embed_field,
     hash_fallback_table,
     load_embedding_file,
     pair_embedding_features,
 )
-from osnmatch.errors import (
-    DimensionMismatchError,
-    MalformedLineError,
-    SamePlatformError,
-)
+from osnmatch.errors import DimensionMismatchError, MalformedLineError
 from osnmatch.profile_features import Platform, UserProfile
 
 
@@ -27,6 +26,20 @@ def profile(platform, user_id, user_name="alice", real_name="Alice A",
         description=description,
         post_count=1,
     )
+
+
+def pair_features(a, b, table, include_description=False):
+    """(values, schema) of the one pair of a twitter profile a and a flickr
+    profile b."""
+    corpus = Corpus(
+        profiles={(p.platform, p.user_id): p for p in (a, b)}, posts={},
+        positive_pairs=[],
+    )
+    fm = pair_embedding_features(
+        corpus, [(a.user_id, b.user_id, True)], table,
+        include_description=include_description,
+    )
+    return fm.x[0].tolist(), fm.schema
 
 
 class TestLoadEmbeddingFile:
@@ -138,16 +151,16 @@ class TestPairEmbeddingFeatures:
         table = hash_fallback_table(seed=5)
         a = profile(Platform.TWITTER, "t1")
         b = profile(Platform.FLICKR, "f1")
-        vec = pair_embedding_features(a, b, table)
-        assert all(v == pytest.approx(1.0) for v in vec.values)
+        values, _ = pair_features(a, b, table)
+        assert all(v == pytest.approx(1.0) for v in values)
 
     def test_dimension_contract(self):
         table = hash_fallback_table(seed=5, dim_word=8, dim_char=4)
         a = profile(Platform.TWITTER, "t1")
         b = profile(Platform.FLICKR, "f1")
-        assert len(pair_embedding_features(a, b, table).values) == 2 * (8 + 4 + 1)
+        assert len(pair_features(a, b, table)[0]) == 2 * (8 + 4 + 1)
         assert len(
-            pair_embedding_features(a, b, table, include_description=True).values
+            pair_features(a, b, table, include_description=True)[0]
         ) == 3 * (8 + 4 + 1)
 
     def test_orthogonal_tokens_cosine_feature(self, tmp_path):
@@ -156,28 +169,55 @@ class TestPairEmbeddingFeatures:
         table = load_embedding_file(str(path))
         a = profile(Platform.TWITTER, "t1", user_name="foo", real_name="foo")
         b = profile(Platform.FLICKR, "f1", user_name="bar", real_name="bar")
-        vec = pair_embedding_features(a, b, table)
-        by_name = dict(zip(vec.schema, vec.values))
+        values, schema = pair_features(a, b, table)
+        by_name = dict(zip(schema, values))
         assert by_name["user_name_cosine"] == pytest.approx(0.5)
 
     def test_symmetry(self):
         table = hash_fallback_table(seed=5)
         a = profile(Platform.TWITTER, "t1", user_name="alice", real_name="Alice")
         b = profile(Platform.FLICKR, "f1", user_name="alyce", real_name="Alyce B")
-        fwd = pair_embedding_features(a, b, table)
-        rev = pair_embedding_features(b, a, table)
-        assert fwd.values == pytest.approx(rev.values)
+        swapped_a = profile(Platform.TWITTER, "t1", user_name="alyce", real_name="Alyce B")
+        swapped_b = profile(Platform.FLICKR, "f1", user_name="alice", real_name="Alice")
+        fwd, _ = pair_features(a, b, table)
+        rev, _ = pair_features(swapped_a, swapped_b, table)
+        assert fwd == pytest.approx(rev)
 
     def test_range(self):
         table = hash_fallback_table(seed=5)
         a = profile(Platform.TWITTER, "t1", user_name="completely")
         b = profile(Platform.FLICKR, "f1", user_name="different")
-        vec = pair_embedding_features(a, b, table, include_description=True)
-        assert all(0.0 <= v <= 1.0 for v in vec.values)
+        values, _ = pair_features(a, b, table, include_description=True)
+        assert all(0.0 <= v <= 1.0 for v in values)
 
-    def test_same_platform_rejected(self):
-        table = hash_fallback_table(seed=5)
-        a = profile(Platform.TWITTER, "t1")
-        b = profile(Platform.TWITTER, "t2")
-        with pytest.raises(SamePlatformError):
-            pair_embedding_features(a, b, table)
+    def test_rows_match_per_pair_formula(self, monkeypatch):
+        table = hash_fallback_table(seed=5, dim_word=8, dim_char=4)
+        calls = []
+
+        def counting(text, tbl):
+            calls.append(text)
+            return embed_field(text, tbl)
+
+        monkeypatch.setattr(embedding_features, "embed_field", counting)
+        profiles = [
+            profile(Platform.TWITTER, "t1", user_name="alice", real_name="Alice A"),
+            profile(Platform.TWITTER, "t2", user_name="bob", real_name=""),
+            profile(Platform.FLICKR, "f1", user_name="alyce", real_name="Alice"),
+            profile(Platform.FLICKR, "f2", user_name="bobby", real_name="Bob B"),
+        ]
+        corpus = Corpus(
+            profiles={(p.platform, p.user_id): p for p in profiles}, posts={},
+            positive_pairs=[],
+        )
+        pairs = [("t1", "f1", True), ("t2", "f2", True), ("t1", "f2", False),
+                 ("t2", "f1", False), ("t1", "f1", True)]
+        fm = pair_embedding_features(corpus, pairs, table)
+        assert len(calls) == 4 * 2  # once per account and field
+        for row, (t, f, _) in zip(fm.x, pairs):
+            expected = []
+            for name in ("user_name", "real_name"):
+                e_a = embed_field(getattr(corpus.profile(Platform.TWITTER, t), name), table)
+                e_b = embed_field(getattr(corpus.profile(Platform.FLICKR, f), name), table)
+                expected += (1.0 / (1.0 + np.abs(e_a - e_b))).tolist()
+                expected.append((_cosine(e_a, e_b) + 1.0) / 2.0)
+            assert row.tolist() == expected

@@ -11,54 +11,52 @@ import osnmatch.mlp as mlp
 from osnmatch.errors import DimensionMismatchError, EmptyDatasetError, ModelFormatError
 from osnmatch.mlp import (
     MlpConfig,
-    Prediction,
     _batch_cce,
     _forward_batch,
     _softmax,
     adam_step,
     backward,
-    forward,
     init_model,
     load_model,
-    loss_cce,
-    predict,
+    predict_batch,
     save_model,
     train,
 )
-from osnmatch.profile_features import PairFeatureVector
 
 from .oracles import adam_step_reference
 
 
-def fv(values, label):
-    return PairFeatureVector(
-        values=list(values), schema=[f"f{i}" for i in range(len(values))], label=label
-    )
-
-
 def toy_separable(n_per_class=100, noise=0.08, seed=0):
+    """(x, y): rows drawn in the order (positive, negative), n_per_class times."""
     rng = np.random.default_rng(seed)
-    out = []
+    xs, ys = [], []
     for _ in range(n_per_class):
-        out.append(fv(np.clip(rng.normal([1, 1], noise), 0, 1), True))
-        out.append(fv(np.clip(rng.normal([0, 0], noise), 0, 1), False))
-    return out
+        xs.append(np.clip(rng.normal([1, 1], noise), 0, 1))
+        ys.append(True)
+        xs.append(np.clip(rng.normal([0, 0], noise), 0, 1))
+        ys.append(False)
+    return np.array(xs), np.array(ys)
+
 
 def toy_xor(n_per_corner=60, noise=0.05, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
+    xs, ys = [], []
     for corner, label in (((0, 0), False), ((1, 1), False), ((0, 1), True), ((1, 0), True)):
         for _ in range(n_per_corner):
-            out.append(fv(np.clip(rng.normal(corner, noise), 0, 1), label))
-    return out
+            xs.append(np.clip(rng.normal(corner, noise), 0, 1))
+            ys.append(label)
+    return np.array(xs), np.array(ys)
 
 
 def accuracy(model, data):
-    hits = 0
-    for vec in data:
-        if predict(model, np.array(vec.values)).predicted_same == vec.label:
-            hits += 1
-    return hits / len(data)
+    x, y = data
+    return float(np.mean((predict_batch(model, x) >= 0.5) == y))
+
+
+def one(model, x, training=False, rng=None):
+    """Probabilities and cache of a single example."""
+    probs, cache = _forward_batch(model, np.asarray(x)[None, :], training=training, rng=rng)
+    return probs[0], cache
 
 
 class TestInitModel:
@@ -98,37 +96,37 @@ class TestForward:
         model = init_model(cfg)
         for w in model.weights:
             w[:] = 0.0
-        pred, _ = forward(model, np.array([0.3, 0.7, 0.1]))
-        assert pred.probabilities == pytest.approx([0.5, 0.5])
+        probs, _ = one(model, np.array([0.3, 0.7, 0.1]))
+        assert probs == pytest.approx([0.5, 0.5])
 
     def test_relu_clamps_negative_preactivations(self):
         cfg = MlpConfig(input_dim=1, hidden_nodes=2, n_hidden_layers=1, rng_seed=0)
         model = init_model(cfg)
         model.weights[0][:] = [[1.0, -1.0]]
         model.biases[0][:] = [-2.0, 3.0]  # pre-acts for x=0: [-2, 3]
-        _, cache = forward(model, np.array([0.0]))
+        _, cache = one(model, np.array([0.0]))
         assert cache["activations"][1][0].tolist() == [0.0, 3.0]
 
     def test_inference_deterministic(self):
         cfg = MlpConfig(input_dim=4, hidden_nodes=8, rng_seed=5)
         model = init_model(cfg)
         x = np.array([0.1, 0.9, 0.5, 0.2])
-        p1, _ = forward(model, x, training=False)
-        p2, _ = forward(model, x, training=False)
-        assert np.array_equal(p1.probabilities, p2.probabilities)
+        p1, _ = one(model, x, training=False)
+        p2, _ = one(model, x, training=False)
+        assert np.array_equal(p1, p2)
 
     def test_dimension_mismatch(self):
         model = init_model(MlpConfig(input_dim=4, hidden_nodes=8))
         with pytest.raises(DimensionMismatchError):
-            forward(model, np.zeros(3))
+            one(model, np.zeros(3))
 
     def test_probabilities_sum_to_one(self):
         cfg = MlpConfig(input_dim=4, hidden_nodes=8, rng_seed=5)
         model = init_model(cfg)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            pred, _ = forward(model, rng.random(4))
-            assert abs(pred.probabilities.sum() - 1.0) <= 1e-9
+            probs, _ = one(model, rng.random(4))
+            assert abs(probs.sum() - 1.0) <= 1e-9
 
     def test_softmax_shift_invariance(self):
         z = np.array([[0.3, -1.2], [5.0, 5.0], [-3.0, 2.0]])
@@ -136,23 +134,30 @@ class TestForward:
         assert np.allclose(_softmax(z), shifted, atol=1e-12)
 
 
+def loss_cce(probs, label):
+    """Cross-entropy of one example, through the batch loss training uses."""
+    return _batch_cce(np.asarray(probs)[None, :], np.array([label]))
+
+
 class TestLossCce:
     def test_uniform(self):
-        pred = Prediction(probabilities=np.array([0.5, 0.5]), predicted_same=True)
-        assert loss_cce(pred, True) == pytest.approx(math.log(2))
-        assert loss_cce(pred, False) == pytest.approx(math.log(2))
+        assert loss_cce([0.5, 0.5], True) == pytest.approx(math.log(2))
+        assert loss_cce([0.5, 0.5], False) == pytest.approx(math.log(2))
 
     def test_perfect(self):
-        pred = Prediction(probabilities=np.array([0.0, 1.0]), predicted_same=True)
-        assert loss_cce(pred, True) == 0.0
+        assert loss_cce([0.0, 1.0], True) == 0.0
 
     def test_confidently_wrong(self):
-        pred = Prediction(probabilities=np.array([0.9, 0.1]), predicted_same=False)
-        assert loss_cce(pred, True) == pytest.approx(-math.log(0.1))
+        assert loss_cce([0.9, 0.1], True) == pytest.approx(-math.log(0.1))
 
     def test_floor_avoids_infinity(self):
-        pred = Prediction(probabilities=np.array([1.0, 0.0]), predicted_same=False)
-        assert loss_cce(pred, True) == pytest.approx(-math.log(1e-12))
+        assert loss_cce([1.0, 0.0], True) == pytest.approx(-math.log(1e-12))
+
+    def test_batch_is_the_mean(self):
+        probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+        labels = np.array([True, True, False])
+        expected = np.mean([loss_cce(p, lbl) for p, lbl in zip(probs, labels)])
+        assert _batch_cce(probs, labels) == pytest.approx(expected)
 
 
 def _flat_params(model):
@@ -329,25 +334,28 @@ class TestDropout:
 class TestTrain:
     def test_empty_dataset(self):
         cfg = MlpConfig(input_dim=2)
+        empty_x, empty_y = np.empty((0, 2)), np.empty(0, dtype=bool)
         with pytest.raises(EmptyDatasetError):
-            train(cfg, [], [])
+            train(cfg, empty_x, empty_y, empty_x, empty_y)
 
     def test_dimension_mismatch(self):
         cfg = MlpConfig(input_dim=3)
-        data = toy_separable(5)
+        x, y = toy_separable(5)
         with pytest.raises(DimensionMismatchError):
-            train(cfg, data, data)
+            train(cfg, x, y, x, y)
 
-    def test_unlabeled_rejected(self):
+    def test_label_count_mismatch(self):
         cfg = MlpConfig(input_dim=2)
-        data = [fv([0.1, 0.2], None)]
-        with pytest.raises(ValueError):
-            train(cfg, data, data)
+        x, y = toy_separable(5)
+        with pytest.raises(DimensionMismatchError):
+            train(cfg, x, y[:-1], x, y)
+        with pytest.raises(DimensionMismatchError):
+            train(cfg, x, y, x[:-1], y)
 
     def test_separable_toy(self):
         data = toy_separable()
         cfg = MlpConfig(input_dim=2, hidden_nodes=50, rng_seed=7, max_epochs=200)
-        model, history = train(cfg, data, data)
+        model, history = train(cfg, *data, *data)
         assert accuracy(model, data) >= 0.99
         assert len(history) <= 200
 
@@ -357,13 +365,13 @@ class TestTrain:
             input_dim=2, hidden_nodes=50, rng_seed=7, max_epochs=200,
             early_stop_patience=30,
         )
-        model, _ = train(cfg, data, data)
+        model, _ = train(cfg, *data, *data)
         assert accuracy(model, data) >= 0.95
 
     def test_loss_decreases(self):
         data = toy_separable()
         cfg = MlpConfig(input_dim=2, hidden_nodes=50, rng_seed=7, max_epochs=60)
-        _, history = train(cfg, data, data)
+        _, history = train(cfg, *data, *data)
         first = np.mean([h.train_loss for h in history[:5]])
         last = np.mean([h.train_loss for h in history[-5:]])
         assert first > last
@@ -372,8 +380,8 @@ class TestTrain:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=12,
                         early_stop_patience=200)
-        m1, h1 = train(cfg, data, data)
-        m2, h2 = train(cfg, data, data)
+        m1, h1 = train(cfg, *data, *data)
+        m2, h2 = train(cfg, *data, *data)
         assert [e.train_loss for e in h1] == [e.train_loss for e in h2]
         assert [e.val_loss for e in h1] == [e.val_loss for e in h2]
         for w1, w2 in zip(m1.weights, m2.weights):
@@ -383,7 +391,7 @@ class TestTrain:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=200,
                         early_stop_patience=0)
-        _, history = train(cfg, data, data)
+        _, history = train(cfg, *data, *data)
         vals = [e.val_loss for e in history]
         # every epoch before the last must improve on the running best
         best = np.inf
@@ -397,20 +405,22 @@ class TestTrain:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=40,
                         early_stop_patience=5)
-        model, history = train(cfg, data, data)
+        model, history = train(cfg, *data, *data)
         best_val = min(e.val_loss for e in history)
-        xs = np.array([v.values for v in data])
-        ys = np.array([v.label for v in data])
+        xs, ys = data
         probs, _ = _forward_batch(model, xs, training=False)
         assert _batch_cce(probs, ys) == pytest.approx(best_val)
 
 
 class TestPredict:
     def test_threshold(self):
+        # predict_batch returns the softmax's p(same) column, row by row
         cfg = MlpConfig(input_dim=2, hidden_nodes=4)
         model = init_model(cfg)
-        pred = predict(model, np.array([0.5, 0.5]))
-        assert pred.predicted_same == (pred.probabilities[1] >= 0.5)
+        x = np.random.default_rng(0).random((6, 2))
+        probs, _ = _forward_batch(model, x, training=False)
+        assert np.array_equal(predict_batch(model, x), probs[:, 1])
+        assert predict_batch(model, x[:1]).shape == (1,)
 
 
 class TestSaveLoad:
@@ -418,7 +428,7 @@ class TestSaveLoad:
         data = toy_separable(20)
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, rng_seed=9, max_epochs=5,
                         early_stop_patience=100)
-        model, _ = train(cfg, data, data)
+        model, _ = train(cfg, *data, *data)
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         loaded = load_model(str(path))
@@ -496,7 +506,7 @@ class TestFlatAdam:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=12,
                         early_stop_patience=200)
-        model, _ = train(cfg, data, data)
+        model, _ = train(cfg, *data, *data)
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -506,7 +516,7 @@ class TestFlatAdam:
     def test_returned_models_hold_no_adam_state(self, tmp_path):
         data = toy_separable(10)
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, rng_seed=1, max_epochs=3)
-        model, _ = train(cfg, data, data)
+        model, _ = train(cfg, *data, *data)
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         for m in (model, load_model(str(path))):

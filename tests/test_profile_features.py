@@ -1,15 +1,23 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osnmatch.dataset import Corpus
 from osnmatch.errors import SamePlatformError
 from osnmatch.profile_features import (
-    PairFeatureVector,
+    PS_SCHEMA,
+    PS_SCHEMA_NO_NAMES,
+    FeatureMatrix,
     Platform,
     UserProfile,
+    all_measures_schema,
     extract_ps_features,
     extract_ps_features_all_measures,
     featurize_pairs,
+    per_account,
     post_count_ratio,
     text_field_score,
 )
@@ -32,6 +40,13 @@ def make_profile(platform=Platform.TWITTER, **kwargs):
 profile_text = st.text(max_size=10)
 
 
+def corpus_of(*profiles):
+    return Corpus(
+        profiles={(p.platform, p.user_id): p for p in profiles}, posts={},
+        positive_pairs=[],
+    )
+
+
 class TestUserProfile:
     def test_requires_user_id(self):
         with pytest.raises(ValueError):
@@ -42,23 +57,49 @@ class TestUserProfile:
             make_profile(post_count=-1)
 
 
-class TestPairFeatureVector:
+class TestFeatureMatrix:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PairFeatureVector(values=[0.5], schema=["a", "b"])
+            FeatureMatrix(np.full((3, 1), 0.5), ["a", "b"])
+        with pytest.raises(ValueError):
+            FeatureMatrix(np.full(2, 0.5), ["a", "b"])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            PairFeatureVector(values=[1.5], schema=["a"])
+        for bad in (1.5, -0.25, math.nan, math.inf):
+            x = np.full((4, 3), 0.5)
+            x[2, 1] = bad
+            with pytest.raises(ValueError) as info:
+                FeatureMatrix(x, ["a", "b", "c"])
+            assert f"feature b out of [0, 1]: {bad}" in str(info.value)
+
+    def test_rows_and_bounds(self):
+        fm = FeatureMatrix.from_rows([[0.0, 1.0], [1.0, 0.25]], ["a", "b"])
+        assert len(fm) == 2
+        assert fm.x.dtype == np.float64
+        assert len(FeatureMatrix.from_rows([], ["a", "b"])) == 0
+
+
+class TestPerAccount:
+    def test_one_call_per_distinct_id(self):
+        calls = []
+
+        def compute(uid):
+            calls.append(uid)
+            return [len(uid), 1.0]
+
+        table = per_account(["aa", "b", "aa", "ccc", "b"], 2, compute)
+        assert calls == ["aa", "b", "ccc"]
+        assert table.tolist() == [[2, 1], [1, 1], [2, 1], [3, 1], [1, 1]]
+        assert per_account([], 2, compute).shape == (0, 2)
 
 
 class TestExtractPsFeatures:
     def test_identical_twins_all_ones(self):
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
-        vec = extract_ps_features(a, b, Measure.EDITEX, include_names=True)
-        assert vec.values == [1.0, 1.0, 1.0, 1.0, 1.0]
-        assert vec.schema == [
+        values = extract_ps_features(a, b, Measure.EDITEX, include_names=True)
+        assert values == [1.0, 1.0, 1.0, 1.0, 1.0]
+        assert PS_SCHEMA == [
             "user_name_score",
             "real_name_score",
             "post_ratio",
@@ -81,26 +122,20 @@ class TestExtractPsFeatures:
             Platform.FLICKR, user_id="u2", user_name="", real_name="",
             description="", location="", post_count=100,
         )
-        vec = extract_ps_features(a, b, Measure.EDITEX, include_names=False)
-        assert vec.values == [0.25, 1.0, 1.0]
+        values = extract_ps_features(a, b, Measure.EDITEX, include_names=False)
+        assert values == [0.25, 1.0, 1.0]
 
     def test_username_single_edit(self):
         a = make_profile(Platform.TWITTER, user_name="kwanhui")
         b = make_profile(Platform.FLICKR, user_id="u2", user_name="kwan_hui")
-        vec = extract_ps_features(a, b, Measure.LEVENSHTEIN)
-        assert vec.values[0] == pytest.approx(1 - 1 / 8)
+        values = extract_ps_features(a, b, Measure.LEVENSHTEIN)
+        assert values[0] == pytest.approx(1 - 1 / 8)
 
     def test_one_sided_missing_field_scores_zero(self):
         a = make_profile(Platform.TWITTER, description="")
         b = make_profile(Platform.FLICKR, user_id="u2")
-        vec = extract_ps_features(a, b, Measure.EDITEX)
-        assert vec.values[3] == 0.0
-
-    def test_label_carried(self):
-        a = make_profile(Platform.TWITTER)
-        b = make_profile(Platform.FLICKR, user_id="u2")
-        vec = extract_ps_features(a, b, Measure.EDITEX, label=True)
-        assert vec.label is True
+        values = extract_ps_features(a, b, Measure.EDITEX)
+        assert values[3] == 0.0
 
     @given(
         un=profile_text, rn=profile_text, de=profile_text, lo=profile_text,
@@ -118,7 +153,7 @@ class TestExtractPsFeatures:
         )
         forward = extract_ps_features(a, b, Measure.LEVENSHTEIN)
         swapped = extract_ps_features(b, a, Measure.LEVENSHTEIN)
-        assert forward.values == swapped.values
+        assert forward == swapped
 
     @given(un=profile_text, de=profile_text, pa=st.integers(0, 50))
     @settings(max_examples=30)
@@ -129,55 +164,92 @@ class TestExtractPsFeatures:
         b = make_profile(Platform.FLICKR, user_id="u2")
         full = extract_ps_features(a, b, Measure.JARO_WINKLER, include_names=True)
         ablated = extract_ps_features(a, b, Measure.JARO_WINKLER, include_names=False)
-        assert ablated.values == full.values[2:]
-        assert ablated.schema == full.schema[2:]
+        assert ablated == full[2:]
+        assert PS_SCHEMA_NO_NAMES == PS_SCHEMA[2:]
 
     def test_schema_depends_only_on_flag(self):
         a1 = make_profile(Platform.TWITTER, user_name="", description="")
         b1 = make_profile(Platform.FLICKR, user_id="u2")
-        a2 = make_profile(Platform.TWITTER)
-        v1 = extract_ps_features(a1, b1, Measure.LCS)
-        v2 = extract_ps_features(a2, b1, Measure.LCS)
-        assert v1.schema == v2.schema
+        a2 = make_profile(Platform.TWITTER, user_id="u3")
+        corpus = corpus_of(a1, b1, a2)
+        m1 = featurize_pairs(corpus, [("u1", "u2", True)], Measure.LCS)
+        m2 = featurize_pairs(corpus, [("u3", "u2", False)], Measure.LCS)
+        assert m1.schema == m2.schema == PS_SCHEMA
+        m3 = featurize_pairs(corpus, [("u3", "u2", False)], Measure.LCS, include_names=False)
+        assert m3.schema == PS_SCHEMA_NO_NAMES
 
 
 class TestAllMeasuresVector:
     def test_dimension(self):
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
-        vec = extract_ps_features_all_measures(a, b, include_names=True)
-        assert len(vec.values) == 9 * 4 + 1
-        vec_nn = extract_ps_features_all_measures(a, b, include_names=False)
-        assert len(vec_nn.values) == 9 * 2 + 1
+        values = extract_ps_features_all_measures(a, b, include_names=True)
+        assert len(values) == len(all_measures_schema(True)) == 9 * 4 + 1
+        values_nn = extract_ps_features_all_measures(a, b, include_names=False)
+        assert len(values_nn) == len(all_measures_schema(False)) == 9 * 2 + 1
 
     def test_identity_all_ones(self):
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
-        vec = extract_ps_features_all_measures(a, b)
-        assert all(v == 1.0 for v in vec.values)
+        values = extract_ps_features_all_measures(a, b)
+        assert all(v == 1.0 for v in values)
+
+    def test_columns_are_measure_major(self):
+        a = make_profile(Platform.TWITTER, user_name="kwan", description="x")
+        b = make_profile(Platform.FLICKR, user_id="u2")
+        values = extract_ps_features_all_measures(a, b)
+        schema = all_measures_schema()
+        assert schema[:5] == [
+            "user_name_score_levenshtein", "real_name_score_levenshtein",
+            "description_score_levenshtein", "location_score_levenshtein",
+            "user_name_score_damerau-levenshtein",
+        ]
+        assert schema[-1] == "post_ratio"
+        for measure in Measure:
+            single = dict(zip(PS_SCHEMA, extract_ps_features(a, b, measure)))
+            for field in ("user_name", "real_name", "description", "location"):
+                at = schema.index(f"{field}_score_{measure.value}")
+                assert values[at] == single[f"{field}_score"]
+
+    def test_same_platform_rejected(self):
+        a = make_profile(Platform.FLICKR)
+        b = make_profile(Platform.FLICKR, user_id="u2")
+        with pytest.raises(SamePlatformError):
+            extract_ps_features_all_measures(a, b)
 
 
 class TestFeaturizePairs:
     def test_empty(self):
-        assert featurize_pairs([], Measure.EDITEX) == []
+        out = featurize_pairs(corpus_of(), [], Measure.EDITEX)
+        assert len(out) == 0
+        assert out.x.shape == (0, 5)
 
     def test_identity_pair_with_label(self):
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
-        out = featurize_pairs([(a, b, True)], Measure.EDITEX)
+        out = featurize_pairs(corpus_of(a, b), [("u1", "u2", True)], Measure.EDITEX)
         assert len(out) == 1
-        assert out[0].values == [1.0] * 5
-        assert out[0].label is True
+        assert out.x.tolist() == [[1.0] * 5]
 
     def test_shape_contract(self):
-        pairs = []
+        profiles, pairs = [], []
         for i in range(5):
-            a = make_profile(Platform.TWITTER, user_id=f"t{i}", user_name=f"user{i}")
-            b = make_profile(Platform.FLICKR, user_id=f"f{i}", user_name=f"user{i}x")
-            pairs.append((a, b, i % 2 == 0))
-        out = featurize_pairs(pairs, Measure.COSINE_2GRAM)
-        assert len(out) == 5
-        assert all(v.schema == out[0].schema for v in out)
+            profiles.append(
+                make_profile(Platform.TWITTER, user_id=f"t{i}", user_name=f"user{i}")
+            )
+            profiles.append(
+                make_profile(Platform.FLICKR, user_id=f"f{i}", user_name=f"user{i}x")
+            )
+            pairs.append((f"t{i}", f"f{(i * 2) % 5}", i % 2 == 0))
+        corpus = corpus_of(*profiles)
+        out = featurize_pairs(corpus, pairs, Measure.COSINE_2GRAM)
+        assert out.x.shape == (5, len(out.schema))
+        for row, (t, f, _) in zip(out.x, pairs):
+            expected = extract_ps_features(
+                corpus.profile(Platform.TWITTER, t), corpus.profile(Platform.FLICKR, f),
+                Measure.COSINE_2GRAM,
+            )
+            assert row.tolist() == expected
 
 
 class TestHelpers:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osnmatch import strsim
 from osnmatch.dataset import load_corpus, negative_sample
 from osnmatch.profile_features import PS_TEXT_FIELDS, Platform
 from osnmatch.strsim import (
@@ -31,6 +32,7 @@ from .oracles import (
     lcs_memo,
     lcs_naive,
     levenshtein_memo,
+    normalized_similarity_reference,
     levenshtein_naive,
     osa_memo,
     osa_naive,
@@ -306,6 +308,31 @@ class TestNormalizedSimilarity:
 
     def test_one_sided_empty_smith_waterman(self):
         assert normalized_similarity(Measure.SMITH_WATERMAN, "", "abc") == 0.0
+
+    @pytest.mark.parametrize("measure", ALL_MEASURES)
+    @given(a=any_text, b=any_text)
+    @settings(max_examples=40)
+    def test_table_matches_the_if_chain(self, measure, a, b):
+        assert normalized_similarity(measure, a, b) == normalized_similarity_reference(
+            measure, a, b
+        )
+
+    @pytest.mark.parametrize("measure", ALL_MEASURES)
+    def test_raw_function_looked_up_at_call_time(self, measure, monkeypatch):
+        name = strsim.MEASURES[measure][0]
+        real = getattr(strsim, name)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(strsim, name, counting)
+        normalized_similarity(measure, "Kwan Hui", "kwanhui lim")
+        normalized_similarity(measure, "same", "SAME")  # equal after folding
+        assert calls == [("kwan hui", "kwanhui lim")]
+        assert strsim.raw_measure(measure, "Ab", "ab") == real("Ab", "ab")
+        assert len(calls) == 2
 
 
 class TestCorpusFields:
