@@ -11,7 +11,7 @@ cross-validation.
 from .dataset import Corpus, LabeledPairSet, k_folds, load_corpus, negative_sample
 from .embedding_features import hash_fallback_table, load_embedding_file, pair_embedding_features
 from .evaluation import cross_validate
-from .mlp import MlpConfig, load_model, predict_batch, save_model, train
+from .mlp import FoldJob, MlpConfig, load_model, predict_batch, save_model, train
 from .profile_features import FeatureMatrix, Platform, UserProfile, featurize_pairs
 from .strsim import Measure, normalized_similarity
 from .temporal_features import HistogramMode, extract_temporal_features

@@ -361,21 +361,24 @@ def k_folds_user_disjoint(
         for t, f, _ in members:
             twitter_fold[t] = fold_i
             flickr_fold[f] = fold_i
+    # a fold is drawn for both endpoints of every negative, used or not;
+    # one batch draw yields the sequence of the scalar draws
+    draws = iter(rng.integers(k, size=2 * len(neg)).tolist())
     neg_folds: dict[tuple[str, str, bool], tuple[int, int]] = {}
     for pair in neg:
         t, f, _ = pair
-        ft = twitter_fold.setdefault(t, int(rng.integers(k)))
-        ff = flickr_fold.setdefault(f, int(rng.integers(k)))
+        ft = twitter_fold.setdefault(t, next(draws))
+        ff = flickr_fold.setdefault(f, next(draws))
         neg_folds[pair] = (ft, ff)
+    neg_pairs = list(neg_folds)
+    fold_t, fold_f = np.array(list(neg_folds.values()), dtype=np.intp).reshape(-1, 2).T
     folds = []
     for i in range(k):
+        in_t, in_f = fold_t == i, fold_f == i
         test = list(fold_pos[i])
+        test += [neg_pairs[j] for j in np.flatnonzero(in_t & in_f).tolist()]
         train = [p for j in range(k) if j != i for p in fold_pos[j]]
-        for pair, (ft, ff) in neg_folds.items():
-            if ft == i and ff == i:
-                test.append(pair)
-            elif ft != i and ff != i:
-                train.append(pair)
+        train += [neg_pairs[j] for j in np.flatnonzero(~in_t & ~in_f).tolist()]
         folds.append(
             (
                 LabeledPairSet(pairs=train, neg_ratio=s.neg_ratio, seed=seed),

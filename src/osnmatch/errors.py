@@ -75,5 +75,9 @@ class EmptyDatasetError(OsnMatchError):
     """A training or validation set is empty."""
 
 
+class TrainingDivergedError(OsnMatchError):
+    """A network never reached a finite validation loss."""
+
+
 class LengthMismatchError(OsnMatchError):
     """Sequences that must pair up element by element differ in length."""

@@ -7,14 +7,14 @@ alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dataset import LabeledPairSet, k_folds, k_folds_user_disjoint, split
 from .errors import DegenerateSplitError, LengthMismatchError
-from .mlp import MlpConfig, MlpModel, predict_batch, train
+from .mlp import FoldJob, MlpConfig, MlpModel, predict_batch, train
 from .profile_features import FeatureMatrix
 
 # share of each fold's training pairs actually fitted; the rest is held
@@ -87,30 +87,22 @@ def metrics(counts: ConfusionCounts) -> EvalReport:
     return EvalReport(counts=counts, precision=precision, recall=recall, f1=f1)
 
 
-def _run_fold(
-    cfg: MlpConfig,
-    x: np.ndarray,
-    y: np.ndarray,
-    row_of: dict,
-    fold_i: int,
-    train_pairs: LabeledPairSet,
-    test_pairs: LabeledPairSet,
-    seed: int,
-) -> tuple[MlpModel, ConfusionCounts]:
+def _rows(row_of: dict, s: LabeledPairSet) -> np.ndarray:
+    return np.array([row_of[p] for p in s.pairs], dtype=np.intp)
+
+
+def _fold_job(
+    row_of: dict, fold_i: int, train_pairs: LabeledPairSet, seed: int
+) -> FoldJob:
     fold_seed = seed ^ fold_i
-
-    def rows(s: LabeledPairSet) -> np.ndarray:
-        return np.array([row_of[p] for p in s.pairs], dtype=np.intp)
-
     try:
         fit_set, stop_set = split(train_pairs, INNER_TRAIN_FRACTION, fold_seed)
-        fit, stop = rows(fit_set), rows(stop_set)
+        return FoldJob(fit=_rows(row_of, fit_set), stop=_rows(row_of, stop_set),
+                       seed=fold_seed)
     except DegenerateSplitError:
         # too few examples for an inner holdout; stop on training loss
-        fit = stop = rows(train_pairs)
-    model, _ = train(replace(cfg, rng_seed=fold_seed), x[fit], y[fit], x[stop], y[stop])
-    test = rows(test_pairs)
-    return model, confusion(predict_batch(model, x[test]), y[test])
+        fit = _rows(row_of, train_pairs)
+        return FoldJob(fit=fit, stop=fit, seed=fold_seed)
 
 
 def cross_validate(
@@ -124,9 +116,10 @@ def cross_validate(
     """Train on k-1 folds and score the held-out fold, k times.
 
     All pairs are featurized once into one matrix; each fold picks its
-    rows by index. Per-fold seeds are derived as seed XOR fold index;
-    within each fold an inner stratified slice of the training pairs
-    serves as the early-stopping set.
+    rows by index, and the k fold models are trained in one ``train``
+    call. Per-fold seeds are derived as seed XOR fold index; within each
+    fold an inner stratified slice of the training pairs serves as the
+    early-stopping set.
     """
     folder = k_folds_user_disjoint if user_disjoint else k_folds
     folds = folder(pair_set, k, seed)
@@ -134,12 +127,13 @@ def cross_validate(
     y = np.array([lbl for _, _, lbl in pair_set.pairs], dtype=bool)
     row_of = {pair: i for i, pair in enumerate(pair_set.pairs)}
 
+    jobs = [_fold_job(row_of, i, train_p, seed) for i, (train_p, _) in enumerate(folds)]
+    models, _ = train(cfg, features.x, y, jobs)
     total = ConfusionCounts()
     per_fold: list[EvalReport] = []
-    models: list[MlpModel] = []
-    for i, (train_p, test_p) in enumerate(folds):
-        model, counts = _run_fold(cfg, features.x, y, row_of, i, train_p, test_p, seed)
-        models.append(model)
+    for model, (_, test_p) in zip(models, folds):
+        test = _rows(row_of, test_p)
+        counts = confusion(predict_batch(model, features.x[test]), y[test])
         total = total + counts
         per_fold.append(metrics(counts))
 

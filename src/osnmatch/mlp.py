@@ -2,34 +2,57 @@
 
 ReLU hidden layers with inverted dropout, a 2-way softmax output, Adam on
 categorical cross-entropy and early stopping on validation loss.
-``train`` takes feature rows and boolean labels as arrays;
 ``predict_batch`` returns p(same) per row. All randomness flows from
 explicit seeds, so training runs are bit-reproducible.
 
 A model keeps its parameters in one float64 vector, ``params``, ordered
 W0, b0, W1, b1, ... as on disk; ``weights[i]`` and ``biases[i]`` are
 views into it.
+
+``train`` fits one network per ``FoldJob`` (the k folds of a
+cross-validation), ``stack_width`` of them at a time in lockstep. It
+holds them as a ``Stack``: parameters, gradients and Adam moments are
+(g, n_params) arrays, one row per network, and each layer is a
+(g, fan_in, fan_out) view, so one ``np.matmul`` or one elementwise pass
+serves every network. Each network draws its initial weights, batch
+order and dropout masks from its own generator, in the order a lone
+network would, and every stacked operation computes each row exactly as
+the 2-D operation does: a network's parameters and losses are the same
+to the bit as when it is trained alone. The Adam state belongs to the
+stack; a model holds only its config and parameters.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .atomic import replacing
-from .errors import DimensionMismatchError, EmptyDatasetError, ModelFormatError
+from .errors import (
+    DimensionMismatchError,
+    EmptyDatasetError,
+    ModelFormatError,
+    TrainingDivergedError,
+)
 
 _PROB_FLOOR = 1e-12
 
 # class index 1 means "same individual"
 POSITIVE_CLASS = 1
 
-# elements per pass of the Adam update: the five vectors of one pass
+# elements per pass of the Adam update: the five arrays of one pass
 # (128 KiB each) stay in a core's L2 cache
 _ADAM_CHUNK = 16384
+
+# networks stacked together hold at most this many parameters per buffer
+# (1 MiB of float64). Stacking saves per-call overhead, which dominates a
+# small net's step; a large net's step is already array-bound, and
+# stacking it only multiplies its parameter-sized buffers.
+_STACK_PARAMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -55,6 +78,10 @@ class MlpConfig:
             raise ValueError("the classifier is binary: output_dim must be 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
         if self.early_stop_patience < 0:
@@ -80,23 +107,27 @@ class MlpConfig:
         return sum(math.prod(shape) for shape in self.param_shapes)
 
 
+def _layer_views(cfg: MlpConfig, params: np.ndarray) -> tuple[list, list]:
+    """(weights, biases): views into ``params``, whose last axis holds the
+    parameters in ``params`` order; leading axes are kept."""
+    lead = params.shape[:-1]
+    views = []
+    offset = 0
+    for shape in cfg.param_shapes:
+        size = math.prod(shape)
+        views.append(params[..., offset : offset + size].reshape(*lead, *shape))
+        offset += size
+    return views[0::2], views[1::2]
+
+
 @dataclass
 class MlpModel:
-    """Parameters of one network plus its Adam state.
-
-    ``adam_m``, ``adam_v`` and ``adam_scratch`` (the flat gradient and one
-    work vector) are allocated by the first ``adam_step``, so a freshly
-    built or loaded model holds no optimizer memory.
-    """
+    """Parameters of one network."""
 
     config: MlpConfig
     params: np.ndarray
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
-    adam_t: int = 0
-    adam_scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.config.n_params
@@ -105,237 +136,373 @@ class MlpModel:
                 f"expected {n} float64 parameters, got "
                 f"{self.params.dtype} {self.params.shape}"
             )
-        views = []
-        offset = 0
-        for shape in self.config.param_shapes:
-            size = math.prod(shape)
-            views.append(self.params[offset : offset + size].reshape(shape))
-            offset += size
-        self.weights = views[0::2]
-        self.biases = views[1::2]
+        self.weights, self.biases = _layer_views(self.config, self.params)
+
+
+class Stack:
+    """g networks of one config with their gradients and Adam state.
+
+    Row r of ``params``, ``grads``, ``adam_m`` and ``adam_v`` (each
+    (g, n_params)) and ``adam_t[r]`` belong to network r; ``weights[i]``
+    is a (g, fan_in, fan_out) view, ``biases[i]`` a (g, fan_out) view, and
+    ``grad_weights``/``grad_biases`` view ``grads`` the same way.
+    ``scratch`` is one chunk of work space for ``adam_step``.
+    """
+
+    def __init__(self, cfg: MlpConfig, g: int):
+        n = cfg.n_params
+        self.config = cfg
+        self.params, self.grads, self.adam_m, self.adam_v = (
+            np.zeros((g, n)) for _ in range(4)
+        )
+        self.scratch = np.empty(min(g * n, _ADAM_CHUNK))
+        self.adam_t = np.zeros(g, dtype=np.int64)
+        self._index_layers()
+
+    def _index_layers(self) -> None:
+        self.weights, self.biases = _layer_views(self.config, self.params)
+        self.grad_weights, self.grad_biases = _layer_views(self.config, self.grads)
+        self._row_views: dict[tuple[int, int], Stack] = {}
+
+    def rows(self, lo: int, hi: int) -> "Stack":
+        """Networks lo..hi-1 as a stack sharing this one's memory."""
+        view = self._row_views.get((lo, hi))
+        if view is None:
+            view = object.__new__(Stack)
+            view.config = self.config
+            view.scratch = self.scratch
+            for name in ("params", "grads", "adam_m", "adam_v", "adam_t"):
+                setattr(view, name, getattr(self, name)[lo:hi])
+            view._index_layers()
+            self._row_views[(lo, hi)] = view
+        return view
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every network not in ``rows``, which become 0, 1, ..."""
+        for name in ("params", "grads", "adam_m", "adam_v", "adam_t"):
+            setattr(self, name, getattr(self, name)[rows])
+        self._index_layers()
 
 
 @dataclass
 class EpochStats:
+    fold: int
     epoch: int
     train_loss: float
     val_loss: float
 
 
+@dataclass(frozen=True)
+class FoldJob:
+    """One network to train: the rows of the feature matrix it fits and
+    the rows it stops early on, and the seed of its generator."""
+
+    fit: np.ndarray
+    stop: np.ndarray
+    seed: int
+
+
+def _init_weights(cfg: MlpConfig, rng: np.random.Generator, weights) -> None:
+    for w, (fan_in, fan_out) in zip(weights, cfg.layer_dims):
+        bound = np.sqrt(6.0 / fan_in)
+        w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+
 def init_model(cfg: MlpConfig, rng: np.random.Generator | None = None) -> MlpModel:
     """Weights uniform in ±sqrt(6/fan_in) (He-style bound for ReLU),
-    biases zero, Adam state empty."""
+    biases zero."""
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     model = MlpModel(config=cfg, params=np.zeros(cfg.n_params))
-    for w, (fan_in, fan_out) in zip(model.weights, cfg.layer_dims):
-        bound = np.sqrt(6.0 / fan_in)
-        w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    _init_weights(cfg, rng, model.weights)
     return model
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class _Buffers:
+    """Work arrays of one batch shape: each hidden layer's pre-activation,
+    activation and dropout mask, and two backward-pass arrays. A training
+    loop keeps one per batch shape, so a step allocates no large array:
+    freeing and reallocating them each step costs page faults."""
+
+    def __init__(self, cfg: MlpConfig, lead: tuple[int, ...]):
+        shape = (*lead, cfg.hidden_nodes)
+        n = cfg.n_hidden_layers
+        self.pre, self.act, self.mask = (
+            [np.empty(shape) for _ in range(n)] for _ in range(3)
+        )
+        self.da, self.dz = np.empty(shape), np.empty(shape)
 
 
 def _forward_batch(
-    model: MlpModel,
+    net: MlpModel | Stack,
     x: np.ndarray,
     training: bool = False,
-    rng: np.random.Generator | None = None,
+    rngs=(),
     replay_masks: list[np.ndarray] | None = None,
+    buffers: _Buffers | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Run a (n, input_dim) batch; returns (softmax probabilities, cache).
+    """Run a batch; returns (softmax probabilities, cache).
 
-    With ``training`` each hidden activation is masked by inverted dropout
-    (scaled by 1/keep so the expectation matches inference). ``replay_masks``
-    reuses previously drawn masks, which finite-difference checks need.
+    A model takes (n, input_dim) rows, a stack one (g, n, input_dim)
+    batch per network. With ``training`` each hidden activation is masked
+    by inverted dropout (scaled by 1/keep so the expectation matches
+    inference), network r drawing its masks from ``rngs[r]``.
+    ``replay_masks`` reuses previously drawn masks, which
+    finite-difference checks need. The cache lives in ``buffers`` (fresh
+    ones by default) until their next use.
     """
-    cfg = model.config
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+    cfg = net.config
+    lead = net.weights[0].shape[:-2]
+    if x.shape[:-2] != lead or x.ndim != len(lead) + 2 or x.shape[-1] != cfg.input_dim:
         raise DimensionMismatchError(
-            f"expected (*, {cfg.input_dim}) inputs, got {x.shape}"
+            f"expected {(*lead, '*', cfg.input_dim)} inputs, got {x.shape}"
         )
+    if buffers is None:
+        buffers = _Buffers(cfg, x.shape[:-1])
     rate = cfg.dropout_rate if training else 0.0
-    activations = [x]
-    pre_acts = []
     masks: list[np.ndarray] = []
     a = x
-    n_layers = len(model.weights)
-    for layer in range(n_layers - 1):
-        z = a @ model.weights[layer] + model.biases[layer]
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
+    for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
+        z = np.matmul(a, w, out=buffers.pre[layer])
+        z += b[..., None, :]
+        a = np.maximum(z, 0.0, out=buffers.act[layer])
         if rate > 0.0:
             if replay_masks is not None:
                 mask = replay_masks[layer]
             else:
-                if rng is None:
-                    raise ValueError("training-mode forward with dropout needs an rng")
-                mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-            a = a * mask
+                mask = buffers.mask[layer]
+                per_net = mask.reshape(-1, *mask.shape[-2:])
+                if len(rngs) != len(per_net):
+                    raise ValueError("training-mode forward with dropout needs one rng per network")
+                for rng, out in zip(rngs, per_net):
+                    rng.random(out=out)
+                np.divide(mask >= rate, 1.0 - rate, out=mask)
+            a *= mask
             masks.append(mask)
-        activations.append(a)
-    z_out = a @ model.weights[-1] + model.biases[-1]
-    pre_acts.append(z_out)
+    z_out = np.matmul(a, net.weights[-1])
+    z_out += net.biases[-1][..., None, :]
     probs = _softmax(z_out)
     cache = {
-        "activations": activations,
-        "pre_activations": pre_acts,
+        "activations": [x, *buffers.act],
+        "pre_activations": [*buffers.pre, z_out],
         "masks": masks,
         "probs": probs,
+        "buffers": buffers,
     }
     return probs, cache
 
 
-def _batch_cce(probs: np.ndarray, labels: np.ndarray) -> float:
-    idx = np.where(labels, POSITIVE_CLASS, 1 - POSITIVE_CLASS)
-    p = probs[np.arange(len(labels)), idx]
-    return float(-np.log(np.maximum(p, _PROB_FLOOR)).mean())
+def _batch_cce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of each network's batch."""
+    p = np.where(labels, probs[..., POSITIVE_CLASS], probs[..., 1 - POSITIVE_CLASS])
+    return -np.log(np.maximum(p, _PROB_FLOOR)).mean(axis=-1)
 
 
-def backward(model: MlpModel, cache: dict, labels) -> dict:
-    """Gradients of the mean cross-entropy over the cached batch, reusing
-    the cached dropout masks. Shapes mirror the parameters."""
-    labels = np.atleast_1d(np.asarray(labels, dtype=bool))
+def backward(stack: Stack, cache: dict, labels: np.ndarray) -> None:
+    """Gradients of each network's mean cross-entropy over its cached
+    batch, reusing the cached dropout masks, written into
+    ``stack.grad_weights`` and ``stack.grad_biases``."""
     probs = cache["probs"]
-    n = probs.shape[0]
-    if len(labels) != n:
-        raise DimensionMismatchError(f"{len(labels)} labels for batch of {n}")
+    labels = np.asarray(labels, dtype=bool)
+    if labels.shape != probs.shape[:-1]:
+        raise DimensionMismatchError(f"labels {labels.shape} for batch {probs.shape[:-1]}")
+    n = probs.shape[-2]
     onehot = np.zeros_like(probs)
-    onehot[np.arange(n), np.where(labels, POSITIVE_CLASS, 1 - POSITIVE_CLASS)] = 1.0
+    onehot[..., POSITIVE_CLASS] = labels
+    onehot[..., 1 - POSITIVE_CLASS] = ~labels
     dz = (probs - onehot) / n
-    grads_w: list[np.ndarray] = [None] * len(model.weights)
-    grads_b: list[np.ndarray] = [None] * len(model.biases)
     masks = cache["masks"]
-    for layer in reversed(range(len(model.weights))):
+    for layer in reversed(range(len(stack.weights))):
         a_prev = cache["activations"][layer]
-        grads_w[layer] = a_prev.T @ dz
-        grads_b[layer] = dz.sum(axis=0)
+        np.matmul(a_prev.swapaxes(-1, -2), dz, out=stack.grad_weights[layer])
+        np.sum(dz, axis=-2, out=stack.grad_biases[layer])
         if layer == 0:
             break
-        da = dz @ model.weights[layer].T
+        buffers = cache["buffers"]
+        da = np.matmul(dz, stack.weights[layer].swapaxes(-1, -2), out=buffers.da)
         if masks:
-            da = da * masks[layer - 1]
-        dz = da * (cache["pre_activations"][layer - 1] > 0.0)
-    return {"weights": grads_w, "biases": grads_b}
+            da *= masks[layer - 1]
+        dz = np.multiply(da, cache["pre_activations"][layer - 1] > 0.0, out=buffers.dz)
 
 
-def adam_step(model: MlpModel, grads: dict) -> MlpModel:
-    """One bias-corrected Adam update, in place; returns the model.
+def adam_step(stack: Stack) -> None:
+    """One bias-corrected Adam update of every network of the stack from
+    ``stack.grads``, in place.
 
-    The gradients are flattened into one vector in ``params`` order, and
-    the update runs over the whole vector, one cache-sized chunk at a
-    time. Each elementwise operation and its order are those of the
-    per-array form ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    Each run of adjacent networks with the same step count t is updated
+    as one flat vector, one cache-sized chunk at a time. Each elementwise
+    operation and its order are those of the per-array form
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     p -= lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``, so the results
     are the same to the bit.
     """
-    cfg = model.config
-    grads_w, grads_b = grads["weights"], grads["biases"]
-    if len(grads_w) != len(model.weights) or len(grads_b) != len(model.biases):
-        raise DimensionMismatchError(
-            f"gradients for {len(grads_w)}/{len(grads_b)} arrays, "
-            f"model has {len(model.weights)}/{len(model.biases)}"
-        )
-    flat = []
-    for g_w, g_b, w, b in zip(grads_w, grads_b, model.weights, model.biases):
-        if g_w.shape != w.shape or g_b.shape != b.shape:
-            raise DimensionMismatchError(
-                f"gradient {g_w.shape}, {g_b.shape} for layer {w.shape}, {b.shape}"
-            )
-        flat += (g_w, g_b)
-    n = model.params.size
-    # the scratch outlives the step: allocating two parameter-sized vectors
-    # on every call costs more than the update on a 220k-parameter net
-    if model.adam_m is None:
-        model.adam_m = np.zeros(n)
-        model.adam_v = np.zeros(n)
-        model.adam_scratch = np.empty((2, n))
-    grad, scratch = model.adam_scratch
-    np.concatenate(flat, axis=None, out=grad)
-    model.adam_t += 1
-    t = model.adam_t
+    cfg = stack.config
+    stack.adam_t += 1
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
-    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    for lo in range(0, n, _ADAM_CHUNK):
-        part = slice(lo, lo + _ADAM_CHUNK)
-        p, m, v = model.params[part], model.adam_m[part], model.adam_v[part]
-        g, s = grad[part], scratch[part]
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=s)
-        np.add(m, s, out=m)
-        np.multiply(g, 1.0 - b2, out=s)
-        np.multiply(s, g, out=s)
-        np.multiply(v, b2, out=v)
-        np.add(v, s, out=v)
-        # g is spent: it now holds lr * m_hat, and s sqrt(v_hat) + eps
-        np.divide(m, c1, out=g)
-        np.multiply(g, lr, out=g)
-        np.divide(v, c2, out=s)
-        np.sqrt(s, out=s)
-        np.add(s, eps, out=s)
-        np.divide(g, s, out=g)
-        np.subtract(p, g, out=p)
-    return model
+    lo = 0
+    for t, run in itertools.groupby(stack.adam_t.tolist()):
+        hi = lo + len(list(run))
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        # rows lo..hi-1 are contiguous, so these are views
+        flat = [np.reshape(a[lo:hi], -1, copy=False)
+                for a in (stack.params, stack.adam_m, stack.adam_v, stack.grads)]
+        for start in range(0, flat[0].size, _ADAM_CHUNK):
+            p, m, v, g = (a[start : start + _ADAM_CHUNK] for a in flat)
+            s = stack.scratch[: p.size]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=s)
+            np.add(m, s, out=m)
+            np.multiply(g, 1.0 - b2, out=s)
+            np.multiply(s, g, out=s)
+            np.multiply(v, b2, out=v)
+            np.add(v, s, out=v)
+            # g is spent: it now holds lr * m_hat, and s sqrt(v_hat) + eps
+            np.divide(m, c1, out=g)
+            np.multiply(g, lr, out=g)
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            np.add(s, eps, out=s)
+            np.divide(g, s, out=g)
+            np.subtract(p, g, out=p)
+        lo = hi
+
+
+def stack_width(cfg: MlpConfig) -> int:
+    """How many networks of ``cfg`` ``train`` steps together."""
+    return max(1, _STACK_PARAMS // cfg.n_params)
 
 
 def train(
     cfg: MlpConfig,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-) -> tuple[MlpModel, list[EpochStats]]:
-    """Mini-batch training with seeded shuffling and early stopping.
+    x: np.ndarray,
+    y: np.ndarray,
+    jobs: list[FoldJob],
+) -> tuple[list[MlpModel], list[EpochStats]]:
+    """Mini-batch training with seeded shuffling and early stopping of one
+    network per job, ``stack_width(cfg)`` networks at a time in lockstep.
 
-    ``x_*`` are (n, input_dim) feature rows and ``y_*`` their boolean
-    same-individual labels. Stops once validation loss has not improved
-    for more than ``early_stop_patience`` consecutive epochs (or at
-    ``max_epochs``) and returns the parameters from the best-validation
-    epoch.
+    ``x`` is the (n, input_dim) feature matrix and ``y`` its boolean
+    same-individual labels; each job names its rows. A network stops once
+    its validation loss has not improved for more than
+    ``early_stop_patience`` consecutive epochs (or at ``max_epochs``).
+    Returns one model per job, each holding the parameters of its
+    best-validation epoch and ``rng_seed`` set to the job's seed, and the
+    ``EpochStats`` of every epoch trained, ``fold`` being the job's index.
     """
-    if not len(x_train) or not len(x_val):
-        raise EmptyDatasetError("train and validation sets must be nonempty")
-    for x, y in ((x_train, y_train), (x_val, y_val)):
-        if x.shape != (len(y), cfg.input_dim):
-            raise DimensionMismatchError(
-                f"{x.shape} features for {len(y)} labels, expected {cfg.input_dim} columns"
-            )
-    rng = np.random.default_rng(cfg.rng_seed)
-    model = init_model(cfg, rng=rng)
-
-    best_val = np.inf
-    best_params: np.ndarray | None = None
-    stale = 0
-    history: list[EpochStats] = []
-    n = len(x_train)
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            probs, cache = _forward_batch(model, x_train[idx], training=True, rng=rng)
-            batch_losses.append(_batch_cce(probs, y_train[idx]))
-            grads = backward(model, cache, y_train[idx])
-            adam_step(model, grads)
-        val_probs, _ = _forward_batch(model, x_val, training=False)
-        val_loss = _batch_cce(val_probs, y_val)
-        history.append(
-            EpochStats(epoch=epoch, train_loss=float(np.mean(batch_losses)), val_loss=val_loss)
+    if x.ndim != 2 or x.shape != (len(y), cfg.input_dim):
+        raise DimensionMismatchError(
+            f"{x.shape} features for {len(y)} labels, expected {cfg.input_dim} columns"
         )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = model.params.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale > cfg.early_stop_patience:
-                break
-    assert best_params is not None
-    return MlpModel(config=cfg, params=best_params), history
+    for job in jobs:
+        if not len(job.fit) or not len(job.stop):
+            raise EmptyDatasetError("train and validation sets must be nonempty")
+    models: list[MlpModel] = [None] * len(jobs)
+    history: list[EpochStats] = []
+    width = stack_width(cfg)
+    for lo in range(0, len(jobs), width):
+        _train_stack(cfg, x, y, jobs, range(lo, min(lo + width, len(jobs))), models, history)
+    return models, history
+
+
+def _schedule(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:
+    """One epoch's steps as (start, lo, hi, b): networks lo..hi-1 each take
+    a batch of b rows from position ``start`` of their epoch order.
+    ``sizes`` ascend, so the networks sharing a batch size at a step are
+    a contiguous range."""
+    steps = []
+    for start in range(0, sizes[-1], batch_size):
+        lo = next(r for r, n in enumerate(sizes) if n > start)
+        while lo < len(sizes):
+            b = min(batch_size, sizes[lo] - start)
+            hi = lo + 1
+            while hi < len(sizes) and min(batch_size, sizes[hi] - start) == b:
+                hi += 1
+            steps.append((start, lo, hi, b))
+            lo = hi
+    return steps
+
+
+@dataclass
+class _Run:
+    """What training keeps of one network besides its stack row."""
+
+    job: int
+    rng: np.random.Generator
+    fit: np.ndarray
+    x_val: np.ndarray
+    y_val: np.ndarray
+    best_val: float = np.inf
+    best: np.ndarray | None = None
+    stale: int = 0
+
+
+def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
+    # rows in order of fit size, as _schedule needs
+    runs = [
+        _Run(j, np.random.default_rng(jobs[j].seed), jobs[j].fit,
+             x[jobs[j].stop], y[jobs[j].stop])
+        for j in sorted(ids, key=lambda j: len(jobs[j].fit))
+    ]
+    stack = Stack(cfg, len(runs))
+    for r, run in enumerate(runs):
+        _init_weights(cfg, run.rng, [w[r] for w in stack.weights])
+    schedule = _schedule([len(run.fit) for run in runs], cfg.batch_size)
+    buffers: dict[tuple[int, int], _Buffers] = {}
+
+    def work(shape: tuple[int, int]) -> _Buffers:
+        if shape not in buffers:
+            buffers[shape] = _Buffers(cfg, shape)
+        return buffers[shape]
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = np.empty((len(runs), len(runs[-1].fit)), dtype=np.intp)
+        for row, run in zip(order, runs):
+            row[: len(run.fit)] = run.fit[run.rng.permutation(len(run.fit))]
+        batch_losses: list[list[float]] = [[] for _ in runs]
+        for start, lo, hi, b in schedule:
+            rows = order[lo:hi, start : start + b]
+            labels = y[rows]
+            part = stack.rows(lo, hi)
+            probs, cache = _forward_batch(part, x[rows], training=True,
+                                          rngs=[run.rng for run in runs[lo:hi]],
+                                          buffers=work((hi - lo, b)))
+            for losses, loss in zip(batch_losses[lo:hi], _batch_cce(probs, labels).tolist()):
+                losses.append(loss)
+            backward(part, cache, labels)
+            adam_step(part)
+        finished = []
+        for r, run in enumerate(runs):
+            val_probs, _ = _forward_batch(stack.rows(r, r + 1), run.x_val[None],
+                                          buffers=work((1, len(run.x_val))))
+            val_loss = float(_batch_cce(val_probs, run.y_val[None])[0])
+            history.append(EpochStats(fold=run.job, epoch=epoch,
+                                      train_loss=float(np.mean(batch_losses[r])),
+                                      val_loss=val_loss))
+            if val_loss < run.best_val:
+                run.best_val, run.best, run.stale = val_loss, stack.params[r].copy(), 0
+            else:
+                run.stale += 1
+            if run.stale > cfg.early_stop_patience or epoch == cfg.max_epochs:
+                if run.best is None:
+                    raise TrainingDivergedError(
+                        f"fold {run.job}: no epoch reached a finite validation loss"
+                    )
+                models[run.job] = MlpModel(config=replace(cfg, rng_seed=jobs[run.job].seed),
+                                           params=run.best)
+                finished.append(r)
+        if finished:
+            keep = [r for r in range(len(runs)) if r not in finished]
+            if not keep:
+                return
+            stack.keep(keep)
+            runs = [runs[r] for r in keep]
+            schedule = _schedule([len(run.fit) for run in runs], cfg.batch_size)
 
 
 def predict_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
@@ -367,7 +534,7 @@ def save_model(model: MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> MlpModel:
-    """Inverse of save_model; Adam state starts empty.
+    """Inverse of save_model.
 
     Raises ModelFormatError unless the file is exactly one well-formed
     header followed by exactly the parameters it declares.

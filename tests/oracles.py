@@ -7,9 +7,13 @@ variants evaluate the identical recurrence with memoization so larger
 strings stay affordable.
 
 ``adam_step_reference`` is the per-layer Adam update that the flat,
-in-place one in ``osnmatch.mlp`` replaced, and ``folds_json_reference``
-is the ``json.dumps`` fold export that ``osnmatch.cli.write_folds_json``
-replaced.
+in-place one in ``osnmatch.mlp`` replaced; ``train_reference`` is the
+one-network-at-a-time training loop that the lockstep ``osnmatch.mlp.train``
+replaced, on 2-D arrays and that per-layer update;
+``k_folds_user_disjoint_reference`` is the per-fold scan of every negative
+that ``osnmatch.dataset.k_folds_user_disjoint`` replaced;
+``folds_json_reference`` is the ``json.dumps`` fold export that
+``osnmatch.cli.write_folds_json`` replaced.
 """
 
 from __future__ import annotations
@@ -205,6 +209,137 @@ def adam_step_reference(model, grads: dict) -> None:
             m_hat = m_list[i] / (1.0 - b1**t)
             v_hat = v_list[i] / (1.0 - b2**t)
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _forward_reference(weights, biases, x, rate, rng):
+    """One (n, input_dim) batch through the net with per-layer 2-D arrays;
+    returns (probabilities, activations, pre-activations, masks)."""
+    activations, pre_acts, masks = [x], [], []
+    a = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = a @ w + b
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0)
+        if rate > 0.0:
+            mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+            a = a * mask
+            masks.append(mask)
+        activations.append(a)
+    z_out = a @ weights[-1] + biases[-1]
+    pre_acts.append(z_out)
+    shifted = z_out - z_out.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True), activations, pre_acts, masks
+
+
+def _cce_reference(probs, labels) -> float:
+    p = probs[np.arange(len(labels)), np.where(labels, 1, 0)]
+    return float(-np.log(np.maximum(p, 1e-12)).mean())
+
+
+def train_reference(cfg, x_train, y_train, x_val, y_val):
+    """Train one network alone: seeded init, shuffling and dropout, Adam
+    through ``adam_step_reference`` and early stopping on validation loss.
+    Returns (the best epoch's parameters as one vector in W0, b0, W1, b1,
+    ... order, [(epoch, train_loss, val_loss), ...])."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    weights, biases = [], []
+    for fan_in, fan_out in cfg.layer_dims:
+        bound = np.sqrt(6.0 / fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    model = SimpleNamespace(
+        config=cfg, weights=weights, biases=biases,
+        adam_m_w=[np.zeros_like(w) for w in weights],
+        adam_v_w=[np.zeros_like(w) for w in weights],
+        adam_m_b=[np.zeros_like(b) for b in biases],
+        adam_v_b=[np.zeros_like(b) for b in biases],
+        adam_t=0,
+    )
+
+    def flat():
+        return np.concatenate(
+            [a for pair in zip(model.weights, model.biases) for a in pair], axis=None
+        )
+
+    best_val, best_params, stale, history = np.inf, None, 0, []
+    n = len(x_train)
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            probs, acts, pre, masks = _forward_reference(
+                model.weights, model.biases, x_train[idx], cfg.dropout_rate, rng
+            )
+            labels = y_train[idx]
+            batch_losses.append(_cce_reference(probs, labels))
+            onehot = np.zeros_like(probs)
+            onehot[np.arange(len(idx)), np.where(labels, 1, 0)] = 1.0
+            dz = (probs - onehot) / len(idx)
+            grads = {"weights": [None] * len(weights), "biases": [None] * len(biases)}
+            for layer in reversed(range(len(weights))):
+                grads["weights"][layer] = acts[layer].T @ dz
+                grads["biases"][layer] = dz.sum(axis=0)
+                if layer == 0:
+                    break
+                da = dz @ model.weights[layer].T
+                if masks:
+                    da = da * masks[layer - 1]
+                dz = da * (pre[layer - 1] > 0.0)
+            adam_step_reference(model, grads)
+        val_probs = _forward_reference(model.weights, model.biases, x_val, 0.0, None)[0]
+        val_loss = _cce_reference(val_probs, y_val)
+        history.append((epoch, float(np.mean(batch_losses)), val_loss))
+        if val_loss < best_val:
+            best_val, best_params, stale = val_loss, flat(), 0
+        else:
+            stale += 1
+            if stale > cfg.early_stop_patience:
+                break
+    return best_params, history
+
+
+def k_folds_user_disjoint_reference(s, k: int, seed: int):
+    """User-disjoint folds with one scalar draw per negative endpoint and a
+    scan of every negative for every fold."""
+    from osnmatch.dataset import LabeledPairSet, _classes, _positive_components
+
+    rng = np.random.default_rng(seed)
+    pos, neg = _classes(s)
+    components = _positive_components(pos)
+    order = rng.permutation(len(components))
+    fold_pos = [[] for _ in range(k)]
+    for i in order:
+        smallest = min(range(k), key=lambda j: (len(fold_pos[j]), j))
+        fold_pos[smallest].extend(components[i])
+    twitter_fold, flickr_fold = {}, {}
+    for fold_i, members in enumerate(fold_pos):
+        for t, f, _ in members:
+            twitter_fold[t] = fold_i
+            flickr_fold[f] = fold_i
+    neg_folds = {}
+    for pair in neg:
+        t, f, _ = pair
+        ft = twitter_fold.setdefault(t, int(rng.integers(k)))
+        ff = flickr_fold.setdefault(f, int(rng.integers(k)))
+        neg_folds[pair] = (ft, ff)
+    folds = []
+    for i in range(k):
+        test = list(fold_pos[i])
+        train = [p for j in range(k) if j != i for p in fold_pos[j]]
+        for pair, (ft, ff) in neg_folds.items():
+            if ft == i and ff == i:
+                test.append(pair)
+            elif ft != i and ff != i:
+                train.append(pair)
+        folds.append((
+            LabeledPairSet(pairs=train, neg_ratio=s.neg_ratio, seed=seed),
+            LabeledPairSet(pairs=test, neg_ratio=s.neg_ratio, seed=seed),
+        ))
+    return folds
 
 
 def folds_json_reference(partitions) -> str:

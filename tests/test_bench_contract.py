@@ -60,7 +60,7 @@ def test_traced_run_has_every_metric(corpus_dir, tmp_path, model):
     )}
     proc = subprocess.run(
         [sys.executable, str(TRACER), str(trace), "--", "run", *model,
-         "--data-dir", str(corpus_dir), "--k", "2", "--max-epochs", "1",
+         "--data-dir", str(corpus_dir), "--k", "2", "--max-epochs", "2",
          "--output", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
@@ -80,4 +80,10 @@ def test_traced_run_has_every_metric(corpus_dir, tmp_path, model):
         key = {"temporal": "temporal_features.histograms_per_account",
                "embedding": "embedding_features.embeds_per_field"}[model[1]]
         assert metrics[key] >= 1.0
+    if model[1] == "temporal":
+        # the history holds every epoch of both folds (two epochs each, so
+        # a list per fold would count 2), and the steps go through
+        # mlp.adam_step
+        assert metrics["mlp.epochs"] == 4
+        assert metrics["mlp.steps"] > 0
     assert len(doc["scores"]) == len(doc["labels"]) > 0

@@ -169,6 +169,36 @@ class TestHiddenNodes:
         assert report["run"]["hidden_nodes"] == report["mlp"]["hidden_nodes"] == 50
 
 
+class TestLearningRate:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_non_finite_or_non_positive_is_rejected(self, corpus_dir, tmp_path, value):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
+             "--max-epochs", "2", "--learning-rate", value, "--output", str(out)],
+        )
+        assert result.exit_code == 1
+        assert "error: ValueError: learning_rate must be finite and positive" in result.output
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_is_a_typed_error(self, corpus_dir, tmp_path):
+        # steps of about 1e300 overflow the weights, so every validation
+        # loss is NaN
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
+             "--max-epochs", "2", "--learning-rate", "1e300", "--output", str(out)],
+        )
+        assert result.exit_code == 1
+        assert ("error: TrainingDivergedError: fold 0: no epoch reached a finite "
+                "validation loss") in result.output
+        assert not (out / "report.json").exists()
+
+
 PROFILE_A = {"platform": "twitter", "user_id": "t1", "user_name": "kwanhui",
              "real_name": "Kwan Hui Lim", "description": "data science researcher",
              "location": "Singapore", "post_count": 40}

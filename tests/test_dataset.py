@@ -1,6 +1,7 @@
 import json
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,8 @@ from osnmatch.errors import (
 )
 from osnmatch.profile_features import Platform
 from osnmatch.temporal_features import PostEvent
+
+from .oracles import k_folds_user_disjoint_reference
 
 
 def profile_line(platform, user_id, **kwargs):
@@ -385,6 +388,19 @@ class TestKFolds:
 
 
 class TestUserDisjoint:
+    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 7), (5, 1), (10, 301)])
+    def test_equals_the_per_fold_scan(self, k, seed):
+        # negatives join users with and without positives, so some of the
+        # drawn folds are used and some are not
+        rng = np.random.default_rng(seed)
+        pairs = [(f"t{i}", f"f{i}", True) for i in range(20)]
+        negs = {(f"t{rng.integers(40)}", f"f{rng.integers(40)}") for _ in range(300)}
+        pairs += [(t, f, False) for t, f in sorted(negs) if t[1:] != f[1:]]
+        s = LabeledPairSet(pairs=pairs, neg_ratio=8, seed=seed)
+        got = k_folds_user_disjoint(s, k, seed)
+        want = k_folds_user_disjoint_reference(s, k, seed)
+        assert [(a.pairs, b.pairs) for a, b in got] == [(a.pairs, b.pairs) for a, b in want]
+
     def test_folds_test_users_not_in_train(self):
         s = make_set(12, 60)
         for train, test in k_folds_user_disjoint(s, 4, seed=1):

@@ -4,8 +4,9 @@ Each case runs ``osnmatch run`` (negative sampling, ``cross_validate`` with
 k = 3 and 3 epochs, ``save_model``) on one small synthetic corpus and
 compares the per-fold counts of ``report.json`` and the SHA-256 of every
 ``models/fold-*.bin`` with values recorded before the feature pipeline
-became one matrix. Any change to a feature value, its column order, the
-folds, the training or the file format shows up here.
+became one matrix (the user-disjoint and early-stopping cases: before the
+folds were trained in lockstep). Any change to a feature value, its column
+order, the folds, the training or the file format shows up here.
 """
 
 import hashlib
@@ -25,8 +26,9 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
-# per model: the extra `run` options, the per-fold (tp, fp, fn, tn) and the
-# SHA-256 of fold-00.bin, fold-01.bin and fold-02.bin
+# per case: the extra `run` options (they override the defaults below), the
+# per-fold (tp, fp, fn, tn) and the SHA-256 of fold-00.bin, fold-01.bin and
+# fold-02.bin
 GOLDEN = {
     "ps-editex": (
         ("--model", "ps", "--measure", "editex"),
@@ -64,6 +66,25 @@ GOLDEN = {
             "795dbaf1a7ae3b2e83d28c29b8c5e7f042c1bb5dff964ec81ae358d13add31fe",
         ],
     ),
+    "temporal-user-disjoint": (
+        ("--model", "temporal", "--user-disjoint"),
+        [(2, 2, 5, 14), (0, 0, 7, 15), (1, 1, 5, 10)],
+        [
+            "7d6b18c5456cb38df06e97bdc4ecc946b4aac137eb5a442a87393999769a6dad",
+            "1a984dcfb24db119ff4164d49ae1aeafe5901b25f4afb47cd82b5bf4e074c6d8",
+            "8aa7369787eb477e25c70b83b40f92c26837bc531301d99db3721f14da004300",
+        ],
+    ),
+    # the three folds stop early after 10, 4 and 7 epochs
+    "temporal-patience-1": (
+        ("--model", "temporal", "--patience", "1", "--max-epochs", "40"),
+        [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
+        [
+            "c2cb48e55514455785d718551f22373893d51b7d608bc3d346553b8940e39ddb",
+            "76b316eb56514463d997f43bf81c0bd0edf8518158bcad9de454bb5019256e35",
+            "721cc258f7560be268e260712408d455e6b7fe261803535434f525fc3a2b8d6d",
+        ],
+    ),
 }
 
 
@@ -73,8 +94,8 @@ def test_counts_and_model_digests(corpus_dir, tmp_path, case):
     out = tmp_path / "out"
     result = CliRunner().invoke(
         main,
-        ["run", *options, "--k", "3", "--max-epochs", "3", "--seed", "42",
-         "--data-dir", str(corpus_dir), "--output", str(out)],
+        ["run", "--k", "3", "--max-epochs", "3", "--seed", "42",
+         "--data-dir", str(corpus_dir), "--output", str(out), *options],
     )
     assert result.exit_code == 0, result.output
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))

@@ -2,15 +2,23 @@ import errno
 import hashlib
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import osnmatch.mlp as mlp
-from osnmatch.errors import DimensionMismatchError, EmptyDatasetError, ModelFormatError
+from osnmatch.errors import (
+    DimensionMismatchError,
+    EmptyDatasetError,
+    ModelFormatError,
+    TrainingDivergedError,
+)
 from osnmatch.mlp import (
+    FoldJob,
     MlpConfig,
+    Stack,
     _batch_cce,
     _forward_batch,
     _softmax,
@@ -23,7 +31,7 @@ from osnmatch.mlp import (
     train,
 )
 
-from .oracles import adam_step_reference
+from .oracles import adam_step_reference, train_reference
 
 
 def toy_separable(n_per_class=100, noise=0.08, seed=0):
@@ -55,8 +63,28 @@ def accuracy(model, data):
 
 def one(model, x, training=False, rng=None):
     """Probabilities and cache of a single example."""
-    probs, cache = _forward_batch(model, np.asarray(x)[None, :], training=training, rng=rng)
+    probs, cache = _forward_batch(model, np.asarray(x)[None, :], training=training,
+                                  rngs=() if rng is None else [rng])
     return probs[0], cache
+
+
+def fit(cfg, x_train, y_train, x_val, y_val):
+    """Train one network on its fit and validation rows through ``train``."""
+    x = np.concatenate([x_train, x_val])
+    y = np.concatenate([y_train, y_val])
+    n = len(x_train)
+    job = FoldJob(fit=np.arange(n), stop=np.arange(n, len(x_train) + len(x_val)),
+                  seed=cfg.rng_seed)
+    models, history = train(cfg, x, y, [job])
+    return models[0], history
+
+
+def stack_of(*models):
+    """A stack holding copies of the models' parameters, one row each."""
+    stack = Stack(models[0].config, len(models))
+    for row, model in zip(stack.params, models):
+        row[:] = model.params
+    return stack
 
 
 class TestInitModel:
@@ -160,51 +188,35 @@ class TestLossCce:
         assert _batch_cce(probs, labels) == pytest.approx(expected)
 
 
-def _flat_params(model):
-    """(array, flat_index) pairs covering weights then biases."""
-    out = []
-    for arr in model.weights + model.biases:
-        for i in range(arr.size):
-            out.append((arr, i))
-    return out
-
-
-def _fd_gradient(model, x, label, arr, flat_idx, masks, h=1e-5):
+def _fd_gradient(stack, x, labels, arr, flat_idx, masks, h=1e-5):
     flat = arr.reshape(-1)
     original = flat[flat_idx]
     training = masks is not None
     flat[flat_idx] = original + h
-    probs_p, _ = _forward_batch(model, x[None, :], training=training, replay_masks=masks)
+    probs_p, _ = _forward_batch(stack, x, training=training, replay_masks=masks)
     flat[flat_idx] = original - h
-    probs_m, _ = _forward_batch(model, x[None, :], training=training, replay_masks=masks)
+    probs_m, _ = _forward_batch(stack, x, training=training, replay_masks=masks)
     flat[flat_idx] = original
-    return (loss_cce(probs_p[0], label) - loss_cce(probs_m[0], label)) / (2 * h)
+    return float(_batch_cce(probs_p, labels)[0] - _batch_cce(probs_m, labels)[0]) / (2 * h)
 
 
 def _check_gradients(cfg, n_probes, seed, with_dropout):
     rng = np.random.default_rng(seed)
-    model = init_model(cfg)
-    x = rng.random(cfg.input_dim)
-    label = True
-    if with_dropout:
-        probs, cache = _forward_batch(model, x[None, :], training=True, rng=rng)
-        masks = cache["masks"]
-    else:
-        probs, cache = _forward_batch(model, x[None, :], training=False)
-        masks = None
-    grads = backward(model, cache, [label])
-    analytic = {}
-    for li, g in enumerate(grads["weights"]):
-        analytic[id(model.weights[li])] = g.reshape(-1)
-    for li, g in enumerate(grads["biases"]):
-        analytic[id(model.biases[li])] = g.reshape(-1)
-    coords = _flat_params(model)
+    stack = stack_of(init_model(cfg))
+    x = rng.random(cfg.input_dim)[None, None, :]
+    labels = np.array([[True]])
+    _, cache = _forward_batch(stack, x, training=with_dropout, rngs=[rng])
+    masks = cache["masks"] if with_dropout else None
+    backward(stack, cache, labels)
+    arrays = [w[0] for w in stack.weights] + [b[0] for b in stack.biases]
+    grads = [g[0].reshape(-1).copy() for g in stack.grad_weights + stack.grad_biases]
+    coords = [(a, g, i) for a, g in zip(arrays, grads) for i in range(a.size)]
     picks = rng.choice(len(coords), size=n_probes, replace=False)
     worst = 0.0
     for pick in picks:
-        arr, idx = coords[pick]
-        g_a = analytic[id(arr)][idx]
-        g_n = _fd_gradient(model, x, label, arr, idx, masks)
+        arr, grad, idx = coords[pick]
+        g_a = grad[idx]
+        g_n = _fd_gradient(stack, x, labels, arr, idx, masks)
         if abs(g_a - g_n) <= 1e-9:
             continue
         worst = max(worst, abs(g_a - g_n) / max(abs(g_a), abs(g_n), 1e-8))
@@ -222,73 +234,60 @@ class TestBackward:
 
     def test_output_bias_gradient_is_probability_residual(self):
         cfg = MlpConfig(input_dim=3, hidden_nodes=4, dropout_rate=0.0)
-        model = init_model(cfg)
-        for w in model.weights:
-            w[:] = 0.0
-        probs, cache = _forward_batch(model, np.zeros((1, 3)), training=False)
-        grads = backward(model, cache, [True])
-        assert grads["biases"][-1] == pytest.approx(probs[0] - np.array([0.0, 1.0]))
+        stack = stack_of(init_model(cfg))
+        stack.params[:] = 0.0
+        probs, cache = _forward_batch(stack, np.zeros((1, 1, 3)), training=False)
+        backward(stack, cache, [[True]])
+        assert stack.grad_biases[-1][0] == pytest.approx(probs[0, 0] - np.array([0.0, 1.0]))
 
     def test_gradient_shapes(self):
         cfg = MlpConfig(input_dim=5, hidden_nodes=7, dropout_rate=0.0)
-        model = init_model(cfg)
-        _, cache = _forward_batch(model, np.random.default_rng(0).random((4, 5)))
-        grads = backward(model, cache, [True, False, True, False])
-        for g, w in zip(grads["weights"], model.weights):
+        stack = stack_of(init_model(cfg), init_model(cfg))
+        _, cache = _forward_batch(stack, np.random.default_rng(0).random((2, 4, 5)))
+        backward(stack, cache, [[True, False, True, False]] * 2)
+        for g, w in zip(stack.grad_weights, stack.weights):
             assert g.shape == w.shape
-        for g, b in zip(grads["biases"], model.biases):
+        for g, b in zip(stack.grad_biases, stack.biases):
             assert g.shape == b.shape
+
+    def test_label_shape_mismatch(self):
+        cfg = MlpConfig(input_dim=5, hidden_nodes=7, dropout_rate=0.0)
+        stack = stack_of(init_model(cfg), init_model(cfg))
+        _, cache = _forward_batch(stack, np.zeros((2, 4, 5)))
+        with pytest.raises(DimensionMismatchError):
+            backward(stack, cache, [[True, False, True, False]])
 
 
 class TestAdamStep:
-    def _zero_model(self):
+    def _zero_stack(self):
         cfg = MlpConfig(
             input_dim=1, hidden_nodes=1, n_hidden_layers=1, learning_rate=0.1,
             dropout_rate=0.0,
         )
-        model = init_model(cfg)
-        for w in model.weights:
-            w[:] = 0.0
-        return model
-
-    def _zero_grads(self, model):
-        return {
-            "weights": [np.zeros_like(w) for w in model.weights],
-            "biases": [np.zeros_like(b) for b in model.biases],
-        }
+        stack = stack_of(init_model(cfg))
+        stack.params[:] = 0.0
+        return stack
 
     def test_first_step_moves_by_lr(self):
-        model = self._zero_model()
-        grads = self._zero_grads(model)
-        grads["weights"][0][0, 0] = 1.0
-        adam_step(model, grads)
+        stack = self._zero_stack()
+        stack.grad_weights[0][0, 0, 0] = 1.0
+        adam_step(stack)
         # bias-corrected first step is -lr * g/|g| up to eps
-        assert model.weights[0][0, 0] == pytest.approx(-0.1, rel=1e-6)
+        assert stack.weights[0][0, 0, 0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_zero_gradient_no_movement(self):
-        model = self._zero_model()
-        adam_step(model, self._zero_grads(model))
-        assert all(np.all(w == 0.0) for w in model.weights)
-        assert model.adam_t == 1
+        stack = self._zero_stack()
+        adam_step(stack)
+        assert not stack.params.any()
+        assert stack.adam_t.tolist() == [1]
 
     def test_determinism(self):
         cfg = MlpConfig(input_dim=3, hidden_nodes=4, rng_seed=2)
-        m1, m2 = init_model(cfg), init_model(cfg)
-        grads = {
-            "weights": [np.full_like(w, 0.01) for w in m1.weights],
-            "biases": [np.full_like(b, 0.02) for b in m1.biases],
-        }
-        adam_step(m1, grads)
-        adam_step(m2, grads)
-        for w1, w2 in zip(m1.weights, m2.weights):
-            assert np.array_equal(w1, w2)
-
-    def test_shape_mismatch(self):
-        model = self._zero_model()
-        grads = self._zero_grads(model)
-        grads["weights"][0] = np.zeros((2, 2))
-        with pytest.raises(DimensionMismatchError):
-            adam_step(model, grads)
+        s1, s2 = stack_of(init_model(cfg)), stack_of(init_model(cfg))
+        for s in (s1, s2):
+            s.grads[:] = 0.01
+            adam_step(s)
+        assert np.array_equal(s1.params, s2.params)
 
 
 class TestDropout:
@@ -316,7 +315,7 @@ class TestDropout:
         )
         n = 10_000
         batch = np.tile(x, (n, 1))
-        _, cache = _forward_batch(model, batch, training=True, rng=rng)
+        _, cache = _forward_batch(model, batch, training=True, rngs=[rng])
         mc_logits = cache["pre_activations"][-1].mean(axis=0)
         scale = max(1.0, float(np.linalg.norm(base_logits)))
         assert np.linalg.norm(mc_logits - base_logits) / scale <= 0.02
@@ -325,7 +324,7 @@ class TestDropout:
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, dropout_rate=0.5, rng_seed=4)
         model = init_model(cfg)
         _, cache = _forward_batch(
-            model, np.ones((1, 2)), training=True, rng=np.random.default_rng(0)
+            model, np.ones((1, 2)), training=True, rngs=[np.random.default_rng(0)]
         )
         for mask in cache["masks"]:
             assert set(np.unique(mask)).issubset({0.0, 2.0})
@@ -336,26 +335,26 @@ class TestTrain:
         cfg = MlpConfig(input_dim=2)
         empty_x, empty_y = np.empty((0, 2)), np.empty(0, dtype=bool)
         with pytest.raises(EmptyDatasetError):
-            train(cfg, empty_x, empty_y, empty_x, empty_y)
+            fit(cfg, empty_x, empty_y, empty_x, empty_y)
 
     def test_dimension_mismatch(self):
         cfg = MlpConfig(input_dim=3)
         x, y = toy_separable(5)
         with pytest.raises(DimensionMismatchError):
-            train(cfg, x, y, x, y)
+            fit(cfg, x, y, x, y)
 
     def test_label_count_mismatch(self):
         cfg = MlpConfig(input_dim=2)
         x, y = toy_separable(5)
         with pytest.raises(DimensionMismatchError):
-            train(cfg, x, y[:-1], x, y)
+            fit(cfg, x, y[:-1], x, y)
         with pytest.raises(DimensionMismatchError):
-            train(cfg, x, y, x[:-1], y)
+            fit(cfg, x, y, x[:-1], y)
 
     def test_separable_toy(self):
         data = toy_separable()
         cfg = MlpConfig(input_dim=2, hidden_nodes=50, rng_seed=7, max_epochs=200)
-        model, history = train(cfg, *data, *data)
+        model, history = fit(cfg, *data, *data)
         assert accuracy(model, data) >= 0.99
         assert len(history) <= 200
 
@@ -365,13 +364,13 @@ class TestTrain:
             input_dim=2, hidden_nodes=50, rng_seed=7, max_epochs=200,
             early_stop_patience=30,
         )
-        model, _ = train(cfg, *data, *data)
+        model, _ = fit(cfg, *data, *data)
         assert accuracy(model, data) >= 0.95
 
     def test_loss_decreases(self):
         data = toy_separable()
         cfg = MlpConfig(input_dim=2, hidden_nodes=50, rng_seed=7, max_epochs=60)
-        _, history = train(cfg, *data, *data)
+        _, history = fit(cfg, *data, *data)
         first = np.mean([h.train_loss for h in history[:5]])
         last = np.mean([h.train_loss for h in history[-5:]])
         assert first > last
@@ -380,8 +379,8 @@ class TestTrain:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=12,
                         early_stop_patience=200)
-        m1, h1 = train(cfg, *data, *data)
-        m2, h2 = train(cfg, *data, *data)
+        m1, h1 = fit(cfg, *data, *data)
+        m2, h2 = fit(cfg, *data, *data)
         assert [e.train_loss for e in h1] == [e.train_loss for e in h2]
         assert [e.val_loss for e in h1] == [e.val_loss for e in h2]
         for w1, w2 in zip(m1.weights, m2.weights):
@@ -391,7 +390,7 @@ class TestTrain:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=200,
                         early_stop_patience=0)
-        _, history = train(cfg, *data, *data)
+        _, history = fit(cfg, *data, *data)
         vals = [e.val_loss for e in history]
         # every epoch before the last must improve on the running best
         best = np.inf
@@ -405,11 +404,100 @@ class TestTrain:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=40,
                         early_stop_patience=5)
-        model, history = train(cfg, *data, *data)
+        model, history = fit(cfg, *data, *data)
         best_val = min(e.val_loss for e in history)
         xs, ys = data
         probs, _ = _forward_batch(model, xs, training=False)
         assert _batch_cce(probs, ys) == pytest.approx(best_val)
+
+
+def _noisy_rows(n, seed):
+    """(x, y) with a weak signal, so validation losses wander and folds
+    stop early at different epochs."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 6))
+    y = x[:, 0] + rng.normal(0, 0.4, n) > 0.5
+    return x, y
+
+
+def _jobs(n, fit_sizes, stop_sizes, seed):
+    """Jobs over disjoint-ish row sets of unequal sizes."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for i, (n_fit, n_stop) in enumerate(zip(fit_sizes, stop_sizes)):
+        rows = rng.permutation(n)
+        jobs.append(FoldJob(fit=rows[:n_fit], stop=rows[n_fit : n_fit + n_stop],
+                            seed=seed ^ i))
+    return jobs
+
+
+def _assert_equals_reference(cfg, x, y, jobs, models, history):
+    for i, job in enumerate(jobs):
+        ref_params, ref_history = train_reference(
+            replace(cfg, rng_seed=job.seed), x[job.fit], y[job.fit], x[job.stop], y[job.stop]
+        )
+        assert models[i].config == replace(cfg, rng_seed=job.seed)
+        assert np.array_equal(models[i].params, ref_params)
+        got = [(e.epoch, e.train_loss, e.val_loss) for e in history if e.fold == i]
+        assert got == ref_history
+
+
+class TestLockstep:
+    # batch 32: 3, 2, 3, 2 and 4 batches an epoch, the last ones of 6, 32,
+    # 1, 1 and 1 rows
+    FIT = (70, 64, 65, 33, 97)
+    STOP = (20, 13, 31, 7, 25)
+
+    @pytest.mark.parametrize(
+        "dropout, patience, max_epochs",
+        [(0.5, 0, 40), (0.5, 1, 40), (0.0, 1, 40), (0.0, 0, 40), (0.5, 40, 5)],
+    )
+    def test_equals_one_network_at_a_time(self, dropout, patience, max_epochs):
+        x, y = _noisy_rows(150, 1)
+        cfg = MlpConfig(input_dim=6, hidden_nodes=12, dropout_rate=dropout,
+                        learning_rate=0.01, max_epochs=max_epochs,
+                        early_stop_patience=patience)
+        jobs = _jobs(len(x), self.FIT, self.STOP, 9)
+        models, history = train(cfg, x, y, jobs)
+        _assert_equals_reference(cfg, x, y, jobs, models, history)
+        epochs = [sum(e.fold == i for e in history) for i in range(len(jobs))]
+        if patience < max_epochs:
+            assert len(set(epochs)) > 1  # the folds stopped at different epochs
+        assert len(history) == sum(epochs)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_narrow_stacks_equal_one_network_at_a_time(self, monkeypatch, width):
+        x, y = _noisy_rows(150, 2)
+        cfg = MlpConfig(input_dim=6, hidden_nodes=12, learning_rate=0.01, max_epochs=6,
+                        early_stop_patience=1)
+        monkeypatch.setattr(mlp, "_STACK_PARAMS", width * cfg.n_params)
+        assert mlp.stack_width(cfg) == width
+        jobs = _jobs(len(x), self.FIT, self.STOP, 4)
+        models, history = train(cfg, x, y, jobs)
+        _assert_equals_reference(cfg, x, y, jobs, models, history)
+
+    def test_width_follows_the_parameter_count(self):
+        # the temporal net stacks all its folds; the 300-unit embedding
+        # net trains one network at a time
+        assert mlp.stack_width(MlpConfig(input_dim=49)) >= 10
+        assert mlp.stack_width(MlpConfig(input_dim=8, hidden_nodes=300)) == 1
+
+    def test_empty_job_rows(self):
+        x, y = _noisy_rows(20, 3)
+        cfg = MlpConfig(input_dim=6, hidden_nodes=4)
+        for fit, stop in ((np.arange(0), np.arange(5)), (np.arange(5), np.arange(0))):
+            with pytest.raises(EmptyDatasetError):
+                train(cfg, x, y, [FoldJob(np.arange(10), np.arange(10, 20), 0),
+                                  FoldJob(fit, stop, 1)])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_no_finite_validation_loss_is_a_typed_error(self):
+        x, y = _noisy_rows(40, 4)
+        cfg = MlpConfig(input_dim=6, hidden_nodes=4, learning_rate=1e300, max_epochs=3,
+                        early_stop_patience=0)
+        with pytest.raises(TrainingDivergedError, match="fold 0: no epoch"):
+            train(cfg, x, y, [FoldJob(np.arange(20), np.arange(20, 40), 1)] * 2)
 
 
 class TestPredict:
@@ -428,7 +516,7 @@ class TestSaveLoad:
         data = toy_separable(20)
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, rng_seed=9, max_epochs=5,
                         early_stop_patience=100)
-        model, _ = train(cfg, *data, *data)
+        model, _ = fit(cfg, *data, *data)
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         loaded = load_model(str(path))
@@ -454,51 +542,44 @@ def _interleave(weights, biases):
 
 
 class TestFlatAdam:
-    @pytest.mark.parametrize("hidden_nodes", [16, 100])  # 1 chunk; 2 chunks, one partial
+    @pytest.mark.parametrize("hidden_nodes", [16, 100])  # 1 chunk; several, one partial
     def test_matches_per_layer_reference_bitwise(self, hidden_nodes):
+        # three networks step together, alone and in pairs, so that one
+        # update meets rows with different step counts
         cfg = MlpConfig(input_dim=5, hidden_nodes=hidden_nodes, n_hidden_layers=3,
-                        learning_rate=0.01, rng_seed=3)
-        model = init_model(cfg)
-        ref = SimpleNamespace(
-            config=cfg,
-            weights=[w.copy() for w in model.weights],
-            biases=[b.copy() for b in model.biases],
-            adam_m_w=[np.zeros_like(w) for w in model.weights],
-            adam_v_w=[np.zeros_like(w) for w in model.weights],
-            adam_m_b=[np.zeros_like(b) for b in model.biases],
-            adam_v_b=[np.zeros_like(b) for b in model.biases],
-            adam_t=0,
-        )
+                        learning_rate=0.01)
+        models = [init_model(cfg, np.random.default_rng(seed)) for seed in (3, 4, 5)]
+        stack = stack_of(*models)
+        refs = [
+            SimpleNamespace(
+                config=cfg,
+                weights=[w.copy() for w in m.weights],
+                biases=[b.copy() for b in m.biases],
+                adam_m_w=[np.zeros_like(w) for w in m.weights],
+                adam_v_w=[np.zeros_like(w) for w in m.weights],
+                adam_m_b=[np.zeros_like(b) for b in m.biases],
+                adam_v_b=[np.zeros_like(b) for b in m.biases],
+                adam_t=0,
+            )
+            for m in models
+        ]
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            grads = {
-                "weights": [rng.normal(0, 0.1, w.shape) for w in model.weights],
-                "biases": [rng.normal(0, 0.1, b.shape) for b in model.biases],
-            }
-            adam_step(model, grads)
-            adam_step_reference(ref, grads)
-        assert model.adam_t == ref.adam_t == 20
-        assert np.array_equal(model.params, _interleave(ref.weights, ref.biases))
-        assert np.array_equal(model.adam_m, _interleave(ref.adam_m_w, ref.adam_m_b))
-        assert np.array_equal(model.adam_v, _interleave(ref.adam_v_w, ref.adam_v_b))
-
-    def test_bias_shape_mismatch(self):
-        model = init_model(MlpConfig(input_dim=3, hidden_nodes=4))
-        grads = {
-            "weights": [np.zeros_like(w) for w in model.weights],
-            "biases": [np.zeros(b.size + 1) for b in model.biases],
-        }
-        with pytest.raises(DimensionMismatchError):
-            adam_step(model, grads)
-
-    def test_missing_layer_gradient(self):
-        model = init_model(MlpConfig(input_dim=3, hidden_nodes=4))
-        grads = {
-            "weights": [np.zeros_like(w) for w in model.weights[:-1]],
-            "biases": [np.zeros_like(b) for b in model.biases[:-1]],
-        }
-        with pytest.raises(DimensionMismatchError):
-            adam_step(model, grads)
+        for lo, hi in [(0, 3)] * 10 + [(0, 1)] * 3 + [(2, 3)] * 2 + [(0, 3)] * 5 + [(1, 3)]:
+            for r in range(lo, hi):
+                grads = {
+                    "weights": [rng.normal(0, 0.1, w.shape) for w in models[r].weights],
+                    "biases": [rng.normal(0, 0.1, b.shape) for b in models[r].biases],
+                }
+                for view, g in zip(stack.grad_weights + stack.grad_biases,
+                                   grads["weights"] + grads["biases"]):
+                    view[r] = g
+                adam_step_reference(refs[r], grads)
+            adam_step(stack.rows(lo, hi))
+        assert stack.adam_t.tolist() == [ref.adam_t for ref in refs] == [18, 16, 18]
+        for r, ref in enumerate(refs):
+            assert np.array_equal(stack.params[r], _interleave(ref.weights, ref.biases))
+            assert np.array_equal(stack.adam_m[r], _interleave(ref.adam_m_w, ref.adam_m_b))
+            assert np.array_equal(stack.adam_v[r], _interleave(ref.adam_v_w, ref.adam_v_b))
 
     def test_trained_model_is_bitwise_golden(self, tmp_path):
         # digest of the model trained by the per-layer optimizer before the
@@ -506,7 +587,7 @@ class TestFlatAdam:
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=12,
                         early_stop_patience=200)
-        model, _ = train(cfg, *data, *data)
+        model, _ = fit(cfg, *data, *data)
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -516,12 +597,11 @@ class TestFlatAdam:
     def test_returned_models_hold_no_adam_state(self, tmp_path):
         data = toy_separable(10)
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, rng_seed=1, max_epochs=3)
-        model, _ = train(cfg, *data, *data)
+        model, _ = fit(cfg, *data, *data)
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         for m in (model, load_model(str(path))):
-            assert m.adam_t == 0
-            assert m.adam_m is None and m.adam_v is None and m.adam_scratch is None
+            assert not [name for name in vars(m) if name.startswith("adam")]
 
 
 class TestFlatLayout:
