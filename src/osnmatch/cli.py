@@ -12,12 +12,12 @@ from pathlib import Path
 from typing import TextIO
 
 import click
+import numpy as np
 
 from . import synth
 from .atomic import replacing
 from .dataset import (
     Corpus,
-    LabeledPairSet,
     load_corpus,
     negative_sample,
     k_folds,
@@ -268,7 +268,7 @@ def _execute_run(cfg: RunConfig) -> dict:
         else:
             table = hash_fallback_table(seed=cfg.embedding_seed)
     featurize = _build_featurizer(corpus, cfg, table)
-    input_dim = len(featurize(pair_set.pairs[:1]).schema)
+    input_dim = len(featurize([]).schema)
     mlp_cfg = MlpConfig(
         input_dim=input_dim,
         hidden_nodes=cfg.hidden_nodes,
@@ -371,31 +371,34 @@ def score_pair(profile_a, profile_b, measure, include_names):
             click.echo(f"{name:<18} raw={raw_str} score={value:.4f}")
 
 
-def _pairs_json(pairs: list[tuple[str, str, bool]]) -> str:
-    if not pairs:
+def _pairs_json(pairs: list[tuple[str, str, bool]], rows: np.ndarray) -> str:
+    if not len(rows):
         return "[]"
     enc = encode_basestring_ascii
     return "[\n" + ",\n".join(
         f"      [\n        {enc(t)},\n        {enc(f)},\n        "
         f"{'true' if lbl else 'false'}\n      ]"
-        for t, f, lbl in pairs
+        for t, f, lbl in map(pairs.__getitem__, rows.tolist())
     ) + "\n    ]"
 
 
 def write_folds_json(
-    fh: TextIO, partitions: list[tuple[LabeledPairSet, LabeledPairSet]]
+    fh: TextIO,
+    pairs: list[tuple[str, str, bool]],
+    partitions: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """Write the fold membership exactly as ``json.dumps(doc, sort_keys=True,
     indent=2) + "\\n"`` would, for doc = ``[{"fold": i, "test": [[t, f,
-    label], ...], "train": [...]}, ...]``. With an indent the json module
-    encodes in pure Python, so the triples are formatted here, one fold at a
-    time, with its C string encoder."""
+    label], ...], "train": [...]}, ...]``, where each fold's (train_rows,
+    test_rows) index ``pairs``. With an indent the json module encodes in
+    pure Python, so the triples are gathered and formatted here, one fold at
+    a time, with its C string encoder."""
     fh.write("[")
-    for i, (train_set, test_set) in enumerate(partitions):
+    for i, (train_rows, test_rows) in enumerate(partitions):
         fh.write(f"{',' if i else ''}\n  {{\n    \"fold\": {i},\n    \"test\": ")
-        fh.write(_pairs_json(test_set.pairs))
+        fh.write(_pairs_json(pairs, test_rows))
         fh.write(',\n    "train": ')
-        fh.write(_pairs_json(train_set.pairs))
+        fh.write(_pairs_json(pairs, train_rows))
         fh.write("\n  }")
     fh.write("\n]\n" if partitions else "]\n")
 
@@ -424,14 +427,16 @@ def folds(neg_ratio, k, seed, user_disjoint, data_dir, profiles, posts, pairs,
         partitions = folder(pair_set, k, seed)
         if output_path:
             with replacing(output_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-                write_folds_json(fh, partitions)
+                write_folds_json(fh, pair_set.pairs, partitions)
     except (OsnMatchError, OSError, ValueError) as exc:
         _fail(exc)
     click.echo(f"{'fold':>4} {'train+':>7} {'train-':>7} {'test+':>6} {'test-':>6}")
-    for i, (train_set, test_set) in enumerate(partitions):
+    for i, (train_rows, test_rows) in enumerate(partitions):
+        train_pos = int(np.count_nonzero(pair_set.labels[train_rows]))
+        test_pos = int(np.count_nonzero(pair_set.labels[test_rows]))
         click.echo(
-            f"{i:>4} {train_set.n_pos:>7} {train_set.n_neg:>7} "
-            f"{test_set.n_pos:>6} {test_set.n_neg:>6}"
+            f"{i:>4} {train_pos:>7} {len(train_rows) - train_pos:>7} "
+            f"{test_pos:>6} {len(test_rows) - test_pos:>6}"
         )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import (
     InsufficientPoolError,
     ParseError,
     TooFewExamplesError,
+    undecodable_line,
 )
 from .profile_features import PS_TEXT_FIELDS, Platform, UserProfile
 from .temporal_features import PostEvent
@@ -33,6 +34,8 @@ _EARLIEST_TIMESTAMP = datetime(1990, 1, 1, tzinfo=timezone.utc)
 PAIRS_HEADER = ("twitter_id", "flickr_id")
 
 _PLATFORMS = {p.value: p for p in Platform}
+
+_NOT_UTF8 = "not valid UTF-8"
 
 
 @dataclass
@@ -56,19 +59,23 @@ class Corpus:
 
 @dataclass
 class LabeledPairSet:
-    """(twitter_id, flickr_id, label) triples at a fixed true:false ratio."""
+    """(twitter_id, flickr_id, label) triples; ``labels`` holds their labels
+    as one boolean array. Splits and folds are arrays of row indices into
+    ``pairs``."""
 
     pairs: list[tuple[str, str, bool]]
-    neg_ratio: int
-    seed: int
+    labels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.labels = np.array([lbl for _, _, lbl in self.pairs], dtype=bool)
 
     @property
     def n_pos(self) -> int:
-        return sum(1 for _, _, lbl in self.pairs if lbl)
+        return int(np.count_nonzero(self.labels))
 
     @property
     def n_neg(self) -> int:
-        return len(self.pairs) - self.n_pos
+        return len(self.labels) - self.n_pos
 
 
 def _parse_timestamp(raw, path: str, line_no: int, latest: datetime) -> datetime:
@@ -98,8 +105,8 @@ def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
     ``ParseError(path, line_no)``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # too deep, or an overlong int
+        raise ParseError(path, line_no, f"bad JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(obj, dict):
         raise ParseError(path, line_no, "expected a JSON object")
     platform = _parse_platform(obj.get("platform"), path, line_no)
@@ -121,16 +128,19 @@ def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
 def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
     profiles: dict[tuple[Platform, str], UserProfile] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            profile = parse_profile(line, path, line_no)
-            key = (profile.platform, profile.user_id)
-            if key in profiles:
-                raise ParseError(
-                    path, line_no, f"duplicate profile {key[0].value}/{key[1]}"
-                )
-            profiles[key] = profile
+        try:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                profile = parse_profile(line, path, line_no)
+                key = (profile.platform, profile.user_id)
+                if key in profiles:
+                    raise ParseError(
+                        path, line_no, f"duplicate profile {key[0].value}/{key[1]}"
+                    )
+                profiles[key] = profile
+        except UnicodeDecodeError:
+            raise ParseError(path, undecodable_line(path), _NOT_UTF8) from None
     return profiles
 
 
@@ -139,25 +149,30 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], list[PostEvent]]:
     loads = json.loads
     latest = datetime.now(timezone.utc) + timedelta(hours=1)
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(path, line_no, "expected a JSON object")
-            platform = _parse_platform(obj.get("platform"), path, line_no)
-            user_id = obj.get("user_id")
-            if not user_id or not isinstance(user_id, str):
-                raise ParseError(path, line_no, "user_id must be a nonempty string")
-            ts = _parse_timestamp(obj.get("timestamp"), path, line_no, latest)
-            key = (platform, user_id)
-            events = posts.get(key)
-            if events is None:
-                events = posts[key] = []
-            events.append(PostEvent(platform, user_id, ts))
+        try:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(
+                        path, line_no, f"bad JSON: {getattr(exc, 'msg', exc)}"
+                    ) from None
+                if not isinstance(obj, dict):
+                    raise ParseError(path, line_no, "expected a JSON object")
+                platform = _parse_platform(obj.get("platform"), path, line_no)
+                user_id = obj.get("user_id")
+                if not user_id or not isinstance(user_id, str):
+                    raise ParseError(path, line_no, "user_id must be a nonempty string")
+                ts = _parse_timestamp(obj.get("timestamp"), path, line_no, latest)
+                key = (platform, user_id)
+                events = posts.get(key)
+                if events is None:
+                    events = posts[key] = []
+                events.append(PostEvent(platform, user_id, ts))
+        except UnicodeDecodeError:
+            raise ParseError(path, undecodable_line(path), _NOT_UTF8) from None
     return posts
 
 
@@ -173,8 +188,10 @@ def load_corpus(profiles_path: str, posts_path: str, pairs_path: str) -> Corpus:
     seen: set[tuple[str, str]] = set()
     dropped = 0
     with open(pairs_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError:
+            raise ParseError(pairs_path, undecodable_line(pairs_path), _NOT_UTF8) from None
     if not rows or tuple(h.strip() for h in rows[0]) != PAIRS_HEADER:
         raise ParseError(pairs_path, 1, "header must be 'twitter_id,flickr_id'")
     for line_no, row in enumerate(rows[1:], 2):
@@ -241,79 +258,57 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
             chosen.add(pair)
             negatives.append(pair)
     pairs = [(t, f, True) for t, f in positives] + [(t, f, False) for t, f in negatives]
-    return LabeledPairSet(pairs=pairs, neg_ratio=neg_ratio, seed=seed)
-
-
-def _classes(s: LabeledPairSet):
-    pos = [p for p in s.pairs if p[2]]
-    neg = [p for p in s.pairs if not p[2]]
-    return pos, neg
+    return LabeledPairSet(pairs)
 
 
 def split(
-    s: LabeledPairSet, train_fraction: float, seed: int
-) -> tuple[LabeledPairSet, LabeledPairSet]:
-    """Stratified train/test split: each class is shuffled with the seed
-    and cut at ``train_fraction`` (floor), so the two sides are an exact
-    disjoint partition of the input."""
+    s: LabeledPairSet, rows: np.ndarray, train_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split of ``rows`` (indices into ``s.pairs``) into
+    (train_rows, test_rows): each class, in the order of ``rows``, is
+    shuffled with the seed and cut at ``train_fraction`` (floor), so the two
+    sides are an exact disjoint partition of ``rows``."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(seed)
-    train_pairs: list[tuple[str, str, bool]] = []
-    test_pairs: list[tuple[str, str, bool]] = []
-    for cls in _classes(s):
-        if not cls:
-            continue
-        order = rng.permutation(len(cls))
+    labels = s.labels[rows]
+    train_rows, test_rows = [], []
+    for cls in (rows[labels], rows[~labels]):
         n_train = int(len(cls) * train_fraction)
-        if n_train == 0 or n_train == len(cls):
+        if len(cls) and n_train in (0, len(cls)):
             raise DegenerateSplitError(
                 f"fraction {train_fraction} leaves a side without a class "
                 f"(class size {len(cls)})"
             )
-        train_pairs.extend(cls[i] for i in order[:n_train])
-        test_pairs.extend(cls[i] for i in order[n_train:])
-    return (
-        LabeledPairSet(pairs=train_pairs, neg_ratio=s.neg_ratio, seed=seed),
-        LabeledPairSet(pairs=test_pairs, neg_ratio=s.neg_ratio, seed=seed),
-    )
+        shuffled = cls[rng.permutation(len(cls))]
+        train_rows.append(shuffled[:n_train])
+        test_rows.append(shuffled[n_train:])
+    return np.concatenate(train_rows), np.concatenate(test_rows)
 
 
-def k_folds(
-    s: LabeledPairSet, k: int, seed: int
-) -> list[tuple[LabeledPairSet, LabeledPairSet]]:
-    """Stratified k-fold partition: every pair lands in exactly one test
-    fold and per-class fold sizes differ by at most one."""
+def k_folds(s: LabeledPairSet, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stratified k-fold partition as (train_rows, test_rows) per fold, row
+    indices into ``s.pairs``: every row lands in exactly one test fold and
+    per-class fold sizes differ by at most one."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    fold_members: list[list[tuple[str, str, bool]]] = [[] for _ in range(k)]
-    for cls in _classes(s):
-        if not cls:
-            continue
-        if len(cls) < k:
+    members: list[list[np.ndarray]] = [[] for _ in range(k)]
+    for cls in (np.flatnonzero(s.labels), np.flatnonzero(~s.labels)):
+        if 0 < len(cls) < k:
             raise TooFewExamplesError(
                 f"a class has {len(cls)} examples, fewer than k={k}"
             )
-        order = rng.permutation(len(cls))
-        for rank, i in enumerate(order):
-            fold_members[rank % k].append(cls[i])
-    folds = []
-    for i in range(k):
-        test = fold_members[i]
-        train = [p for j in range(k) if j != i for p in fold_members[j]]
-        folds.append(
-            (
-                LabeledPairSet(pairs=train, neg_ratio=s.neg_ratio, seed=seed),
-                LabeledPairSet(pairs=test, neg_ratio=s.neg_ratio, seed=seed),
-            )
-        )
-    return folds
+        shuffled = cls[rng.permutation(len(cls))]
+        for i in range(k):
+            members[i].append(shuffled[i::k])
+    tests = [np.concatenate(m) for m in members]
+    return [(np.concatenate(tests[:i] + tests[i + 1 :]), test) for i, test in enumerate(tests)]
 
 
-def _positive_components(pos: list[tuple[str, str, bool]]):
-    """Group positive pairs that share a user (either endpoint) so a person
-    can never straddle a user-disjoint partition."""
+def _positive_components(pairs: list[tuple[str, str, bool]], rows: list[int]):
+    """Group the positive ``rows`` whose pairs share a user (either
+    endpoint) so a person can never straddle a user-disjoint partition."""
     parent: dict[tuple[str, str], tuple[str, str]] = {}
 
     def find(x):
@@ -322,67 +317,64 @@ def _positive_components(pos: list[tuple[str, str, bool]]):
             x = parent[x]
         return x
 
-    for t, f, _ in pos:
+    for r in rows:
+        t, f, _ = pairs[r]
         a, b = ("t", t), ("f", f)
         parent.setdefault(a, a)
         parent.setdefault(b, b)
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    components: dict[tuple[str, str], list[tuple[str, str, bool]]] = {}
-    for pair in pos:
-        components.setdefault(find(("t", pair[0])), []).append(pair)
+    components: dict[tuple[str, str], list[int]] = {}
+    for r in rows:
+        components.setdefault(find(("t", pairs[r][0])), []).append(r)
     return list(components.values())
 
 
 def k_folds_user_disjoint(
     s: LabeledPairSet, k: int, seed: int
-) -> list[tuple[LabeledPairSet, LabeledPairSet]]:
-    """Stricter k-fold where fold-i test users never appear in fold-i
-    training pairs. Negatives with endpoints in two different folds are
-    only used for training (in folds holding neither endpoint)."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stricter k-fold, as (train_rows, test_rows) per fold, where fold-i
+    test users never appear in fold-i training pairs. Negatives with
+    endpoints in two different folds are only used for training (in folds
+    holding neither endpoint)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    pos, neg = _classes(s)
-    components = _positive_components(pos)
+    pairs = s.pairs
+    neg = np.flatnonzero(~s.labels)
+    components = _positive_components(pairs, np.flatnonzero(s.labels).tolist())
     if len(components) < k:
         raise TooFewExamplesError(
             f"{len(components)} user groups with positives, fewer than k={k}"
         )
     order = rng.permutation(len(components))
-    fold_pos: list[list[tuple[str, str, bool]]] = [[] for _ in range(k)]
+    fold_pos: list[list[int]] = [[] for _ in range(k)]
     for i in order:
         smallest = min(range(k), key=lambda j: (len(fold_pos[j]), j))
         fold_pos[smallest].extend(components[i])
     twitter_fold: dict[str, int] = {}
     flickr_fold: dict[str, int] = {}
     for fold_i, members in enumerate(fold_pos):
-        for t, f, _ in members:
+        for r in members:
+            t, f, _ = pairs[r]
             twitter_fold[t] = fold_i
             flickr_fold[f] = fold_i
     # a fold is drawn for both endpoints of every negative, used or not;
     # one batch draw yields the sequence of the scalar draws
     draws = iter(rng.integers(k, size=2 * len(neg)).tolist())
-    neg_folds: dict[tuple[str, str, bool], tuple[int, int]] = {}
-    for pair in neg:
-        t, f, _ = pair
-        ft = twitter_fold.setdefault(t, next(draws))
-        ff = flickr_fold.setdefault(f, next(draws))
-        neg_folds[pair] = (ft, ff)
-    neg_pairs = list(neg_folds)
-    fold_t, fold_f = np.array(list(neg_folds.values()), dtype=np.intp).reshape(-1, 2).T
+    fold_t, fold_f = np.array(
+        [
+            (twitter_fold.setdefault(t, next(draws)), flickr_fold.setdefault(f, next(draws)))
+            for t, f, _ in map(pairs.__getitem__, neg.tolist())
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 2).T
+    pos = [np.array(members, dtype=np.intp) for members in fold_pos]
     folds = []
     for i in range(k):
         in_t, in_f = fold_t == i, fold_f == i
-        test = list(fold_pos[i])
-        test += [neg_pairs[j] for j in np.flatnonzero(in_t & in_f).tolist()]
-        train = [p for j in range(k) if j != i for p in fold_pos[j]]
-        train += [neg_pairs[j] for j in np.flatnonzero(~in_t & ~in_f).tolist()]
-        folds.append(
-            (
-                LabeledPairSet(pairs=train, neg_ratio=s.neg_ratio, seed=seed),
-                LabeledPairSet(pairs=test, neg_ratio=s.neg_ratio, seed=seed),
-            )
-        )
+        test = np.concatenate([pos[i], neg[in_t & in_f]])
+        train = np.concatenate([*pos[:i], *pos[i + 1 :], neg[~in_t & ~in_f]])
+        folds.append((train, test))
     return folds

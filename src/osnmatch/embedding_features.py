@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedLineError
+from .errors import DimensionMismatchError, MalformedLineError, undecodable_line
 from .profile_features import FeatureMatrix, Platform, per_account
 
 if TYPE_CHECKING:
@@ -121,6 +121,18 @@ def _read_section(lines, path, start_line_no):
     return vectors, dim, line_no + 1
 
 
+def _read_lines(path: str) -> list[str]:
+    """The file's lines without their newlines, trailing blank lines dropped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise MalformedLineError(path, undecodable_line(path), "not valid UTF-8") from None
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return lines
+
+
 def load_embedding_file(path: str, char_path: str | None = None) -> EmbeddingTable:
     """Load a word2vec-text table: header "V D" then V lines "token v1 .. vD".
 
@@ -129,10 +141,7 @@ def load_embedding_file(path: str, char_path: str | None = None) -> EmbeddingTab
     format. Missing n-grams are later hash-generated at the table's
     char dimension.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = _read_lines(path)
     words, dim_word, next_no = _read_section(lines, path, 1)
     char_vectors: dict[str, np.ndarray] = {}
     dim_char = 0
@@ -145,10 +154,7 @@ def load_embedding_file(path: str, char_path: str | None = None) -> EmbeddingTab
         if next_no <= len(lines):
             raise MalformedLineError(path, next_no, "trailing content after sections")
     if char_path is not None:
-        with open(char_path, encoding="utf-8") as fh:
-            char_lines = [ln.rstrip("\n") for ln in fh]
-        while char_lines and not char_lines[-1].strip():
-            char_lines.pop()
+        char_lines = _read_lines(char_path)
         char_vectors, dim_char, last = _read_section(char_lines, char_path, 1)
         if last <= len(char_lines):
             raise MalformedLineError(char_path, last, "trailing content after vectors")

@@ -1,4 +1,20 @@
-"""Exception types shared across the osnmatch package."""
+"""Exception types shared across the osnmatch package, and the helper that
+finds the line an input file's decoding failed on."""
+
+
+def undecodable_line(path) -> int:
+    """The number of the first line of ``path`` that is not valid UTF-8,
+    with lines ended as text mode ends them (\\n, \\r\\n or \\r). Called
+    after a read failed, so that the read loop itself stays unchanged."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    line_no = 0
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            break
+    return line_no
 
 
 class OsnMatchError(Exception):

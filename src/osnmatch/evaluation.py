@@ -87,22 +87,15 @@ def metrics(counts: ConfusionCounts) -> EvalReport:
     return EvalReport(counts=counts, precision=precision, recall=recall, f1=f1)
 
 
-def _rows(row_of: dict, s: LabeledPairSet) -> np.ndarray:
-    return np.array([row_of[p] for p in s.pairs], dtype=np.intp)
-
-
-def _fold_job(
-    row_of: dict, fold_i: int, train_pairs: LabeledPairSet, seed: int
-) -> FoldJob:
+def _fold_job(pair_set: LabeledPairSet, fold_i: int, train_rows: np.ndarray,
+              seed: int) -> FoldJob:
     fold_seed = seed ^ fold_i
     try:
-        fit_set, stop_set = split(train_pairs, INNER_TRAIN_FRACTION, fold_seed)
-        return FoldJob(fit=_rows(row_of, fit_set), stop=_rows(row_of, stop_set),
-                       seed=fold_seed)
+        fit, stop = split(pair_set, train_rows, INNER_TRAIN_FRACTION, fold_seed)
     except DegenerateSplitError:
         # too few examples for an inner holdout; stop on training loss
-        fit = _rows(row_of, train_pairs)
-        return FoldJob(fit=fit, stop=fit, seed=fold_seed)
+        fit = stop = train_rows
+    return FoldJob(fit=fit, stop=stop, seed=fold_seed)
 
 
 def cross_validate(
@@ -115,8 +108,8 @@ def cross_validate(
 ) -> tuple[EvalReport, list[MlpModel]]:
     """Train on k-1 folds and score the held-out fold, k times.
 
-    All pairs are featurized once into one matrix; each fold picks its
-    rows by index, and the k fold models are trained in one ``train``
+    All pairs are featurized once into one matrix; the folds are row
+    indices into it, and the k fold models are trained in one ``train``
     call. Per-fold seeds are derived as seed XOR fold index; within each
     fold an inner stratified slice of the training pairs serves as the
     early-stopping set.
@@ -124,15 +117,13 @@ def cross_validate(
     folder = k_folds_user_disjoint if user_disjoint else k_folds
     folds = folder(pair_set, k, seed)
     features = featurizer(pair_set.pairs)
-    y = np.array([lbl for _, _, lbl in pair_set.pairs], dtype=bool)
-    row_of = {pair: i for i, pair in enumerate(pair_set.pairs)}
+    y = pair_set.labels
 
-    jobs = [_fold_job(row_of, i, train_p, seed) for i, (train_p, _) in enumerate(folds)]
+    jobs = [_fold_job(pair_set, i, rows, seed) for i, (rows, _) in enumerate(folds)]
     models, _ = train(cfg, features.x, y, jobs)
     total = ConfusionCounts()
     per_fold: list[EvalReport] = []
-    for model, (_, test_p) in zip(models, folds):
-        test = _rows(row_of, test_p)
+    for model, (_, test) in zip(models, folds):
         counts = confusion(predict_batch(model, features.x[test]), y[test])
         total = total + counts
         per_fold.append(metrics(counts))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -542,7 +543,7 @@ def load_model(path: str) -> MlpModel:
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ModelFormatError(path, f"header is not JSON ({exc})") from None
         if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
             raise ModelFormatError(path, "unsupported model format")
@@ -555,6 +556,11 @@ def load_model(path: str) -> MlpModel:
             raise ModelFormatError(
                 path, f"config keys: unknown {sorted(unknown)}, missing {sorted(missing)}"
             )
+        for name, want in typing.get_type_hints(MlpConfig).items():
+            if type(raw_cfg[name]) is not want:  # a bool is no int, an int no float
+                raise ModelFormatError(
+                    path, f"config {name} must be {want.__name__}, got {raw_cfg[name]!r}"
+                )
         try:
             cfg = MlpConfig(**raw_cfg)
         except (TypeError, ValueError) as exc:

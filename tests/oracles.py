@@ -10,8 +10,10 @@ strings stay affordable.
 in-place one in ``osnmatch.mlp`` replaced; ``train_reference`` is the
 one-network-at-a-time training loop that the lockstep ``osnmatch.mlp.train``
 replaced, on 2-D arrays and that per-layer update;
-``k_folds_user_disjoint_reference`` is the per-fold scan of every negative
-that ``osnmatch.dataset.k_folds_user_disjoint`` replaced;
+``split_reference`` and ``k_folds_reference`` are the pair-list split and
+folds that the row-index ones in ``osnmatch.dataset`` replaced, in the same
+order; ``k_folds_user_disjoint_reference`` is the per-fold scan of every
+negative that ``osnmatch.dataset.k_folds_user_disjoint`` replaced;
 ``folds_json_reference`` is the ``json.dumps`` fold export that
 ``osnmatch.cli.write_folds_json`` replaced.
 """
@@ -302,14 +304,48 @@ def train_reference(cfg, x_train, y_train, x_val, y_val):
     return best_params, history
 
 
-def k_folds_user_disjoint_reference(s, k: int, seed: int):
-    """User-disjoint folds with one scalar draw per negative endpoint and a
-    scan of every negative for every fold."""
-    from osnmatch.dataset import LabeledPairSet, _classes, _positive_components
+def split_reference(pairs, train_fraction: float, seed: int):
+    """Stratified split of a list of (t, f, label) triples into two lists,
+    each class shuffled with the seed and cut at the floor."""
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for cls in ([p for p in pairs if p[2]], [p for p in pairs if not p[2]]):
+        if not cls:
+            continue
+        order = rng.permutation(len(cls))
+        n_train = int(len(cls) * train_fraction)
+        train.extend(cls[i] for i in order[:n_train])
+        test.extend(cls[i] for i in order[n_train:])
+    return train, test
+
+
+def k_folds_reference(pairs, k: int, seed: int):
+    """Stratified folds of a list of triples as (train, test) lists: the
+    shuffled members of each class are dealt to the folds in turn."""
+    rng = np.random.default_rng(seed)
+    fold_members = [[] for _ in range(k)]
+    for cls in ([p for p in pairs if p[2]], [p for p in pairs if not p[2]]):
+        if not cls:
+            continue
+        order = rng.permutation(len(cls))
+        for rank, i in enumerate(order):
+            fold_members[rank % k].append(cls[i])
+    return [
+        ([p for j in range(k) if j != i for p in fold_members[j]], fold_members[i])
+        for i in range(k)
+    ]
+
+
+def k_folds_user_disjoint_reference(pairs, k: int, seed: int):
+    """User-disjoint folds of a list of triples as (train, test) lists, with
+    one scalar draw per negative endpoint and a scan of every negative for
+    every fold."""
+    from osnmatch.dataset import _positive_components
 
     rng = np.random.default_rng(seed)
-    pos, neg = _classes(s)
-    components = _positive_components(pos)
+    pos = [p for p in pairs if p[2]]
+    neg = [p for p in pairs if not p[2]]
+    components = [[pos[i] for i in c] for c in _positive_components(pos, range(len(pos)))]
     order = rng.permutation(len(components))
     fold_pos = [[] for _ in range(k)]
     for i in order:
@@ -335,22 +371,20 @@ def k_folds_user_disjoint_reference(s, k: int, seed: int):
                 test.append(pair)
             elif ft != i and ff != i:
                 train.append(pair)
-        folds.append((
-            LabeledPairSet(pairs=train, neg_ratio=s.neg_ratio, seed=seed),
-            LabeledPairSet(pairs=test, neg_ratio=s.neg_ratio, seed=seed),
-        ))
+        folds.append((train, test))
     return folds
 
 
-def folds_json_reference(partitions) -> str:
-    """The fold file as one ``json.dumps`` of the whole document."""
+def folds_json_reference(pairs, partitions) -> str:
+    """The fold file as one ``json.dumps`` of the whole document, for
+    (train_rows, test_rows) index arrays into ``pairs``."""
     doc = [
         {
             "fold": i,
-            "train": [[t, f, lbl] for t, f, lbl in train_set.pairs],
-            "test": [[t, f, lbl] for t, f, lbl in test_set.pairs],
+            "train": [list(pairs[r]) for r in train_rows],
+            "test": [list(pairs[r]) for r in test_rows],
         }
-        for i, (train_set, test_set) in enumerate(partitions)
+        for i, (train_rows, test_rows) in enumerate(partitions)
     ]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -73,6 +74,14 @@ def _folds(corpus_dir, out, *extra):
     )
 
 
+def _rows(*rows):
+    return np.array(rows, dtype=np.intp)
+
+
+_K2 = LabeledPairSet([("t0", "f0", True), ("t1", "f1", True), ("t0", "f1", False),
+                      ("t1", "f0", False)])
+
+
 class TestFoldsExport:
     @pytest.mark.parametrize("user_disjoint", [False, True])
     def test_matches_json_dumps(self, corpus_dir, tmp_path, user_disjoint):
@@ -82,33 +91,29 @@ class TestFoldsExport:
         corpus = load_corpus(*(str(corpus_dir / n) for n in
                                ("profiles.jsonl", "posts.jsonl", "pairs.csv")))
         folder = k_folds_user_disjoint if user_disjoint else k_folds
-        partitions = folder(negative_sample(corpus, 8, 42), 3, 42)
-        assert out.read_bytes() == folds_json_reference(partitions).encode("utf-8")
+        pair_set = negative_sample(corpus, 8, 42)
+        partitions = folder(pair_set, 3, 42)
+        assert out.read_bytes() == folds_json_reference(pair_set.pairs, partitions).encode(
+            "utf-8"
+        )
 
     @pytest.mark.parametrize(
-        "partitions",
+        "pairs, partitions",
         [
-            [
-                (
-                    LabeledPairSet([("tw-é", 'fl"q"', True), ("t\\b", "f/\n", False)], 1, 0),
-                    LabeledPairSet([("用户", "ü\u2028", True)], 1, 0),
-                ),
-                (LabeledPairSet([], 1, 0), LabeledPairSet([("a", "b", False)], 1, 0)),
-            ],
-            k_folds(
-                LabeledPairSet([("t0", "f0", True), ("t1", "f1", True),
-                                ("t0", "f1", False), ("t1", "f0", False)], 1, 0),
-                2,
-                5,
+            (
+                [("tw-é", 'fl"q"', True), ("t\\b", "f/\n", False), ("用户", "ü\u2028", True),
+                 ("a", "b", False)],
+                [(_rows(0, 1), _rows(2)), (_rows(), _rows(3))],
             ),
-            [],
+            (_K2.pairs, k_folds(_K2, 2, 5)),
+            ([], []),
         ],
         ids=["escapes-and-empty-list", "k2", "no-folds"],
     )
-    def test_unit_cases(self, partitions):
+    def test_unit_cases(self, pairs, partitions):
         fh = io.StringIO()
-        write_folds_json(fh, partitions)
-        assert fh.getvalue() == folds_json_reference(partitions)
+        write_folds_json(fh, pairs, partitions)
+        assert fh.getvalue() == folds_json_reference(pairs, partitions)
 
     def test_missing_directory_is_an_error(self, corpus_dir, tmp_path):
         out = tmp_path / "missing" / "x" / "folds.json"

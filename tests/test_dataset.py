@@ -14,19 +14,21 @@ from osnmatch.dataset import (
     k_folds_user_disjoint,
     load_corpus,
     negative_sample,
+    parse_profile,
     split,
 )
 from osnmatch.errors import (
     DegenerateSplitError,
     EmptyCorpusError,
     InsufficientPoolError,
+    OsnMatchError,
     ParseError,
     TooFewExamplesError,
 )
 from osnmatch.profile_features import Platform
 from osnmatch.temporal_features import PostEvent
 
-from .oracles import k_folds_user_disjoint_reference
+from .oracles import k_folds_reference, k_folds_user_disjoint_reference, split_reference
 
 
 def profile_line(platform, user_id, **kwargs):
@@ -68,11 +70,24 @@ def write_corpus(tmp_path, n_twitter=3, n_flickr=3, pairs=None, extra_pair_rows=
     return str(profiles), str(posts_path), str(pairs_path)
 
 
-def make_set(n_pos, n_neg, seed=0):
+def make_set(n_pos, n_neg):
     pairs = [(f"t{i}", f"f{i}", True) for i in range(n_pos)]
     pairs += [(f"t{i}", f"f{(i + 1) % max(n_pos, 1)}", False) for i in range(n_neg)]
-    ratio = n_neg // n_pos if n_pos else 0
-    return LabeledPairSet(pairs=pairs, neg_ratio=ratio, seed=seed)
+    return LabeledPairSet(pairs)
+
+
+def all_rows(s):
+    return np.arange(len(s.pairs))
+
+
+def gather(s, rows):
+    """The triples that row indices name, in their order."""
+    return [s.pairs[r] for r in rows]
+
+
+def class_counts(s, rows):
+    n_pos = int(np.count_nonzero(s.labels[rows]))
+    return n_pos, len(rows) - n_pos
 
 
 class TestLoadCorpus:
@@ -256,6 +271,135 @@ class TestLoaderEdgeCases:
         assert sum(len(v) for v in loaded.values()) == summary["posts"]
 
 
+class TestUndecodableInput:
+    """Bytes that are not UTF-8, and JSON that cannot be decoded for other
+    reasons than its syntax, give a ParseError at their line."""
+
+    @pytest.mark.parametrize("kind", ["profiles", "posts", "pairs"])
+    def test_not_utf8_names_the_line(self, tmp_path, kind):
+        # line 301 lies past the first read chunk of the profiles and posts
+        paths = write_corpus(tmp_path, n_twitter=400, n_flickr=400,
+                             pairs=[(f"t{i}", f"f{i}") for i in range(400)],
+                             posts=[post_line("2022-05-01T09:30:00+00:00")] * 400)
+        path = dict(zip(["profiles", "posts", "pairs"], paths))[kind]
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        lines[300] = lines[300][:3] + b"\xff" + lines[300][3:]
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert str(exc.value) == f"{path}:301: not valid UTF-8"
+
+    def test_not_utf8_line_counts_carriage_returns(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        good = post_line("2022-05-01T09:30:00+00:00").encode()
+        path.write_bytes(good + b"\r\n" + good + b"\r" + b"\xe2\x82\n" + good + b"\n")
+        with pytest.raises(ParseError) as exc:
+            _load_posts(str(path))
+        assert exc.value.line_no == 3
+
+    def test_posts_nested_past_the_recursion_limit(self, tmp_path):
+        paths = write_corpus(tmp_path, posts=[post_line("2022-05-01T09:30:00+00:00"),
+                                              "[" * 100_000])
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert str(exc.value).startswith(f"{paths[1]}:2: bad JSON: maximum recursion")
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"platform": "twitter", "user_id": "t0", "post_count": '
+                 + "1" * 5000 + "}"],
+        ids=["deep", "overlong-int"],
+    )
+    def test_profile_json_beyond_the_decoder(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_profile(text, "profiles.jsonl", 7)
+        assert str(exc.value).startswith("profiles.jsonl:7: bad JSON: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _json_object(fields):
+    """JSON text of an object with every one of ``fields``, each a
+    well-formed or an arbitrary value, then a few fields or other keys
+    overwritten with arbitrary values."""
+    good = st.fixed_dictionaries({name: value | JSON_VALUES for name, value in fields.items()})
+    extra = st.dictionaries(st.sampled_from(sorted(fields)) | st.text(max_size=4),
+                            JSON_VALUES, max_size=3)
+    return st.builds(lambda a, b: json.dumps({**a, **b}), good, extra)
+
+
+PROFILE_JSON = _json_object({
+    "platform": st.sampled_from(["twitter", "flickr"]),
+    "user_id": st.text(max_size=4),
+    "user_name": st.text(max_size=6),
+    "post_count": st.integers(0, 10),
+})
+POST_JSON = _json_object({
+    "platform": st.sampled_from(["twitter", "flickr"]),
+    "user_id": st.text(max_size=4),
+    "timestamp": st.datetimes(timezones=st.none() | st.just(timezone.utc)).map(
+        datetime.isoformat
+    ),
+})
+FUZZ = settings(max_examples=100, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    write_corpus(out)
+    return out
+
+
+def _lines(line):
+    return st.lists(line | st.text(max_size=12), max_size=4).map("\n".join)
+
+
+def _file_bytes(line):
+    return _lines(line).map(str.encode) | st.binary(max_size=64)
+
+
+class TestLoaderFuzz:
+    """Whatever the input, the loaders return or raise an OsnMatchError."""
+
+    @FUZZ
+    @given(text=PROFILE_JSON | st.text(max_size=40))
+    def test_parse_profile(self, text):
+        try:
+            parse_profile(text, "profiles.jsonl", 1)
+        except OsnMatchError:
+            pass
+
+    @FUZZ
+    @given(data=_file_bytes(POST_JSON))
+    def test_load_posts(self, fuzz_dir, data):
+        path = fuzz_dir / "fuzzed-posts.jsonl"
+        path.write_bytes(data)
+        try:
+            _load_posts(str(path))
+        except OsnMatchError:
+            pass
+
+    @FUZZ
+    @given(data=_file_bytes(st.sampled_from(["twitter_id,flickr_id", "t0,f0", "t9,f0",
+                                             "t0", '"t0",f1,x'])))
+    def test_load_pairs(self, fuzz_dir, data):
+        path = fuzz_dir / "fuzzed-pairs.csv"
+        path.write_bytes(data)
+        try:
+            load_corpus(str(fuzz_dir / "profiles.jsonl"), str(fuzz_dir / "posts.jsonl"),
+                        str(path))
+        except OsnMatchError:
+            pass
+
+
 class TestNegativeSample:
     def test_exact_ratio(self, tmp_path):
         paths = write_corpus(tmp_path, n_twitter=30, n_flickr=30,
@@ -306,30 +450,31 @@ class TestNegativeSample:
 class TestSplit:
     def test_stratified_arithmetic(self):
         s = make_set(8, 64)
-        train, test = split(s, 0.75, seed=0)
-        assert (train.n_pos, train.n_neg) == (6, 48)
-        assert (test.n_pos, test.n_neg) == (2, 16)
+        train, test = split(s, all_rows(s), 0.75, seed=0)
+        assert class_counts(s, train) == (6, 48)
+        assert class_counts(s, test) == (2, 16)
 
     def test_half_split(self):
         s = make_set(2, 2)
-        train, test = split(s, 0.5, seed=0)
-        assert (train.n_pos, train.n_neg) == (1, 1)
-        assert (test.n_pos, test.n_neg) == (1, 1)
+        train, test = split(s, all_rows(s), 0.5, seed=0)
+        assert class_counts(s, train) == (1, 1)
+        assert class_counts(s, test) == (1, 1)
 
     def test_partition_exact(self):
         s = make_set(9, 33)
-        train, test = split(s, 0.6, seed=5)
-        assert sorted(train.pairs + test.pairs) == sorted(s.pairs)
-        assert not set(train.pairs) & set(test.pairs)
+        train, test = split(s, all_rows(s), 0.6, seed=5)
+        assert sorted(gather(s, train) + gather(s, test)) == sorted(s.pairs)
+        assert not set(gather(s, train)) & set(gather(s, test))
 
     def test_degenerate(self):
         s = make_set(1, 8)
         with pytest.raises(DegenerateSplitError):
-            split(s, 0.75, seed=0)
+            split(s, all_rows(s), 0.75, seed=0)
 
     def test_bad_fraction(self):
+        s = make_set(4, 4)
         with pytest.raises(ValueError):
-            split(make_set(4, 4), 1.0, seed=0)
+            split(s, all_rows(s), 1.0, seed=0)
 
     @given(n_pos=st.integers(2, 30), ratio=st.integers(1, 6),
            seed=st.integers(0, 10_000))
@@ -338,11 +483,23 @@ class TestSplit:
         s = make_set(n_pos, n_pos * ratio)
         frac = 0.75
         try:
-            train, test = split(s, frac, seed)
+            train, test = split(s, all_rows(s), frac, seed)
         except DegenerateSplitError:
             return
-        assert sorted(train.pairs + test.pairs) == sorted(s.pairs)
-        assert train.n_pos == int(n_pos * frac)
+        assert sorted(gather(s, train) + gather(s, test)) == sorted(s.pairs)
+        assert class_counts(s, train)[0] == int(n_pos * frac)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_subset_equals_the_pair_list_split(self, seed):
+        # the rows of one training fold, in fold order, as cross_validate
+        # hands them over
+        s = make_set(13, 71)
+        rows = k_folds(s, 5, seed)[2][0]
+        train, test = split(s, rows, 0.9, seed)
+        assert (gather(s, train), gather(s, test)) == split_reference(
+            gather(s, rows), 0.9, seed
+        )
+        assert train.dtype == test.dtype == np.intp
 
 
 class TestKFolds:
@@ -351,25 +508,22 @@ class TestKFolds:
         folds = k_folds(s, 10, seed=2)
         assert len(folds) == 10
         for train, test in folds:
-            assert test.n_pos == 1
-            assert test.n_neg == 8
-            assert train.n_pos == 9
-            assert train.n_neg == 72
+            assert class_counts(s, test) == (1, 8)
+            assert class_counts(s, train) == (9, 72)
 
     def test_every_pair_in_exactly_one_test_fold(self):
         s = make_set(7, 23)
         folds = k_folds(s, 5, seed=2)
         seen = []
         for _, test in folds:
-            seen.extend(test.pairs)
+            seen.extend(gather(s, test))
         assert sorted(seen) == sorted(s.pairs)
 
     def test_k2_on_two_per_class(self):
         s = make_set(2, 2)
         folds = k_folds(s, 2, seed=0)
         for _, test in folds:
-            assert test.n_pos == 1
-            assert test.n_neg == 1
+            assert class_counts(s, test) == (1, 1)
 
     def test_too_few(self):
         s = make_set(3, 30)
@@ -383,8 +537,15 @@ class TestKFolds:
     def test_train_test_disjoint(self):
         s = make_set(6, 18)
         for train, test in k_folds(s, 3, seed=9):
-            assert not set(train.pairs) & set(test.pairs)
-            assert sorted(train.pairs + test.pairs) == sorted(s.pairs)
+            assert not set(gather(s, train)) & set(gather(s, test))
+            assert sorted(gather(s, train) + gather(s, test)) == sorted(s.pairs)
+
+    @pytest.mark.parametrize("n_pos, n_neg, k, seed", [(30, 240, 2, 0), (30, 240, 5, 1),
+                                                        (30, 240, 10, 42), (12, 0, 3, 7)])
+    def test_equals_the_pair_list_folds(self, n_pos, n_neg, k, seed):
+        s = make_set(n_pos, n_neg)
+        got = [(gather(s, a), gather(s, b)) for a, b in k_folds(s, k, seed)]
+        assert got == k_folds_reference(s.pairs, k, seed)
 
 
 class TestUserDisjoint:
@@ -396,16 +557,16 @@ class TestUserDisjoint:
         pairs = [(f"t{i}", f"f{i}", True) for i in range(20)]
         negs = {(f"t{rng.integers(40)}", f"f{rng.integers(40)}") for _ in range(300)}
         pairs += [(t, f, False) for t, f in sorted(negs) if t[1:] != f[1:]]
-        s = LabeledPairSet(pairs=pairs, neg_ratio=8, seed=seed)
+        s = LabeledPairSet(pairs)
         got = k_folds_user_disjoint(s, k, seed)
-        want = k_folds_user_disjoint_reference(s, k, seed)
-        assert [(a.pairs, b.pairs) for a, b in got] == [(a.pairs, b.pairs) for a, b in want]
+        want = k_folds_user_disjoint_reference(s.pairs, k, seed)
+        assert [(gather(s, a), gather(s, b)) for a, b in got] == want
 
     def test_folds_test_users_not_in_train(self):
         s = make_set(12, 60)
         for train, test in k_folds_user_disjoint(s, 4, seed=1):
-            train_users = {u for t, f, _ in train.pairs for u in (("t", t), ("f", f))}
-            test_users = {u for t, f, _ in test.pairs for u in (("t", t), ("f", f))}
+            train_users = {u for t, f, _ in gather(s, train) for u in (("t", t), ("f", f))}
+            test_users = {u for t, f, _ in gather(s, test) for u in (("t", t), ("f", f))}
             assert not train_users & test_users
 
     def test_positive_coverage(self):
@@ -413,5 +574,5 @@ class TestUserDisjoint:
         folds = k_folds_user_disjoint(s, 4, seed=1)
         seen = []
         for _, test in folds:
-            seen.extend(p for p in test.pairs if p[2])
+            seen.extend(p for p in gather(s, test) if p[2])
         assert sorted(seen) == sorted(p for p in s.pairs if p[2])

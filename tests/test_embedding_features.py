@@ -99,6 +99,19 @@ class TestLoadEmbeddingFile:
         with pytest.raises(MalformedLineError):
             load_embedding_file(str(path))
 
+    @pytest.mark.parametrize("bad_file", ["words", "chars"])
+    def test_not_utf8_names_the_line(self, tmp_path, bad_file):
+        lines = {"words": [b"2 2", b"foo 1 0", b"bar 0 1"],
+                 "chars": [b"2 3", b"^fo 1 0 0", b"foo 0 1 0"]}
+        lines[bad_file][2] = b"\xc3" + lines[bad_file][2]
+        paths = {}
+        for name, content in lines.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_bytes(b"\n".join(content) + b"\n")
+        with pytest.raises(MalformedLineError) as exc:
+            load_embedding_file(str(paths["words"]), str(paths["chars"]))
+        assert str(exc.value) == f"{paths[bad_file]}:3: not valid UTF-8"
+
 
 class TestEmbedField:
     def test_empty_field_is_zero(self):

@@ -3,7 +3,14 @@ import pytest
 
 from osnmatch.dataset import LabeledPairSet
 from osnmatch.errors import LengthMismatchError
-from osnmatch.evaluation import ConfusionCounts, confusion, cross_validate
+from osnmatch.evaluation import (
+    ConfusionCounts,
+    confusion,
+    cross_validate,
+    metrics,
+    render_report,
+    report_as_dict,
+)
 from osnmatch.mlp import MlpConfig
 from osnmatch.profile_features import FeatureMatrix
 
@@ -27,10 +34,8 @@ class TestConfusion:
 
 def _pairs(n_pos, n_neg):
     return LabeledPairSet(
-        pairs=[(f"t{i}", f"f{i}", True) for i in range(n_pos)]
-        + [(f"t{i}", f"f{i + 1}", False) for i in range(n_neg)],
-        neg_ratio=1,
-        seed=0,
+        [(f"t{i}", f"f{i}", True) for i in range(n_pos)]
+        + [(f"t{i}", f"f{i + 1}", False) for i in range(n_neg)]
     )
 
 
@@ -50,3 +55,52 @@ class TestCrossValidate:
         assert len(models) == 3
         assert report.counts.total == len(pair_set.pairs)
         assert report.counts.tp + report.counts.fn == 12
+
+
+def _two_fold_report():
+    folds = [metrics(ConfusionCounts(tp=3, fp=1, fn=1, tn=5)),
+             metrics(ConfusionCounts(fn=2, tn=8))]
+    report = metrics(folds[0].counts + folds[1].counts)
+    report.per_fold = folds
+    report.macro_precision = report.macro_recall = report.macro_f1 = 0.375
+    return report
+
+
+class TestReportViews:
+    def test_dict_has_totals_macro_and_every_fold(self):
+        fold_0 = {"counts": {"tp": 3, "fp": 1, "fn": 1, "tn": 5},
+                  "precision": 0.75, "recall": 0.75, "f1": 0.75}
+        fold_1 = {"counts": {"tp": 0, "fp": 0, "fn": 2, "tn": 8},
+                  "precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert report_as_dict(_two_fold_report()) == {
+            "counts": {"tp": 3, "fp": 1, "fn": 3, "tn": 13},
+            "precision": 0.75,
+            "recall": 0.5,
+            "f1": pytest.approx(0.6),
+            "macro": {"precision": 0.375, "recall": 0.375, "f1": 0.375},
+            "per_fold": [{"fold": 0, **fold_0}, {"fold": 1, **fold_1}],
+        }
+
+    def test_dict_without_folds(self):
+        out = report_as_dict(metrics(ConfusionCounts(tp=1, tn=1)))
+        assert out == {"counts": {"tp": 1, "fp": 0, "fn": 0, "tn": 1},
+                       "precision": 1.0, "recall": 1.0, "f1": 1.0}
+
+    def test_text_has_a_line_per_fold_then_micro_and_macro(self):
+        assert render_report(_two_fold_report(), title="model=ps").splitlines() == [
+            "model=ps",
+            "--------",
+            "  fold    tp    fp    fn     tn    prec     rec      f1",
+            "     0     3     1     1      5  0.7500  0.7500  0.7500",
+            "     1     0     0     2      8  0.0000  0.0000  0.0000",
+            " micro     3     1     3     13  0.7500  0.5000  0.6000",
+            " macro                           0.3750  0.3750  0.3750",
+        ]
+
+    def test_text_without_folds(self):
+        text = render_report(metrics(ConfusionCounts(tp=1, fn=1)))
+        assert text == (
+            "evaluation\n----------\n"
+            "  fold    tp    fp    fn     tn    prec     rec      f1\n"
+            " micro     1     0     1      0  1.0000  0.5000  0.6667\n"
+        )

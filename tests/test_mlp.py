@@ -7,12 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import osnmatch.mlp as mlp
 from osnmatch.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     ModelFormatError,
+    OsnMatchError,
     TrainingDivergedError,
 )
 from osnmatch.mlp import (
@@ -686,6 +689,66 @@ class TestLoadModelStrict:
         header["config"]["dropout_rate"] = 1.5
         self._write(path, header, body)
         self._assert_rejected(path, "dropout_rate")
+
+    @pytest.mark.parametrize("name, value", [("input_dim", 3.0), ("rng_seed", "x"),
+                                             ("batch_size", True), ("dropout_rate", 0)])
+    def test_config_value_of_the_wrong_type(self, saved, name, value):
+        path, header, body = saved
+        header["config"][name] = value
+        self._write(path, header, body)
+        self._assert_rejected(path, f"config {name} must be ")
+
+    def test_header_nested_past_the_recursion_limit(self, saved):
+        path, _, body = saved
+        path.write_bytes(b"[" * 100_000 + b"\n" + body)
+        self._assert_rejected(path, "not JSON")
+
+
+CONFIG_KEYS = sorted(MlpConfig.__dataclass_fields__)
+# the small numbers include the saved model's own dimensions, as floats too
+CONFIG_VALUES = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.sampled_from([0, 1, 3, 4, 3.0, 4.0, 0.5]) | st.text(max_size=4)
+                 | st.lists(st.integers(-2, 8), max_size=2))
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    save_model(init_model(MlpConfig(input_dim=3, hidden_nodes=4, rng_seed=2)), str(path))
+    header, body = path.read_bytes().split(b"\n", 1)
+    return path.with_name("fuzzed.bin"), json.loads(header), body
+
+
+class TestLoadModelFuzz:
+    """Whatever the file holds, load_model returns or raises an OsnMatchError."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(changes=st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES, max_size=2),
+           dropped=st.sets(st.sampled_from(CONFIG_KEYS), max_size=1),
+           shapes=st.none() | st.lists(st.lists(st.integers(0, 5), max_size=3), max_size=4),
+           extra=st.integers(-9, 9))
+    def test_edited_header(self, model_file, changes, dropped, shapes, extra):
+        path, header, body = model_file
+        config = {k: v for k, v in {**header["config"], **changes}.items() if k not in dropped}
+        edited = {**header, "config": config}
+        if shapes is not None:
+            edited["shapes"] = shapes
+        body = body[:extra] if extra < 0 else body + b"\0" * extra
+        path.write_bytes(json.dumps(edited).encode() + b"\n" + body)
+        try:
+            load_model(str(path))
+        except OsnMatchError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=200))
+    def test_any_bytes(self, model_file, data):
+        path = model_file[0]
+        path.write_bytes(data)
+        try:
+            load_model(str(path))
+        except OsnMatchError:
+            pass
 
 
 class TestAtomicSave:
