@@ -30,7 +30,7 @@ from .embedding_features import (
     load_embedding_file,
     pair_embedding_features,
 )
-from .errors import OsnMatchError
+from .errors import NOT_UTF8, OsnMatchError, ParseError, undecodable_line
 from .evaluation import cross_validate, render_report, report_as_dict
 from .mlp import MlpConfig, save_model
 from .profile_features import (
@@ -337,7 +337,12 @@ def _read_profile(raw: str, which: str) -> UserProfile:
     """A profile given inline as JSON, or as @path to a JSON file; it is
     checked as the corpus loader checks each profile line."""
     if raw.startswith("@"):
-        return parse_profile(Path(raw[1:]).read_text(encoding="utf-8"), raw[1:], 1)
+        path = raw[1:]
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(path, undecodable_line(path), NOT_UTF8) from None
+        return parse_profile(text, path, 1)
     return parse_profile(raw, f"--profile-{which}", 1)
 
 

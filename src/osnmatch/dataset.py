@@ -6,6 +6,8 @@ Input files:
                    "real_name", "description", "location", "post_count"}
                   (missing or null text fields default to "")
   posts.jsonl     {"platform", "user_id", "timestamp": ISO-8601 with zone}
+                  (kept per account as one int64 array of UTC epoch
+                   seconds, floored, in file order)
   pairs.csv       header "twitter_id,flickr_id"; every row is a positive pair
 """
 
@@ -15,10 +17,13 @@ import csv
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from json.decoder import JSONDecoder
+from json.scanner import make_scanner
 
 import numpy as np
 
 from .errors import (
+    NOT_UTF8,
     DegenerateSplitError,
     EmptyCorpusError,
     InsufficientPoolError,
@@ -27,15 +32,12 @@ from .errors import (
     undecodable_line,
 )
 from .profile_features import PS_TEXT_FIELDS, Platform, UserProfile
-from .temporal_features import PostEvent
 
-_EARLIEST_TIMESTAMP = datetime(1990, 1, 1, tzinfo=timezone.utc)
+_EARLIEST_SECONDS = datetime(1990, 1, 1, tzinfo=timezone.utc).timestamp()
 
 PAIRS_HEADER = ("twitter_id", "flickr_id")
 
 _PLATFORMS = {p.value: p for p in Platform}
-
-_NOT_UTF8 = "not valid UTF-8"
 
 
 @dataclass
@@ -43,18 +45,16 @@ class Corpus:
     """All loaded profiles and posts plus the positive ground-truth pairs."""
 
     profiles: dict[tuple[Platform, str], UserProfile]
-    posts: dict[tuple[Platform, str], list[PostEvent]]
+    posts: dict[tuple[Platform, str], np.ndarray]  # int64 UTC epoch seconds
     positive_pairs: list[tuple[str, str]]  # (twitter user_id, flickr user_id)
     dropped_pairs: int = 0  # pairs discarded at load (dangling or duplicate)
 
     def profile(self, platform: Platform, user_id: str) -> UserProfile:
         return self.profiles[(platform, user_id)]
 
-    def posts_for(self, platform: Platform, user_id: str) -> list[PostEvent]:
-        return self.posts.get((platform, user_id), [])
-
-    def users(self, platform: Platform) -> list[str]:
-        return [uid for (p, uid) in self.profiles if p is platform]
+    def posts_for(self, platform: Platform, user_id: str) -> np.ndarray:
+        """The account's post times; an account without posts has none."""
+        return self.posts.get((platform, user_id), np.empty(0, dtype=np.int64))
 
 
 @dataclass
@@ -76,20 +76,6 @@ class LabeledPairSet:
     @property
     def n_neg(self) -> int:
         return len(self.labels) - self.n_pos
-
-
-def _parse_timestamp(raw, path: str, line_no: int, latest: datetime) -> datetime:
-    """``latest`` is the upper bound, now + 1 h, read once per file."""
-    try:
-        # 3.10's fromisoformat rejects a "Z" suffix
-        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except (ValueError, TypeError, AttributeError):
-        raise ParseError(path, line_no, f"bad timestamp {raw!r}") from None
-    if ts.tzinfo is None:
-        raise ParseError(path, line_no, f"timestamp {raw!r} lacks a timezone")
-    if not _EARLIEST_TIMESTAMP <= ts <= latest:
-        raise ParseError(path, line_no, f"timestamp {raw!r} outside 1990..now")
-    return ts
 
 
 def _parse_platform(raw, path: str, line_no: int) -> Platform:
@@ -140,40 +126,68 @@ def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
                     )
                 profiles[key] = profile
         except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), _NOT_UTF8) from None
+            raise ParseError(path, undecodable_line(path), NOT_UTF8) from None
     return profiles
 
 
-def _load_posts(path: str) -> dict[tuple[Platform, str], list[PostEvent]]:
-    posts: dict[tuple[Platform, str], list[PostEvent]] = {}
-    loads = json.loads
-    latest = datetime.now(timezone.utc) + timedelta(hours=1)
+def _bad_json(path: str, line_no: int, line: str) -> ParseError:
+    """The error for a line the scanner rejected, worded as ``json.loads``
+    words it."""
+    try:
+        json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return ParseError(path, line_no, f"bad JSON: {getattr(exc, 'msg', exc)}")
+    raise AssertionError(f"{path}:{line_no}: the scanner and json.loads disagree")
+
+
+def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
+    """Each account's post times as int64 UTC epoch seconds (floored), in
+    file order. The loop is inlined: it runs once per post."""
+    times: dict[tuple[Platform, str], list[int]] = {}
+    # the C scanner behind json.loads, without its per-call Python wrapper
+    scan = make_scanner(JSONDecoder())
+    fromisoformat = datetime.fromisoformat
+    # float seconds compare as the instants do: they are whole microseconds,
+    # and floats near 2**31 are spaced 2.4e-7 apart
+    latest = (datetime.now(timezone.utc) + timedelta(hours=1)).timestamp()
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
+                text = line.strip(" \t\n\r")
                 try:
-                    obj = loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ParseError(
-                        path, line_no, f"bad JSON: {getattr(exc, 'msg', exc)}"
-                    ) from None
+                    obj, end = scan(text, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    raise _bad_json(path, line_no, line) from None
+                if end != len(text):
+                    raise _bad_json(path, line_no, line)
                 if not isinstance(obj, dict):
                     raise ParseError(path, line_no, "expected a JSON object")
                 platform = _parse_platform(obj.get("platform"), path, line_no)
                 user_id = obj.get("user_id")
                 if not user_id or not isinstance(user_id, str):
                     raise ParseError(path, line_no, "user_id must be a nonempty string")
-                ts = _parse_timestamp(obj.get("timestamp"), path, line_no, latest)
+                raw = obj.get("timestamp")
+                try:
+                    # 3.10's fromisoformat rejects a "Z" suffix
+                    ts = fromisoformat(raw.replace("Z", "+00:00"))
+                except (ValueError, TypeError, AttributeError):
+                    raise ParseError(path, line_no, f"bad timestamp {raw!r}") from None
+                if ts.tzinfo is None:
+                    raise ParseError(path, line_no, f"timestamp {raw!r} lacks a timezone")
+                seconds = ts.timestamp()
+                if not _EARLIEST_SECONDS <= seconds <= latest:
+                    raise ParseError(path, line_no, f"timestamp {raw!r} outside 1990..now")
                 key = (platform, user_id)
-                events = posts.get(key)
-                if events is None:
-                    events = posts[key] = []
-                events.append(PostEvent(platform, user_id, ts))
+                account = times.get(key)
+                if account is None:
+                    account = times[key] = []
+                # int() floors: every accepted instant is after 1990
+                account.append(int(seconds))
         except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), _NOT_UTF8) from None
-    return posts
+            raise ParseError(path, undecodable_line(path), NOT_UTF8) from None
+    return {key: np.array(account, dtype=np.int64) for key, account in times.items()}
 
 
 def load_corpus(profiles_path: str, posts_path: str, pairs_path: str) -> Corpus:
@@ -191,7 +205,7 @@ def load_corpus(profiles_path: str, posts_path: str, pairs_path: str) -> Corpus:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError:
-            raise ParseError(pairs_path, undecodable_line(pairs_path), _NOT_UTF8) from None
+            raise ParseError(pairs_path, undecodable_line(pairs_path), NOT_UTF8) from None
     if not rows or tuple(h.strip() for h in rows[0]) != PAIRS_HEADER:
         raise ParseError(pairs_path, 1, "header must be 'twitter_id,flickr_id'")
     for line_no, row in enumerate(rows[1:], 2):
@@ -229,8 +243,10 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
         raise ValueError("neg_ratio must be >= 0")
     positives = list(corpus.positive_pairs)
     pos_set = set(positives)
-    twitter_users = corpus.users(Platform.TWITTER)
-    flickr_users = corpus.users(Platform.FLICKR)
+    twitter_users: list[str] = []
+    flickr_users: list[str] = []
+    for platform, uid in corpus.profiles:
+        (twitter_users if platform is Platform.TWITTER else flickr_users).append(uid)
     target = neg_ratio * len(positives)
     pool = len(twitter_users) * len(flickr_users) - len(pos_set)
     if target > pool:
@@ -248,15 +264,20 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
         order = rng.permutation(len(candidates))
         negatives = [candidates[i] for i in order[:target]]
     else:
+        # each row of a batch draw continues the sequence of two scalar
+        # draws (twitter, then flickr) per candidate; rows drawn past the
+        # target are left unused
+        bounds = np.array([len(twitter_users), len(flickr_users)])
         chosen: set[tuple[str, str]] = set()
         while len(negatives) < target:
-            t = twitter_users[rng.integers(len(twitter_users))]
-            f = flickr_users[rng.integers(len(flickr_users))]
-            pair = (t, f)
-            if pair in pos_set or pair in chosen:
-                continue
-            chosen.add(pair)
-            negatives.append(pair)
+            for t, f in rng.integers(bounds, size=(target - len(negatives), 2)).tolist():
+                pair = (twitter_users[t], flickr_users[f])
+                if pair in pos_set or pair in chosen:
+                    continue
+                chosen.add(pair)
+                negatives.append(pair)
+                if len(negatives) == target:
+                    break
     pairs = [(t, f, True) for t, f in positives] + [(t, f, False) for t, f in negatives]
     return LabeledPairSet(pairs)
 

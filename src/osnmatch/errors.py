@@ -2,6 +2,9 @@
 finds the line an input file's decoding failed on."""
 
 
+NOT_UTF8 = "not valid UTF-8"  # the message of a ParseError at such a line
+
+
 def undecodable_line(path) -> int:
     """The number of the first line of ``path`` that is not valid UTF-8,
     with lines ended as text mode ends them (\\n, \\r\\n or \\r). Called
@@ -23,10 +26,6 @@ class OsnMatchError(Exception):
 
 class SamePlatformError(OsnMatchError):
     """Both accounts of a candidate pair live on the same platform."""
-
-
-class MixedUserError(OsnMatchError):
-    """A post collection mixes events from more than one account."""
 
 
 class ModeMismatchError(OsnMatchError):

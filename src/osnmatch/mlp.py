@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -565,11 +566,20 @@ def load_model(path: str) -> MlpModel:
             cfg = MlpConfig(**raw_cfg)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(path, f"bad config ({exc})") from None
-        if header.get("shapes") != [list(shape) for shape in cfg.param_shapes]:
-            raise ModelFormatError(
-                path, f"shapes {header.get('shapes')} do not match the config"
-            )
+        shapes = header.get("shapes")
+        # two shapes per layer; the count is compared first, so that a
+        # header declaring a huge depth cannot make it build the list
+        if (
+            not isinstance(shapes, list)
+            or len(shapes) != 2 * (cfg.n_hidden_layers + 1)
+            or shapes != [list(shape) for shape in cfg.param_shapes]
+        ):
+            raise ModelFormatError(path, f"shapes {shapes} do not match the config")
         n_bytes = 8 * cfg.n_params
+        # checked before the buffer is allocated, so that a header declaring
+        # a huge network cannot make it allocate
+        if os.fstat(fh.fileno()).st_size - fh.tell() < n_bytes:
+            raise ModelFormatError(path, "truncated parameter data")
         buf = bytearray(n_bytes)
         if fh.readinto(buf) != n_bytes:
             raise ModelFormatError(path, "truncated parameter data")

@@ -1,20 +1,19 @@
 """Temporal posting-pattern features.
 
-Post timestamps are binned (in UTC) into hour-of-day or day-of-week
-histograms; the boolean activity masks of the two accounts plus their
-Jaccard similarity form the classifier input.
+Each account's posts arrive as one int64 array of UTC epoch seconds (see
+``dataset.Corpus.posts``) and are binned, with integer arithmetic, into
+hour-of-day or day-of-week histograms; the boolean activity masks of the
+two accounts plus their Jaccard similarity form the classifier input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import MixedUserError, ModeMismatchError
+from .errors import ModeMismatchError
 from .profile_features import FeatureMatrix, Platform, per_account
 
 if TYPE_CHECKING:
@@ -30,30 +29,15 @@ class HistogramMode(str, Enum):
         return 24 if self is HistogramMode.HOUR_OF_DAY else 7
 
 
-@dataclass(frozen=True, slots=True)
-class PostEvent:
-    """One timestamped piece of user-generated content."""
-
-    platform: Platform
-    user_id: str
-    timestamp: datetime
-
-    def __post_init__(self):
-        if self.timestamp.tzinfo is None:
-            raise ValueError("PostEvent timestamps must be timezone-aware")
-
-
-def build_histogram(events: list[PostEvent], mode: HistogramMode) -> np.ndarray:
-    """Count events per UTC hour (24 bins) or ISO weekday (7 bins, Monday=0)."""
-    accounts = {(e.platform, e.user_id) for e in events}
-    if len(accounts) > 1:
-        raise MixedUserError(f"events span {len(accounts)} accounts: {sorted(accounts)}")
-    utc = [e.timestamp.astimezone(timezone.utc) for e in events]
+def build_histogram(seconds: np.ndarray, mode: HistogramMode) -> np.ndarray:
+    """Count one account's posts, given as int64 UTC epoch seconds, per UTC
+    hour (24 bins) or ISO weekday (7 bins, Monday=0; 1970-01-01 was a
+    Thursday)."""
     if mode is HistogramMode.HOUR_OF_DAY:
-        bins = [t.hour for t in utc]
+        bins = seconds // 3600 % 24
     else:
-        bins = [t.weekday() for t in utc]
-    return np.bincount(np.array(bins, dtype=np.int64), minlength=mode.n_bins)
+        bins = (seconds // 86400 + 3) % 7
+    return np.bincount(bins, minlength=mode.n_bins)
 
 
 def boolean_jaccard(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ strings stay affordable.
 in-place one in ``osnmatch.mlp`` replaced; ``train_reference`` is the
 one-network-at-a-time training loop that the lockstep ``osnmatch.mlp.train``
 replaced, on 2-D arrays and that per-layer update;
+``sparse_negatives_reference`` is the scalar candidate loop that the batch
+draw in ``osnmatch.dataset.negative_sample`` replaced;
 ``split_reference`` and ``k_folds_reference`` are the pair-list split and
 folds that the row-index ones in ``osnmatch.dataset`` replaced, in the same
 order; ``k_folds_user_disjoint_reference`` is the per-fold scan of every
@@ -304,6 +306,22 @@ def train_reference(cfg, x_train, y_train, x_val, y_val):
     return best_params, history
 
 
+def sparse_negatives_reference(twitter_users, flickr_users, positives, target, seed):
+    """``target`` negatives drawn one candidate at a time, a scalar draw
+    for its twitter and then its flickr user, skipping positives and
+    repeats."""
+    rng = np.random.default_rng(seed)
+    pos_set = set(positives)
+    negatives = []
+    while len(negatives) < target:
+        t = twitter_users[rng.integers(len(twitter_users))]
+        f = flickr_users[rng.integers(len(flickr_users))]
+        if (t, f) in pos_set or (t, f) in negatives:
+            continue
+        negatives.append((t, f))
+    return negatives
+
+
 def split_reference(pairs, train_fraction: float, seed: int):
     """Stratified split of a list of (t, f, label) triples into two lists,
     each class shuffled with the seed and cut at the floor."""
@@ -422,16 +440,17 @@ def normalized_similarity_reference(measure, a: str, b: str) -> float:
     raise ValueError(f"unknown measure: {measure!r}")
 
 
-def temporal_features_reference(a_events, b_events, mode) -> list[float]:
-    """One pair's temporal features, computed per pair with Python lists:
-    both activity masks as 0/1, then their Jaccard similarity."""
-    from datetime import timezone
+def temporal_features_reference(a_seconds, b_seconds, mode) -> list[float]:
+    """One pair's temporal features, computed per pair with Python lists
+    from each post's UTC ``datetime``: both activity masks as 0/1, then
+    their Jaccard similarity."""
+    from datetime import datetime, timezone
 
     masks = []
-    for events in (a_events, b_events):
+    for seconds in (a_seconds, b_seconds):
         counts = [0] * mode.n_bins
-        for e in events:
-            utc = e.timestamp.astimezone(timezone.utc)
+        for s in seconds.tolist():
+            utc = datetime.fromtimestamp(s, timezone.utc)
             counts[utc.hour if mode.value == "hod" else utc.weekday()] += 1
         masks.append([c > 0 for c in counts])
     inter = sum(1 for x, y in zip(*masks) if x and y)

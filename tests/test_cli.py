@@ -259,6 +259,18 @@ class TestScorePair:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"error: ParseError: --profile-a:1: {message}" in result.output
 
+    def test_profile_file_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "b.json"
+        text = json.dumps(PROFILE_B, indent=1).encode()
+        path.write_bytes(text.replace(b'"flickr"', b'"fl\xffickr"'))
+        result = CliRunner().invoke(
+            main, ["score-pair", "-a", json.dumps(PROFILE_A), "-b", f"@{path}"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        # line 1 is "{", line 2 the platform
+        assert f"error: ParseError: {path}:2: not valid UTF-8" in result.output
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_not_a_json_object(self, text):
         result = CliRunner().invoke(

@@ -1,12 +1,13 @@
 import json
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osnmatch import synth
+from osnmatch import dataset, synth
 from osnmatch.dataset import (
     LabeledPairSet,
     _load_posts,
@@ -26,9 +27,14 @@ from osnmatch.errors import (
     TooFewExamplesError,
 )
 from osnmatch.profile_features import Platform
-from osnmatch.temporal_features import PostEvent
+from osnmatch.temporal_features import HistogramMode, build_histogram
 
-from .oracles import k_folds_reference, k_folds_user_disjoint_reference, split_reference
+from .oracles import (
+    k_folds_reference,
+    k_folds_user_disjoint_reference,
+    sparse_negatives_reference,
+    split_reference,
+)
 
 
 def profile_line(platform, user_id, **kwargs):
@@ -98,7 +104,8 @@ class TestLoadCorpus:
         assert corpus.dropped_pairs == 0
         assert corpus.profile(Platform.TWITTER, "t0").user_name == "t0"
         assert len(corpus.posts_for(Platform.TWITTER, "t0")) == 1
-        assert corpus.posts_for(Platform.FLICKR, "f9") == []
+        silent = corpus.posts_for(Platform.FLICKR, "f9")
+        assert silent.tolist() == [] and silent.dtype == np.int64
 
     def test_dangling_pair_dropped_with_count(self, tmp_path):
         paths = write_corpus(
@@ -209,8 +216,10 @@ def post_line(timestamp, platform="twitter", user_id="t0"):
 
 
 def posts_reference(path):
-    """Posts grouped per account, decoded line by line with the standard
-    library alone."""
+    """Post times grouped per account, decoded line by line with the
+    standard library alone: whole UTC epoch seconds by integer timedelta
+    arithmetic."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     posts = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -219,7 +228,7 @@ def posts_reference(path):
                 platform = Platform(obj["platform"])
                 ts = datetime.fromisoformat(obj["timestamp"].replace("Z", "+00:00"))
                 posts.setdefault((platform, obj["user_id"]), []).append(
-                    PostEvent(platform=platform, user_id=obj["user_id"], timestamp=ts)
+                    (ts - epoch) // timedelta(seconds=1)
                 )
     return posts
 
@@ -251,8 +260,8 @@ class TestLoaderEdgeCases:
         stamps = ["2022-05-01T09:30:00Z", "2022-05-01T09:30:00+05:30",
                   "2022-05-01T09:30:00-08:00"]
         paths = write_corpus(tmp_path, posts=[post_line(s) for s in stamps])
-        events = load_corpus(*paths).posts_for(Platform.TWITTER, "t0")
-        utc = [e.timestamp.astimezone(timezone.utc) for e in events]
+        seconds = load_corpus(*paths).posts_for(Platform.TWITTER, "t0")
+        utc = [datetime.fromtimestamp(s, timezone.utc) for s in seconds.tolist()]
         assert utc == [datetime.fromisoformat(s.replace("Z", "+00:00")) for s in stamps]
         assert [t.hour for t in utc] == [9, 4, 17]
 
@@ -267,8 +276,85 @@ class TestLoaderEdgeCases:
         summary = synth.generate_corpus(30, 0.15, 0, str(tmp_path))
         loaded = _load_posts(summary["posts_path"])
         reference = posts_reference(summary["posts_path"])
-        assert list(loaded.items()) == list(reference.items())
+        assert [(k, v.tolist()) for k, v in loaded.items()] == list(reference.items())
+        assert all(v.dtype == np.int64 for v in loaded.values())
         assert sum(len(v) for v in loaded.values()) == summary["posts"]
+
+
+GOOD_POST = post_line("2022-05-01T09:30:00+00:00")
+
+# the loader's messages for malformed post lines, as json.loads and the
+# per-field checks word them
+BAD_POST_LINES = {
+    "trailing-data": (GOOD_POST + " x", "bad JSON: Extra data"),
+    "two-objects": ("{}{}", "bad JSON: Extra data"),
+    "bom": ("\ufeff" + GOOD_POST, "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "nan": ("NaN", "expected a JSON object"),
+    "deep": ("[" * 100_000, "bad JSON: maximum recursion depth exceeded while decoding"
+                            " a JSON array from a unicode string"),
+    "long-int": ('{"platform": "twitter", "user_id": "t0", "timestamp": ' + "1" * 4301 + "}",
+                 "bad JSON: Exceeds the limit (4300 digits) for integer string conversion:"
+                 " value has 4301 digits; use sys.set_int_max_str_digits() to increase"
+                 " the limit"),
+    "array": ("[1, 2]", "expected a JSON object"),
+    "string": ('"twitter"', "expected a JSON object"),
+    "unterminated": ('{"platform": "twitter', "bad JSON: Invalid control character at"),
+    "form-feed-before-json": (" \x0c" + GOOD_POST, "bad JSON: Expecting value"),
+    "empty-object": ("{}", "unknown platform None"),
+    "last-key-wins": (GOOD_POST[:-1] + ', "platform": "Flickr"}', "unknown platform 'Flickr'"),
+    "empty-user": (post_line("2022-05-01T09:30:00+00:00", user_id=""),
+                   "user_id must be a nonempty string"),
+    "number-timestamp": (GOOD_POST.replace('"2022-05-01T09:30:00+00:00"', "1651397400"),
+                         "bad timestamp 1651397400"),
+    "naive": (post_line("2022-05-01T09:30:00"),
+              "timestamp '2022-05-01T09:30:00' lacks a timezone"),
+    "a-microsecond-early": (post_line("1989-12-31T23:59:59.999999Z"),
+                            "timestamp '1989-12-31T23:59:59.999999Z' outside 1990..now"),
+}
+
+
+class _Clock2031(datetime):
+    """A clock that reads 2031, so that instants up to 2030 load."""
+
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2031, 1, 1, tzinfo=tz)
+
+
+class TestPostLineDecoding:
+    @pytest.mark.parametrize("line, message", BAD_POST_LINES.values(), ids=BAD_POST_LINES)
+    def test_malformed_line_message(self, tmp_path, line, message):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(GOOD_POST + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            _load_posts(str(path))
+        assert str(exc.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("blank", ["\x0c", " ", "\u00a0", "\t\r"])
+    def test_unicode_whitespace_line_is_blank(self, tmp_path, blank):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(blank + "\n" + GOOD_POST + "\r\n" + GOOD_POST, encoding="utf-8")
+        assert _load_posts(str(path))[(Platform.TWITTER, "t0")].tolist() == [1651397400] * 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2030, 12, 31)),
+        st.integers(-14 * 60, 14 * 60),
+    ), min_size=1, max_size=20))
+    def test_seconds_bin_as_the_utc_datetime(self, fuzz_dir, instants):
+        utc = [t.replace(tzinfo=timezone.utc) for t, _ in instants]
+        stamps = [u.astimezone(timezone(timedelta(minutes=m)))
+                  for u, (_, m) in zip(utc, instants)]
+        path = fuzz_dir / "zoned-posts.jsonl"
+        path.write_text("\n".join(post_line(t.isoformat()) for t in stamps))
+        with mock.patch.object(dataset, "datetime", _Clock2031):
+            seconds = _load_posts(str(path))[(Platform.TWITTER, "t0")]
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        assert seconds.tolist() == [(u - epoch) // timedelta(seconds=1) for u in utc]
+        for s, u in zip(seconds, utc):
+            one = np.array([s])
+            assert build_histogram(one, HistogramMode.HOUR_OF_DAY)[u.hour] == 1
+            assert build_histogram(one, HistogramMode.DAY_OF_WEEK)[u.weekday()] == 1
 
 
 class TestUndecodableInput:
@@ -438,6 +524,30 @@ class TestNegativeSample:
         corpus = load_corpus(*paths)
         with pytest.raises(InsufficientPoolError):
             negative_sample(corpus, 8, seed=1)
+
+    @pytest.mark.parametrize("n_twitter, n_flickr, n_pos, ratio, seed", [
+        (30, 30, 10, 8, 1), (40, 9, 9, 4, 7), (6, 50, 6, 3, 42), (25, 25, 25, 8, 0),
+    ])
+    def test_equals_the_scalar_draws(self, tmp_path, n_twitter, n_flickr, n_pos, ratio,
+                                     seed):
+        # every case is a sparse request (target <= pool / 2); the last one
+        # rejects enough candidates to need more than one batch
+        paths = write_corpus(tmp_path, n_twitter=n_twitter, n_flickr=n_flickr,
+                             pairs=[(f"t{i}", f"f{i}") for i in range(n_pos)])
+        corpus = load_corpus(*paths)
+        got = [(t, f) for t, f, lbl in negative_sample(corpus, ratio, seed).pairs if not lbl]
+        want = sparse_negatives_reference(
+            [f"t{i}" for i in range(n_twitter)], [f"f{i}" for i in range(n_flickr)],
+            corpus.positive_pairs, ratio * n_pos, seed,
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("bounds", [(7, 7), (3, 1000), (2**33, 5)])
+    def test_batch_rows_continue_the_scalar_sequence(self, bounds):
+        batched, scalar = np.random.default_rng(5), np.random.default_rng(5)
+        rows = [batched.integers(np.array(bounds), size=(n, 2)) for n in (50, 10)]
+        want = [int(scalar.integers(bounds[i % 2])) for i in range(120)]
+        assert np.concatenate(rows).ravel().tolist() == want
 
     def test_dense_request_exhausts_pool_exactly(self, tmp_path):
         paths = write_corpus(tmp_path, n_twitter=3, n_flickr=3,

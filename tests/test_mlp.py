@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -678,6 +679,33 @@ class TestLoadModelStrict:
         path, header, body = saved
         self._write(path, header, body[:-8])
         self._assert_rejected(path, "truncated")
+
+    def test_huge_declared_network_is_not_allocated(self, saved):
+        # 100,000 inputs and 50 hidden nodes declare 40 MB of parameters
+        path, header, body = saved
+        header["config"].update(input_dim=100_000, hidden_nodes=50)
+        header["shapes"] = [list(s) for s in MlpConfig(**header["config"]).param_shapes]
+        self._write(path, header, body)
+        tracemalloc.start()
+        try:
+            self._assert_rejected(path, "truncated parameter data")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("depth", [10**8, 2**34, 2**63])
+    def test_huge_declared_depth_is_not_built(self, saved, depth):
+        path, header, body = saved
+        header["config"]["n_hidden_layers"] = depth
+        self._write(path, header, body)
+        tracemalloc.start()
+        try:
+            self._assert_rejected(path, "do not match the config")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_trailing_bytes(self, saved):
         path, header, body = saved

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 import osnmatch.temporal_features as temporal_features
 from osnmatch import synth
 from osnmatch.dataset import Corpus, load_corpus, negative_sample
-from osnmatch.errors import MixedUserError, ModeMismatchError
+from osnmatch.errors import ModeMismatchError
 from osnmatch.profile_features import Platform
 from osnmatch.temporal_features import (
     HistogramMode,
-    PostEvent,
     boolean_jaccard,
     build_histogram,
     extract_temporal_features,
@@ -23,10 +22,16 @@ from .oracles import temporal_features_reference
 UTC = timezone.utc
 
 
-def event(hour=12, day_offset=0, platform=Platform.TWITTER, user_id="u1", minute=0):
+def event(hour=12, day_offset=0, minute=0):
+    """One post, as its UTC epoch second."""
     # 2022-01-03 is a Monday, so day_offset equals the weekday bin
     ts = datetime(2022, 1, 3, hour, minute, tzinfo=UTC) + timedelta(days=day_offset)
-    return PostEvent(platform=platform, user_id=user_id, timestamp=ts)
+    return int(ts.timestamp())
+
+
+def seconds(events):
+    """An account's posts as the corpus holds them."""
+    return np.array(events, dtype=np.int64)
 
 
 def features(a_events, b_events, mode):
@@ -34,70 +39,48 @@ def features(a_events, b_events, mode):
     flickr account f with ``b_events``."""
     corpus = Corpus(
         profiles={},
-        posts={(Platform.TWITTER, "t"): a_events, (Platform.FLICKR, "f"): b_events},
+        posts={(Platform.TWITTER, "t"): seconds(a_events),
+               (Platform.FLICKR, "f"): seconds(b_events)},
         positive_pairs=[],
     )
     return extract_temporal_features(corpus, [("t", "f", True)], mode).x[0].tolist()
 
 
-def dow_events(counts, platform=Platform.TWITTER, user_id="u1"):
-    return [
-        event(day_offset=day, platform=platform, user_id=user_id, minute=i)
-        for day, n in enumerate(counts)
-        for i in range(n)
-    ]
-
-
-class TestPostEvent:
-    def test_naive_timestamp_rejected(self):
-        with pytest.raises(ValueError):
-            PostEvent(
-                platform=Platform.TWITTER,
-                user_id="u1",
-                timestamp=datetime(2022, 1, 3, 12, 0),
-            )
+def dow_events(counts):
+    return [event(day_offset=day, minute=i) for day, n in enumerate(counts) for i in range(n)]
 
 
 class TestBuildHistogram:
     def test_empty_events(self):
-        h = build_histogram([], HistogramMode.HOUR_OF_DAY)
+        h = build_histogram(seconds([]), HistogramMode.HOUR_OF_DAY)
         assert h.tolist() == [0] * 24
 
     def test_hour_binning(self):
         events = [event(hour=9, minute=5), event(hour=9, minute=59), event(hour=21)]
-        h = build_histogram(events, HistogramMode.HOUR_OF_DAY)
+        h = build_histogram(seconds(events), HistogramMode.HOUR_OF_DAY)
         assert h[9] == 2
         assert h[21] == 1
         assert h.sum() == 3
 
     def test_one_event_per_weekday(self):
         events = [event(day_offset=d) for d in range(7)]
-        h = build_histogram(events, HistogramMode.DAY_OF_WEEK)
+        h = build_histogram(seconds(events), HistogramMode.DAY_OF_WEEK)
         assert h.tolist() == [1] * 7
-
-    def test_mixed_users_rejected(self):
-        with pytest.raises(MixedUserError):
-            build_histogram(
-                [event(user_id="u1"), event(user_id="u2")], HistogramMode.HOUR_OF_DAY
-            )
 
     def test_bins_use_utc(self):
         plus_two = timezone(timedelta(hours=2))
-        e = PostEvent(
-            platform=Platform.TWITTER,
-            user_id="u1",
-            timestamp=datetime(2022, 1, 3, 1, 0, tzinfo=plus_two),  # 23:00 UTC Sunday
-        )
-        h = build_histogram([e], HistogramMode.HOUR_OF_DAY)
+        # 23:00 UTC on Sunday
+        e = int(datetime(2022, 1, 3, 1, 0, tzinfo=plus_two).timestamp())
+        h = build_histogram(seconds([e]), HistogramMode.HOUR_OF_DAY)
         assert h[23] == 1
-        d = build_histogram([e], HistogramMode.DAY_OF_WEEK)
+        d = build_histogram(seconds([e]), HistogramMode.DAY_OF_WEEK)
         assert d[6] == 1  # Sunday
 
     @given(st.lists(st.integers(0, 23), max_size=40))
     @settings(max_examples=30)
     def test_count_conservation(self, hours):
         events = [event(hour=h, minute=i % 60) for i, h in enumerate(hours)]
-        h = build_histogram(events, HistogramMode.HOUR_OF_DAY)
+        h = build_histogram(seconds(events), HistogramMode.HOUR_OF_DAY)
         assert h.sum() == len(events)
 
 
@@ -163,10 +146,8 @@ class TestExtractTemporalFeatures:
         assert features([], [], HistogramMode.HOUR_OF_DAY) == [0.0] * 49
 
     def test_identical_streams(self):
-        a = [event(hour=h, platform=Platform.TWITTER) for h in (1, 5, 9)]
-        b = [
-            event(hour=h, platform=Platform.FLICKR, user_id="u2") for h in (1, 5, 9)
-        ]
+        a = [event(hour=h) for h in (1, 5, 9)]
+        b = [event(hour=h) for h in (1, 5, 9)]
         row = features(a, b, HistogramMode.HOUR_OF_DAY)
         assert row[-1] == 1.0
         assert row[:24] == row[24:48]
@@ -180,15 +161,15 @@ class TestExtractTemporalFeatures:
     def test_one_histogram_per_account(self, monkeypatch):
         calls = []
 
-        def counting(events, mode):
-            calls.append(len(events))
-            return build_histogram(events, mode)
+        def counting(account, mode):
+            calls.append(len(account))
+            return build_histogram(account, mode)
 
         monkeypatch.setattr(temporal_features, "build_histogram", counting)
         posts = {
-            (Platform.TWITTER, "t1"): [event(hour=3)],
-            (Platform.TWITTER, "t2"): [event(hour=4, user_id="u2")],
-            (Platform.FLICKR, "f1"): [event(hour=3, platform=Platform.FLICKR)],
+            (Platform.TWITTER, "t1"): seconds([event(hour=3)]),
+            (Platform.TWITTER, "t2"): seconds([event(hour=4)]),
+            (Platform.FLICKR, "f1"): seconds([event(hour=3)]),
         }
         corpus = Corpus(profiles={}, posts=posts, positive_pairs=[])
         pairs = [("t1", "f1", True), ("t2", "f1", False), ("t1", "f2", False),
