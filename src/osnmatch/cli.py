@@ -25,7 +25,6 @@ from .dataset import (
     parse_profile,
 )
 from .embedding_features import (
-    EmbeddingTable,
     hash_fallback_table,
     load_embedding_file,
     pair_embedding_features,
@@ -34,15 +33,10 @@ from .errors import NOT_UTF8, OsnMatchError, ParseError, undecodable_line
 from .evaluation import cross_validate, render_report, report_as_dict
 from .mlp import MlpConfig, save_model
 from .profile_features import (
-    PS_SCHEMA,
-    PS_SCHEMA_NO_NAMES,
-    FeatureMatrix,
-    Platform,
     UserProfile,
-    all_measures_schema,
-    extract_ps_features,
     extract_ps_features_all_measures,
     featurize_pairs,
+    ps_schema,
 )
 from .strsim import Measure, raw_measure
 from .temporal_features import HistogramMode, extract_temporal_features
@@ -94,20 +88,24 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
         return value
     known = {p.name for p in ctx.command.params if p is not param}
     overrides = {}
-    with open(value, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise click.BadParameter(
-                    f"{value}:{line_no}: expected key=value, got {stripped!r}"
-                )
-            key, _, raw = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise click.BadParameter(f"{value}:{line_no}: unknown key {key!r}")
-            overrides[key] = raw.strip()
+    try:
+        with open(value, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise click.BadParameter(f"{value}:{undecodable_line(value)}: {NOT_UTF8}") from None
+    for line_no, line in enumerate(lines, 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise click.BadParameter(
+                f"{value}:{line_no}: expected key=value, got {stripped!r}"
+            )
+        key, _, raw = stripped.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise click.BadParameter(f"{value}:{line_no}: unknown key {key!r}")
+        overrides[key] = raw.strip()
     ctx.default_map = {**(ctx.default_map or {}), **overrides}
     return value
 
@@ -121,39 +119,24 @@ def _resolve_paths(data_dir, profiles, posts, pairs):
     )
 
 
-def _build_featurizer(corpus: Corpus, cfg: RunConfig, table: EmbeddingTable | None):
+def _build_featurizer(corpus: Corpus, cfg: RunConfig):
     """``featurize(pairs) -> FeatureMatrix`` for the configured model."""
-    if cfg.model == "ps" and cfg.all_measures:
-        schema = all_measures_schema(cfg.include_names)
-
-        def featurize(pairs):
-            return FeatureMatrix.from_rows(
-                [
-                    extract_ps_features_all_measures(
-                        corpus.profile(Platform.TWITTER, t),
-                        corpus.profile(Platform.FLICKR, f),
-                        include_names=cfg.include_names,
-                    )
-                    for t, f, _ in pairs
-                ],
-                schema,
-            )
-
-        return featurize
     if cfg.model == "ps":
-        measure = Measure(cfg.measure)
+        measure = None if cfg.all_measures else Measure(cfg.measure)
         return lambda pairs: featurize_pairs(
             corpus, pairs, measure, include_names=cfg.include_names
         )
     if cfg.model == "temporal":
         mode = HistogramMode(cfg.temporal_mode)
         return lambda pairs: extract_temporal_features(corpus, pairs, mode)
-    if cfg.model == "embedding":
-        assert table is not None
-        return lambda pairs: pair_embedding_features(
-            corpus, pairs, table, include_description=cfg.include_description
-        )
-    raise ValueError(f"unknown model {cfg.model!r}")
+    # the embedding model
+    if cfg.embeddings_path:
+        table = load_embedding_file(cfg.embeddings_path, cfg.char_embeddings_path)
+    else:
+        table = hash_fallback_table(seed=cfg.embedding_seed)
+    return lambda pairs: pair_embedding_features(
+        corpus, pairs, table, include_description=cfg.include_description
+    )
 
 
 @click.group()
@@ -178,14 +161,15 @@ def synth_cmd(n_users, noise, seed, out_dir):
 
 @main.command()
 @click.option("--config", callback=_read_config_file, is_eager=True,
-              expose_value=False, type=click.Path(exists=True),
+              expose_value=False, type=click.Path(exists=True, dir_okay=False),
               help="key=value file supplying defaults for any option below")
 @click.option("--model", type=click.Choice(["ps", "temporal", "embedding"]),
               default="ps", show_default=True)
 @click.option("--measure", type=click.Choice(MEASURE_CHOICES), default="editex",
               show_default=True, help="similarity measure (ps model)")
 @click.option("--all-measures", is_flag=True, default=False,
-              help="concatenate every measure's text scores (ps model)")
+              help="score the text fields under all nine measures, measure-major, "
+                   "instead of --measure alone (ps model)")
 @click.option("--temporal-mode", type=click.Choice(["hod", "dow"]), default="hod",
               show_default=True)
 @click.option("--names/--no-names", "include_names", default=True,
@@ -261,13 +245,7 @@ def run(model, measure, all_measures, temporal_mode, include_names,
 def _execute_run(cfg: RunConfig) -> dict:
     corpus = load_corpus(cfg.profiles_path, cfg.posts_path, cfg.pairs_path)
     pair_set = negative_sample(corpus, cfg.neg_ratio, cfg.seed)
-    table = None
-    if cfg.model == "embedding":
-        if cfg.embeddings_path:
-            table = load_embedding_file(cfg.embeddings_path, cfg.char_embeddings_path)
-        else:
-            table = hash_fallback_table(seed=cfg.embedding_seed)
-    featurize = _build_featurizer(corpus, cfg, table)
+    featurize = _build_featurizer(corpus, cfg)
     input_dim = len(featurize([]).schema)
     mlp_cfg = MlpConfig(
         input_dim=input_dim,
@@ -360,11 +338,11 @@ def score_pair(profile_a, profile_b, measure, include_names):
         a = _read_profile(profile_a, "a")
         b = _read_profile(profile_b, "b")
         m = Measure(measure)
-        values = extract_ps_features(a, b, m, include_names=include_names)
+        values = extract_ps_features_all_measures(a, b, include_names, (m,))
     except (OsnMatchError, OSError, ValueError) as exc:
         _fail(exc)
-    schema = PS_SCHEMA if include_names else PS_SCHEMA_NO_NAMES
-    for name, value in zip(schema, values):
+    schema, order = ps_schema(m, include_names)
+    for name, value in zip(schema, map(values.__getitem__, order)):
         if name == "post_ratio":
             click.echo(
                 f"{name:<18} raw={a.post_count}/{b.post_count} score={value:.4f}"

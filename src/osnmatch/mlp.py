@@ -205,19 +205,10 @@ class FoldJob:
 
 
 def _init_weights(cfg: MlpConfig, rng: np.random.Generator, weights) -> None:
+    """Weights uniform in ±sqrt(6/fan_in), the He-style bound for ReLU."""
     for w, (fan_in, fan_out) in zip(weights, cfg.layer_dims):
         bound = np.sqrt(6.0 / fan_in)
         w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def init_model(cfg: MlpConfig, rng: np.random.Generator | None = None) -> MlpModel:
-    """Weights uniform in ±sqrt(6/fan_in) (He-style bound for ReLU),
-    biases zero."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
-    model = MlpModel(config=cfg, params=np.zeros(cfg.n_params))
-    _init_weights(cfg, rng, model.weights)
-    return model
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A candidate pair is one account on each platform. Its profile features
 are the normalized similarity of each textual profile field under one
-chosen measure, plus the ratio of lifetime post counts. Every feature
-family turns a batch of pairs into one ``FeatureMatrix``.
+chosen measure, or under every measure, plus the ratio of lifetime post
+counts; one per-pair kernel computes both layouts. Every feature family
+turns a batch of pairs into one ``FeatureMatrix``.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @classmethod
-    def from_rows(cls, rows: list[list[float]], schema: list[str]) -> "FeatureMatrix":
-        return cls(np.array(rows, dtype=np.float64).reshape(len(rows), len(schema)), schema)
-
 
 def per_account(
     ids: Sequence[Hashable], width: int, compute: Callable, dtype=np.float64
@@ -127,59 +124,54 @@ def _check_platforms(a: UserProfile, b: UserProfile) -> None:
         )
 
 
-def extract_ps_features(
-    a: UserProfile, b: UserProfile, measure: Measure, include_names: bool = True
-) -> list[float]:
-    """Profile-similarity features of a cross-platform pair under one
-    measure, in ``PS_SCHEMA`` order (``PS_SCHEMA_NO_NAMES`` without names)."""
-    _check_platforms(a, b)
-    values = [
-        post_count_ratio(a.post_count, b.post_count),
-        text_field_score(measure, a.description, b.description),
-        text_field_score(measure, a.location, b.location),
-    ]
-    if include_names:
-        values = [
-            text_field_score(measure, a.user_name, b.user_name),
-            text_field_score(measure, a.real_name, b.real_name),
-        ] + values
-    return values
-
-
-def all_measures_schema(include_names: bool = True) -> list[str]:
-    fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
-    return [f"{name}_score_{m.value}" for m in Measure for name in fields] + ["post_ratio"]
-
-
 def extract_ps_features_all_measures(
-    a: UserProfile, b: UserProfile, include_names: bool = True
+    a: UserProfile, b: UserProfile, include_names: bool = True,
+    measures: tuple[Measure, ...] = tuple(Measure),
 ) -> list[float]:
-    """Extension: every measure's text-field scores (measure-major)
-    followed by the single post-count ratio, in ``all_measures_schema`` order."""
+    """Text-field scores of a cross-platform pair under each of ``measures``
+    (measure-major), followed by the post-count ratio."""
     _check_platforms(a, b)
     fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
     return [
         text_field_score(m, getattr(a, name), getattr(b, name))
-        for m in Measure
+        for m in measures
         for name in fields
     ] + [post_count_ratio(a.post_count, b.post_count)]
+
+
+def ps_schema(
+    measure: Measure | None, include_names: bool = True
+) -> tuple[list[str], list[int]]:
+    """Column names of the ``ps`` matrix, and the order that takes a kernel
+    row to them: every measure's columns in kernel order when ``measure`` is
+    None, else the paper's ``PS_SCHEMA`` order, ``post_ratio`` third."""
+    fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
+    if measure is None:
+        schema = [f"{name}_score_{m.value}" for m in Measure for name in fields]
+        schema.append("post_ratio")
+        return schema, list(range(len(schema)))
+    if include_names:
+        return list(PS_SCHEMA), [0, 1, 4, 2, 3]
+    return list(PS_SCHEMA_NO_NAMES), [2, 0, 1]
 
 
 def featurize_pairs(
     corpus: Corpus,
     pairs: Sequence[tuple],
-    measure: Measure,
+    measure: Measure | None,
     include_names: bool = True,
 ) -> FeatureMatrix:
-    """Profile-similarity matrix of (twitter_id, flickr_id, ...) pairs, in order."""
+    """Profile-similarity matrix of (twitter_id, flickr_id, ...) pairs, in
+    order, under one measure, or under every measure when ``measure`` is None."""
+    schema, order = ps_schema(measure, include_names)
+    measures = tuple(Measure) if measure is None else (measure,)
     twitter, flickr = Platform.TWITTER, Platform.FLICKR
     rows = [
-        extract_ps_features(
-            corpus.profile(twitter, p[0]), corpus.profile(flickr, p[1]), measure,
-            include_names=include_names,
+        extract_ps_features_all_measures(
+            corpus.profile(twitter, p[0]), corpus.profile(flickr, p[1]),
+            include_names, measures,
         )
         for p in pairs
     ]
-    return FeatureMatrix.from_rows(
-        rows, list(PS_SCHEMA if include_names else PS_SCHEMA_NO_NAMES)
-    )
+    x = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
+    return FeatureMatrix(x[:, order], schema)

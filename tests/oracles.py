@@ -17,7 +17,8 @@ folds that the row-index ones in ``osnmatch.dataset`` replaced, in the same
 order; ``k_folds_user_disjoint_reference`` is the per-fold scan of every
 negative that ``osnmatch.dataset.k_folds_user_disjoint`` replaced;
 ``folds_json_reference`` is the ``json.dumps`` fold export that
-``osnmatch.cli.write_folds_json`` replaced.
+``osnmatch.cli.write_folds_json`` replaced. ``init_model`` builds one
+untrained network the way each stacked fold network starts.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import json
 from functools import lru_cache
 
 import numpy as np
+
+from osnmatch.mlp import MlpConfig, MlpModel, _init_weights
 
 
 def levenshtein_naive(a: str, b: str) -> int:
@@ -191,6 +194,16 @@ def all_strings(alphabet: str, max_len: int):
         frontier = [s + c for s in frontier for c in alphabet]
         out.extend(frontier)
     return out
+
+
+def init_model(cfg: MlpConfig, rng: np.random.Generator | None = None) -> MlpModel:
+    """Weights drawn by ``osnmatch.mlp._init_weights`` from ``rng`` (by
+    default seeded with ``cfg.rng_seed``), biases zero."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.rng_seed)
+    model = MlpModel(config=cfg, params=np.zeros(cfg.n_params))
+    _init_weights(cfg, rng, model.weights)
+    return model
 
 
 def adam_step_reference(model, grads: dict) -> None:

@@ -49,9 +49,9 @@ def corpus_dir(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "model",
-    [("--model", "ps", "--all-measures"), ("--model", "temporal"),
-     ("--model", "embedding")],
-    ids=["ps-all", "temporal", "embedding"],
+    [("--model", "ps", "--all-measures"), ("--model", "ps", "--measure", "editex"),
+     ("--model", "temporal"), ("--model", "embedding")],
+    ids=["ps-all", "ps-editex", "temporal", "embedding"],
 )
 def test_traced_run_has_every_metric(corpus_dir, tmp_path, model):
     trace = tmp_path / "trace.json"
@@ -73,7 +73,14 @@ def test_traced_run_has_every_metric(corpus_dir, tmp_path, model):
         raw = [name for name in metrics if name.startswith("strsim.")
                and name.endswith(".calls")]
         assert len(raw) == 10
-        assert all(metrics[name] > 0 for name in raw)
+        uncalled = {name for name in raw if metrics[name] == 0}
+        if "--measure" in model:
+            # editex alone: no other raw measure is called
+            assert uncalled == set(raw) - {"strsim.editex.calls",
+                                           "strsim.normalized_similarity.calls"}
+        else:
+            assert uncalled == set()
+        assert metrics["profile_features.us_per_pair"] > 0
     else:
         # each account's histogram or field embedding is built exactly once
         key = {"temporal": "temporal_features.histograms_per_account",

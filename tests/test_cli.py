@@ -65,6 +65,24 @@ class TestRunConfigFile:
         assert result.exit_code == 2
         assert f"{cfg}:1: expected key=value" in result.output
 
+    def test_not_utf8_names_the_line(self, corpus_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 2\n# caf\xe9\nmax_epochs = 1\n")
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg), "--data-dir", str(corpus_dir)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"{cfg}:2: not valid UTF-8" in result.output
+
+    def test_directory_is_rejected(self, corpus_dir, tmp_path):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(tmp_path), "--data-dir", str(corpus_dir)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "is a directory" in result.output
+
 
 def _folds(corpus_dir, out, *extra):
     return CliRunner().invoke(

@@ -5,7 +5,8 @@ k = 3 and 3 epochs, ``save_model``) on one small synthetic corpus and
 compares the per-fold counts of ``report.json`` and the SHA-256 of every
 ``models/fold-*.bin`` with values recorded before the feature pipeline
 became one matrix (the user-disjoint and early-stopping cases: before the
-folds were trained in lockstep). Any change to a feature value, its column
+folds were trained in lockstep; the no-names ``ps`` cases: before both
+``ps`` layouts came from one featurizer). Any change to a feature value, its column
 order, the folds, the training or the file format shows up here.
 """
 
@@ -46,6 +47,25 @@ GOLDEN = {
             "e3732f1dd735076f928a7276c507908224a905c66733cab78f4bb3c20281656e",
             "45c1676b1908d873e98f44a349d10830422454f7e448564e9f224c5a8a4730a4",
             "4f0ad23c148084c1c6be6e5a8468b4ba7e3a005848cc766347f68883905a0cce",
+        ],
+    ),
+    # post_ratio first: the [2, 0, 1] order of the single-measure no-names row
+    "ps-no-names": (
+        ("--model", "ps", "--measure", "ncd-bzip2", "--no-names"),
+        [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
+        [
+            "a236f20a2d8070c4c344f3c99362ec6fe8af95a1c25e914cf480eeb56852d490",
+            "34f8e0bdff46ff31aeba9911b4cd45698370896d1cd6f87c802bfa9463442fd8",
+            "2ea69c3174413c75ec5f6d1018557cb2f541d3c880e2a78ddc439b6f3bc8b772",
+        ],
+    ),
+    "ps-all-no-names": (
+        ("--model", "ps", "--all-measures", "--no-names"),
+        [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
+        [
+            "ef546a56c02158f19028a690b6d591b936ff98983334d711fe122609a4ab0ac5",
+            "32e90f942251619cf014405a2801e47f3bcd9e5ec79374a3d387d62fa5fc74d5",
+            "2f541edb2a2cf2829fed347784b6149e0a03b1889d16aedd9eebab33c77f503e",
         ],
     ),
     "temporal-hod": (

@@ -28,14 +28,13 @@ from osnmatch.mlp import (
     _softmax,
     adam_step,
     backward,
-    init_model,
     load_model,
     predict_batch,
     save_model,
     train,
 )
 
-from .oracles import adam_step_reference, train_reference
+from .oracles import adam_step_reference, init_model, train_reference
 
 
 def toy_separable(n_per_class=100, noise=0.08, seed=0):

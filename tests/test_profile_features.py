@@ -10,15 +10,15 @@ from osnmatch.errors import SamePlatformError
 from osnmatch.profile_features import (
     PS_SCHEMA,
     PS_SCHEMA_NO_NAMES,
+    PS_TEXT_FIELDS,
     FeatureMatrix,
     Platform,
     UserProfile,
-    all_measures_schema,
-    extract_ps_features,
     extract_ps_features_all_measures,
     featurize_pairs,
     per_account,
     post_count_ratio,
+    ps_schema,
     text_field_score,
 )
 from osnmatch.strsim import Measure
@@ -47,6 +47,27 @@ def corpus_of(*profiles):
     )
 
 
+def ps_row(a, b, measure, include_names=True):
+    """The ``featurize_pairs`` row of one (twitter, flickr) pair."""
+    out = featurize_pairs(corpus_of(a, b), [(a.user_id, b.user_id)], measure, include_names)
+    return out.x[0].tolist()
+
+
+def expected_row(schema, a, b, measure):
+    """Each column computed on its own from its schema name: ``post_ratio``,
+    ``<field>_score`` under ``measure`` or ``<field>_score_<measure>``."""
+    row = []
+    for name in schema:
+        if name == "post_ratio":
+            row.append(post_count_ratio(a.post_count, b.post_count))
+            continue
+        field = next(f for f in PS_TEXT_FIELDS if name.startswith(f"{f}_score"))
+        suffix = name.removeprefix(f"{field}_score")
+        m = Measure(suffix[1:]) if suffix else measure
+        row.append(text_field_score(m, getattr(a, field), getattr(b, field)))
+    return row
+
+
 class TestUserProfile:
     def test_requires_user_id(self):
         with pytest.raises(ValueError):
@@ -73,10 +94,10 @@ class TestFeatureMatrix:
             assert f"feature b out of [0, 1]: {bad}" in str(info.value)
 
     def test_rows_and_bounds(self):
-        fm = FeatureMatrix.from_rows([[0.0, 1.0], [1.0, 0.25]], ["a", "b"])
+        fm = FeatureMatrix([[0, 1], [1.0, 0.25]], ["a", "b"])
         assert len(fm) == 2
         assert fm.x.dtype == np.float64
-        assert len(FeatureMatrix.from_rows([], ["a", "b"])) == 0
+        assert len(FeatureMatrix(np.empty((0, 2)), ["a", "b"])) == 0
 
 
 class TestPerAccount:
@@ -94,11 +115,14 @@ class TestPerAccount:
 
 
 class TestExtractPsFeatures:
+    """The single-measure layout: the kernel under one measure, and its
+    ``featurize_pairs`` row in ``PS_SCHEMA`` order."""
+
     def test_identical_twins_all_ones(self):
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
-        values = extract_ps_features(a, b, Measure.EDITEX, include_names=True)
-        assert values == [1.0, 1.0, 1.0, 1.0, 1.0]
+        assert ps_row(a, b, Measure.EDITEX, include_names=True) == [1.0] * 5
+        assert extract_ps_features_all_measures(a, b, True, (Measure.EDITEX,)) == [1.0] * 5
         assert PS_SCHEMA == [
             "user_name_score",
             "real_name_score",
@@ -111,7 +135,7 @@ class TestExtractPsFeatures:
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.TWITTER, user_id="u2")
         with pytest.raises(SamePlatformError):
-            extract_ps_features(a, b, Measure.EDITEX)
+            extract_ps_features_all_measures(a, b, measures=(Measure.EDITEX,))
 
     def test_post_ratio_and_empty_fields(self):
         a = make_profile(
@@ -122,19 +146,21 @@ class TestExtractPsFeatures:
             Platform.FLICKR, user_id="u2", user_name="", real_name="",
             description="", location="", post_count=100,
         )
-        values = extract_ps_features(a, b, Measure.EDITEX, include_names=False)
-        assert values == [0.25, 1.0, 1.0]
+        assert ps_row(a, b, Measure.EDITEX, include_names=False) == [0.25, 1.0, 1.0]
+        kernel = extract_ps_features_all_measures(a, b, False, (Measure.EDITEX,))
+        assert kernel == [1.0, 1.0, 0.25]
 
     def test_username_single_edit(self):
         a = make_profile(Platform.TWITTER, user_name="kwanhui")
         b = make_profile(Platform.FLICKR, user_id="u2", user_name="kwan_hui")
-        values = extract_ps_features(a, b, Measure.LEVENSHTEIN)
+        values = ps_row(a, b, Measure.LEVENSHTEIN)
         assert values[0] == pytest.approx(1 - 1 / 8)
 
     def test_one_sided_missing_field_scores_zero(self):
         a = make_profile(Platform.TWITTER, description="")
         b = make_profile(Platform.FLICKR, user_id="u2")
-        values = extract_ps_features(a, b, Measure.EDITEX)
+        values = ps_row(a, b, Measure.EDITEX)
+        assert PS_SCHEMA[3] == "description_score"
         assert values[3] == 0.0
 
     @given(
@@ -151,8 +177,9 @@ class TestExtractPsFeatures:
             Platform.FLICKR, user_id="u2", user_name="base", real_name="Base",
             description="desc", location="city", post_count=pb,
         )
-        forward = extract_ps_features(a, b, Measure.LEVENSHTEIN)
-        swapped = extract_ps_features(b, a, Measure.LEVENSHTEIN)
+        measures = (Measure.LEVENSHTEIN,)
+        forward = extract_ps_features_all_measures(a, b, measures=measures)
+        swapped = extract_ps_features_all_measures(b, a, measures=measures)
         assert forward == swapped
 
     @given(un=profile_text, de=profile_text, pa=st.integers(0, 50))
@@ -162,10 +189,15 @@ class TestExtractPsFeatures:
             Platform.TWITTER, user_name=un, description=de, post_count=pa
         )
         b = make_profile(Platform.FLICKR, user_id="u2")
-        full = extract_ps_features(a, b, Measure.JARO_WINKLER, include_names=True)
-        ablated = extract_ps_features(a, b, Measure.JARO_WINKLER, include_names=False)
+        full = ps_row(a, b, Measure.JARO_WINKLER, include_names=True)
+        ablated = ps_row(a, b, Measure.JARO_WINKLER, include_names=False)
         assert ablated == full[2:]
         assert PS_SCHEMA_NO_NAMES == PS_SCHEMA[2:]
+        for measures in [(Measure.JARO_WINKLER,), tuple(Measure)]:
+            full = extract_ps_features_all_measures(a, b, True, measures)
+            ablated = extract_ps_features_all_measures(a, b, False, measures)
+            assert ablated[-1] == full[-1]
+            assert ablated[:-1] == [v for i, v in enumerate(full[:-1]) if i % 4 >= 2]
 
     def test_schema_depends_only_on_flag(self):
         a1 = make_profile(Platform.TWITTER, user_name="", description="")
@@ -177,6 +209,10 @@ class TestExtractPsFeatures:
         assert m1.schema == m2.schema == PS_SCHEMA
         m3 = featurize_pairs(corpus, [("u3", "u2", False)], Measure.LCS, include_names=False)
         assert m3.schema == PS_SCHEMA_NO_NAMES
+        for names in (True, False):
+            all1 = featurize_pairs(corpus, [("u1", "u2", True)], None, names)
+            all2 = featurize_pairs(corpus, [("u3", "u2", False)], None, names)
+            assert all1.schema == all2.schema == ps_schema(None, names)[0]
 
 
 class TestAllMeasuresVector:
@@ -184,9 +220,9 @@ class TestAllMeasuresVector:
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
         values = extract_ps_features_all_measures(a, b, include_names=True)
-        assert len(values) == len(all_measures_schema(True)) == 9 * 4 + 1
+        assert len(values) == len(ps_schema(None, True)[0]) == 9 * 4 + 1
         values_nn = extract_ps_features_all_measures(a, b, include_names=False)
-        assert len(values_nn) == len(all_measures_schema(False)) == 9 * 2 + 1
+        assert len(values_nn) == len(ps_schema(None, False)[0]) == 9 * 2 + 1
 
     def test_identity_all_ones(self):
         a = make_profile(Platform.TWITTER)
@@ -198,7 +234,8 @@ class TestAllMeasuresVector:
         a = make_profile(Platform.TWITTER, user_name="kwan", description="x")
         b = make_profile(Platform.FLICKR, user_id="u2")
         values = extract_ps_features_all_measures(a, b)
-        schema = all_measures_schema()
+        schema = ps_schema(None)[0]
+        assert ps_row(a, b, None) == values
         assert schema[:5] == [
             "user_name_score_levenshtein", "real_name_score_levenshtein",
             "description_score_levenshtein", "location_score_levenshtein",
@@ -206,7 +243,7 @@ class TestAllMeasuresVector:
         ]
         assert schema[-1] == "post_ratio"
         for measure in Measure:
-            single = dict(zip(PS_SCHEMA, extract_ps_features(a, b, measure)))
+            single = dict(zip(PS_SCHEMA, ps_row(a, b, measure)))
             for field in ("user_name", "real_name", "description", "location"):
                 at = schema.index(f"{field}_score_{measure.value}")
                 assert values[at] == single[f"{field}_score"]
@@ -223,6 +260,11 @@ class TestFeaturizePairs:
         out = featurize_pairs(corpus_of(), [], Measure.EDITEX)
         assert len(out) == 0
         assert out.x.shape == (0, 5)
+        for measure, names, width in [(Measure.EDITEX, False, 3), (None, True, 37),
+                                      (None, False, 19)]:
+            out = featurize_pairs(corpus_of(), [], measure, names)
+            assert out.x.shape == (0, width)
+            assert out.schema == ps_schema(measure, names)[0]
 
     def test_identity_pair_with_label(self):
         a = make_profile(Platform.TWITTER)
@@ -244,12 +286,16 @@ class TestFeaturizePairs:
         corpus = corpus_of(*profiles)
         out = featurize_pairs(corpus, pairs, Measure.COSINE_2GRAM)
         assert out.x.shape == (5, len(out.schema))
-        for row, (t, f, _) in zip(out.x, pairs):
-            expected = extract_ps_features(
-                corpus.profile(Platform.TWITTER, t), corpus.profile(Platform.FLICKR, f),
-                Measure.COSINE_2GRAM,
-            )
-            assert row.tolist() == expected
+        for measure, names in [(Measure.COSINE_2GRAM, True), (Measure.NCD_BZIP2, False),
+                               (None, True), (None, False)]:
+            out = featurize_pairs(corpus, pairs, measure, include_names=names)
+            assert out.x.shape == (5, len(out.schema))
+            for row, (t, f, _) in zip(out.x, pairs):
+                expected = expected_row(
+                    out.schema, corpus.profile(Platform.TWITTER, t),
+                    corpus.profile(Platform.FLICKR, f), measure,
+                )
+                assert row.tolist() == expected
 
 
 class TestHelpers:
