@@ -29,7 +29,7 @@ from .embedding_features import (
     load_embedding_file,
     pair_embedding_features,
 )
-from .errors import NOT_UTF8, OsnMatchError, ParseError, undecodable_line
+from .errors import OsnMatchError, ParseError, open_input
 from .evaluation import cross_validate, render_report, report_as_dict
 from .mlp import MlpConfig, save_model
 from .profile_features import (
@@ -89,10 +89,10 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     known = {p.name for p in ctx.command.params if p is not param}
     overrides = {}
     try:
-        with open(value, encoding="utf-8") as fh:
+        with open_input(value) as fh:
             lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise click.BadParameter(f"{value}:{undecodable_line(value)}: {NOT_UTF8}") from None
+    except ParseError as exc:
+        raise click.BadParameter(str(exc)) from None
     for line_no, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -191,9 +191,11 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--embedding-seed", type=int, default=0, show_default=True,
               help="seed of the hash-fallback embedder")
 @click.option("--embeddings", type=click.Path(exists=True), default=None,
-              help="word2vec-text embedding file (else: hash fallback)")
+              help="word2vec-text embedding file (else: hash fallback); character "
+                   "n-gram vectors may follow its '#char-ngrams' line")
 @click.option("--char-embeddings", type=click.Path(exists=True), default=None,
-              help="separate character-n-gram embedding file")
+              help="separate character-n-gram embedding file; character "
+                   "vectors come from one of the two files, never both")
 @click.option("--data-dir", type=click.Path(), default=".", show_default=True)
 @click.option("--profiles", type=click.Path(), default=None)
 @click.option("--posts", type=click.Path(), default=None)
@@ -316,11 +318,8 @@ def _read_profile(raw: str, which: str) -> UserProfile:
     checked as the corpus loader checks each profile line."""
     if raw.startswith("@"):
         path = raw[1:]
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), NOT_UTF8) from None
-        return parse_profile(text, path, 1)
+        with open_input(path) as fh:
+            return parse_profile(fh.read(), path, 1)
     return parse_profile(raw, f"--profile-{which}", 1)
 
 

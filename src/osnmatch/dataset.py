@@ -9,6 +9,12 @@ Input files:
                   (kept per account as one int64 array of UTC epoch
                    seconds, floored, in file order)
   pairs.csv       header "twitter_id,flickr_id"; every row is a positive pair
+
+Every file must be UTF-8, with \\n, \\r\\n or \\r line ends; blank lines are
+skipped. Any malformed line, bytes that are not UTF-8 included, raises
+``ParseError`` naming ``path:line``. Lines are physical lines: a pairs.csv
+row is numbered by the line it ends on, even when a quoted field spans
+several.
 """
 
 from __future__ import annotations
@@ -23,13 +29,12 @@ from json.scanner import make_scanner
 import numpy as np
 
 from .errors import (
-    NOT_UTF8,
     DegenerateSplitError,
     EmptyCorpusError,
     InsufficientPoolError,
     ParseError,
     TooFewExamplesError,
-    undecodable_line,
+    open_input,
 )
 from .profile_features import PS_TEXT_FIELDS, Platform, UserProfile
 
@@ -78,27 +83,49 @@ class LabeledPairSet:
         return len(self.labels) - self.n_pos
 
 
-def _parse_platform(raw, path: str, line_no: int) -> Platform:
+# the C scanner behind json.loads, without its per-call Python wrapper
+_scan = make_scanner(JSONDecoder())
+
+
+def _bad_json(path: str, line_no: int, text: str) -> ParseError:
+    """The error for a text the scanner rejected, worded as ``json.loads``
+    words it."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:  # too deep, or an overlong int
+        return ParseError(path, line_no, f"bad JSON: {getattr(exc, 'msg', exc)}")
+    raise AssertionError(f"{path}:{line_no}: the scanner and json.loads disagree")
+
+
+def _decode_record(text: str, path: str, line_no: int) -> tuple[dict, Platform, str]:
+    """The JSON object of one profile or post (a line, or a whole profile
+    file) with its checked platform and user_id. It accepts what
+    ``json.loads`` accepts; anything else raises ``ParseError(path,
+    line_no)``. It runs once per post."""
+    stripped = text.strip(" \t\n\r")
+    try:
+        obj, end = _scan(stripped, 0)
+    except (StopIteration, ValueError, RecursionError):
+        raise _bad_json(path, line_no, text) from None
+    if end != len(stripped):
+        raise _bad_json(path, line_no, text)
+    if not isinstance(obj, dict):
+        raise ParseError(path, line_no, "expected a JSON object")
+    raw = obj.get("platform")
     # the isinstance guard keeps unhashable JSON (a list, an object) a ParseError
     platform = _PLATFORMS.get(raw) if isinstance(raw, str) else None
     if platform is None:
         raise ParseError(path, line_no, f"unknown platform {raw!r}")
-    return platform
+    user_id = obj.get("user_id")
+    if not user_id or not isinstance(user_id, str):
+        raise ParseError(path, line_no, "user_id must be a nonempty string")
+    return obj, platform, user_id
 
 
 def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
     """One profile from its JSON text; any malformed part raises
     ``ParseError(path, line_no)``."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # too deep, or an overlong int
-        raise ParseError(path, line_no, f"bad JSON: {getattr(exc, 'msg', exc)}") from None
-    if not isinstance(obj, dict):
-        raise ParseError(path, line_no, "expected a JSON object")
-    platform = _parse_platform(obj.get("platform"), path, line_no)
-    user_id = obj.get("user_id")
-    if not user_id or not isinstance(user_id, str):
-        raise ParseError(path, line_no, "user_id must be a nonempty string")
+    obj, platform, user_id = _decode_record(text, path, line_no)
     post_count = obj.get("post_count", 0)
     if type(post_count) is not int or post_count < 0:  # bool is no count
         raise ParseError(path, line_no, "post_count must be a nonnegative integer")
@@ -113,80 +140,49 @@ def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
 
 def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
     profiles: dict[tuple[Platform, str], UserProfile] = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                profile = parse_profile(line, path, line_no)
-                key = (profile.platform, profile.user_id)
-                if key in profiles:
-                    raise ParseError(
-                        path, line_no, f"duplicate profile {key[0].value}/{key[1]}"
-                    )
-                profiles[key] = profile
-        except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), NOT_UTF8) from None
+    with open_input(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            profile = parse_profile(line, path, line_no)
+            key = (profile.platform, profile.user_id)
+            if key in profiles:
+                raise ParseError(path, line_no, f"duplicate profile {key[0].value}/{key[1]}")
+            profiles[key] = profile
     return profiles
-
-
-def _bad_json(path: str, line_no: int, line: str) -> ParseError:
-    """The error for a line the scanner rejected, worded as ``json.loads``
-    words it."""
-    try:
-        json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        return ParseError(path, line_no, f"bad JSON: {getattr(exc, 'msg', exc)}")
-    raise AssertionError(f"{path}:{line_no}: the scanner and json.loads disagree")
 
 
 def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     """Each account's post times as int64 UTC epoch seconds (floored), in
-    file order. The loop is inlined: it runs once per post."""
+    file order. The loop runs once per post: past the decoder it is inlined."""
     times: dict[tuple[Platform, str], list[int]] = {}
-    # the C scanner behind json.loads, without its per-call Python wrapper
-    scan = make_scanner(JSONDecoder())
+    decode = _decode_record
     fromisoformat = datetime.fromisoformat
     # float seconds compare as the instants do: they are whole microseconds,
     # and floats near 2**31 are spaced 2.4e-7 apart
     latest = (datetime.now(timezone.utc) + timedelta(hours=1)).timestamp()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                text = line.strip(" \t\n\r")
-                try:
-                    obj, end = scan(text, 0)
-                except (StopIteration, ValueError, RecursionError):
-                    raise _bad_json(path, line_no, line) from None
-                if end != len(text):
-                    raise _bad_json(path, line_no, line)
-                if not isinstance(obj, dict):
-                    raise ParseError(path, line_no, "expected a JSON object")
-                platform = _parse_platform(obj.get("platform"), path, line_no)
-                user_id = obj.get("user_id")
-                if not user_id or not isinstance(user_id, str):
-                    raise ParseError(path, line_no, "user_id must be a nonempty string")
-                raw = obj.get("timestamp")
-                try:
-                    # 3.10's fromisoformat rejects a "Z" suffix
-                    ts = fromisoformat(raw.replace("Z", "+00:00"))
-                except (ValueError, TypeError, AttributeError):
-                    raise ParseError(path, line_no, f"bad timestamp {raw!r}") from None
-                if ts.tzinfo is None:
-                    raise ParseError(path, line_no, f"timestamp {raw!r} lacks a timezone")
-                seconds = ts.timestamp()
-                if not _EARLIEST_SECONDS <= seconds <= latest:
-                    raise ParseError(path, line_no, f"timestamp {raw!r} outside 1990..now")
-                key = (platform, user_id)
-                account = times.get(key)
-                if account is None:
-                    account = times[key] = []
-                # int() floors: every accepted instant is after 1990
-                account.append(int(seconds))
-        except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), NOT_UTF8) from None
+    with open_input(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            obj, platform, user_id = decode(line, path, line_no)
+            raw = obj.get("timestamp")
+            try:
+                # 3.10's fromisoformat rejects a "Z" suffix
+                ts = fromisoformat(raw.replace("Z", "+00:00"))
+            except (ValueError, TypeError, AttributeError):
+                raise ParseError(path, line_no, f"bad timestamp {raw!r}") from None
+            if ts.tzinfo is None:
+                raise ParseError(path, line_no, f"timestamp {raw!r} lacks a timezone")
+            seconds = ts.timestamp()
+            if not _EARLIEST_SECONDS <= seconds <= latest:
+                raise ParseError(path, line_no, f"timestamp {raw!r} outside 1990..now")
+            key = (platform, user_id)
+            account = times.get(key)
+            if account is None:
+                account = times[key] = []
+            # int() floors: every accepted instant is after 1990
+            account.append(int(seconds))
     return {key: np.array(account, dtype=np.int64) for key, account in times.items()}
 
 
@@ -201,14 +197,15 @@ def load_corpus(profiles_path: str, posts_path: str, pairs_path: str) -> Corpus:
     positive_pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0
-    with open(pairs_path, encoding="utf-8", newline="") as fh:
+    with open_input(pairs_path) as fh:
+        reader = csv.reader(fh)
         try:
-            rows = list(csv.reader(fh))
-        except UnicodeDecodeError:
-            raise ParseError(pairs_path, undecodable_line(pairs_path), NOT_UTF8) from None
-    if not rows or tuple(h.strip() for h in rows[0]) != PAIRS_HEADER:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ParseError(pairs_path, reader.line_num, f"bad CSV: {exc}") from None
+    if not rows or tuple(h.strip() for h in rows[0][1]) != PAIRS_HEADER:
         raise ParseError(pairs_path, 1, "header must be 'twitter_id,flickr_id'")
-    for line_no, row in enumerate(rows[1:], 2):
+    for line_no, row in rows[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:

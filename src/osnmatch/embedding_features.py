@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedLineError, undecodable_line
+from .errors import ParseError, open_input
 from .profile_features import FeatureMatrix, Platform, per_account
 
 if TYPE_CHECKING:
@@ -90,44 +90,39 @@ def _read_section(lines, path, start_line_no):
     """Parse one 'V D' header plus V vector lines; returns (dict, dim, next_line_no)."""
     line_no = start_line_no
     if line_no > len(lines):
-        raise MalformedLineError(path, line_no, "missing header line")
+        raise ParseError(path, line_no, "missing header line")
     header = lines[line_no - 1].split()
     if len(header) != 2:
-        raise MalformedLineError(path, line_no, "header must be 'V D'")
+        raise ParseError(path, line_no, "header must be 'V D'")
     try:
         count, dim = int(header[0]), int(header[1])
     except ValueError:
-        raise MalformedLineError(path, line_no, "header must be two integers") from None
+        raise ParseError(path, line_no, "header must be two integers") from None
     if count < 0 or dim <= 0:
-        raise MalformedLineError(path, line_no, f"invalid header counts: {count} {dim}")
+        raise ParseError(path, line_no, f"invalid header counts: {count} {dim}")
     vectors: dict[str, np.ndarray] = {}
     for _ in range(count):
         line_no += 1
         if line_no > len(lines):
-            raise MalformedLineError(path, line_no, "fewer vector lines than declared")
+            raise ParseError(path, line_no, "fewer vector lines than declared")
         parts = lines[line_no - 1].split()
         if not parts:
-            raise MalformedLineError(path, line_no, "empty vector line")
+            raise ParseError(path, line_no, "empty vector line")
         token, raw_values = parts[0], parts[1:]
         if len(raw_values) != dim:
-            raise DimensionMismatchError(
-                f"{path}:{line_no}: {len(raw_values)} values for declared dim {dim}"
-            )
+            raise ParseError(path, line_no, f"{len(raw_values)} values for declared dim {dim}")
         try:
             vec = np.array([float(x) for x in raw_values], dtype=np.float64)
         except ValueError:
-            raise MalformedLineError(path, line_no, "non-numeric vector value") from None
+            raise ParseError(path, line_no, "non-numeric vector value") from None
         vectors[token] = vec  # duplicate tokens: last one wins
     return vectors, dim, line_no + 1
 
 
 def _read_lines(path: str) -> list[str]:
     """The file's lines without their newlines, trailing blank lines dropped."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except UnicodeDecodeError:
-        raise MalformedLineError(path, undecodable_line(path), "not valid UTF-8") from None
+    with open_input(path) as fh:
+        lines = [ln.rstrip("\r\n") for ln in fh]
     while lines and not lines[-1].strip():
         lines.pop()
     return lines
@@ -138,8 +133,8 @@ def load_embedding_file(path: str, char_path: str | None = None) -> EmbeddingTab
 
     Character n-gram vectors may follow in the same file after a
     ``#char-ngrams`` marker line, or live in ``char_path`` using the same
-    format. Missing n-grams are later hash-generated at the table's
-    char dimension.
+    format, but not both. Missing n-grams are later hash-generated at the
+    table's char dimension.
     """
     lines = _read_lines(path)
     words, dim_word, next_no = _read_section(lines, path, 1)
@@ -147,17 +142,19 @@ def load_embedding_file(path: str, char_path: str | None = None) -> EmbeddingTab
     dim_char = 0
     if next_no <= len(lines):
         if lines[next_no - 1].strip() != CHAR_SECTION_MARKER:
-            raise MalformedLineError(
+            raise ParseError(
                 path, next_no, f"expected {CHAR_SECTION_MARKER!r} or end of file"
             )
+        if char_path is not None:
+            raise ParseError(path, next_no, f"character vectors both here and in {char_path}")
         char_vectors, dim_char, next_no = _read_section(lines, path, next_no + 1)
         if next_no <= len(lines):
-            raise MalformedLineError(path, next_no, "trailing content after sections")
+            raise ParseError(path, next_no, "trailing content after sections")
     if char_path is not None:
         char_lines = _read_lines(char_path)
         char_vectors, dim_char, last = _read_section(char_lines, char_path, 1)
         if last <= len(char_lines):
-            raise MalformedLineError(char_path, last, "trailing content after vectors")
+            raise ParseError(char_path, last, "trailing content after vectors")
     return EmbeddingTable(
         dim_word=dim_word,
         dim_char=dim_char,

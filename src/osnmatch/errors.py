@@ -1,14 +1,13 @@
-"""Exception types shared across the osnmatch package, and the helper that
-finds the line an input file's decoding failed on."""
+"""Exception types shared across the osnmatch package, and the one way an
+input file is opened."""
 
-
-NOT_UTF8 = "not valid UTF-8"  # the message of a ParseError at such a line
+from contextlib import contextmanager
 
 
 def undecodable_line(path) -> int:
     """The number of the first line of ``path`` that is not valid UTF-8,
-    with lines ended as text mode ends them (\\n, \\r\\n or \\r). Called
-    after a read failed, so that the read loop itself stays unchanged."""
+    with lines ended as ``open_input`` ends them (\\n, \\r\\n or \\r).
+    Called after a read failed, so that the read loops stay unchanged."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     line_no = 0
@@ -18,6 +17,19 @@ def undecodable_line(path) -> int:
         except UnicodeDecodeError:
             break
     return line_no
+
+
+@contextmanager
+def open_input(path):
+    """``path`` opened for reading as UTF-8 text. Line ends are kept as they
+    are (``newline=""``, as the csv module needs), and every other reader
+    strips them. A byte that is not UTF-8, met anywhere in the ``with``
+    block, raises ``ParseError(path, line, "not valid UTF-8")``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ParseError(path, undecodable_line(path), "not valid UTF-8") from None
 
 
 class OsnMatchError(Exception):
@@ -30,15 +42,6 @@ class SamePlatformError(OsnMatchError):
 
 class ModeMismatchError(OsnMatchError):
     """Two activity histograms/masks use different binning modes."""
-
-
-class MalformedLineError(OsnMatchError):
-    """An embedding file line could not be parsed."""
-
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
 
 
 class DimensionMismatchError(OsnMatchError):
@@ -54,7 +57,7 @@ class ModelFormatError(OsnMatchError, ValueError):
 
 
 class ParseError(OsnMatchError):
-    """A corpus input file could not be parsed."""
+    """An input file (corpus, embeddings, config, profile) could not be parsed."""
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")

@@ -237,7 +237,6 @@ def _forward_batch(
     x: np.ndarray,
     training: bool = False,
     rngs=(),
-    replay_masks: list[np.ndarray] | None = None,
     buffers: _Buffers | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Run a batch; returns (softmax probabilities, cache).
@@ -245,10 +244,8 @@ def _forward_batch(
     A model takes (n, input_dim) rows, a stack one (g, n, input_dim)
     batch per network. With ``training`` each hidden activation is masked
     by inverted dropout (scaled by 1/keep so the expectation matches
-    inference), network r drawing its masks from ``rngs[r]``.
-    ``replay_masks`` reuses previously drawn masks, which
-    finite-difference checks need. The cache lives in ``buffers`` (fresh
-    ones by default) until their next use.
+    inference), network r drawing its masks from ``rngs[r]``. The cache
+    lives in ``buffers`` (fresh ones by default) until their next use.
     """
     cfg = net.config
     lead = net.weights[0].shape[:-2]
@@ -266,16 +263,13 @@ def _forward_batch(
         z += b[..., None, :]
         a = np.maximum(z, 0.0, out=buffers.act[layer])
         if rate > 0.0:
-            if replay_masks is not None:
-                mask = replay_masks[layer]
-            else:
-                mask = buffers.mask[layer]
-                per_net = mask.reshape(-1, *mask.shape[-2:])
-                if len(rngs) != len(per_net):
-                    raise ValueError("training-mode forward with dropout needs one rng per network")
-                for rng, out in zip(rngs, per_net):
-                    rng.random(out=out)
-                np.divide(mask >= rate, 1.0 - rate, out=mask)
+            mask = buffers.mask[layer]
+            per_net = mask.reshape(-1, *mask.shape[-2:])
+            if len(rngs) != len(per_net):
+                raise ValueError("training-mode forward with dropout needs one rng per network")
+            for rng, out in zip(rngs, per_net):
+                rng.random(out=out)
+            np.divide(mask >= rate, 1.0 - rate, out=mask)
             a *= mask
             masks.append(mask)
     z_out = np.matmul(a, net.weights[-1])

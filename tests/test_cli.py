@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osnmatch import cli, strsim, synth
 from osnmatch.cli import main, write_folds_json
@@ -324,3 +326,121 @@ class TestScorePair:
                 continue
             value = fn(PROFILE_A[field], PROFILE_B[field])
             assert raw == (f"raw={value:.4f}" if isinstance(value, float) else f"raw={value}")
+
+
+def _exits_cleanly(result):
+    """Exit 0, or exit 1 with an `error:` line and no traceback."""
+    return result.exit_code == 0 or (result.exit_code == 1
+                                     and isinstance(result.exception, SystemExit)
+                                     and result.output.startswith("error: "))
+
+
+class TestPairsCsvErrors:
+    @pytest.mark.parametrize("command", ["folds", "run"])
+    def test_field_over_the_csv_limit(self, corpus_dir, tmp_path, command):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"twitter_id,flickr_id\n{'t' * 131_073},f0\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main, [command, "--data-dir", str(corpus_dir), "--pairs", str(pairs)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output == (
+            f"error: ParseError: {pairs}:2: bad CSV: field larger than field limit (131072)\n"
+        )
+
+
+FUZZ_USERS = 4
+PROFILES = [{"platform": "twitter" if p == "t" else "flickr", "user_id": f"{p}{i}",
+             "user_name": f"user {i}", "real_name": f"Name {i}", "post_count": i}
+            for p in "tf" for i in range(FUZZ_USERS)]
+POSTS = [{"platform": "twitter" if p == "t" else "flickr", "user_id": f"{p}{i}",
+          "timestamp": f"2022-05-0{1 + j}T{8 + i:02d}:30:00+00:00"}
+         for p in "tf" for i in range(FUZZ_USERS) for j in range(2)]
+ANY_JSON = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(),
+                     st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                     st.just({"a": 1}))
+REMOVED = object()  # a change that deletes the field
+
+
+def _jsonl(records):
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def _wrong_types(records):
+    """JSON lines of ``records`` with a field or two set to a value of any
+    type, or removed."""
+    change = st.tuples(st.integers(0, len(records) - 1), st.sampled_from(sorted(records[0])),
+                       ANY_JSON | st.just(REMOVED))
+
+    def apply(changes):
+        changed = [dict(r) for r in records]
+        for i, key, value in changes:
+            if value is REMOVED:
+                changed[i].pop(key, None)
+            else:
+                changed[i][key] = value
+        return _jsonl(changed)
+
+    return st.lists(change, min_size=1, max_size=2).map(apply)
+
+
+# the true pairs plus a few rows that may dangle (t4, f4) or repeat
+PAIRS = st.lists(st.tuples(st.sampled_from(range(FUZZ_USERS + 1)),
+                           st.sampled_from(range(FUZZ_USERS + 1))), max_size=3).map(
+    lambda extra: ("twitter_id,flickr_id\n" + "".join(
+        f"t{t},f{f}\n" for t, f in [(i, i) for i in range(FUZZ_USERS)] + extra
+    )).encode())
+
+
+def _bad_bytes(files):
+    """One of the three files with a few arbitrary bytes put in."""
+    def apply(files, which, at, raw):
+        files = list(files)
+        at %= len(files[which]) + 1
+        files[which] = files[which][:at] + raw + files[which][at:]
+        return files
+
+    return st.builds(apply, files, st.integers(0, 2), st.integers(0, 10_000),
+                     st.binary(min_size=1, max_size=3))
+
+
+CLEAN = st.tuples(st.just(_jsonl(PROFILES)), st.just(_jsonl(POSTS)), PAIRS)
+CORPORA = st.one_of(
+    CLEAN,
+    st.tuples(_wrong_types(PROFILES), st.just(_jsonl(POSTS)), PAIRS),
+    st.tuples(st.just(_jsonl(PROFILES)), _wrong_types(POSTS), PAIRS),
+    _bad_bytes(CLEAN),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("e2e-fuzz")
+
+
+class TestEndToEndFuzz:
+    """Whatever the corpus, `folds` and `run` exit 0, or exit 1 with an
+    `error:` line; no other exception escapes."""
+
+    @staticmethod
+    def _invoke(directory, files, *args):
+        for name, data in zip(("profiles.jsonl", "posts.jsonl", "pairs.csv"), files):
+            (directory / name).write_bytes(data)
+        return CliRunner().invoke(main, [*args, "--data-dir", str(directory), "--k", "2"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(files=CORPORA, neg_ratio=st.integers(0, 3), user_disjoint=st.booleans())
+    def test_folds(self, fuzz_dir, files, neg_ratio, user_disjoint):
+        result = self._invoke(fuzz_dir, files, "folds", "--neg-ratio", str(neg_ratio),
+                              *(["--user-disjoint"] if user_disjoint else []))
+        assert _exits_cleanly(result), result.output
+
+    @settings(max_examples=60, deadline=None)
+    @given(files=CORPORA, model=st.sampled_from(["ps", "temporal", "embedding"]),
+           neg_ratio=st.integers(0, 3))
+    def test_run(self, fuzz_dir, files, model, neg_ratio):
+        result = self._invoke(fuzz_dir, files, "run", "--model", model, "--neg-ratio",
+                              str(neg_ratio), "--max-epochs", "1", "--hidden-nodes", "8",
+                              "--output", str(fuzz_dir / "out"))
+        assert _exits_cleanly(result), result.output

@@ -141,6 +141,21 @@ class TestLoadCorpus:
         with pytest.raises(ParseError):
             load_corpus(paths[0], paths[1], str(pairs))
 
+    def test_pairs_row_is_numbered_by_physical_line(self, tmp_path):
+        # the quoted id of the row on lines 2-3 spans two lines
+        paths = write_corpus(tmp_path, pairs=[('"t\n0"', "f0"), ("t1", "f1,x")])
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert str(exc.value) == f"{paths[2]}:4: expected 2 columns, got 3"
+
+    def test_pairs_field_over_the_csv_limit(self, tmp_path):
+        paths = write_corpus(tmp_path, pairs=[("t0", "f0"), ("t1", "f" * 131_073)])
+        with pytest.raises(ParseError) as exc:
+            load_corpus(*paths)
+        assert str(exc.value) == (
+            f"{paths[2]}:3: bad CSV: field larger than field limit (131072)"
+        )
+
     def test_naive_timestamp_rejected(self, tmp_path):
         posts = [
             json.dumps(

@@ -12,7 +12,7 @@ from osnmatch.embedding_features import (
     load_embedding_file,
     pair_embedding_features,
 )
-from osnmatch.errors import DimensionMismatchError, MalformedLineError
+from osnmatch.errors import ParseError
 from osnmatch.profile_features import Platform, UserProfile
 
 
@@ -55,13 +55,13 @@ class TestLoadEmbeddingFile:
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 3\nfoo 1 2\n")
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ParseError):
             load_embedding_file(str(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("")
-        with pytest.raises(MalformedLineError) as exc:
+        with pytest.raises(ParseError) as exc:
             load_embedding_file(str(path))
         assert exc.value.line_no == 1
 
@@ -87,16 +87,25 @@ class TestLoadEmbeddingFile:
         assert table.dim_word == 2
         assert table.dim_char == 3
 
+    def test_char_vectors_in_both_files_are_rejected(self, tmp_path):
+        words = tmp_path / "w.txt"
+        chars = tmp_path / "c.txt"
+        words.write_text("1 2\nfoo 1 2\n#char-ngrams\n1 2\n^fo 1 2\n")
+        chars.write_text("1 3\nfoo 0 0 1\n")
+        with pytest.raises(ParseError) as exc:
+            load_embedding_file(str(words), str(chars))
+        assert str(exc.value) == f"{words}:3: character vectors both here and in {chars}"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("nonsense\n")
-        with pytest.raises(MalformedLineError):
+        with pytest.raises(ParseError):
             load_embedding_file(str(path))
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 2\nfoo 1 abc\n")
-        with pytest.raises(MalformedLineError):
+        with pytest.raises(ParseError):
             load_embedding_file(str(path))
 
     @pytest.mark.parametrize("bad_file", ["words", "chars"])
@@ -108,7 +117,7 @@ class TestLoadEmbeddingFile:
         for name, content in lines.items():
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_bytes(b"\n".join(content) + b"\n")
-        with pytest.raises(MalformedLineError) as exc:
+        with pytest.raises(ParseError) as exc:
             load_embedding_file(str(paths["words"]), str(paths["chars"]))
         assert str(exc.value) == f"{paths[bad_file]}:3: not valid UTF-8"
 

@@ -191,14 +191,20 @@ class TestLossCce:
         assert _batch_cce(probs, labels) == pytest.approx(expected)
 
 
-def _fd_gradient(stack, x, labels, arr, flat_idx, masks, h=1e-5):
+def _dropout_rngs(mask_seed):
+    """A fresh rng for each forward pass, so every pass draws the same
+    dropout masks; no rng (and no dropout) without a seed."""
+    return () if mask_seed is None else [np.random.default_rng(mask_seed)]
+
+
+def _fd_gradient(stack, x, labels, arr, flat_idx, mask_seed, h=1e-5):
     flat = arr.reshape(-1)
     original = flat[flat_idx]
-    training = masks is not None
+    training = mask_seed is not None
     flat[flat_idx] = original + h
-    probs_p, _ = _forward_batch(stack, x, training=training, replay_masks=masks)
+    probs_p, _ = _forward_batch(stack, x, training=training, rngs=_dropout_rngs(mask_seed))
     flat[flat_idx] = original - h
-    probs_m, _ = _forward_batch(stack, x, training=training, replay_masks=masks)
+    probs_m, _ = _forward_batch(stack, x, training=training, rngs=_dropout_rngs(mask_seed))
     flat[flat_idx] = original
     return float(_batch_cce(probs_p, labels)[0] - _batch_cce(probs_m, labels)[0]) / (2 * h)
 
@@ -208,8 +214,8 @@ def _check_gradients(cfg, n_probes, seed, with_dropout):
     stack = stack_of(init_model(cfg))
     x = rng.random(cfg.input_dim)[None, None, :]
     labels = np.array([[True]])
-    _, cache = _forward_batch(stack, x, training=with_dropout, rngs=[rng])
-    masks = cache["masks"] if with_dropout else None
+    mask_seed = seed if with_dropout else None
+    _, cache = _forward_batch(stack, x, training=with_dropout, rngs=_dropout_rngs(mask_seed))
     backward(stack, cache, labels)
     arrays = [w[0] for w in stack.weights] + [b[0] for b in stack.biases]
     grads = [g[0].reshape(-1).copy() for g in stack.grad_weights + stack.grad_biases]
@@ -219,7 +225,7 @@ def _check_gradients(cfg, n_probes, seed, with_dropout):
     for pick in picks:
         arr, grad, idx = coords[pick]
         g_a = grad[idx]
-        g_n = _fd_gradient(stack, x, labels, arr, idx, masks)
+        g_n = _fd_gradient(stack, x, labels, arr, idx, mask_seed)
         if abs(g_a - g_n) <= 1e-9:
             continue
         worst = max(worst, abs(g_a - g_n) / max(abs(g_a), abs(g_n), 1e-8))
