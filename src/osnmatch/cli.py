@@ -30,7 +30,7 @@ from .embedding_features import (
     pair_embedding_features,
 )
 from .errors import OsnMatchError, ParseError, open_input
-from .evaluation import cross_validate, render_report, report_as_dict
+from .evaluation import cross_validate, render_report
 from .mlp import MlpConfig, save_model
 from .profile_features import (
     UserProfile,
@@ -86,7 +86,12 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     explicit flags still win. A key that names no option is an error."""
     if not value:
         return value
-    known = {p.name for p in ctx.command.params if p is not param}
+    # a key is a parameter name or an option's long name, "-" read as "_"
+    known = {
+        key: p.name
+        for p in ctx.command.params if p is not param
+        for key in (p.name, *(o.lstrip("-").replace("-", "_") for o in p.opts))
+    }
     overrides = {}
     try:
         with open_input(value) as fh:
@@ -105,7 +110,7 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
         key = key.strip().replace("-", "_")
         if key not in known:
             raise click.BadParameter(f"{value}:{line_no}: unknown key {key!r}")
-        overrides[key] = raw.strip()
+        overrides[known[key]] = raw.strip()
     ctx.default_map = {**(ctx.default_map or {}), **overrides}
     return value
 
@@ -208,6 +213,8 @@ def run(model, measure, all_measures, temporal_mode, include_names,
         patience, embedding_seed, embeddings, char_embeddings, data_dir,
         profiles, posts, pairs, output_dir):
     """Run one model end-to-end with k-fold cross-validation."""
+    if char_embeddings and not embeddings:
+        raise click.UsageError("--char-embeddings needs --embeddings")
     profiles_path, posts_path, pairs_path = _resolve_paths(
         data_dir, profiles, posts, pairs
     )
@@ -260,7 +267,7 @@ def _execute_run(cfg: RunConfig) -> dict:
         early_stop_patience=cfg.early_stop_patience,
         rng_seed=cfg.seed,
     )
-    report, models = cross_validate(
+    results, models = cross_validate(
         mlp_cfg,
         featurize,
         pair_set,
@@ -292,7 +299,7 @@ def _execute_run(cfg: RunConfig) -> dict:
             "max_epochs": mlp_cfg.max_epochs,
             "early_stop_patience": mlp_cfg.early_stop_patience,
         },
-        "results": report_as_dict(report),
+        "results": results,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     json_path = out / "report.json"
@@ -301,15 +308,19 @@ def _execute_run(cfg: RunConfig) -> dict:
         tmp.write_text(
             json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-    title = f"model={cfg.model} measure={cfg.measure} mode={cfg.temporal_mode}"
+    title = {
+        "ps": f"model=ps measure={'all' if cfg.all_measures else cfg.measure}",
+        "temporal": f"model=temporal mode={cfg.temporal_mode}",
+        "embedding": "model=embedding",
+    }[cfg.model]
     with replacing(txt_path) as tmp:
-        tmp.write_text(render_report(report, title=title), encoding="utf-8")
+        tmp.write_text(render_report(results, title), encoding="utf-8")
     return {
         "report_json": str(json_path),
         "report_txt": str(txt_path),
-        "f1": report.f1,
-        "precision": report.precision,
-        "recall": report.recall,
+        "f1": results["f1"],
+        "precision": results["precision"],
+        "recall": results["recall"],
     }
 
 

@@ -54,6 +54,28 @@ class TestRunConfigFile:
         assert run["max_epochs"] == 1
         assert run["early_stop_patience"] == 0
 
+    @pytest.mark.parametrize(
+        "key, raw, field, value",
+        [
+            ("dropout", "0.25", "dropout_rate", 0.25),
+            ("names", "false", "include_names", False),
+            ("output", "from-config", "output_dir", "from-config"),
+        ],
+    )
+    def test_option_long_name_is_a_key(self, corpus_dir, tmp_path, monkeypatch, key, raw,
+                                       field, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"max_epochs = 1\n{key} = {raw}\n",
+                                          encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["run", "--config", "run.cfg", "--data-dir", str(corpus_dir),
+                   "--model", "temporal", "--k", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        report_json = json.loads(result.output.splitlines()[-1])["report_json"]
+        run = json.loads((tmp_path / report_json).read_text(encoding="utf-8"))["run"]
+        assert run[field] == value
+
     def test_flags_win_over_the_file(self, corpus_dir, tmp_path):
         result, _, out = _run(
             corpus_dir, tmp_path, "max_epochs = 3\npatience = 0\n", "--max-epochs", "1"
@@ -168,6 +190,43 @@ class TestFoldsExport:
         assert "error: OSError: [Errno 28] No space left on device" in result.output
         assert out.read_text(encoding="utf-8") == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["folds.json"]
+
+
+class TestCharEmbeddings:
+    def test_without_embeddings_is_a_usage_error(self, tmp_path):
+        chars = tmp_path / "c.txt"
+        chars.write_text("1 3\nfoo 0 0 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        # the data directory does not exist: the options are checked first
+        result = CliRunner().invoke(
+            main, ["run", "--model", "embedding", "--char-embeddings", str(chars),
+                   "--data-dir", str(tmp_path / "no-corpus"), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "Error: --char-embeddings needs --embeddings" in result.output
+        assert not out.exists()
+
+
+class TestReportTitle:
+    @pytest.mark.parametrize(
+        "options, title",
+        [
+            (("--model", "ps"), "model=ps measure=editex"),
+            (("--model", "ps", "--measure", "lcs", "--all-measures"), "model=ps measure=all"),
+            (("--model", "temporal", "--temporal-mode", "dow"), "model=temporal mode=dow"),
+            (("--model", "embedding", "--hidden-nodes", "8"), "model=embedding"),
+        ],
+        ids=["ps", "ps-all", "temporal", "embedding"],
+    )
+    def test_names_what_the_run_used(self, corpus_dir, tmp_path, options, title):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--data-dir", str(corpus_dir), "--k", "2", "--max-epochs", "1",
+                   "--output", str(out), *options]
+        )
+        assert result.exit_code == 0, result.output
+        lines = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [title, "-" * len(title)]
 
 
 class TestHiddenNodes:

@@ -3,14 +3,7 @@ import pytest
 
 from osnmatch.dataset import LabeledPairSet
 from osnmatch.errors import LengthMismatchError
-from osnmatch.evaluation import (
-    ConfusionCounts,
-    confusion,
-    cross_validate,
-    metrics,
-    render_report,
-    report_as_dict,
-)
+from osnmatch.evaluation import confusion, cross_validate, metrics, render_report
 from osnmatch.mlp import MlpConfig
 from osnmatch.profile_features import FeatureMatrix
 
@@ -19,13 +12,13 @@ class TestConfusion:
     def test_counts_with_inclusive_threshold(self):
         p_same = np.array([0.9, 0.5, 0.4999, 0.1, 0.7, 0.0])
         labels = [True, False, True, False, True, True]
-        assert confusion(p_same, labels) == ConfusionCounts(tp=2, fp=1, fn=2, tn=1)
+        assert confusion(p_same, labels) == {"tp": 2, "fp": 1, "fn": 2, "tn": 1}
 
     def test_nan_is_not_predicted_same(self):
-        assert confusion(np.array([np.nan]), [True]) == ConfusionCounts(fn=1)
+        assert confusion(np.array([np.nan]), [True]) == {"tp": 0, "fp": 0, "fn": 1, "tn": 0}
 
     def test_empty(self):
-        assert confusion(np.array([]), []) == ConfusionCounts()
+        assert confusion(np.array([]), []) == {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -50,20 +43,21 @@ class TestCrossValidate:
             return FeatureMatrix(x, ["a", "b"])
 
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, max_epochs=2)
-        report, models = cross_validate(cfg, featurizer, pair_set, 3, seed=1)
+        results, models = cross_validate(cfg, featurizer, pair_set, 3, seed=1)
         assert calls == [pair_set.pairs]
         assert len(models) == 3
-        assert report.counts.total == len(pair_set.pairs)
-        assert report.counts.tp + report.counts.fn == 12
+        assert sum(results["counts"].values()) == len(pair_set.pairs)
+        assert results["counts"]["tp"] + results["counts"]["fn"] == 12
+        assert [f["fold"] for f in results["per_fold"]] == [0, 1, 2]
 
 
-def _two_fold_report():
-    folds = [metrics(ConfusionCounts(tp=3, fp=1, fn=1, tn=5)),
-             metrics(ConfusionCounts(fn=2, tn=8))]
-    report = metrics(folds[0].counts + folds[1].counts)
-    report.per_fold = folds
-    report.macro_precision = report.macro_recall = report.macro_f1 = 0.375
-    return report
+def _two_fold_results():
+    folds = [metrics({"tp": 3, "fp": 1, "fn": 1, "tn": 5}),
+             metrics({"tp": 0, "fp": 0, "fn": 2, "tn": 8})]
+    results = metrics({"tp": 3, "fp": 1, "fn": 3, "tn": 13})
+    results["macro"] = {"precision": 0.375, "recall": 0.375, "f1": 0.375}
+    results["per_fold"] = [{"fold": i, **f} for i, f in enumerate(folds)]
+    return results
 
 
 class TestReportViews:
@@ -72,7 +66,7 @@ class TestReportViews:
                   "precision": 0.75, "recall": 0.75, "f1": 0.75}
         fold_1 = {"counts": {"tp": 0, "fp": 0, "fn": 2, "tn": 8},
                   "precision": 0.0, "recall": 0.0, "f1": 0.0}
-        assert report_as_dict(_two_fold_report()) == {
+        assert _two_fold_results() == {
             "counts": {"tp": 3, "fp": 1, "fn": 3, "tn": 13},
             "precision": 0.75,
             "recall": 0.5,
@@ -82,12 +76,12 @@ class TestReportViews:
         }
 
     def test_dict_without_folds(self):
-        out = report_as_dict(metrics(ConfusionCounts(tp=1, tn=1)))
-        assert out == {"counts": {"tp": 1, "fp": 0, "fn": 0, "tn": 1},
-                       "precision": 1.0, "recall": 1.0, "f1": 1.0}
+        assert metrics({"tp": 1, "fp": 0, "fn": 0, "tn": 1}) == {
+            "counts": {"tp": 1, "fp": 0, "fn": 0, "tn": 1},
+            "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
     def test_text_has_a_line_per_fold_then_micro_and_macro(self):
-        assert render_report(_two_fold_report(), title="model=ps").splitlines() == [
+        assert render_report(_two_fold_results(), "model=ps").splitlines() == [
             "model=ps",
             "--------",
             "  fold    tp    fp    fn     tn    prec     rec      f1",
@@ -96,11 +90,3 @@ class TestReportViews:
             " micro     3     1     3     13  0.7500  0.5000  0.6000",
             " macro                           0.3750  0.3750  0.3750",
         ]
-
-    def test_text_without_folds(self):
-        text = render_report(metrics(ConfusionCounts(tp=1, fn=1)))
-        assert text == (
-            "evaluation\n----------\n"
-            "  fold    tp    fp    fn     tn    prec     rec      f1\n"
-            " micro     1     0     1      0  1.0000  0.5000  0.6667\n"
-        )

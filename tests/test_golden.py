@@ -132,3 +132,35 @@ def test_counts_and_model_digests(corpus_dir, tmp_path, case):
     ]
     assert got_counts == counts
     assert got_digests == digests
+
+
+# per case: the SHA-256 of ``json.dumps(results, sort_keys=True)`` for the
+# ``results`` object of report.json, and of the report.txt lines below the
+# title rule; recorded before the results became one dict
+REPORT_GOLDEN = {
+    "ps-all-measures": (
+        "d7b5b9f9ae1233bafe69c04d8524b54c8a1b481771f147dc8b8e8609f8b91096",
+        "46b9f18a7e6d45cde4358c73e331e57081fabb33d91d82c66928b4c67554ba68",
+    ),
+    "temporal-user-disjoint": (
+        "31dd06f3854a0abea33080eeb335fccc22a5b65591a06e8f9601f457b7deee34",
+        "05c4210a5391b0e19d0b56efad8ecf6a5fa262c69cd0b2599371730340d2c0c9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_GOLDEN))
+def test_report_digests(corpus_dir, tmp_path, case):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main,
+        ["run", "--k", "3", "--max-epochs", "3", "--seed", "42",
+         "--data-dir", str(corpus_dir), "--output", str(out), *GOLDEN[case][0]],
+    )
+    assert result.exit_code == 0, result.output
+    results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+    lines = (out / "report.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert [
+        hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest(),
+        hashlib.sha256("".join(lines[2:]).encode()).hexdigest(),
+    ] == list(REPORT_GOLDEN[case])

@@ -1,4 +1,12 @@
+import re
+
+import pytest
+from click.testing import CliRunner
+
 from osnmatch import synth
+from osnmatch.cli import main
+from osnmatch.dataset import load_corpus
+from osnmatch.profile_features import Platform
 
 FILES = ("profiles.jsonl", "posts.jsonl", "pairs.csv")
 
@@ -9,6 +17,10 @@ def _generate(tmp_path, name, seed):
     for key in ("profiles_path", "posts_path", "pairs_path"):
         summary[key] = summary[key].removeprefix(str(out))
     return summary, {n: (out / n).read_bytes() for n in FILES}
+
+
+def _load(directory):
+    return load_corpus(*(str(directory / n) for n in FILES))
 
 
 class TestDeterminism:
@@ -24,3 +36,47 @@ class TestDeterminism:
         _, files_a = _generate(tmp_path, "a", 7)
         _, files_b = _generate(tmp_path, "b", 8)
         assert files_a["posts.jsonl"] != files_b["posts.jsonl"]
+
+
+PROFILE_FIELDS = ("user_name", "real_name", "description", "location", "post_count")
+
+
+class TestCorpus:
+    def test_noise_zero_gives_equal_profiles(self, tmp_path):
+        synth.generate_corpus(12, 0.0, 5, str(tmp_path))
+        corpus = _load(tmp_path)
+        for t_id, f_id in corpus.positive_pairs:
+            a = corpus.profile(Platform.TWITTER, t_id)
+            b = corpus.profile(Platform.FLICKR, f_id)
+            assert [getattr(a, f) for f in PROFILE_FIELDS] == [
+                getattr(b, f) for f in PROFILE_FIELDS
+            ]
+
+    def test_loads_every_pair_and_profile(self, tmp_path):
+        synth.generate_corpus(15, 0.15, 9, str(tmp_path))
+        corpus = _load(tmp_path)
+        assert len(corpus.positive_pairs) == 15
+        assert len(corpus.profiles) == 30
+        assert corpus.dropped_pairs == 0
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "n_users, noise, message",
+        [
+            (synth.MIN_USERS - 1, 0.15, "n_users must be >= 10"),
+            (12, -0.01, "noise must be in [0, 1]"),
+            (12, 1.01, "noise must be in [0, 1]"),
+        ],
+    )
+    def test_out_of_range_is_a_value_error(self, tmp_path, n_users, noise, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth.generate_corpus(n_users, noise, 1, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_reports_the_error(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["synth", "--n-users", "5", "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1
+        assert result.output == "error: ValueError: n_users must be >= 10, got 5\n"
