@@ -196,8 +196,9 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--embedding-seed", type=int, default=0, show_default=True,
               help="seed of the hash-fallback embedder")
 @click.option("--embeddings", type=click.Path(exists=True), default=None,
-              help="word2vec-text embedding file (else: hash fallback); character "
-                   "n-gram vectors may follow its '#char-ngrams' line")
+              help="word2vec-text embedding file (embedding model; else: hash "
+                   "fallback); character n-gram vectors may follow its "
+                   "'#char-ngrams' line")
 @click.option("--char-embeddings", type=click.Path(exists=True), default=None,
               help="separate character-n-gram embedding file; character "
                    "vectors come from one of the two files, never both")
@@ -215,6 +216,8 @@ def run(model, measure, all_measures, temporal_mode, include_names,
     """Run one model end-to-end with k-fold cross-validation."""
     if char_embeddings and not embeddings:
         raise click.UsageError("--char-embeddings needs --embeddings")
+    if embeddings and model != "embedding":
+        raise click.UsageError("--embeddings needs --model embedding")
     profiles_path, posts_path, pairs_path = _resolve_paths(
         data_dir, profiles, posts, pairs
     )

@@ -3,8 +3,17 @@
 A candidate pair is one account on each platform. Its profile features
 are the normalized similarity of each textual profile field under one
 chosen measure, or under every measure, plus the ratio of lifetime post
-counts; one per-pair kernel computes both layouts. Every feature family
-turns a batch of pairs into one ``FeatureMatrix``.
+counts. Every feature family turns a batch of pairs into one
+``FeatureMatrix``.
+
+The ``ps`` matrix is built one (measure, field) column at a time, not one
+pair at a time: ``featurize_pairs`` looks up each account's profile and
+folds its fields once, applies the rule of ``text_field_score`` to a whole
+field at once, and makes one ``normalized_similarity`` call per column on
+the pairs that still need a raw value, so Editex and Smith-Waterman run as
+one DP over all of them. ``post_ratio`` is the last column of that kernel
+order; ``ps_schema`` says how to reorder it. A single pair goes through the
+same column code.
 """
 
 from __future__ import annotations
@@ -124,6 +133,33 @@ def _check_platforms(a: UserProfile, b: UserProfile) -> None:
         )
 
 
+def _account_row(profile: UserProfile, fields: tuple[str, ...]) -> list:
+    """The account's text fields, folded as every measure folds them, then
+    its post count."""
+    return [*(getattr(profile, name).lower() for name in fields), profile.post_count]
+
+
+def _ps_columns(a: np.ndarray, b: np.ndarray, measures: tuple[Measure, ...]) -> np.ndarray:
+    """Kernel-order features of the pairs whose accounts' ``_account_row``s
+    are the rows of ``a`` and ``b``: each measure's field scores
+    (measure-major), then the post-count ratio."""
+    n, k = a.shape[0], a.shape[1] - 1
+    x = np.empty((n, len(measures) * k + 1))
+    for f in range(k):
+        fa, fb = a[:, f].tolist(), b[:, f].tolist()
+        # text_field_score on folded text: equal (both empty included) scores
+        # 1.0, one side empty 0.0, and only the rest need the measure
+        base = [1.0 if s == t else 0.0 for s, t in zip(fa, fb)]
+        rows = [i for i, (s, t) in enumerate(zip(fa, fb)) if s != t and s and t]
+        sa, sb = [fa[i] for i in rows], [fb[i] for i in rows]
+        for j, m in enumerate(measures):
+            x[:, j * k + f] = base
+            if rows:
+                x[rows, j * k + f] = normalized_similarity(m, sa, sb)
+    x[:, -1] = [post_count_ratio(p, q) for p, q in zip(a[:, k].tolist(), b[:, k].tolist())]
+    return x
+
+
 def extract_ps_features_all_measures(
     a: UserProfile, b: UserProfile, include_names: bool = True,
     measures: tuple[Measure, ...] = tuple(Measure),
@@ -132,11 +168,8 @@ def extract_ps_features_all_measures(
     (measure-major), followed by the post-count ratio."""
     _check_platforms(a, b)
     fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
-    return [
-        text_field_score(m, getattr(a, name), getattr(b, name))
-        for m in measures
-        for name in fields
-    ] + [post_count_ratio(a.post_count, b.post_count)]
+    rows = [np.array([_account_row(p, fields)], dtype=object) for p in (a, b)]
+    return _ps_columns(*rows, measures)[0].tolist()
 
 
 def ps_schema(
@@ -164,14 +197,16 @@ def featurize_pairs(
     """Profile-similarity matrix of (twitter_id, flickr_id, ...) pairs, in
     order, under one measure, or under every measure when ``measure`` is None."""
     schema, order = ps_schema(measure, include_names)
-    measures = tuple(Measure) if measure is None else (measure,)
-    twitter, flickr = Platform.TWITTER, Platform.FLICKR
-    rows = [
-        extract_ps_features_all_measures(
-            corpus.profile(twitter, p[0]), corpus.profile(flickr, p[1]),
-            include_names, measures,
+    fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
+
+    def accounts(side: int, platform: Platform) -> np.ndarray:
+        return per_account(
+            [p[side] for p in pairs], len(fields) + 1,
+            lambda uid: _account_row(corpus.profile(platform, uid), fields), dtype=object,
         )
-        for p in pairs
-    ]
-    x = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
+
+    x = _ps_columns(
+        accounts(0, Platform.TWITTER), accounts(1, Platform.FLICKR),
+        tuple(Measure) if measure is None else (measure,),
+    )
     return FeatureMatrix(x[:, order], schema)

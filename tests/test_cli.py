@@ -207,6 +207,21 @@ class TestCharEmbeddings:
         assert not out.exists()
 
 
+class TestEmbeddings:
+    @pytest.mark.parametrize("model", ["ps", "temporal"])
+    def test_with_another_model_is_a_usage_error(self, tmp_path, model):
+        words = tmp_path / "e.txt"
+        words.write_text("1 3\nfoo 0 0 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--model", model, "--embeddings", str(words),
+                   "--data-dir", str(tmp_path / "no-corpus"), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "Error: --embeddings needs --model embedding" in result.output
+        assert not out.exists()
+
+
 class TestReportTitle:
     @pytest.mark.parametrize(
         "options, title",

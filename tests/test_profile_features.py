@@ -1,11 +1,14 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osnmatch.dataset import Corpus
+from osnmatch import strsim
+from osnmatch.dataset import Corpus, parse_profile
 from osnmatch.errors import SamePlatformError
 from osnmatch.profile_features import (
     PS_SCHEMA,
@@ -296,6 +299,84 @@ class TestFeaturizePairs:
                     corpus.profile(Platform.FLICKR, f), measure,
                 )
                 assert row.tolist() == expected
+
+
+def varied_corpus(seed=0, n=12):
+    """Accounts whose fields mix empty, case-only twins, digits, silent h/w
+    and non-ASCII letters, and pairs that reuse accounts."""
+    rng = random.Random(seed)
+    pool = ["", "Kwan Hui", "kwan hui", "KWANHUI", "wh1te", "Hwang", "straße",
+            "ça va 2", "  ", "Singapore", "singapur", "photo & travel", "x"]
+
+    def field():
+        if rng.random() < 0.6:
+            return rng.choice(pool)
+        return "".join(rng.choice("abchkqswzHW19é ") for _ in range(rng.randint(1, 45)))
+
+    profiles = [
+        UserProfile(platform=platform, user_id=f"{platform.value[0]}{i}",
+                    **{name: field() for name in PS_TEXT_FIELDS},
+                    post_count=rng.choice([0, 0, 1, 7, 300]))
+        for platform in (Platform.TWITTER, Platform.FLICKR) for i in range(n)
+    ]
+    pairs = [(f"t{rng.randrange(n)}", f"f{rng.randrange(n)}", rng.random() < 0.2)
+             for _ in range(5 * n)]
+    return corpus_of(*profiles), pairs
+
+
+class TestColumnPath:
+    """``featurize_pairs`` builds the matrix one column at a time; every row
+    equals the per-pair reference row."""
+
+    @pytest.mark.parametrize("names", [True, False], ids=["names", "no-names"])
+    @pytest.mark.parametrize("measure", [*Measure, None], ids=lambda m: getattr(m, "value", "all"))
+    def test_equals_the_per_pair_rows(self, measure, names, monkeypatch):
+        # a small block cap cuts each Editex and Smith-Waterman column into
+        # several blocks
+        monkeypatch.setattr(strsim, "_BLOCK_CELLS", 200)
+        corpus, pairs = varied_corpus()
+        out = featurize_pairs(corpus, pairs, measure, names)
+        assert out.schema == ps_schema(measure, names)[0]
+        for row, (t, f, _) in zip(out.x, pairs):
+            a = corpus.profile(Platform.TWITTER, t)
+            b = corpus.profile(Platform.FLICKR, f)
+            assert row.tolist() == expected_row(out.schema, a, b, measure), (t, f)
+
+    def test_calls_the_measure_once_per_column(self, monkeypatch):
+        calls = []
+        real = strsim.normalized_similarity
+
+        def counting(measure, a, b):
+            calls.append((measure, len(a)))
+            return real(measure, a, b)
+
+        monkeypatch.setattr("osnmatch.profile_features.normalized_similarity", counting)
+        corpus, pairs = varied_corpus()
+        featurize_pairs(corpus, pairs, Measure.LCS)
+        # only pairs with two different nonempty fields reach the measure
+        assert [m for m, _ in calls] == [Measure.LCS] * 4
+        assert all(0 < n < len(pairs) for _, n in calls)
+
+    def test_surrogates_astral_and_non_ascii(self):
+        lines = [
+            {"platform": "twitter", "user_id": "t1", "user_name": "a\ud800b",
+             "real_name": "😀 Zoë", "description": "\udfff", "location": "Zürich"},
+            {"platform": "flickr", "user_id": "f1", "user_name": "A\ud800",
+             "real_name": "zoë 😀", "description": "x\udfffy", "location": "zurich"},
+            {"platform": "flickr", "user_id": "f2", "user_name": "😀😀",
+             "real_name": "ΣΟΦΙΑ", "description": "\ud83d", "location": "Zürich"},
+        ]
+        profiles = [parse_profile(json.dumps(obj), "profiles.jsonl", i)
+                    for i, obj in enumerate(lines, 1)]
+        assert profiles[0].user_name == "a\ud800b"
+        corpus = corpus_of(*profiles)
+        pairs = [("t1", "f1"), ("t1", "f2")]
+        for measure in [*Measure, None]:
+            out = featurize_pairs(corpus, pairs, measure)
+            for row, (t, f) in zip(out.x, pairs):
+                a = corpus.profile(Platform.TWITTER, t)
+                b = corpus.profile(Platform.FLICKR, f)
+                assert row.tolist() == expected_row(out.schema, a, b, measure)
 
 
 class TestHelpers:

@@ -2,7 +2,10 @@ import bz2
 import math
 import random
 import sys
+import threading
+import tracemalloc
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -47,10 +50,10 @@ long_examples = settings(max_examples=30, deadline=None)
 
 
 @contextmanager
-def deep_recursion():
+def deep_recursion(limit=10_000):
     """The memo oracles recurse as deep as the two lengths added up."""
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10_000))
+    sys.setrecursionlimit(max(old, limit))
     try:
         yield
     finally:
@@ -333,6 +336,119 @@ class TestNormalizedSimilarity:
         assert calls == [("kwan hui", "kwanhui lim")]
         assert strsim.raw_measure(measure, "Ab", "ab") == real("Ab", "ab")
         assert len(calls) == 2
+
+
+# folded text over letters of several Editex groups, silent h/w and digits
+dp_text = st.text(alphabet="abcdhwkpqstvxz019 é", min_size=1, max_size=60)
+
+
+@st.composite
+def dp_batches(draw, text=dp_text):
+    """Two equal-length lists of folded strings, some pairs equal."""
+    pairs = draw(st.lists(
+        st.one_of(st.tuples(text, text), text.map(lambda s: (s, s))),
+        min_size=1, max_size=12,
+    ))
+    return [s for s, _ in pairs], [t for _, t in pairs]
+
+
+def in_deep_stack(fn, *args):
+    """``fn(*args)`` on a thread whose stack holds a memo oracle's recursion
+    over a string of tens of thousands of characters."""
+    result = []
+    old_size = threading.stack_size(32 * 1024 * 1024)
+    try:
+        with deep_recursion(100_000):
+            worker = threading.Thread(target=lambda: result.append(fn(*args)))
+            worker.start()
+            worker.join()
+    finally:
+        threading.stack_size(old_size)
+    return result[0]
+
+
+class TestBatchedDp:
+    """Editex and Smith-Waterman on a batch of pairs: one int64 DP per
+    block of pairs, one value per pair."""
+
+    # the default, and a cap that cuts most batches into several blocks
+    CELLS = [strsim._BLOCK_CELLS, 128]
+
+    @pytest.mark.parametrize("cells", CELLS)
+    @given(batch=dp_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_oracles(self, cells, batch):
+        a, b = batch
+        with deep_recursion(), patch.object(strsim, "_BLOCK_CELLS", cells):
+            assert editex(a, b) == [editex_memo(s, t) for s, t in zip(a, b)]
+            assert smith_waterman(a, b) == [
+                smith_waterman_full_matrix(s, t) for s, t in zip(a, b)
+            ]
+
+    @pytest.mark.parametrize("cells", CELLS)
+    @given(batch=dp_batches(st.text(alphabet="ahwk1", min_size=1, max_size=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_editex_matches_the_naive_recursion(self, cells, batch):
+        a, b = batch
+        with patch.object(strsim, "_BLOCK_CELLS", cells):
+            assert editex(a, b) == [editex_naive(s, t) for s, t in zip(a, b)]
+
+    def test_one_pair_and_edge_cases(self):
+        assert editex(["h1", "wa", "12", ""], ["1", "a", "21", ""]) == [
+            editex_naive(s, t) for s, t in [("h1", "1"), ("wa", "a"), ("12", "21"), ("", "")]
+        ]
+        assert smith_waterman(["", "ab"], ["abc", ""]) == [0, 0]
+        assert editex([], []) == smith_waterman([], []) == []
+        assert type(editex("Kan", "can")) is int and editex("Kan", "can") == 1
+        assert type(smith_waterman("ab", "AB")) is int
+        with pytest.raises(ValueError):
+            editex(["a"], [])
+
+    @pytest.mark.parametrize("measure", ALL_MEASURES)
+    @given(a=st.lists(any_text, max_size=8), b=st.lists(any_text, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_normalized_batch_matches_one_pair_calls(self, measure, a, b):
+        a = [s.lower() for s in a[: len(b)]]
+        b = [t.lower() for t in b[: len(a)]]
+        got = normalized_similarity(measure, a, b)
+        assert got == [normalized_similarity(measure, s, t) for s, t in zip(a, b)]
+
+    def test_one_long_string_keeps_blocks_small(self):
+        rng = random.Random(3)
+        short = ["".join(rng.choice("abchwz1 ") for _ in range(rng.randint(1, 30)))
+                 for _ in range(2 * 300)]
+        a, b = short[:300], short[300:]
+        a[150] = "".join(rng.choice("abcdehstwz ") for _ in range(20_000))
+        for dp, oracle in [(editex, editex_memo), (smith_waterman, smith_waterman_full_matrix)]:
+            tracemalloc.start()
+            try:
+                got = dp(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # padding every pair to the long string would take 48 MB a row
+            assert peak < 300 * 20_000 * 8 / 10, (dp.__name__, peak)
+            with deep_recursion():
+                want = [oracle(s, t) for s, t in zip(a[:150] + a[151:], b[:150] + b[151:])]
+            assert got[:150] + got[151:] == want
+            assert got[150] == in_deep_stack(oracle, a[150], b[150])
+
+    def test_surrogates_astral_and_non_ascii(self):
+        texts = ["a\ud800b", "\udfffx", "😀hw😀", "ça va", "straße", "σσς", "h\ud800"]
+        dp_oracles = [
+            (levenshtein, levenshtein_memo), (damerau_levenshtein, osa_memo),
+            (editex, editex_memo), (lcs_length, lcs_memo),
+            (smith_waterman, smith_waterman_full_matrix),
+        ]
+        a = [s for s in texts for _ in texts]
+        b = [t for _ in texts for t in texts]
+        for measure, oracle in dp_oracles:
+            assert measure(a, b) == [oracle(s, t) for s, t in zip(a, b)], measure.__name__
+            assert [measure(s, t) for s, t in zip(a, b)] == measure(a, b)
+        for s, t in zip(a, b):
+            xs, xt = s.encode("utf-8", "surrogatepass"), t.encode("utf-8", "surrogatepass")
+            cs, ct = len(bz2.compress(xs)), len(bz2.compress(xt))
+            assert ncd_bzip2(s, t) == (len(bz2.compress(xs + xt)) - min(cs, ct)) / max(cs, ct)
 
 
 class TestCorpusFields:
