@@ -19,26 +19,45 @@ Algorithms:
                   batched row DP
   NCD             Cilibrasi & Vitányi (IEEE Trans. Inf. Theory 51(4),
                   2005) with bzip2 as the compressor
-  Jaro-Winkler    Winkler (1990)
-
-The bit-vector measures keep one bit per character of the longer string
-(bit i is row i + 1 of the DP matrix) in Python ints and loop over the
-shorter string. Python's ``~`` yields negative ints and shifts and carries
-grow the width, so every vector carried to the next column is masked back
-to the string's n bits; the low n bits are exact either way.
+  Jaro-Winkler    Winkler (1990), batched window scan
 
 Every raw measure takes two strings, which it folds, and returns one value;
 or two equal-length sequences of folded strings, and returns a list with
-one value per pair. Seven measures loop over the pairs. Editex and
-Smith-Waterman run one int64 numpy DP over a block of pairs at once,
-padded to the block's longest strings, one pass per character of the
-shorter strings. Within a row, the term from the left neighbour is a
-prefix scan: Editex's ``v[j] = min(h[j], v[j-1] + del_t[j])`` is
-``c + minimum.accumulate(h - c)`` with ``c`` the running sum of ``del_t``,
-and Smith-Waterman's ``v[j] = max(h[j], v[j-1] - 1)`` is
-``maximum.accumulate(h + j) - j``. Pairs are sorted by length and cut into
-blocks of at most ``_BLOCK_CELLS`` cells per DP row, so one long string
-does not pad every pair to its length.
+one value per pair. One pair is a column of length one: each measure has
+one implementation, which works on a whole column of pairs.
+
+Six measures run numpy over blocks of pairs (``_blockwise``): the pairs
+are sorted by their longer length and cut into blocks of at most
+``_BLOCK_CELLS`` cells per row, so one long string does not pad every
+pair to its length, and each block runs one pass per character of its
+strings (the shorter ones, where the measure is symmetric).
+
+- Editex and Smith-Waterman run one int64 row DP, padded to the block's
+  longest strings. Within a row, the term from the left neighbour is a
+  prefix scan: Editex's ``v[j] = min(h[j], v[j-1] + del_t[j])`` is
+  ``c + minimum.accumulate(h - c)`` with ``c`` the running sum of
+  ``del_t``, and Smith-Waterman's ``v[j] = max(h[j], v[j-1] - 1)`` is
+  ``maximum.accumulate(h + j) - j``.
+- Levenshtein, OSA and LCS are bit-vector DPs with one lane per pair
+  (the inter-sequence layout of Rognes, BMC Bioinformatics 12:221, 2011):
+  bit i of a lane is row i + 1 of the DP column over the longer string,
+  held in W = ceil(longest / 64) uint64 words, word 0 lowest. A block's
+  pairs come in order of decreasing shorter length, so the lanes still
+  running at a character are a prefix and the others keep their last
+  column. The carry of an addition and the bit shifted out of a word pass
+  to the next word. Every vector carried to the next column is masked to
+  its lane's length; the distance is read off the last column's vertical
+  deltas at the end.
+- Jaro-Winkler marks, for each position of s over all pairs at once, the
+  first unmatched equal position of t inside the window (``argmax`` over
+  the candidates), and counts transpositions by comparing the matched
+  characters in rank order.
+
+The bigram measures build each distinct string's bigram set or counter
+once per column, and NCD compresses each distinct string once per column.
+bzip2 runs at level 1 on an input that is one block at every level (see
+``_BZ2_ONE_BLOCK``): its compressed length is then the same as at level 9,
+and level 1 sets up in a fraction of the time.
 """
 
 from __future__ import annotations
@@ -47,7 +66,7 @@ import bz2
 import math
 from collections import Counter
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,15 +90,19 @@ def _fold(text: str) -> str:
     return text.lower()
 
 
-def _pairwise(kernel: Callable[[str, str], int | float]) -> Callable:
-    """The measure ``kernel(s, t)`` of two folded strings, on two strings
-    (folded first) or on two equal-length sequences of folded strings."""
+def _columns(kernel: Callable[[list[str], list[str]], list]) -> Callable:
+    """The measure ``kernel(s, t)`` of two equal-length lists of folded
+    strings, on two strings (folded first) or on two equal-length sequences
+    of folded strings."""
 
     @wraps(kernel)
     def measure(a, b):
         if isinstance(a, str):
-            return kernel(_fold(a), _fold(b))
-        return [kernel(s, t) for s, t in zip(a, b, strict=True)]
+            return kernel([_fold(a)], [_fold(b)])[0]
+        a, b = list(a), list(b)
+        if len(a) != len(b):
+            raise ValueError(f"{len(a)} strings against {len(b)}")
+        return kernel(a, b)
 
     return measure
 
@@ -88,33 +111,40 @@ def _pairwise(kernel: Callable[[str, str], int | float]) -> Callable:
 _BLOCK_CELLS = 1 << 14
 
 
-def _blockwise(dp: Callable[[list[str], list[str]], np.ndarray]) -> Callable:
-    """The measure ``dp(s, t)`` of a block of pairs of folded strings, on two
-    strings (folded first) or on two equal-length sequences of folded
-    strings. ``dp`` must be symmetric: it gets each pair with the shorter
-    string first, the pairs sorted by the longer length and cut into blocks
-    of at most ``_BLOCK_CELLS`` cells per DP row."""
+def _blockwise(swap: bool = True, dtype=np.int64) -> Callable:
+    """Decorator: the measure ``dp(s, t)`` of a block of pairs of folded
+    strings as a ``_columns`` measure. The pairs are sorted by their longer
+    length and cut into blocks of at most ``_BLOCK_CELLS`` cells per DP row;
+    each block comes in order of decreasing len(s). With ``swap``, which
+    only a symmetric ``dp`` may take, each pair comes shorter string first."""
 
-    @wraps(dp)
-    def measure(a, b):
-        if isinstance(a, str):
-            return measure([_fold(a)], [_fold(b)])[0]
-        pairs = [(s, t) if len(s) <= len(t) else (t, s) for s, t in zip(a, b, strict=True)]
-        order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][1]))
-        out = np.empty(len(pairs), dtype=np.int64)
-        start = 0
-        while start < len(order):
-            stop = start + 1
-            while stop < len(order) and (
-                (stop + 1 - start) * (len(pairs[order[stop]][1]) + 1) <= _BLOCK_CELLS
-            ):
-                stop += 1
-            rows = order[start:stop]
-            out[rows] = dp([pairs[i][0] for i in rows], [pairs[i][1] for i in rows])
-            start = stop
-        return out.tolist()
+    def wrap(dp: Callable[[list[str], list[str]], np.ndarray]) -> Callable:
+        @_columns
+        @wraps(dp)
+        def measure(a: list[str], b: list[str]) -> list:
+            if swap:
+                pairs = [(s, t) if len(s) <= len(t) else (t, s) for s, t in zip(a, b)]
+                a, b = [s for s, _ in pairs], [t for _, t in pairs]
+            len_a = np.fromiter(map(len, a), dtype=np.int64, count=len(a))
+            longer = np.maximum(len_a, np.fromiter(map(len, b), dtype=np.int64, count=len(b)))
+            order = np.argsort(longer, kind="stable")
+            cells = longer[order] + 1
+            out = np.empty(len(a), dtype=dtype)
+            start = 0
+            while start < len(order):
+                # the longest prefix of what is left whose size x its last
+                # (longest) width fits, and at least one pair
+                fit = np.arange(1, len(order) - start + 1) * cells[start:] <= _BLOCK_CELLS
+                stop = start + max(1, int(np.count_nonzero(fit)))
+                block = order[start:stop]
+                rows = block[np.argsort(-len_a[block], kind="stable")].tolist()
+                out[rows] = dp([a[i] for i in rows], [b[i] for i in rows])
+                start = stop
+            return out.tolist()
 
-    return measure
+        return measure
+
+    return wrap
 
 
 def _codes(strings: list[str], pad: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,78 +157,100 @@ def _codes(strings: list[str], pad: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, lengths
 
 
-def _match_masks(s: str) -> dict[str, int]:
-    """Bit i of ``masks[c]`` is set where ``s[i] == c``."""
-    masks: dict[str, int] = {}
-    bit = 1
-    for c in s:
-        masks[c] = masks.get(c, 0) | bit
-        bit <<= 1
-    return masks
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of booleans, a multiple of 64 wide, as rows of uint64 words:
+    column i is bit i % 64 of word i // 64."""
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-@_pairwise
-def levenshtein(s: str, t: str) -> int:
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of words."""
+    return np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+
+
+_ONE, _TOP = np.uint64(1), np.uint64(63)
+
+
+def _shl(x: np.ndarray, low: bool = False) -> np.ndarray:
+    """Each lane shifted up one bit, word 0 lowest, bit 0 set if ``low``."""
+    out = x << _ONE
+    if x.shape[1] > 1:
+        out[:, 1:] |= x[:, :-1] >> _TOP
+    if low:
+        out[:, 0] |= _ONE
+    return out
+
+
+def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lane sums, word 0 lowest, each word's carry added to the next."""
+    out = x + y
+    if x.shape[1] > 1:
+        # a word whose sum wrapped carries out; a word of all ones passes
+        # the carry it gets on. So a word gets a carry when the nearest
+        # lower word that is not all ones wrapped.
+        wrapped = out < x
+        words = np.arange(x.shape[1])
+        stop = np.maximum.accumulate(np.where(out != ~np.uint64(0), words, -1), axis=1)
+        below = np.maximum(stop[:, :-1], 0)
+        out[:, 1:] += (stop[:, :-1] >= 0) & np.take_along_axis(wrapped, below, axis=1)
+    return out
+
+
+def _lanes(s: list[str], t: list[str]):
+    """The bit-vector lanes of a block of pairs, each ``s`` no longer than
+    its ``t``, in order of decreasing len(s): the lengths of the s and of
+    the t, each lane's mask of its len(t) low bits, and per character j of
+    the s, the number k of lanes with len(s) > j and their match masks
+    (bit i set where t[i] == s[j])."""
+    cs, n = _codes(s, -1)
+    ct, m = _codes(t, -1)  # -1 matches no code point
+    bits = 64 * max(1, -(-ct.shape[1] // 64))
+    ct = np.pad(ct, ((0, 0), (0, bits - ct.shape[1])), constant_values=-1)
+    full = _pack(np.arange(bits) < m[:, None])
+    running = (n[:, None] > np.arange(cs.shape[1])).sum(axis=0).tolist()
+    steps = ((k, _pack(ct[:k] == cs[:k, j, None])) for j, k in enumerate(running))
+    return n, m, full, steps
+
+
+@_blockwise()
+def levenshtein(s: list[str], t: list[str]) -> np.ndarray:
     """Minimum number of single-character insertions, deletions or
     substitutions turning one string into the other."""
-    if len(s) < len(t):
-        s, t = t, s
-    m = len(s)
-    if not t:
-        return m
-    peq = _match_masks(s)
-    full = (1 << m) - 1
-    top = 1 << (m - 1)
+    n, _, full, steps = _lanes(s, t)
     # vertical +1/-1 deltas of the current column; column 0 is 0..m
-    pv, mv, dist = full, 0, m
-    for c in t:
-        eq = peq.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & top:
-            dist += 1
-        elif mh & top:
-            dist -= 1
-        ph = (ph << 1) | 1  # row 0 grows by one per column
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv
-    return dist
+    pv, mv = full.copy(), np.zeros_like(full)
+    for k, eq in steps:
+        p, q = pv[:k], mv[:k]
+        xv = eq | q
+        xh = (_add(eq & p, p) ^ p) | eq
+        ph = _shl(q | ~(xh | p), low=True)  # row 0 grows by one per column
+        mh = _shl(p & xh)
+        pv[:k] = (mh | ~(xv | ph)) & full[:k]
+        mv[:k] = ph & xv
+    # row 0 of the last column is len(s)
+    return n + _popcount(pv) - _popcount(mv)
 
 
-@_pairwise
-def damerau_levenshtein(s: str, t: str) -> int:
+@_blockwise()
+def damerau_levenshtein(s: list[str], t: list[str]) -> np.ndarray:
     """Edit distance that additionally allows transposing two adjacent
     characters (optimal string alignment: a transposed block is not
     edited again), so never exceeds plain Levenshtein."""
-    if len(s) < len(t):
-        s, t = t, s
-    m = len(s)
-    if not t:
-        return m
-    peq = _match_masks(s)
-    full = (1 << m) - 1
-    top = 1 << (m - 1)
-    vp, vn, d0, pm_prev, dist = full, 0, 0, 0, m
-    for c in t:
-        pm = peq.get(c, 0)
+    n, _, full, steps = _lanes(s, t)
+    vp, vn = full.copy(), np.zeros_like(full)
+    d0, pm_prev = np.zeros_like(full), np.zeros_like(full)
+    for k, pm in steps:
+        p, q = vp[:k], vn[:k]
         # diagonal zero-deltas reachable through a transposition
-        tr = ((~d0 & pm) << 1) & pm_prev
-        d0 = ((((pm & vp) + vp) ^ vp) | pm | vn | tr) & full
-        hp = vn | ~(d0 | vp)
-        hn = d0 & vp
-        if hp & top:
-            dist += 1
-        elif hn & top:
-            dist -= 1
-        hp = (hp << 1) | 1
-        hn <<= 1
-        vp = (hn | ~(d0 | hp)) & full
-        vn = hp & d0
-        pm_prev = pm
-    return dist
+        tr = _shl(~d0[:k] & pm) & pm_prev[:k]
+        d = ((_add(pm & p, p) ^ p) | pm | q | tr) & full[:k]
+        hp = _shl(q | ~(d | p), low=True)
+        hn = _shl(d & p)
+        vp[:k] = (hn | ~(d | hp)) & full[:k]
+        vn[:k] = hp & d
+        d0[:k] = d
+        pm_prev[:k] = pm
+    return n + _popcount(vp) - _popcount(vn)
 
 
 # Phonetic letter groups: a substitution inside one group costs 1 instead
@@ -233,7 +285,7 @@ def _deletion_costs(codes: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return costs
 
 
-@_blockwise
+@_blockwise()
 def editex(s: list[str], t: list[str]) -> np.ndarray:
     """Phonetic edit distance: substitution cost is 0 for equal characters,
     1 within a shared letter group, 2 otherwise; deleting a silent h/w
@@ -264,107 +316,114 @@ def editex(s: list[str], t: list[str]) -> np.ndarray:
     return row[np.arange(len(s)), len_t]
 
 
-def _jaro(s: str, t: str) -> float:
-    if s == t:
-        return 1.0
-    len_s, len_t = len(s), len(t)
-    if len_s == 0 or len_t == 0:
-        return 0.0
-    window = max(max(len_s, len_t) // 2 - 1, 0)
-    s_hit = [False] * len_s
-    t_hit = [False] * len_t
-    matches = 0
-    for i in range(len_s):
-        lo = max(0, i - window)
-        hi = min(i + window + 1, len_t)
-        for j in range(lo, hi):
-            if not t_hit[j] and s[i] == t[j]:
-                s_hit[i] = t_hit[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    k = 0
-    for i in range(len_s):
-        if not s_hit[i]:
-            continue
-        while not t_hit[k]:
-            k += 1
-        if s[i] != t[k]:
-            transpositions += 1
-        k += 1
-    transpositions //= 2
-    return (
-        matches / len_s + matches / len_t + (matches - transpositions) / matches
-    ) / 3.0
-
-
-@_pairwise
-def jaro_winkler(s: str, t: str) -> float:
+@_blockwise(swap=False, dtype=np.float64)
+def jaro_winkler(s: list[str], t: list[str]) -> np.ndarray:
     """Jaro similarity boosted by a shared-prefix bonus (prefix capped at
-    4 characters, scaling factor 0.1). Result lies in [0, 1]."""
-    jaro = _jaro(s, t)
-    prefix = 0
-    for cs, ct in zip(s[:4], t[:4]):
-        if cs != ct:
-            break
-        prefix += 1
+    4 characters, scaling factor 0.1). Result lies in [0, 1].
+
+    Each character of s matches the first unmatched equal character of t
+    at most ``max(len(s), len(t)) // 2 - 1`` positions away."""
+    cs, len_s = _codes(s, -1)
+    ct, len_t = _codes(t, -2)
+    window = np.maximum(np.maximum(len_s, len_t) // 2 - 1, 0)[:, None]
+    lanes, pos = np.arange(len(s)), np.arange(ct.shape[1])
+    s_hit = np.zeros(cs.shape, dtype=bool)
+    t_free = np.ones(ct.shape, dtype=bool)
+    # past len(t) - 1 + window, a position of s has no position of t in reach
+    reach = np.minimum(len_s, len_t + window[:, 0]).max() if ct.size else 0
+    for i in range(reach):
+        found = (ct == cs[:, i, None]) & t_free & (np.abs(pos - i) <= window)
+        j = found.argmax(axis=1)
+        s_hit[:, i] = hit = found[lanes, j]
+        t_free[lanes, j] &= ~hit
+    matches = s_hit.sum(axis=1)
+    # row-major selection keeps each pair's matched characters in rank
+    # order, and both sides of a pair have as many
+    unequal = np.zeros(cs.shape, dtype=bool)
+    unequal[s_hit] = cs[s_hit] != ct[~t_free]
+    transpositions = unequal.sum(axis=1) // 2
+    some = np.maximum(matches, 1)
+    jaro = (
+        matches / np.maximum(len_s, 1) + matches / np.maximum(len_t, 1)
+        + (matches - transpositions) / some
+    ) / 3.0
+    # no match scores 0, but two empty strings are equal
+    jaro = np.where(matches > 0, jaro, np.where(len_s + len_t == 0, 1.0, 0.0))
+    head = min(4, cs.shape[1], ct.shape[1])
+    prefix = np.logical_and.accumulate(cs[:, :head] == ct[:, :head], axis=1).sum(axis=1)
     return jaro + prefix * 0.1 * (1.0 - jaro)
+
+
+def _per_string(f: Callable[[str], object], s: list[str], t: list[str]) -> dict:
+    """``f(x)`` once for each distinct string of the two columns."""
+    return {x: f(x) for x in dict.fromkeys([*s, *t])}
 
 
 def _bigrams(s: str) -> set[str]:
     return {s[i : i + 2] for i in range(len(s) - 1)}
 
 
-@_pairwise
-def jaccard_2gram(s: str, t: str) -> float:
+@_columns
+def jaccard_2gram(s: list[str], t: list[str]) -> list[float]:
     """Jaccard coefficient |A∩B| / |A∪B| over the sets of character
     2-grams. Strings too short to form a 2-gram count as identical only
     when equal."""
-    ga, gb = _bigrams(s), _bigrams(t)
-    if not ga or not gb:
-        return 1.0 if (not ga and not gb and s == t) else 0.0
-    return len(ga & gb) / len(ga | gb)
+    grams = _per_string(_bigrams, s, t)
+    out = []
+    for x, y in zip(s, t):
+        ga, gb = grams[x], grams[y]
+        if not ga or not gb:
+            out.append(1.0 if (not ga and not gb and x == y) else 0.0)
+        else:
+            out.append(len(ga & gb) / len(ga | gb))
+    return out
 
 
-@lru_cache(maxsize=4096)
+# bzip2 compresses in blocks of 100_000 * level - 19 bytes, counted after
+# its first run-length pass, which writes a run of 4 to 255 equal bytes as
+# the first 4 and a count byte: n input bytes become at most n + n // 4.
+# An input of at most (100_000 - 19) * 4 / 5 bytes is therefore one block
+# at every level, and one-block streams differ only in the header's level
+# digit, so level 1 gives level 9's compressed length.
+_BZ2_ONE_BLOCK = (100_000 - 19) * 4 // 5
+
+
 def _compressed_len(data: bytes) -> int:
-    """C(x) of one string; an account field recurs in about nine pairs."""
-    return len(bz2.compress(data))
+    """C(x) under bzip2 at level 9."""
+    return len(bz2.compress(data, 1 if len(data) <= _BZ2_ONE_BLOCK else 9))
 
 
-@_pairwise
-def ncd_bzip2(s: str, t: str) -> float:
+@_columns
+def ncd_bzip2(s: list[str], t: list[str]) -> list[float]:
     """Normalized compression distance under bzip2:
     (C(ab) - min(C(a), C(b))) / max(C(a), C(b)) over UTF-8 bytes (a lone
     surrogate is encoded as its own three bytes).
     A distance, not a similarity: 0 means alike, values can slightly
     exceed 1 due to compressor overhead."""
-    xa, xb = s.encode("utf-8", "surrogatepass"), t.encode("utf-8", "surrogatepass")
-    ca, cb = _compressed_len(xa), _compressed_len(xb)
-    cab = len(bz2.compress(xa + xb))
-    assert max(ca, cb) > 0  # bzip2 headers are never empty
-    return (cab - min(ca, cb)) / max(ca, cb)
+    data = _per_string(lambda x: x.encode("utf-8", "surrogatepass"), s, t)
+    size = {x: _compressed_len(d) for x, d in data.items()}
+    out = []
+    for x, y in zip(s, t):
+        ca, cb = size[x], size[y]
+        assert max(ca, cb) > 0  # bzip2 headers are never empty
+        out.append((_compressed_len(data[x] + data[y]) - min(ca, cb)) / max(ca, cb))
+    return out
 
 
-@_pairwise
-def lcs_length(s: str, t: str) -> int:
+@_blockwise()
+def lcs_length(s: list[str], t: list[str]) -> np.ndarray:
     """Length of the longest common subsequence."""
-    if len(s) < len(t):
-        s, t = t, s
-    if not t:
-        return 0
-    peq = _match_masks(s)
-    full = (1 << len(s)) - 1
-    v = full  # zero bits mark the rows where the LCS grew
-    for c in t:
-        u = v & peq.get(c, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(s) - v.bit_count()
+    _, m, full, steps = _lanes(s, t)
+    v = full.copy()  # zero bits mark the rows where the LCS grew
+    for k, eq in steps:
+        x = v[:k]
+        u = x & eq
+        # u is a subset of x, so x - u clears u's bits without a borrow
+        v[:k] = (_add(x, u) | (x & ~u)) & full[:k]
+    return m - _popcount(v)
 
 
-@_blockwise
+@_blockwise()
 def smith_waterman(s: list[str], t: list[str]) -> np.ndarray:
     """Best local alignment score with match=+1, mismatch=-1, gap=-1.
     Cells never drop below zero; the returned score is the maximum cell
@@ -392,19 +451,22 @@ def _bigram_counts(s: str) -> Counter[str]:
     return Counter(s[i : i + 2] for i in range(len(s) - 1))
 
 
-@_pairwise
-def cosine_2gram(s: str, t: str) -> float:
+@_columns
+def cosine_2gram(s: list[str], t: list[str]) -> list[float]:
     """Cosine of the angle between character 2-gram count vectors."""
-    if s == t:
-        return 1.0
-    ca, cb = _bigram_counts(s), _bigram_counts(t)
-    if not ca or not cb:
-        return 0.0
-    dot = sum(n * cb[g] for g, n in ca.items())
-    norm = math.sqrt(sum(n * n for n in ca.values())) * math.sqrt(
-        sum(n * n for n in cb.values())
-    )
-    return dot / norm
+    counts = _per_string(_bigram_counts, s, t)
+    norms = {x: math.sqrt(sum(n * n for n in c.values())) for x, c in counts.items()}
+    out = []
+    for x, y in zip(s, t):
+        ca, cb = counts[x], counts[y]
+        if x == y:
+            out.append(1.0)
+        elif not ca or not cb:
+            out.append(0.0)
+        else:
+            dot = sum(n * cb[g] for g, n in ca.items())
+            out.append(dot / (norms[x] * norms[y]))
+    return out
 
 
 def _longest(s: str, t: str) -> int:

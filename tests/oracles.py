@@ -4,7 +4,11 @@ Each oracle is a direct recursive transcription of the defining
 recurrence, kept deliberately separate from the iterative DP code under
 test (including its own copy of the phonetic letter groups). The *_memo
 variants evaluate the identical recurrence with memoization so larger
-strings stay affordable.
+strings stay affordable. ``jaro_winkler_scan``, ``jaccard_2gram_sets``,
+``cosine_2gram_counters`` and ``ncd_bzip2_level9`` are the one-pair forms
+of the other measures that the column kernels of ``osnmatch.strsim``
+replaced: a window scan per pair, bigram sets and counters built per pair,
+and every string compressed at level 9.
 
 ``adam_step_reference`` is the per-layer Adam update that the flat,
 in-place one in ``osnmatch.mlp`` replaced; ``train_reference`` is the
@@ -23,7 +27,10 @@ untrained network the way each stacked fold network starts.
 
 from __future__ import annotations
 
+import bz2
 import json
+import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -169,6 +176,92 @@ def lcs_memo(a: str, b: str) -> int:
         return max(rec(i, j - 1), rec(i - 1, j))
 
     return rec(len(a), len(b))
+
+
+def _jaro(s: str, t: str) -> float:
+    if s == t:
+        return 1.0
+    len_s, len_t = len(s), len(t)
+    if len_s == 0 or len_t == 0:
+        return 0.0
+    window = max(max(len_s, len_t) // 2 - 1, 0)
+    s_hit = [False] * len_s
+    t_hit = [False] * len_t
+    matches = 0
+    for i in range(len_s):
+        lo = max(0, i - window)
+        hi = min(i + window + 1, len_t)
+        for j in range(lo, hi):
+            if not t_hit[j] and s[i] == t[j]:
+                s_hit[i] = t_hit[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    k = 0
+    for i in range(len_s):
+        if not s_hit[i]:
+            continue
+        while not t_hit[k]:
+            k += 1
+        if s[i] != t[k]:
+            transpositions += 1
+        k += 1
+    transpositions //= 2
+    return (
+        matches / len_s + matches / len_t + (matches - transpositions) / matches
+    ) / 3.0
+
+
+def jaro_winkler_scan(s: str, t: str) -> float:
+    """Jaro-Winkler of two folded strings by a scan of the match window
+    per character of ``s``."""
+    jaro = _jaro(s, t)
+    prefix = 0
+    for cs, ct in zip(s[:4], t[:4]):
+        if cs != ct:
+            break
+        prefix += 1
+    return jaro + prefix * 0.1 * (1.0 - jaro)
+
+
+def _bigrams(s: str) -> set[str]:
+    return {s[i : i + 2] for i in range(len(s) - 1)}
+
+
+def jaccard_2gram_sets(s: str, t: str) -> float:
+    """Jaccard coefficient of the 2-gram sets of two folded strings, each
+    set built for the pair."""
+    ga, gb = _bigrams(s), _bigrams(t)
+    if not ga or not gb:
+        return 1.0 if (not ga and not gb and s == t) else 0.0
+    return len(ga & gb) / len(ga | gb)
+
+
+def cosine_2gram_counters(s: str, t: str) -> float:
+    """Cosine of the 2-gram count vectors of two folded strings, each
+    ``Counter`` built for the pair."""
+    if s == t:
+        return 1.0
+    ca = Counter(s[i : i + 2] for i in range(len(s) - 1))
+    cb = Counter(t[i : i + 2] for i in range(len(t) - 1))
+    if not ca or not cb:
+        return 0.0
+    dot = sum(n * cb[g] for g, n in ca.items())
+    norm = math.sqrt(sum(n * n for n in ca.values())) * math.sqrt(
+        sum(n * n for n in cb.values())
+    )
+    return dot / norm
+
+
+def ncd_bzip2_level9(s: str, t: str) -> float:
+    """NCD of two folded strings, every string compressed by bzip2 at
+    level 9."""
+    xa, xb = s.encode("utf-8", "surrogatepass"), t.encode("utf-8", "surrogatepass")
+    ca, cb = len(bz2.compress(xa, 9)), len(bz2.compress(xb, 9))
+    cab = len(bz2.compress(xa + xb, 9))
+    return (cab - min(ca, cb)) / max(ca, cb)
 
 
 def smith_waterman_full_matrix(

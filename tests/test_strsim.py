@@ -30,11 +30,15 @@ from osnmatch.strsim import (
 from osnmatch.synth import generate_corpus
 
 from .oracles import (
+    cosine_2gram_counters,
     editex_memo,
     editex_naive,
+    jaccard_2gram_sets,
+    jaro_winkler_scan,
     lcs_memo,
     lcs_naive,
     levenshtein_memo,
+    ncd_bzip2_level9,
     normalized_similarity_reference,
     levenshtein_naive,
     osa_memo,
@@ -44,7 +48,7 @@ from .oracles import (
 
 words = st.text(alphabet="abcd", max_size=6)
 any_text = st.text(max_size=12)
-# long enough to fill several 30-bit digits of the bit-vector masks
+# long enough to span several 64-bit words of the bit-vector lanes
 long_text = st.text(alphabet="abcshwxz é", min_size=40, max_size=150)
 long_examples = settings(max_examples=30, deadline=None)
 
@@ -163,9 +167,11 @@ class TestJaroWinkler:
         assert jaro_winkler("martha", "marhta") == pytest.approx(0.9611, abs=1e-4)
 
     def test_prefix_bonus_capped_at_four(self):
-        # identical 5-char prefixes should get the same boost as 4-char ones
-        base = jaro_winkler("abcdexx", "abcdeyy")
-        assert base <= 1.0
+        # 5 matches, no transposition, and a 5-character shared prefix that
+        # earns the bonus of 4 characters
+        jaro = (5 / 7 + 5 / 7 + 5 / 5) / 3.0
+        assert jaro_winkler("abcdexx", "abcdeyy") == jaro + 4 * 0.1 * (1.0 - jaro)
+        assert jaro + 4 * 0.1 * (1.0 - jaro) < jaro + 5 * 0.1 * (1.0 - jaro)
 
 
 class TestJaccard2Gram:
@@ -368,8 +374,8 @@ def in_deep_stack(fn, *args):
 
 
 class TestBatchedDp:
-    """Editex and Smith-Waterman on a batch of pairs: one int64 DP per
-    block of pairs, one value per pair."""
+    """The blockwise measures on a batch of pairs: one numpy DP per block
+    of pairs, one value per pair."""
 
     # the default, and a cap that cuts most batches into several blocks
     CELLS = [strsim._BLOCK_CELLS, 128]
@@ -419,7 +425,11 @@ class TestBatchedDp:
                  for _ in range(2 * 300)]
         a, b = short[:300], short[300:]
         a[150] = "".join(rng.choice("abcdehstwz ") for _ in range(20_000))
-        for dp, oracle in [(editex, editex_memo), (smith_waterman, smith_waterman_full_matrix)]:
+        for dp, oracle in [
+            (editex, editex_memo), (smith_waterman, smith_waterman_full_matrix),
+            (levenshtein, levenshtein_memo), (damerau_levenshtein, osa_memo),
+            (lcs_length, lcs_memo), (jaro_winkler, jaro_winkler_scan),
+        ]:
             tracemalloc.start()
             try:
                 got = dp(a, b)
@@ -449,6 +459,137 @@ class TestBatchedDp:
             xs, xt = s.encode("utf-8", "surrogatepass"), t.encode("utf-8", "surrogatepass")
             cs, ct = len(bz2.compress(xs)), len(bz2.compress(xt))
             assert ncd_bzip2(s, t) == (len(bz2.compress(xs + xt)) - min(cs, ct)) / max(cs, ct)
+
+
+# two letters (long DP paths and repeats), mixed case (pairs equal after
+# folding), several letters, and lone surrogates with astral characters
+KERNEL_ALPHABETS = ["ab", "aAbB", "abcdefgh ", "a\ud800\udfff😀𝔸é"]
+
+
+def kernel_text(alphabet: str):
+    """Lengths 1-200, often on either side of the 64- and 128-bit word
+    boundaries of the lanes."""
+    size = st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 127, 128, 129]))
+    return size.flatmap(lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n))
+
+
+def runs(alphabet: str):
+    """Runs of repeated characters, which stress Jaro's rule that a
+    character matches the first unmatched equal one."""
+    run = st.tuples(st.sampled_from(alphabet), st.integers(1, 40))
+    return st.lists(run, min_size=1, max_size=5).map(lambda rs: "".join(c * n for c, n in rs))
+
+
+@st.composite
+def edited(draw, alphabet: str):
+    """A string and a copy with a few insertions, deletions, substitutions
+    and adjacent swaps."""
+    s = draw(kernel_text(alphabet))
+    t = list(s)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(t)))
+        op, c = draw(st.sampled_from("idst")), draw(st.sampled_from(alphabet))
+        if op == "i":
+            t.insert(i, c)
+        elif i + 1 < len(t):
+            if op == "d":
+                del t[i]
+            elif op == "s":
+                t[i] = c
+            else:
+                t[i], t[i + 1] = t[i + 1], t[i]
+    return s, "".join(t)
+
+
+@st.composite
+def kernel_batches(draw):
+    """Two equal-length lists of folded strings over one alphabet."""
+    alphabet = draw(st.sampled_from(KERNEL_ALPHABETS))
+    text, one_char = kernel_text(alphabet), st.sampled_from(alphabet)
+    pairs = draw(st.lists(st.one_of(
+        st.tuples(text, text),
+        text.map(lambda s: (s, s.swapcase())),
+        st.tuples(one_char, one_char | text),
+        st.tuples(runs(alphabet), runs(alphabet)),
+        edited(alphabet),
+    ), min_size=1, max_size=5))
+    return [s.lower() for s, _ in pairs], [t.lower() for _, t in pairs]
+
+
+class TestColumnKernels:
+    """The seven measures that replaced a one-pair kernel, against those
+    kernels, to the bit."""
+
+    ORACLES = [
+        (levenshtein, levenshtein_memo), (damerau_levenshtein, osa_memo),
+        (lcs_length, lcs_memo), (jaro_winkler, jaro_winkler_scan),
+        (jaccard_2gram, jaccard_2gram_sets), (cosine_2gram, cosine_2gram_counters),
+        (ncd_bzip2, ncd_bzip2_level9),
+    ]
+
+    @given(batch=kernel_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_match_the_oracles_to_the_bit(self, batch):
+        a, b = batch
+        for kernel, oracle in self.ORACLES:
+            with deep_recursion():
+                want = [repr(oracle(s, t)) for s, t in zip(a, b)]
+            # the default block cap, and one that cuts every batch apart
+            for cells in [strsim._BLOCK_CELLS, 128]:
+                with patch.object(strsim, "_BLOCK_CELLS", cells):
+                    assert [repr(v) for v in kernel(a, b)] == want, kernel.__name__
+
+    @pytest.mark.parametrize("measure", ALL_MEASURES)
+    @given(a=any_text, b=any_text)
+    @settings(max_examples=30, deadline=None)
+    def test_one_pair_is_a_column_of_one(self, measure, a, b):
+        raw = getattr(strsim, strsim.MEASURES[measure][0])
+        assert repr(raw(a, b)) == repr(raw([a.lower()], [b.lower()])[0])
+
+    @pytest.mark.parametrize("kernel", [k for k, _ in ORACLES])
+    def test_empty_strings_and_columns(self, kernel):
+        a, b = ["", "", "ab", "a"], ["", "ab", "", "a"]
+        want = [dict(self.ORACLES)[kernel](s, t) for s, t in zip(a, b)]
+        assert kernel(a, b) == want
+        assert kernel([], []) == []
+        with pytest.raises(ValueError):
+            kernel(["a"], [])
+
+
+def _ncd_inputs():
+    """Inputs for the bzip2 level rule: (name, bytes)."""
+    limit = strsim._BZ2_ONE_BLOCK
+    rng = random.Random(16)
+    mixed = "".join(rng.choice("abcdefghij klmnop,.") for _ in range(150_000)).encode()
+    # runs of exactly four grow by 5/4 in the run-length pass, the most
+    fours = b"aaaabbbb" * 20_000
+    out = []
+    for name, data in [("mixed", mixed), ("fours", fours), ("one byte", b"a" * 150_000)]:
+        for size in (limit - 1, limit, limit + 1, 150_000):
+            out.append((f"{name} {size}", data[:size]))
+    out.append(("a * 90000", b"a" * 90_000))
+    out.append(("a * 90000 + mixed", b"a" * 90_000 + mixed[:60_000]))
+    out.append(("mixed + a * 90000", mixed[:60_000] + b"a" * 90_000))
+    return out
+
+
+class TestNcdLevel:
+    """``_compressed_len`` picks bzip2's level from the input size and gives
+    level 9's compressed length."""
+
+    def test_one_block_bound(self):
+        limit = strsim._BZ2_ONE_BLOCK
+        assert limit + limit // 4 <= 100_000 - 19
+
+    @pytest.mark.parametrize("name,data", _ncd_inputs(), ids=[n for n, _ in _ncd_inputs()])
+    def test_length_equals_level_nine(self, name, data):
+        assert strsim._compressed_len(data) == len(bz2.compress(data, 9))
+
+    def test_level_one_splits_runs_of_four_past_the_bound(self):
+        # the rule is not vacuous: past the bound, level 1 cuts this input
+        # into two blocks and its length differs from level 9's
+        data = b"aaaabbbb" * 11_250
+        assert len(bz2.compress(data, 1)) != len(bz2.compress(data, 9))
 
 
 class TestCorpusFields:
@@ -489,6 +630,12 @@ class TestCorpusFields:
                 fa, fb = a.lower(), b.lower()
                 for measure, oracle in self.DP_ORACLES:
                     assert measure(a, b) == oracle(fa, fb), (measure.__name__, a, b)
+
+    def test_other_measures_match_oracles(self, field_pairs):
+        a = [s.lower() for s, _ in field_pairs]
+        b = [t.lower() for _, t in field_pairs]
+        for kernel, oracle in TestColumnKernels.ORACLES[3:]:
+            assert kernel(a, b) == [oracle(s, t) for s, t in zip(a, b)], kernel.__name__
 
     def test_ncd_cached_lengths_match_direct(self, field_pairs):
         def c(x: bytes) -> int:
