@@ -1,15 +1,26 @@
 """Command-line front end: corpus synthesis, end-to-end evaluation runs,
-pair scoring and fold inspection."""
+pair scoring and fold inspection.
+
+``FAMILIES`` holds one entry per ``run --model`` choice: the run options its
+featurizer reads, its default ``--hidden-nodes``, its report title suffix
+and ``build(corpus, opts) -> featurize(pairs)``. The choices, the width
+default, the title and the featurizer all come from that entry, and
+report.json ``run`` records the shared options plus the chosen family's
+only. Each ``build`` looks up ``featurize_pairs``,
+``extract_temporal_features`` and ``pair_embedding_features`` as globals of
+this module when it runs, since ``perfbench/tracer.py`` traces those names
+here.
+"""
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, NamedTuple, TextIO
 
 import click
 import numpy as np
@@ -30,7 +41,7 @@ from .embedding_features import (
     pair_embedding_features,
 )
 from .errors import OsnMatchError, ParseError, open_input
-from .evaluation import cross_validate, render_report
+from .evaluation import Featurizer, cross_validate, render_report
 from .mlp import MlpConfig, save_model
 from .profile_features import (
     UserProfile,
@@ -42,38 +53,6 @@ from .strsim import Measure, raw_measure
 from .temporal_features import HistogramMode, extract_temporal_features
 
 MEASURE_CHOICES = [m.value for m in Measure]
-
-DEFAULT_HIDDEN_NODES = {"ps": 50, "temporal": 50, "embedding": 300}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved options of one `run` invocation, echoed into reports."""
-
-    model: str
-    measure: str
-    all_measures: bool
-    temporal_mode: str
-    include_names: bool
-    include_description: bool
-    neg_ratio: int
-    k: int
-    seed: int
-    user_disjoint: bool
-    hidden_nodes: int
-    n_hidden_layers: int
-    dropout_rate: float
-    learning_rate: float
-    batch_size: int
-    max_epochs: int
-    early_stop_patience: int
-    embedding_seed: int
-    profiles_path: str
-    posts_path: str
-    pairs_path: str
-    embeddings_path: str | None
-    char_embeddings_path: str | None
-    output_dir: str
 
 
 def _fail(exc: Exception) -> None:
@@ -124,24 +103,52 @@ def _resolve_paths(data_dir, profiles, posts, pairs):
     )
 
 
-def _build_featurizer(corpus: Corpus, cfg: RunConfig):
-    """``featurize(pairs) -> FeatureMatrix`` for the configured model."""
-    if cfg.model == "ps":
-        measure = None if cfg.all_measures else Measure(cfg.measure)
-        return lambda pairs: featurize_pairs(
-            corpus, pairs, measure, include_names=cfg.include_names
-        )
-    if cfg.model == "temporal":
-        mode = HistogramMode(cfg.temporal_mode)
-        return lambda pairs: extract_temporal_features(corpus, pairs, mode)
-    # the embedding model
-    if cfg.embeddings_path:
-        table = load_embedding_file(cfg.embeddings_path, cfg.char_embeddings_path)
-    else:
-        table = hash_fallback_table(seed=cfg.embedding_seed)
-    return lambda pairs: pair_embedding_features(
-        corpus, pairs, table, include_description=cfg.include_description
+def _build_ps(corpus: Corpus, opts: dict):
+    measure = None if opts["all_measures"] else Measure(opts["measure"])
+    return lambda pairs: featurize_pairs(
+        corpus, pairs, measure, include_names=opts["include_names"]
     )
+
+
+def _build_temporal(corpus: Corpus, opts: dict):
+    mode = HistogramMode(opts["temporal_mode"])
+    return lambda pairs: extract_temporal_features(corpus, pairs, mode)
+
+
+def _build_embedding(corpus: Corpus, opts: dict):
+    if opts["embeddings_path"]:
+        table = load_embedding_file(opts["embeddings_path"], opts["char_embeddings_path"])
+    else:
+        table = hash_fallback_table(seed=opts["embedding_seed"])
+    return lambda pairs: pair_embedding_features(
+        corpus, pairs, table, include_description=opts["include_description"]
+    )
+
+
+class Family(NamedTuple):
+    """One ``--model`` choice."""
+
+    options: tuple[str, ...]  # the run options its featurizer reads
+    hidden_nodes: int  # the --hidden-nodes default
+    title: Callable[[dict], str]  # the report title after "model=<name>"
+    build: Callable[[Corpus, dict], Featurizer]
+
+
+FAMILIES = {
+    "ps": Family(
+        ("measure", "all_measures", "include_names"), 50,
+        lambda opts: f"measure={'all' if opts['all_measures'] else opts['measure']}",
+        _build_ps,
+    ),
+    "temporal": Family(
+        ("temporal_mode",), 50, lambda opts: f"mode={opts['temporal_mode']}",
+        _build_temporal,
+    ),
+    "embedding": Family(
+        ("include_description", "embedding_seed", "embeddings_path",
+         "char_embeddings_path"), 300, lambda opts: "", _build_embedding,
+    ),
+}
 
 
 @click.group()
@@ -168,8 +175,7 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--config", callback=_read_config_file, is_eager=True,
               expose_value=False, type=click.Path(exists=True, dir_okay=False),
               help="key=value file supplying defaults for any option below")
-@click.option("--model", type=click.Choice(["ps", "temporal", "embedding"]),
-              default="ps", show_default=True)
+@click.option("--model", type=click.Choice(list(FAMILIES)), default="ps", show_default=True)
 @click.option("--measure", type=click.Choice(MEASURE_CHOICES), default="editex",
               show_default=True, help="similarity measure (ps model)")
 @click.option("--all-measures", is_flag=True, default=False,
@@ -187,19 +193,22 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--user-disjoint", is_flag=True, default=False,
               help="stricter folds: no user appears in both train and test")
 @click.option("--hidden-nodes", type=int, default=None,
-              help="[default: 50; 300 for the embedding model]")
+              help="[default: %s]" % "; ".join(f"{f.hidden_nodes} for {name}"
+                                               for name, f in FAMILIES.items()))
 @click.option("--learning-rate", type=float, default=1e-3, show_default=True)
 @click.option("--dropout", "dropout_rate", type=float, default=0.5, show_default=True)
 @click.option("--batch-size", type=int, default=32, show_default=True)
 @click.option("--max-epochs", type=int, default=200, show_default=True)
-@click.option("--patience", type=int, default=10, show_default=True)
+@click.option("--patience", "early_stop_patience", type=int, default=10, show_default=True)
 @click.option("--embedding-seed", type=int, default=0, show_default=True,
               help="seed of the hash-fallback embedder")
-@click.option("--embeddings", type=click.Path(exists=True), default=None,
+@click.option("--embeddings", "embeddings_path", type=click.Path(exists=True),
+              default=None,
               help="word2vec-text embedding file (embedding model; else: hash "
                    "fallback); character n-gram vectors may follow its "
                    "'#char-ngrams' line")
-@click.option("--char-embeddings", type=click.Path(exists=True), default=None,
+@click.option("--char-embeddings", "char_embeddings_path",
+              type=click.Path(exists=True), default=None,
               help="separate character-n-gram embedding file; character "
                    "vectors come from one of the two files, never both")
 @click.option("--data-dir", type=click.Path(), default=".", show_default=True)
@@ -208,100 +217,67 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--pairs", type=click.Path(), default=None)
 @click.option("--output", "output_dir", type=click.Path(), default="osnmatch-out",
               show_default=True)
-def run(model, measure, all_measures, temporal_mode, include_names,
-        include_description, neg_ratio, k, seed, user_disjoint, hidden_nodes,
-        learning_rate, dropout_rate, batch_size, max_epochs,
-        patience, embedding_seed, embeddings, char_embeddings, data_dir,
-        profiles, posts, pairs, output_dir):
+def run(**opts):
     """Run one model end-to-end with k-fold cross-validation."""
-    if char_embeddings and not embeddings:
+    if opts["char_embeddings_path"] and not opts["embeddings_path"]:
         raise click.UsageError("--char-embeddings needs --embeddings")
-    if embeddings and model != "embedding":
+    if opts["embeddings_path"] and opts["model"] != "embedding":
         raise click.UsageError("--embeddings needs --model embedding")
-    profiles_path, posts_path, pairs_path = _resolve_paths(
-        data_dir, profiles, posts, pairs
-    )
-    cfg = RunConfig(
-        model=model,
-        measure=measure,
-        all_measures=all_measures,
-        temporal_mode=temporal_mode,
-        include_names=include_names,
-        include_description=include_description,
-        neg_ratio=neg_ratio,
-        k=k,
-        seed=seed,
-        user_disjoint=user_disjoint,
-        hidden_nodes=DEFAULT_HIDDEN_NODES[model] if hidden_nodes is None else hidden_nodes,
-        n_hidden_layers=3,
-        dropout_rate=dropout_rate,
-        learning_rate=learning_rate,
-        batch_size=batch_size,
-        max_epochs=max_epochs,
-        early_stop_patience=patience,
-        embedding_seed=embedding_seed,
-        profiles_path=profiles_path,
-        posts_path=posts_path,
-        pairs_path=pairs_path,
-        embeddings_path=embeddings,
-        char_embeddings_path=char_embeddings,
-        output_dir=output_dir,
+    family = FAMILIES[opts["model"]]
+    foreign = {name for f in FAMILIES.values() for name in f.options} - set(family.options)
+    opts = {name: value for name, value in opts.items() if name not in foreign}
+    if opts["hidden_nodes"] is None:
+        opts["hidden_nodes"] = family.hidden_nodes
+    opts["profiles_path"], opts["posts_path"], opts["pairs_path"] = _resolve_paths(
+        *(opts.pop(name) for name in ("data_dir", "profiles", "posts", "pairs"))
     )
     try:
-        report_paths = _execute_run(cfg)
+        report_paths = _execute_run(opts)
     except (OsnMatchError, OSError, ValueError) as exc:
         _fail(exc)
     click.echo(json.dumps(report_paths, sort_keys=True))
 
 
-def _execute_run(cfg: RunConfig) -> dict:
-    corpus = load_corpus(cfg.profiles_path, cfg.posts_path, cfg.pairs_path)
-    pair_set = negative_sample(corpus, cfg.neg_ratio, cfg.seed)
-    featurize = _build_featurizer(corpus, cfg)
-    input_dim = len(featurize([]).schema)
+def _execute_run(opts: dict) -> dict:
+    """Run ``opts`` (the `run` options its model reads, with the input paths
+    resolved) and write the models and both reports."""
+    family = FAMILIES[opts["model"]]
+    corpus = load_corpus(opts["profiles_path"], opts["posts_path"], opts["pairs_path"])
+    pair_set = negative_sample(corpus, opts["neg_ratio"], opts["seed"])
+    featurize = family.build(corpus, opts)
     mlp_cfg = MlpConfig(
-        input_dim=input_dim,
-        hidden_nodes=cfg.hidden_nodes,
-        n_hidden_layers=cfg.n_hidden_layers,
-        dropout_rate=cfg.dropout_rate,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        early_stop_patience=cfg.early_stop_patience,
-        rng_seed=cfg.seed,
+        input_dim=len(featurize([]).schema),
+        hidden_nodes=opts["hidden_nodes"],
+        dropout_rate=opts["dropout_rate"],
+        learning_rate=opts["learning_rate"],
+        batch_size=opts["batch_size"],
+        max_epochs=opts["max_epochs"],
+        early_stop_patience=opts["early_stop_patience"],
+        rng_seed=opts["seed"],
     )
     results, models = cross_validate(
         mlp_cfg,
         featurize,
         pair_set,
-        cfg.k,
-        cfg.seed,
-        user_disjoint=cfg.user_disjoint,
+        opts["k"],
+        opts["seed"],
+        user_disjoint=opts["user_disjoint"],
     )
 
-    out = Path(cfg.output_dir)
+    out = Path(opts["output_dir"])
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     for i, model in enumerate(models):
         save_model(model, str(models_dir / f"fold-{i:02d}.bin"))
     report_doc = {
-        "run": asdict(cfg),
+        "run": opts,
         "dataset": {
             "profiles": len(corpus.profiles),
             "dropped_pairs": corpus.dropped_pairs,
             "n_pos": pair_set.n_pos,
             "n_neg": pair_set.n_neg,
         },
-        "mlp": {
-            "input_dim": input_dim,
-            "hidden_nodes": mlp_cfg.hidden_nodes,
-            "n_hidden_layers": mlp_cfg.n_hidden_layers,
-            "dropout_rate": mlp_cfg.dropout_rate,
-            "learning_rate": mlp_cfg.learning_rate,
-            "batch_size": mlp_cfg.batch_size,
-            "max_epochs": mlp_cfg.max_epochs,
-            "early_stop_patience": mlp_cfg.early_stop_patience,
-        },
+        "mlp": asdict(mlp_cfg),
         "results": results,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -311,11 +287,7 @@ def _execute_run(cfg: RunConfig) -> dict:
         tmp.write_text(
             json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-    title = {
-        "ps": f"model=ps measure={'all' if cfg.all_measures else cfg.measure}",
-        "temporal": f"model=temporal mode={cfg.temporal_mode}",
-        "embedding": "model=embedding",
-    }[cfg.model]
+    title = f"model={opts['model']} {family.title(opts)}".rstrip()
     with replacing(txt_path) as tmp:
         tmp.write_text(render_report(results, title), encoding="utf-8")
     return {

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -509,7 +509,7 @@ def save_model(model: MlpModel, path: str) -> None:
     then renamed over it, so ``path`` is never left half-written."""
     header = {
         "format": FORMAT_TAG,
-        "config": {k: getattr(model.config, k) for k in MlpConfig.__dataclass_fields__},
+        "config": asdict(model.config),
         "shapes": model.config.param_shapes,
     }
     with replacing(path) as tmp, open(tmp, "wb") as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -17,6 +18,7 @@ from osnmatch.dataset import (
     load_corpus,
     negative_sample,
 )
+from osnmatch.mlp import load_model
 from tests.oracles import folds_json_reference
 
 
@@ -60,16 +62,20 @@ class TestRunConfigFile:
             ("dropout", "0.25", "dropout_rate", 0.25),
             ("names", "false", "include_names", False),
             ("output", "from-config", "output_dir", "from-config"),
+            ("embeddings", "e.txt", "embeddings_path", "e.txt"),
         ],
     )
     def test_option_long_name_is_a_key(self, corpus_dir, tmp_path, monkeypatch, key, raw,
                                        field, value):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.txt").write_text("1 3\nfoo 0 0 1\n", encoding="utf-8")
         (tmp_path / "run.cfg").write_text(f"max_epochs = 1\n{key} = {raw}\n",
                                           encoding="utf-8")
+        # a model that reads the option, so that report.json records it
+        model = "embedding" if key == "embeddings" else "ps"
         result = CliRunner().invoke(
             main, ["run", "--config", "run.cfg", "--data-dir", str(corpus_dir),
-                   "--model", "temporal", "--k", "2"]
+                   "--model", model, "--k", "2"]
         )
         assert result.exit_code == 0, result.output
         report_json = json.loads(result.output.splitlines()[-1])["report_json"]
@@ -266,6 +272,54 @@ class TestHiddenNodes:
         assert result.exit_code == 0, result.output
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["run"]["hidden_nodes"] == report["mlp"]["hidden_nodes"] == 50
+
+
+# the `run` options every model reads; the input paths as resolved
+SHARED_OPTIONS = {
+    "model", "neg_ratio", "k", "seed", "user_disjoint", "hidden_nodes", "learning_rate",
+    "dropout_rate", "batch_size", "max_epochs", "early_stop_patience", "profiles_path",
+    "posts_path", "pairs_path", "output_dir",
+}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize(
+        "model, own",
+        [
+            ("ps", {"measure", "all_measures", "include_names"}),
+            ("temporal", {"temporal_mode"}),
+            ("embedding", {"include_description", "embedding_seed", "embeddings_path",
+                           "char_embeddings_path"}),
+        ],
+        ids=["ps", "temporal", "embedding"],
+    )
+    def test_run_holds_the_options_the_model_reads(self, corpus_dir, tmp_path, model, own):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--data-dir", str(corpus_dir), "--model", model, "--k", "2",
+                   "--max-epochs", "1", "--hidden-nodes", "8", "--output", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        run = json.loads((out / "report.json").read_text(encoding="utf-8"))["run"]
+        assert run.keys() == SHARED_OPTIONS | own
+
+    def test_family_options_are_run_parameters(self):
+        params = {p.name for p in cli.run.params}
+        for name, family in cli.FAMILIES.items():
+            assert set(family.options) <= params, name
+
+    def test_mlp_section_is_the_model_config(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
+                   "--max-epochs", "1", "--seed", "6", "--output", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        mlp = json.loads((out / "report.json").read_text(encoding="utf-8"))["mlp"]
+        for fold in range(2):
+            config = load_model(str(out / "models" / f"fold-{fold:02d}.bin")).config
+            # each fold trains under seed XOR fold
+            assert {**mlp, "rng_seed": 6 ^ fold} == dataclasses.asdict(config)
 
 
 class TestLearningRate:
@@ -511,7 +565,7 @@ class TestEndToEndFuzz:
         assert _exits_cleanly(result), result.output
 
     @settings(max_examples=60, deadline=None)
-    @given(files=CORPORA, model=st.sampled_from(["ps", "temporal", "embedding"]),
+    @given(files=CORPORA, model=st.sampled_from(sorted(cli.FAMILIES)),
            neg_ratio=st.integers(0, 3))
     def test_run(self, fuzz_dir, files, model, neg_ratio):
         result = self._invoke(fuzz_dir, files, "run", "--model", model, "--neg-ratio",
