@@ -6,17 +6,23 @@ featurizer reads, its default ``--hidden-nodes``, its report title suffix
 and ``build(corpus, opts) -> featurize(pairs)``. The choices, the width
 default, the title and the featurizer all come from that entry, and
 report.json ``run`` records the shared options plus the chosen family's
-only. Each ``build`` looks up ``featurize_pairs``,
-``extract_temporal_features`` and ``pair_embedding_features`` as globals of
-this module when it runs, since ``perfbench/tracer.py`` traces those names
-here.
+only. An option that ``FAMILIES`` gives to another model is a usage error
+when it is given, on the command line or in ``--config``. Each ``build``
+looks up ``featurize_pairs``, ``extract_temporal_features`` and
+``pair_embedding_features`` as globals of this module when it runs, since
+``perfbench/tracer.py`` traces those names here.
+
+Every command has one error exit, the group's ``invoke``: an
+``OsnMatchError``, ``OSError`` or ``ValueError`` ends the run with one
+``error: <Type>: <message>`` line on stderr and exit status 1. Usage
+errors stay click's, with exit status 2.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -24,6 +30,7 @@ from typing import Callable, NamedTuple, TextIO
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import synth
 from .atomic import replacing
@@ -53,11 +60,6 @@ from .strsim import Measure, raw_measure
 from .temporal_features import HistogramMode, extract_temporal_features
 
 MEASURE_CHOICES = [m.value for m in Measure]
-
-
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-    sys.exit(1)
 
 
 def _read_config_file(ctx: click.Context, param: click.Parameter, value):
@@ -151,7 +153,20 @@ FAMILIES = {
 }
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group; its ``invoke`` is every command's error exit."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own exit: the reader of stdout has gone
+        except (OsnMatchError, OSError, ValueError) as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 def main():
     """Match user accounts across two social platforms."""
 
@@ -164,10 +179,7 @@ def main():
               show_default=True)
 def synth_cmd(n_users, noise, seed, out_dir):
     """Generate a synthetic corpus (profiles, posts, ground-truth pairs)."""
-    try:
-        summary = synth.generate_corpus(n_users, noise, seed, out_dir)
-    except (OsnMatchError, OSError, ValueError) as exc:
-        _fail(exc)
+    summary = synth.generate_corpus(n_users, noise, seed, out_dir)
     click.echo(json.dumps(summary, sort_keys=True))
 
 
@@ -217,25 +229,26 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--pairs", type=click.Path(), default=None)
 @click.option("--output", "output_dir", type=click.Path(), default="osnmatch-out",
               show_default=True)
-def run(**opts):
+@click.pass_context
+def run(ctx: click.Context, **opts):
     """Run one model end-to-end with k-fold cross-validation."""
+    family = FAMILIES[opts["model"]]
+    # the options of the other models, each with the model that reads it
+    foreign = {name: model for model, f in FAMILIES.items() for name in f.options
+               if name not in family.options}
+    for param in ctx.command.params:
+        if (param.name in foreign
+                and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
+            raise click.UsageError(f"{param.opts[0]} needs --model {foreign[param.name]}")
     if opts["char_embeddings_path"] and not opts["embeddings_path"]:
         raise click.UsageError("--char-embeddings needs --embeddings")
-    if opts["embeddings_path"] and opts["model"] != "embedding":
-        raise click.UsageError("--embeddings needs --model embedding")
-    family = FAMILIES[opts["model"]]
-    foreign = {name for f in FAMILIES.values() for name in f.options} - set(family.options)
     opts = {name: value for name, value in opts.items() if name not in foreign}
     if opts["hidden_nodes"] is None:
         opts["hidden_nodes"] = family.hidden_nodes
     opts["profiles_path"], opts["posts_path"], opts["pairs_path"] = _resolve_paths(
         *(opts.pop(name) for name in ("data_dir", "profiles", "posts", "pairs"))
     )
-    try:
-        report_paths = _execute_run(opts)
-    except (OsnMatchError, OSError, ValueError) as exc:
-        _fail(exc)
-    click.echo(json.dumps(report_paths, sort_keys=True))
+    click.echo(json.dumps(_execute_run(opts), sort_keys=True))
 
 
 def _execute_run(opts: dict) -> dict:
@@ -246,14 +259,8 @@ def _execute_run(opts: dict) -> dict:
     pair_set = negative_sample(corpus, opts["neg_ratio"], opts["seed"])
     featurize = family.build(corpus, opts)
     mlp_cfg = MlpConfig(
-        input_dim=len(featurize([]).schema),
-        hidden_nodes=opts["hidden_nodes"],
-        dropout_rate=opts["dropout_rate"],
-        learning_rate=opts["learning_rate"],
-        batch_size=opts["batch_size"],
-        max_epochs=opts["max_epochs"],
-        early_stop_patience=opts["early_stop_patience"],
-        rng_seed=opts["seed"],
+        input_dim=len(featurize([]).schema), rng_seed=opts["seed"],
+        **{f.name: opts[f.name] for f in fields(MlpConfig) if f.name in opts},
     )
     results, models = cross_validate(
         mlp_cfg,
@@ -319,13 +326,10 @@ def _read_profile(raw: str, which: str) -> UserProfile:
 @click.option("--names/--no-names", "include_names", default=True)
 def score_pair(profile_a, profile_b, measure, include_names):
     """Print each profile feature's raw measure value and normalized score."""
-    try:
-        a = _read_profile(profile_a, "a")
-        b = _read_profile(profile_b, "b")
-        m = Measure(measure)
-        values = extract_ps_features_all_measures(a, b, include_names, (m,))
-    except (OsnMatchError, OSError, ValueError) as exc:
-        _fail(exc)
+    a = _read_profile(profile_a, "a")
+    b = _read_profile(profile_b, "b")
+    m = Measure(measure)
+    values = extract_ps_features_all_measures(a, b, include_names, (m,))
     schema, order = ps_schema(m, include_names)
     for name, value in zip(schema, map(values.__getitem__, order)):
         if name == "post_ratio":
@@ -388,16 +392,13 @@ def folds(neg_ratio, k, seed, user_disjoint, data_dir, profiles, posts, pairs,
     profiles_path, posts_path, pairs_path = _resolve_paths(
         data_dir, profiles, posts, pairs
     )
-    try:
-        corpus = load_corpus(profiles_path, posts_path, pairs_path)
-        pair_set = negative_sample(corpus, neg_ratio, seed)
-        folder = k_folds_user_disjoint if user_disjoint else k_folds
-        partitions = folder(pair_set, k, seed)
-        if output_path:
-            with replacing(output_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-                write_folds_json(fh, pair_set.pairs, partitions)
-    except (OsnMatchError, OSError, ValueError) as exc:
-        _fail(exc)
+    corpus = load_corpus(profiles_path, posts_path, pairs_path)
+    pair_set = negative_sample(corpus, neg_ratio, seed)
+    folder = k_folds_user_disjoint if user_disjoint else k_folds
+    partitions = folder(pair_set, k, seed)
+    if output_path:
+        with replacing(output_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+            write_folds_json(fh, pair_set.pairs, partitions)
     click.echo(f"{'fold':>4} {'train+':>7} {'train-':>7} {'test+':>6} {'test-':>6}")
     for i, (train_rows, test_rows) in enumerate(partitions):
         train_pos = int(np.count_nonzero(pair_set.labels[train_rows]))

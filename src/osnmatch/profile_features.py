@@ -1,17 +1,18 @@
 """User profile records, the feature matrix and the profile-similarity features.
 
 A candidate pair is one account on each platform. Its profile features
-are the normalized similarity of each textual profile field under one
-chosen measure, or under every measure, plus the ratio of lifetime post
-counts. Every feature family turns a batch of pairs into one
-``FeatureMatrix``.
+are the score of each textual profile field under one chosen measure, or
+under every measure, plus the ratio of lifetime post counts. A field
+present on only one side scores 0.0, absent on both sides 1.0, and
+present on both its ``normalized_similarity``. Every feature family turns
+a batch of pairs into one ``FeatureMatrix``.
 
 The ``ps`` matrix is built one (measure, field) column at a time, not one
 pair at a time: ``featurize_pairs`` looks up each account's profile and
-folds its fields once, applies the rule of ``text_field_score`` to a whole
-field at once, and makes one ``normalized_similarity`` call per column on
-the pairs that still need a raw value, so Editex and Smith-Waterman run as
-one DP over all of them. ``post_ratio`` is the last column of that kernel
+folds its fields once, applies the field rule to a whole field at once,
+and makes one ``normalized_similarity`` call per column on the pairs that
+still need a raw value, so Editex and Smith-Waterman run as one DP over
+all of them. ``post_ratio`` is the last column of that kernel
 order; ``ps_schema`` says how to reorder it. A single pair goes through the
 same column code.
 """
@@ -105,32 +106,12 @@ PS_SCHEMA = [
 PS_SCHEMA_NO_NAMES = PS_SCHEMA[2:]
 
 
-def text_field_score(measure: Measure, a: str, b: str) -> float:
-    """Similarity of one textual field across the pair.
-
-    A field present on only one side scores 0.0; absent on both sides
-    counts as equal (1.0).
-    """
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    return normalized_similarity(measure, a, b)
-
-
 def post_count_ratio(count_a: int, count_b: int) -> float:
     """min/max of the two lifetime post counts; two inactive accounts
     are indistinguishable on this axis, so 0/0 maps to 1.0."""
     if count_a == 0 and count_b == 0:
         return 1.0
     return min(count_a, count_b) / max(count_a, count_b)
-
-
-def _check_platforms(a: UserProfile, b: UserProfile) -> None:
-    if a.platform == b.platform:
-        raise SamePlatformError(
-            f"both accounts are on {a.platform.value}: {a.user_id!r}, {b.user_id!r}"
-        )
 
 
 def _account_row(profile: UserProfile, fields: tuple[str, ...]) -> list:
@@ -147,8 +128,8 @@ def _ps_columns(a: np.ndarray, b: np.ndarray, measures: tuple[Measure, ...]) -> 
     x = np.empty((n, len(measures) * k + 1))
     for f in range(k):
         fa, fb = a[:, f].tolist(), b[:, f].tolist()
-        # text_field_score on folded text: equal (both empty included) scores
-        # 1.0, one side empty 0.0, and only the rest need the measure
+        # on folded text, a field equal on both sides (both empty included)
+        # scores 1.0, one side empty 0.0, and only the rest need the measure
         base = [1.0 if s == t else 0.0 for s, t in zip(fa, fb)]
         rows = [i for i, (s, t) in enumerate(zip(fa, fb)) if s != t and s and t]
         sa, sb = [fa[i] for i in rows], [fb[i] for i in rows]
@@ -166,7 +147,10 @@ def extract_ps_features_all_measures(
 ) -> list[float]:
     """Text-field scores of a cross-platform pair under each of ``measures``
     (measure-major), followed by the post-count ratio."""
-    _check_platforms(a, b)
+    if a.platform == b.platform:
+        raise SamePlatformError(
+            f"both accounts are on {a.platform.value}: {a.user_id!r}, {b.user_id!r}"
+        )
     fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
     rows = [np.array([_account_row(p, fields)], dtype=object) for p in (a, b)]
     return _ps_columns(*rows, measures)[0].tolist()

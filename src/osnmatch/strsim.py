@@ -25,6 +25,7 @@ Every raw measure takes two strings, which it folds, and returns one value;
 or two equal-length sequences of folded strings, and returns a list with
 one value per pair. One pair is a column of length one: each measure has
 one implementation, which works on a whole column of pairs.
+``normalized_similarity`` scores two strings as a column of one too.
 
 Six measures run numpy over blocks of pairs (``_blockwise``): the pairs
 are sorted by their longer length and cut into blocks of at most
@@ -513,12 +514,9 @@ def normalized_similarity(
     list with one value per pair and one call of the raw measure on the
     unequal pairs.
     """
-    scale = MEASURES[measure][1]
     if isinstance(a, str):
-        s, t = _fold(a), _fold(b)
-        if s == t:
-            return 1.0
-        return scale(raw_measure(measure, s, t), s, t)
+        return normalized_similarity(measure, [_fold(a)], [_fold(b)])[0]
+    scale = MEASURES[measure][1]
     out = [1.0] * len(a)
     rows = [i for i, (s, t) in enumerate(zip(a, b, strict=True)) if s != t]
     if rows:

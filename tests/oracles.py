@@ -8,7 +8,9 @@ strings stay affordable. ``jaro_winkler_scan``, ``jaccard_2gram_sets``,
 ``cosine_2gram_counters`` and ``ncd_bzip2_level9`` are the one-pair forms
 of the other measures that the column kernels of ``osnmatch.strsim``
 replaced: a window scan per pair, bigram sets and counters built per pair,
-and every string compressed at level 9.
+and every string compressed at level 9. ``text_field_score`` is the
+one-pair form of the field rule that the ``ps`` column kernel of
+``osnmatch.profile_features`` applies to a whole field at once.
 
 ``adam_step_reference`` is the per-layer Adam update that the flat,
 in-place one in ``osnmatch.mlp`` replaced; ``train_reference`` is the
@@ -262,6 +264,18 @@ def ncd_bzip2_level9(s: str, t: str) -> float:
     ca, cb = len(bz2.compress(xa, 9)), len(bz2.compress(xb, 9))
     cab = len(bz2.compress(xa + xb, 9))
     return (cab - min(ca, cb)) / max(ca, cb)
+
+
+def text_field_score(measure, a: str, b: str) -> float:
+    """Score of one textual field across a pair: 0.0 when present on only
+    one side, 1.0 when absent on both, else the normalized similarity."""
+    from osnmatch.strsim import normalized_similarity
+
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    return normalized_similarity(measure, a, b)
 
 
 def smith_waterman_full_matrix(

@@ -214,17 +214,36 @@ class TestCharEmbeddings:
 
 
 class TestEmbeddings:
-    @pytest.mark.parametrize("model", ["ps", "temporal"])
-    def test_with_another_model_is_a_usage_error(self, tmp_path, model):
-        words = tmp_path / "e.txt"
-        words.write_text("1 3\nfoo 0 0 1\n", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "model, options, message",
+        [
+            ("ps", ("--embeddings", "e.txt"), "--embeddings needs --model embedding"),
+            ("temporal", ("--embeddings", "e.txt"), "--embeddings needs --model embedding"),
+            ("temporal", ("--measure", "lcs"), "--measure needs --model ps"),
+            ("temporal", ("--no-names",), "--names needs --model ps"),
+            ("ps", ("--temporal-mode", "dow"), "--temporal-mode needs --model temporal"),
+            ("ps", ("--include-description",),
+             "--include-description needs --model embedding"),
+            ("ps", ("--char-embeddings", "e.txt"),
+             "--char-embeddings needs --model embedding"),
+            # a --config key is given too
+            ("temporal", ("--config", "run.cfg"), "--measure needs --model ps"),
+        ],
+        ids=["ps", "temporal", "temporal-measure", "temporal-no-names", "ps-temporal-mode",
+             "ps-include-description", "ps-char-embeddings", "temporal-config"],
+    )
+    def test_with_another_model_is_a_usage_error(self, tmp_path, monkeypatch, model,
+                                                 options, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.txt").write_text("1 3\nfoo 0 0 1\n", encoding="utf-8")
+        (tmp_path / "run.cfg").write_text("measure = lcs\n", encoding="utf-8")
         out = tmp_path / "out"
         result = CliRunner().invoke(
-            main, ["run", "--model", model, "--embeddings", str(words),
+            main, ["run", "--model", model, *options,
                    "--data-dir", str(tmp_path / "no-corpus"), "--output", str(out)]
         )
         assert result.exit_code == 2
-        assert "Error: --embeddings needs --model embedding" in result.output
+        assert f"Error: {message}" in result.output
         assert not out.exists()
 
 

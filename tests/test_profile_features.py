@@ -22,9 +22,9 @@ from osnmatch.profile_features import (
     per_account,
     post_count_ratio,
     ps_schema,
-    text_field_score,
 )
 from osnmatch.strsim import Measure
+from tests.oracles import text_field_score
 
 
 def make_profile(platform=Platform.TWITTER, **kwargs):
@@ -387,6 +387,11 @@ class TestHelpers:
         assert post_count_ratio(25, 100) == post_count_ratio(100, 25) == 0.25
 
     def test_text_score_missing_policy(self):
-        assert text_field_score(Measure.NCD_BZIP2, "", "") == 1.0
-        assert text_field_score(Measure.NCD_BZIP2, "", "x") == 0.0
-        assert text_field_score(Measure.NCD_BZIP2, "x", "") == 0.0
+        a = make_profile(Platform.TWITTER, user_id="t", user_name="", real_name="",
+                         description="x")
+        b = make_profile(Platform.FLICKR, user_id="f", user_name="", real_name="x",
+                         description="")
+        row = dict(zip(PS_SCHEMA, ps_row(a, b, Measure.NCD_BZIP2)))
+        assert row["user_name_score"] == 1.0
+        assert row["real_name_score"] == 0.0
+        assert row["description_score"] == 0.0

@@ -339,7 +339,8 @@ class TestNormalizedSimilarity:
         monkeypatch.setattr(strsim, name, counting)
         normalized_similarity(measure, "Kwan Hui", "kwanhui lim")
         normalized_similarity(measure, "same", "SAME")  # equal after folding
-        assert calls == [("kwan hui", "kwanhui lim")]
+        # two strings go to the raw measure as a column of one
+        assert calls == [(["kwan hui"], ["kwanhui lim"])]
         assert strsim.raw_measure(measure, "Ab", "ab") == real("Ab", "ab")
         assert len(calls) == 2
 
