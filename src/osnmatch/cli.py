@@ -12,6 +12,12 @@ looks up ``featurize_pairs``, ``extract_temporal_features`` and
 ``pair_embedding_features`` as globals of this module when it runs, since
 ``perfbench/tracer.py`` traces those names here.
 
+``folds`` takes the options that build and split the pair set,
+``_CORPUS_OPTIONS``, from ``run`` as the same parameter objects, and both
+commands get their corpus and pair set from ``_resolve_paths`` and
+``_pair_set``, which calls ``load_corpus`` and ``negative_sample`` as
+globals of this module for the same reason.
+
 Every command has one error exit, the group's ``invoke``: an
 ``OsnMatchError``, ``OSError`` or ``ValueError`` ends the run with one
 ``error: <Type>: <message>`` line on stderr and exit status 1. Usage
@@ -36,6 +42,7 @@ from . import synth
 from .atomic import replacing
 from .dataset import (
     Corpus,
+    LabeledPairSet,
     load_corpus,
     negative_sample,
     k_folds,
@@ -96,13 +103,25 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     return value
 
 
-def _resolve_paths(data_dir, profiles, posts, pairs):
-    base = Path(data_dir)
-    return (
-        str(Path(profiles) if profiles else base / "profiles.jsonl"),
-        str(Path(posts) if posts else base / "posts.jsonl"),
-        str(Path(pairs) if pairs else base / "pairs.csv"),
-    )
+_CORPUS_OPTIONS = ("neg_ratio", "k", "seed", "user_disjoint", "data_dir", "profiles",
+                  "posts", "pairs")
+
+
+def _resolve_paths(opts: dict) -> None:
+    """Replace ``data_dir``, ``profiles``, ``posts`` and ``pairs`` in ``opts``
+    by the input paths they name, ``profiles_path``, ``posts_path`` and ``pairs_path``."""
+    base = Path(opts.pop("data_dir"))
+    for name, default in (("profiles", "profiles.jsonl"), ("posts", "posts.jsonl"),
+                          ("pairs", "pairs.csv")):
+        given = opts.pop(name)
+        opts[f"{name}_path"] = str(Path(given) if given else base / default)
+
+
+def _pair_set(opts: dict) -> tuple[Corpus, LabeledPairSet]:
+    """The corpus at the resolved input paths of ``opts``, and the pair set
+    sampled from it."""
+    corpus = load_corpus(opts["profiles_path"], opts["posts_path"], opts["pairs_path"])
+    return corpus, negative_sample(corpus, opts["neg_ratio"], opts["seed"])
 
 
 def _build_ps(corpus: Corpus, opts: dict):
@@ -245,9 +264,7 @@ def run(ctx: click.Context, **opts):
     opts = {name: value for name, value in opts.items() if name not in foreign}
     if opts["hidden_nodes"] is None:
         opts["hidden_nodes"] = family.hidden_nodes
-    opts["profiles_path"], opts["posts_path"], opts["pairs_path"] = _resolve_paths(
-        *(opts.pop(name) for name in ("data_dir", "profiles", "posts", "pairs"))
-    )
+    _resolve_paths(opts)
     click.echo(json.dumps(_execute_run(opts), sort_keys=True))
 
 
@@ -255,8 +272,7 @@ def _execute_run(opts: dict) -> dict:
     """Run ``opts`` (the `run` options its model reads, with the input paths
     resolved) and write the models and both reports."""
     family = FAMILIES[opts["model"]]
-    corpus = load_corpus(opts["profiles_path"], opts["posts_path"], opts["pairs_path"])
-    pair_set = negative_sample(corpus, opts["neg_ratio"], opts["seed"])
+    corpus, pair_set = _pair_set(opts)
     featurize = family.build(corpus, opts)
     mlp_cfg = MlpConfig(
         input_dim=len(featurize([]).schema), rng_seed=opts["seed"],
@@ -274,8 +290,11 @@ def _execute_run(opts: dict) -> dict:
     out = Path(opts["output_dir"])
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    for i, model in enumerate(models):
-        save_model(model, str(models_dir / f"fold-{i:02d}.bin"))
+    saved = {models_dir / f"fold-{i:02d}.bin": model for i, model in enumerate(models)}
+    for path, model in saved.items():
+        save_model(model, str(path))
+    for path in set(models_dir.glob("fold-*.bin")) - saved.keys():  # a larger k's
+        path.unlink()
     report_doc = {
         "run": opts,
         "dataset": {
@@ -375,27 +394,15 @@ def write_folds_json(
     fh.write("\n]\n" if partitions else "]\n")
 
 
-@main.command()
-@click.option("--neg-ratio", type=int, default=8, show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--user-disjoint", is_flag=True, default=False)
-@click.option("--data-dir", type=click.Path(), default=".", show_default=True)
-@click.option("--profiles", type=click.Path(), default=None)
-@click.option("--posts", type=click.Path(), default=None)
-@click.option("--pairs", type=click.Path(), default=None)
+@main.command(params=[p for p in run.params if p.name in _CORPUS_OPTIONS])
 @click.option("--output", "output_path", type=click.Path(), default=None,
               help="also write the fold membership as JSON")
-def folds(neg_ratio, k, seed, user_disjoint, data_dir, profiles, posts, pairs,
-          output_path):
+def folds(output_path, **opts):
     """Inspect the stratified k-fold partition of the sampled pair set."""
-    profiles_path, posts_path, pairs_path = _resolve_paths(
-        data_dir, profiles, posts, pairs
-    )
-    corpus = load_corpus(profiles_path, posts_path, pairs_path)
-    pair_set = negative_sample(corpus, neg_ratio, seed)
-    folder = k_folds_user_disjoint if user_disjoint else k_folds
-    partitions = folder(pair_set, k, seed)
+    _resolve_paths(opts)
+    _, pair_set = _pair_set(opts)
+    folder = k_folds_user_disjoint if opts["user_disjoint"] else k_folds
+    partitions = folder(pair_set, opts["k"], opts["seed"])
     if output_path:
         with replacing(output_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             write_folds_json(fh, pair_set.pairs, partitions)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ParseError, open_input
-from .profile_features import FeatureMatrix, Platform, per_account
+from .profile_features import FeatureMatrix, per_side
 
 if TYPE_CHECKING:
     from .dataset import Corpus
@@ -211,21 +211,21 @@ def pair_embedding_features(
     embedding cosine mapped to [0, 1]. Each account's fields are embedded
     once."""
     fields = EMBEDDING_FIELDS_WITH_DESC if include_description else EMBEDDING_FIELDS
-
-    def embeddings(platform: Platform, ids: list[str], name: str) -> np.ndarray:
-        return per_account(
-            ids, table.dim,
-            lambda uid: embed_field(getattr(corpus.profile(platform, uid), name), table),
-        )
-
-    twitter_ids, flickr_ids = [p[0] for p in pairs], [p[1] for p in pairs]
+    dim = table.dim
+    # one call embeds all of an account's fields; e_a[i, f] is field f of pair i
+    e_a, e_b = (e.reshape(len(pairs), len(fields), dim) for e in per_side(
+        pairs, len(fields) * dim,
+        lambda platform, uid: np.concatenate([
+            embed_field(getattr(corpus.profile(platform, uid), name), table)
+            for name in fields
+        ]),
+    ))
     blocks: list[np.ndarray] = []
     schema: list[str] = []
-    for name in fields:
-        e_a = embeddings(Platform.TWITTER, twitter_ids, name)
-        e_b = embeddings(Platform.FLICKR, flickr_ids, name)
+    for f, name in enumerate(fields):
+        a, b = e_a[:, f], e_b[:, f]
         # the cosine stays per pair: a batched dot product rounds differently
-        cosine = np.array([_cosine(x, y) for x, y in zip(e_a, e_b)], dtype=np.float64)
-        blocks += [1.0 / (1.0 + np.abs(e_a - e_b)), ((cosine + 1.0) / 2.0)[:, None]]
-        schema += [f"{name}_d{i:03d}" for i in range(table.dim)] + [f"{name}_cosine"]
+        cosine = np.array([_cosine(x, y) for x, y in zip(a, b)], dtype=np.float64)
+        blocks += [1.0 / (1.0 + np.abs(a - b)), ((cosine + 1.0) / 2.0)[:, None]]
+        schema += [f"{name}_d{i:03d}" for i in range(dim)] + [f"{name}_cosine"]
     return FeatureMatrix(np.hstack(blocks), schema)

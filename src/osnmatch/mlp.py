@@ -20,6 +20,10 @@ network would, and every stacked operation computes each row exactly as
 the 2-D operation does: a network's parameters and losses are the same
 to the bit as when it is trained alone. The Adam state belongs to the
 stack; a model holds only its config and parameters.
+
+A forward pass records its input, activations, logits, probabilities and
+dropout masks in the ``_Buffers`` it runs in, for ``backward`` to read; it
+applies dropout only when it is given one generator per network.
 """
 
 from __future__ import annotations
@@ -218,10 +222,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class _Buffers:
-    """Work arrays of one batch shape: each hidden layer's pre-activation,
-    activation and dropout mask, and two backward-pass arrays. A training
-    loop keeps one per batch shape, so a step allocates no large array:
-    freeing and reallocating them each step costs page faults."""
+    """Work arrays of one batch shape, and the record of the last forward
+    pass run in them: each hidden layer's ``pre``-activation, ``act``ivation
+    and dropout ``mask``, and ``x``, ``logits``, ``probs`` and ``masks`` (the
+    masks applied, [] without dropout); ``da`` and ``dz`` serve ``backward``.
+    A training loop keeps one per batch shape, so a step allocates no large
+    array: freeing and reallocating them each step costs page faults."""
 
     def __init__(self, cfg: MlpConfig, lead: tuple[int, ...]):
         shape = (*lead, cfg.hidden_nodes)
@@ -235,17 +241,16 @@ class _Buffers:
 def _forward_batch(
     net: MlpModel | Stack,
     x: np.ndarray,
-    training: bool = False,
-    rngs=(),
+    rngs=None,
     buffers: _Buffers | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Run a batch; returns (softmax probabilities, cache).
+) -> tuple[np.ndarray, _Buffers]:
+    """Run a batch; returns (softmax probabilities, the record).
 
     A model takes (n, input_dim) rows, a stack one (g, n, input_dim)
-    batch per network. With ``training`` each hidden activation is masked
-    by inverted dropout (scaled by 1/keep so the expectation matches
-    inference), network r drawing its masks from ``rngs[r]``. The cache
-    lives in ``buffers`` (fresh ones by default) until their next use.
+    batch per network. Given ``rngs``, one per network, each hidden
+    activation is masked by inverted dropout (scaled by 1/keep so the
+    expectation matches inference), network r drawing its masks from
+    ``rngs[r]``. The record is ``buffers`` (fresh ones by default).
     """
     cfg = net.config
     lead = net.weights[0].shape[:-2]
@@ -255,8 +260,7 @@ def _forward_batch(
         )
     if buffers is None:
         buffers = _Buffers(cfg, x.shape[:-1])
-    rate = cfg.dropout_rate if training else 0.0
-    masks: list[np.ndarray] = []
+    rate = cfg.dropout_rate if rngs is not None else 0.0
     a = x
     for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
         z = np.matmul(a, w, out=buffers.pre[layer])
@@ -264,25 +268,16 @@ def _forward_batch(
         a = np.maximum(z, 0.0, out=buffers.act[layer])
         if rate > 0.0:
             mask = buffers.mask[layer]
-            per_net = mask.reshape(-1, *mask.shape[-2:])
-            if len(rngs) != len(per_net):
-                raise ValueError("training-mode forward with dropout needs one rng per network")
-            for rng, out in zip(rngs, per_net):
+            for rng, out in zip(rngs, mask.reshape(-1, *mask.shape[-2:]), strict=True):
                 rng.random(out=out)
             np.divide(mask >= rate, 1.0 - rate, out=mask)
             a *= mask
-            masks.append(mask)
-    z_out = np.matmul(a, net.weights[-1])
-    z_out += net.biases[-1][..., None, :]
-    probs = _softmax(z_out)
-    cache = {
-        "activations": [x, *buffers.act],
-        "pre_activations": [*buffers.pre, z_out],
-        "masks": masks,
-        "probs": probs,
-        "buffers": buffers,
-    }
-    return probs, cache
+    buffers.x = x
+    buffers.logits = np.matmul(a, net.weights[-1])
+    buffers.logits += net.biases[-1][..., None, :]
+    buffers.probs = _softmax(buffers.logits)
+    buffers.masks = buffers.mask if rate > 0.0 else []
+    return buffers.probs, buffers
 
 
 def _batch_cce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -291,11 +286,11 @@ def _batch_cce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(p, _PROB_FLOOR)).mean(axis=-1)
 
 
-def backward(stack: Stack, cache: dict, labels: np.ndarray) -> None:
-    """Gradients of each network's mean cross-entropy over its cached
-    batch, reusing the cached dropout masks, written into
-    ``stack.grad_weights`` and ``stack.grad_biases``."""
-    probs = cache["probs"]
+def backward(stack: Stack, record: _Buffers, labels: np.ndarray) -> None:
+    """Gradients of each network's mean cross-entropy over the batch of
+    ``record``, a ``_forward_batch`` record, reusing its dropout masks,
+    written into ``stack.grad_weights`` and ``stack.grad_biases``."""
+    probs = record.probs
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != probs.shape[:-1]:
         raise DimensionMismatchError(f"labels {labels.shape} for batch {probs.shape[:-1]}")
@@ -304,18 +299,16 @@ def backward(stack: Stack, cache: dict, labels: np.ndarray) -> None:
     onehot[..., POSITIVE_CLASS] = labels
     onehot[..., 1 - POSITIVE_CLASS] = ~labels
     dz = (probs - onehot) / n
-    masks = cache["masks"]
     for layer in reversed(range(len(stack.weights))):
-        a_prev = cache["activations"][layer]
+        a_prev = record.act[layer - 1] if layer else record.x
         np.matmul(a_prev.swapaxes(-1, -2), dz, out=stack.grad_weights[layer])
         np.sum(dz, axis=-2, out=stack.grad_biases[layer])
         if layer == 0:
             break
-        buffers = cache["buffers"]
-        da = np.matmul(dz, stack.weights[layer].swapaxes(-1, -2), out=buffers.da)
-        if masks:
-            da *= masks[layer - 1]
-        dz = np.multiply(da, cache["pre_activations"][layer - 1] > 0.0, out=buffers.dz)
+        da = np.matmul(dz, stack.weights[layer].swapaxes(-1, -2), out=record.da)
+        if record.masks:
+            da *= record.masks[layer - 1]
+        dz = np.multiply(da, record.pre[layer - 1] > 0.0, out=record.dz)
 
 
 def adam_step(stack: Stack) -> None:
@@ -456,12 +449,11 @@ def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
             rows = order[lo:hi, start : start + b]
             labels = y[rows]
             part = stack.rows(lo, hi)
-            probs, cache = _forward_batch(part, x[rows], training=True,
-                                          rngs=[run.rng for run in runs[lo:hi]],
-                                          buffers=work((hi - lo, b)))
+            probs, record = _forward_batch(part, x[rows], [run.rng for run in runs[lo:hi]],
+                                           work((hi - lo, b)))
             for losses, loss in zip(batch_losses[lo:hi], _batch_cce(probs, labels).tolist()):
                 losses.append(loss)
-            backward(part, cache, labels)
+            backward(part, record, labels)
             adam_step(part)
         finished = []
         for r, run in enumerate(runs):
@@ -494,7 +486,7 @@ def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
 
 def predict_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     """p(same) of every row, from an inference-mode (dropout-free) pass."""
-    probs, _ = _forward_batch(model, np.asarray(xs, dtype=np.float64), training=False)
+    probs, _ = _forward_batch(model, np.asarray(xs, dtype=np.float64))
     return probs[:, POSITIVE_CLASS]
 
 

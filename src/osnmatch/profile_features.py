@@ -5,7 +5,9 @@ are the score of each textual profile field under one chosen measure, or
 under every measure, plus the ratio of lifetime post counts. A field
 present on only one side scores 0.0, absent on both sides 1.0, and
 present on both its ``normalized_similarity``. Every feature family turns
-a batch of pairs into one ``FeatureMatrix``.
+a batch of pairs into one ``FeatureMatrix``, and builds its per-account
+rows through ``per_side``: the one place that maps a pair's sides to
+their platforms, and that computes each distinct account once.
 
 The ``ps`` matrix is built one (measure, field) column at a time, not one
 pair at a time: ``featurize_pairs`` looks up each account's profile and
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -80,18 +82,23 @@ class FeatureMatrix:
         return self.x.shape[0]
 
 
-def per_account(
-    ids: Sequence[Hashable], width: int, compute: Callable, dtype=np.float64
-) -> np.ndarray:
-    """One row per id: ``compute(uid)`` runs once per distinct id, and its
-    result is repeated for every pair the account is in."""
-    first: dict = {}
-    for uid in ids:
-        first.setdefault(uid, len(first))
-    table = np.empty((len(first), width), dtype=dtype)
-    for row, uid in enumerate(first):
-        table[row] = compute(uid)
-    return table[np.fromiter((first[uid] for uid in ids), dtype=np.intp, count=len(ids))]
+def per_side(
+    pairs: Sequence[tuple], width: int, compute: Callable, dtype=np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """(twitter_rows, flickr_rows) of (twitter_id, flickr_id, ...) pairs:
+    row i of each is ``compute(platform, uid)`` of that side's account of
+    pair i. ``compute`` runs once per distinct account on each side, and
+    its result is repeated for every pair the account is in."""
+    sides = []
+    for side, platform in enumerate((Platform.TWITTER, Platform.FLICKR)):
+        first: dict = {}
+        for pair in pairs:
+            first.setdefault(pair[side], len(first))
+        table = np.empty((len(first), width), dtype=dtype)
+        for row, uid in enumerate(first):
+            table[row] = compute(platform, uid)
+        sides.append(table[[first[pair[side]] for pair in pairs]])
+    return sides[0], sides[1]
 
 
 PS_TEXT_FIELDS = ("user_name", "real_name", "description", "location")
@@ -182,15 +189,10 @@ def featurize_pairs(
     order, under one measure, or under every measure when ``measure`` is None."""
     schema, order = ps_schema(measure, include_names)
     fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
-
-    def accounts(side: int, platform: Platform) -> np.ndarray:
-        return per_account(
-            [p[side] for p in pairs], len(fields) + 1,
-            lambda uid: _account_row(corpus.profile(platform, uid), fields), dtype=object,
-        )
-
-    x = _ps_columns(
-        accounts(0, Platform.TWITTER), accounts(1, Platform.FLICKR),
-        tuple(Measure) if measure is None else (measure,),
+    accounts = per_side(
+        pairs, len(fields) + 1,
+        lambda platform, uid: _account_row(corpus.profile(platform, uid), fields),
+        dtype=object,
     )
+    x = _ps_columns(*accounts, tuple(Measure) if measure is None else (measure,))
     return FeatureMatrix(x[:, order], schema)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ModeMismatchError
-from .profile_features import FeatureMatrix, Platform, per_account
+from .profile_features import FeatureMatrix, per_side
 
 if TYPE_CHECKING:
     from .dataset import Corpus
@@ -58,16 +58,11 @@ def extract_temporal_features(
     (as 0/1 values) followed by their Jaccard similarity: 24+24+1 columns
     for hour-of-day, 7+7+1 for day-of-week. Each account's mask is built
     once."""
-
-    def masks(platform: Platform, ids: list[str]) -> np.ndarray:
-        return per_account(
-            ids, mode.n_bins,
-            lambda uid: build_histogram(corpus.posts_for(platform, uid), mode) > 0,
-            dtype=bool,
-        )
-
-    mask_a = masks(Platform.TWITTER, [p[0] for p in pairs])
-    mask_b = masks(Platform.FLICKR, [p[1] for p in pairs])
+    mask_a, mask_b = per_side(
+        pairs, mode.n_bins,
+        lambda platform, uid: build_histogram(corpus.posts_for(platform, uid), mode) > 0,
+        dtype=bool,
+    )
     x = np.hstack([mask_a, mask_b, boolean_jaccard(mask_a, mask_b)[:, None]])
     schema = (
         [f"a_{mode.value}_{i:02d}" for i in range(mode.n_bins)]

@@ -301,6 +301,20 @@ SHARED_OPTIONS = {
 }
 
 
+class TestRunModels:
+    def test_a_smaller_k_leaves_no_stale_models(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        for k in ("3", "2"):
+            result = CliRunner().invoke(
+                main, ["run", "--data-dir", str(corpus_dir), "--model", "temporal",
+                       "--k", k, "--max-epochs", "1", "--output", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (out / "models").iterdir()) == [
+            "fold-00.bin", "fold-01.bin"
+        ]
+
+
 class TestRunRecord:
     @pytest.mark.parametrize(
         "model, own",

@@ -23,6 +23,7 @@ from osnmatch.mlp import (
     FoldJob,
     MlpConfig,
     Stack,
+    _Buffers,
     _batch_cce,
     _forward_batch,
     _softmax,
@@ -64,11 +65,11 @@ def accuracy(model, data):
     return float(np.mean((predict_batch(model, x) >= 0.5) == y))
 
 
-def one(model, x, training=False, rng=None):
-    """Probabilities and cache of a single example."""
-    probs, cache = _forward_batch(model, np.asarray(x)[None, :], training=training,
-                                  rngs=() if rng is None else [rng])
-    return probs[0], cache
+def one(model, x, rng=None):
+    """Probabilities and record of a single example."""
+    probs, record = _forward_batch(model, np.asarray(x)[None, :],
+                                   rngs=None if rng is None else [rng])
+    return probs[0], record
 
 
 def fit(cfg, x_train, y_train, x_val, y_val):
@@ -135,15 +136,15 @@ class TestForward:
         model = init_model(cfg)
         model.weights[0][:] = [[1.0, -1.0]]
         model.biases[0][:] = [-2.0, 3.0]  # pre-acts for x=0: [-2, 3]
-        _, cache = one(model, np.array([0.0]))
-        assert cache["activations"][1][0].tolist() == [0.0, 3.0]
+        _, record = one(model, np.array([0.0]))
+        assert record.act[0][0].tolist() == [0.0, 3.0]
 
     def test_inference_deterministic(self):
         cfg = MlpConfig(input_dim=4, hidden_nodes=8, rng_seed=5)
         model = init_model(cfg)
         x = np.array([0.1, 0.9, 0.5, 0.2])
-        p1, _ = one(model, x, training=False)
-        p2, _ = one(model, x, training=False)
+        p1, _ = one(model, x)
+        p2, _ = one(model, x)
         assert np.array_equal(p1, p2)
 
     def test_dimension_mismatch(self):
@@ -194,17 +195,16 @@ class TestLossCce:
 def _dropout_rngs(mask_seed):
     """A fresh rng for each forward pass, so every pass draws the same
     dropout masks; no rng (and no dropout) without a seed."""
-    return () if mask_seed is None else [np.random.default_rng(mask_seed)]
+    return None if mask_seed is None else [np.random.default_rng(mask_seed)]
 
 
 def _fd_gradient(stack, x, labels, arr, flat_idx, mask_seed, h=1e-5):
     flat = arr.reshape(-1)
     original = flat[flat_idx]
-    training = mask_seed is not None
     flat[flat_idx] = original + h
-    probs_p, _ = _forward_batch(stack, x, training=training, rngs=_dropout_rngs(mask_seed))
+    probs_p, _ = _forward_batch(stack, x, rngs=_dropout_rngs(mask_seed))
     flat[flat_idx] = original - h
-    probs_m, _ = _forward_batch(stack, x, training=training, rngs=_dropout_rngs(mask_seed))
+    probs_m, _ = _forward_batch(stack, x, rngs=_dropout_rngs(mask_seed))
     flat[flat_idx] = original
     return float(_batch_cce(probs_p, labels)[0] - _batch_cce(probs_m, labels)[0]) / (2 * h)
 
@@ -215,8 +215,8 @@ def _check_gradients(cfg, n_probes, seed, with_dropout):
     x = rng.random(cfg.input_dim)[None, None, :]
     labels = np.array([[True]])
     mask_seed = seed if with_dropout else None
-    _, cache = _forward_batch(stack, x, training=with_dropout, rngs=_dropout_rngs(mask_seed))
-    backward(stack, cache, labels)
+    _, record = _forward_batch(stack, x, rngs=_dropout_rngs(mask_seed))
+    backward(stack, record, labels)
     arrays = [w[0] for w in stack.weights] + [b[0] for b in stack.biases]
     grads = [g[0].reshape(-1).copy() for g in stack.grad_weights + stack.grad_biases]
     coords = [(a, g, i) for a, g in zip(arrays, grads) for i in range(a.size)]
@@ -245,15 +245,15 @@ class TestBackward:
         cfg = MlpConfig(input_dim=3, hidden_nodes=4, dropout_rate=0.0)
         stack = stack_of(init_model(cfg))
         stack.params[:] = 0.0
-        probs, cache = _forward_batch(stack, np.zeros((1, 1, 3)), training=False)
-        backward(stack, cache, [[True]])
+        probs, record = _forward_batch(stack, np.zeros((1, 1, 3)))
+        backward(stack, record, [[True]])
         assert stack.grad_biases[-1][0] == pytest.approx(probs[0, 0] - np.array([0.0, 1.0]))
 
     def test_gradient_shapes(self):
         cfg = MlpConfig(input_dim=5, hidden_nodes=7, dropout_rate=0.0)
         stack = stack_of(init_model(cfg), init_model(cfg))
-        _, cache = _forward_batch(stack, np.random.default_rng(0).random((2, 4, 5)))
-        backward(stack, cache, [[True, False, True, False]] * 2)
+        _, record = _forward_batch(stack, np.random.default_rng(0).random((2, 4, 5)))
+        backward(stack, record, [[True, False, True, False]] * 2)
         for g, w in zip(stack.grad_weights, stack.weights):
             assert g.shape == w.shape
         for g, b in zip(stack.grad_biases, stack.biases):
@@ -262,9 +262,9 @@ class TestBackward:
     def test_label_shape_mismatch(self):
         cfg = MlpConfig(input_dim=5, hidden_nodes=7, dropout_rate=0.0)
         stack = stack_of(init_model(cfg), init_model(cfg))
-        _, cache = _forward_batch(stack, np.zeros((2, 4, 5)))
+        _, record = _forward_batch(stack, np.zeros((2, 4, 5)))
         with pytest.raises(DimensionMismatchError):
-            backward(stack, cache, [[True, False, True, False]])
+            backward(stack, record, [[True, False, True, False]])
 
 
 class TestAdamStep:
@@ -304,8 +304,8 @@ class TestDropout:
         cfg = MlpConfig(input_dim=4, hidden_nodes=16, rng_seed=3)
         model = init_model(cfg)
         x = np.random.default_rng(1).random((5, 4))
-        p1, _ = _forward_batch(model, x, training=False)
-        p2, _ = _forward_batch(model, x, training=False)
+        p1, _ = _forward_batch(model, x)
+        p2, _ = _forward_batch(model, x)
         assert np.array_equal(p1, p2)
 
     def test_inverted_dropout_expectation(self):
@@ -319,24 +319,44 @@ class TestDropout:
         model = init_model(cfg)
         rng = np.random.default_rng(42)
         x = rng.random(5)
-        base_logits = (
-            _forward_batch(model, x[None, :], training=False)[1]["pre_activations"][-1][0]
-        )
+        base_logits = _forward_batch(model, x[None, :])[1].logits[0]
         n = 10_000
         batch = np.tile(x, (n, 1))
-        _, cache = _forward_batch(model, batch, training=True, rngs=[rng])
-        mc_logits = cache["pre_activations"][-1].mean(axis=0)
+        _, record = _forward_batch(model, batch, rngs=[rng])
+        mc_logits = record.logits.mean(axis=0)
         scale = max(1.0, float(np.linalg.norm(base_logits)))
         assert np.linalg.norm(mc_logits - base_logits) / scale <= 0.02
 
     def test_masks_scale_by_keep_probability(self):
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, dropout_rate=0.5, rng_seed=4)
         model = init_model(cfg)
-        _, cache = _forward_batch(
-            model, np.ones((1, 2)), training=True, rngs=[np.random.default_rng(0)]
-        )
-        for mask in cache["masks"]:
+        _, record = _forward_batch(model, np.ones((1, 2)), rngs=[np.random.default_rng(0)])
+        for mask in record.masks:
             assert set(np.unique(mask)).issubset({0.0, 2.0})
+
+    def test_reused_record_carries_no_stale_masks(self):
+        # the buffers are the record: a pass without rngs on buffers that
+        # last held a dropout pass must not hand its masks to backward
+        cfg = MlpConfig(input_dim=5, hidden_nodes=6, dropout_rate=0.5, rng_seed=7)
+        stack = stack_of(init_model(cfg))
+        x = np.random.default_rng(1).random((1, 4, 5))
+        labels = [[True, False, True, False]]
+        record = _Buffers(cfg, x.shape[:-1])
+        _forward_batch(stack, x, rngs=[np.random.default_rng(0)], buffers=record)
+        assert record.masks
+        _forward_batch(stack, x, buffers=record)
+        assert record.masks == []
+        backward(stack, record, labels)
+        reused = stack.grads.copy()
+        _, fresh = _forward_batch(stack, x)
+        backward(stack, fresh, labels)
+        assert np.array_equal(stack.grads, reused)
+
+    def test_one_rng_per_network(self):
+        cfg = MlpConfig(input_dim=2, hidden_nodes=4, dropout_rate=0.5)
+        stack = stack_of(init_model(cfg), init_model(cfg))
+        with pytest.raises(ValueError):
+            _forward_batch(stack, np.ones((2, 1, 2)), rngs=[np.random.default_rng(0)])
 
 
 class TestTrain:
@@ -416,7 +436,7 @@ class TestTrain:
         model, history = fit(cfg, *data, *data)
         best_val = min(e.val_loss for e in history)
         xs, ys = data
-        probs, _ = _forward_batch(model, xs, training=False)
+        probs, _ = _forward_batch(model, xs)
         assert _batch_cce(probs, ys) == pytest.approx(best_val)
 
 
@@ -515,7 +535,7 @@ class TestPredict:
         cfg = MlpConfig(input_dim=2, hidden_nodes=4)
         model = init_model(cfg)
         x = np.random.default_rng(0).random((6, 2))
-        probs, _ = _forward_batch(model, x, training=False)
+        probs, _ = _forward_batch(model, x)
         assert np.array_equal(predict_batch(model, x), probs[:, 1])
         assert predict_batch(model, x[:1]).shape == (1,)
 

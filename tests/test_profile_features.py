@@ -19,7 +19,7 @@ from osnmatch.profile_features import (
     UserProfile,
     extract_ps_features_all_measures,
     featurize_pairs,
-    per_account,
+    per_side,
     post_count_ratio,
     ps_schema,
 )
@@ -103,18 +103,23 @@ class TestFeatureMatrix:
         assert len(FeatureMatrix(np.empty((0, 2)), ["a", "b"])) == 0
 
 
-class TestPerAccount:
+class TestPerSide:
     def test_one_call_per_distinct_id(self):
         calls = []
 
-        def compute(uid):
-            calls.append(uid)
-            return [len(uid), 1.0]
+        def compute(platform, uid):
+            calls.append((platform, uid))
+            return [len(uid), 1.0 if platform is Platform.TWITTER else 0.0]
 
-        table = per_account(["aa", "b", "aa", "ccc", "b"], 2, compute)
-        assert calls == ["aa", "b", "ccc"]
-        assert table.tolist() == [[2, 1], [1, 1], [2, 1], [3, 1], [1, 1]]
-        assert per_account([], 2, compute).shape == (0, 2)
+        pairs = [("aa", "x", True), ("b", "x", False), ("aa", "yy", False),
+                 ("ccc", "x", False), ("b", "yy", True)]
+        twitter, flickr = per_side(pairs, 2, compute)
+        assert calls == [(Platform.TWITTER, "aa"), (Platform.TWITTER, "b"),
+                         (Platform.TWITTER, "ccc"), (Platform.FLICKR, "x"),
+                         (Platform.FLICKR, "yy")]
+        assert twitter.tolist() == [[2, 1], [1, 1], [2, 1], [3, 1], [1, 1]]
+        assert flickr.tolist() == [[1, 0], [1, 0], [2, 0], [1, 0], [2, 0]]
+        assert [t.shape for t in per_side([], 2, compute)] == [(0, 2), (0, 2)]
 
 
 class TestExtractPsFeatures:
