@@ -2,8 +2,9 @@
 pair scoring and fold inspection.
 
 ``FAMILIES`` holds one entry per ``run --model`` choice: the run options its
-featurizer reads, its default ``--hidden-nodes``, its report title suffix
-and ``build(corpus, opts) -> featurize(pairs)``. The choices, the width
+featurizer reads, whether it reads post times, its default
+``--hidden-nodes``, its report title suffix and
+``build(corpus, opts) -> featurize(pairs)``. The choices, the width
 default, the title and the featurizer all come from that entry, and
 report.json ``run`` records the shared options plus the chosen family's
 only. An option that ``FAMILIES`` gives to another model is a usage error
@@ -16,7 +17,10 @@ looks up ``featurize_pairs``, ``extract_temporal_features`` and
 ``_CORPUS_OPTIONS``, from ``run`` as the same parameter objects, and both
 commands get their corpus and pair set from ``_resolve_paths`` and
 ``_pair_set``, which calls ``load_corpus`` and ``negative_sample`` as
-globals of this module for the same reason.
+globals of this module for the same reason. ``_pair_set`` passes the posts
+path to ``load_corpus`` only for a family that reads post times
+(``temporal``); for any other model, and for ``folds``, posts.jsonl is
+neither opened nor checked.
 
 Every command has one error exit, the group's ``invoke``: an
 ``OsnMatchError``, ``OSError`` or ``ValueError`` ends the run with one
@@ -117,10 +121,11 @@ def _resolve_paths(opts: dict) -> None:
         opts[f"{name}_path"] = str(Path(given) if given else base / default)
 
 
-def _pair_set(opts: dict) -> tuple[Corpus, LabeledPairSet]:
-    """The corpus at the resolved input paths of ``opts``, and the pair set
-    sampled from it."""
-    corpus = load_corpus(opts["profiles_path"], opts["posts_path"], opts["pairs_path"])
+def _pair_set(opts: dict, reads_posts: bool) -> tuple[Corpus, LabeledPairSet]:
+    """The corpus at the resolved input paths of ``opts``, its posts only
+    if ``reads_posts``, and the pair set sampled from it."""
+    posts_path = opts["posts_path"] if reads_posts else None
+    corpus = load_corpus(opts["profiles_path"], posts_path, opts["pairs_path"])
     return corpus, negative_sample(corpus, opts["neg_ratio"], opts["seed"])
 
 
@@ -150,6 +155,7 @@ class Family(NamedTuple):
     """One ``--model`` choice."""
 
     options: tuple[str, ...]  # the run options its featurizer reads
+    reads_posts: bool  # whether its featurizer reads the corpus's post times
     hidden_nodes: int  # the --hidden-nodes default
     title: Callable[[dict], str]  # the report title after "model=<name>"
     build: Callable[[Corpus, dict], Featurizer]
@@ -157,17 +163,17 @@ class Family(NamedTuple):
 
 FAMILIES = {
     "ps": Family(
-        ("measure", "all_measures", "include_names"), 50,
+        ("measure", "all_measures", "include_names"), False, 50,
         lambda opts: f"measure={'all' if opts['all_measures'] else opts['measure']}",
         _build_ps,
     ),
     "temporal": Family(
-        ("temporal_mode",), 50, lambda opts: f"mode={opts['temporal_mode']}",
+        ("temporal_mode",), True, 50, lambda opts: f"mode={opts['temporal_mode']}",
         _build_temporal,
     ),
     "embedding": Family(
         ("include_description", "embedding_seed", "embeddings_path",
-         "char_embeddings_path"), 300, lambda opts: "", _build_embedding,
+         "char_embeddings_path"), False, 300, lambda opts: "", _build_embedding,
     ),
 }
 
@@ -244,7 +250,9 @@ def synth_cmd(n_users, noise, seed, out_dir):
                    "vectors come from one of the two files, never both")
 @click.option("--data-dir", type=click.Path(), default=".", show_default=True)
 @click.option("--profiles", type=click.Path(), default=None)
-@click.option("--posts", type=click.Path(), default=None)
+@click.option("--posts", type=click.Path(), default=None,
+              help="post times [default: <data-dir>/posts.jsonl]; only "
+                   "run --model temporal reads it")
 @click.option("--pairs", type=click.Path(), default=None)
 @click.option("--output", "output_dir", type=click.Path(), default="osnmatch-out",
               show_default=True)
@@ -272,7 +280,7 @@ def _execute_run(opts: dict) -> dict:
     """Run ``opts`` (the `run` options its model reads, with the input paths
     resolved) and write the models and both reports."""
     family = FAMILIES[opts["model"]]
-    corpus, pair_set = _pair_set(opts)
+    corpus, pair_set = _pair_set(opts, family.reads_posts)
     featurize = family.build(corpus, opts)
     mlp_cfg = MlpConfig(
         input_dim=len(featurize([]).schema), rng_seed=opts["seed"],
@@ -362,15 +370,10 @@ def score_pair(profile_a, profile_b, measure, include_names):
             click.echo(f"{name:<18} raw={raw_str} score={value:.4f}")
 
 
-def _pairs_json(pairs: list[tuple[str, str, bool]], rows: np.ndarray) -> str:
+def _pairs_json(triples: list[str], rows: np.ndarray) -> str:
     if not len(rows):
         return "[]"
-    enc = encode_basestring_ascii
-    return "[\n" + ",\n".join(
-        f"      [\n        {enc(t)},\n        {enc(f)},\n        "
-        f"{'true' if lbl else 'false'}\n      ]"
-        for t, f, lbl in map(pairs.__getitem__, rows.tolist())
-    ) + "\n    ]"
+    return "[\n" + ",\n".join(map(triples.__getitem__, rows.tolist())) + "\n    ]"
 
 
 def write_folds_json(
@@ -382,14 +385,20 @@ def write_folds_json(
     indent=2) + "\\n"`` would, for doc = ``[{"fold": i, "test": [[t, f,
     label], ...], "train": [...]}, ...]``, where each fold's (train_rows,
     test_rows) index ``pairs``. With an indent the json module encodes in
-    pure Python, so the triples are gathered and formatted here, one fold at
-    a time, with its C string encoder."""
+    pure Python, so each pair's indented triple is formatted here once, with
+    its C string encoder, and every fold joins the triples of its rows."""
+    enc = encode_basestring_ascii
+    triples = [
+        f"      [\n        {enc(t)},\n        {enc(f)},\n        "
+        f"{'true' if lbl else 'false'}\n      ]"
+        for t, f, lbl in pairs
+    ]
     fh.write("[")
     for i, (train_rows, test_rows) in enumerate(partitions):
         fh.write(f"{',' if i else ''}\n  {{\n    \"fold\": {i},\n    \"test\": ")
-        fh.write(_pairs_json(pairs, test_rows))
+        fh.write(_pairs_json(triples, test_rows))
         fh.write(',\n    "train": ')
-        fh.write(_pairs_json(pairs, train_rows))
+        fh.write(_pairs_json(triples, train_rows))
         fh.write("\n  }")
     fh.write("\n]\n" if partitions else "]\n")
 
@@ -400,7 +409,7 @@ def write_folds_json(
 def folds(output_path, **opts):
     """Inspect the stratified k-fold partition of the sampled pair set."""
     _resolve_paths(opts)
-    _, pair_set = _pair_set(opts)
+    _, pair_set = _pair_set(opts, reads_posts=False)
     folder = k_folds_user_disjoint if opts["user_disjoint"] else k_folds
     partitions = folder(pair_set, opts["k"], opts["seed"])
     if output_path:

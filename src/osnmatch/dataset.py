@@ -10,6 +10,10 @@ Input files:
                    seconds, floored, in file order)
   pairs.csv       header "twitter_id,flickr_id"; every row is a positive pair
 
+``load_corpus`` reads posts.jsonl only when given its path. With
+``posts_path=None`` it opens no posts file and ``Corpus.posts`` is empty,
+for the callers whose features never read post times.
+
 Every file must be UTF-8, with \\n, \\r\\n or \\r line ends; blank lines are
 skipped. Any malformed line, bytes that are not UTF-8 included, raises
 ``ParseError`` naming ``path:line``. Lines are physical lines: a pairs.csv
@@ -186,14 +190,15 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     return {key: np.array(account, dtype=np.int64) for key, account in times.items()}
 
 
-def load_corpus(profiles_path: str, posts_path: str, pairs_path: str) -> Corpus:
-    """Load and cross-reference the three corpus files.
+def load_corpus(profiles_path: str, posts_path: str | None, pairs_path: str) -> Corpus:
+    """Load and cross-reference the corpus files; with ``posts_path=None``
+    no posts are read and every account has none.
 
     Pairs naming a missing profile, and duplicate pairs, are dropped and
     counted in ``dropped_pairs`` rather than failing the load.
     """
     profiles = _load_profiles(profiles_path)
-    posts = _load_posts(posts_path)
+    posts = _load_posts(posts_path) if posts_path is not None else {}
     positive_pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0

@@ -401,6 +401,13 @@ def ncd_bzip2(s: list[str], t: list[str]) -> list[float]:
     surrogate is encoded as its own three bytes).
     A distance, not a similarity: 0 means alike, values can slightly
     exceed 1 due to compressor overhead."""
+    # Freeing a large mmapped block raises glibc's dynamic mmap threshold
+    # (mallopt(3)). Until then bzip2's ~1 MB level-1 buffers are mapped and
+    # unmapped on every call, which doubles the cost of a short input; one
+    # level-9 compression frees blocks of a few MB and so raises the
+    # threshold above them.
+    # The compressed lengths do not depend on the allocator.
+    bz2.compress(b"", 9)
     data = _per_string(lambda x: x.encode("utf-8", "surrogatepass"), s, t)
     size = {x: _compressed_len(d) for x, d in data.items()}
     out = []

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osnmatch import cli, strsim, synth
+from osnmatch import cli, dataset, strsim, synth
 from osnmatch.cli import main, write_folds_json
 from osnmatch.dataset import (
     LabeledPairSet,
@@ -196,6 +196,120 @@ class TestFoldsExport:
         assert "error: OSError: [Errno 28] No space left on device" in result.output
         assert out.read_text(encoding="utf-8") == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["folds.json"]
+
+
+# pair ids with every kind of character that json.dumps escapes or passes
+# through: quotes, backslashes, control characters, line separators, astral
+# characters and lone surrogates
+ID_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+                     "\u2029", "\U0001f600", "\ud800", "\udfff"]),
+    st.characters(),
+)
+
+
+@st.composite
+def _pairs_and_partitions(draw):
+    pairs = draw(st.lists(st.tuples(st.text(ID_CHARS, max_size=6),
+                                    st.text(ID_CHARS, max_size=6), st.booleans()),
+                          max_size=6))
+    index = st.integers(0, len(pairs) - 1) if pairs else st.nothing()
+    rows = st.lists(index, max_size=len(pairs)).map(lambda r: _rows(*r))
+    return pairs, draw(st.lists(st.tuples(rows, rows), max_size=4))
+
+
+class TestFoldsExportDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs_and_partitions())
+    # empty folds, and a pair (row 0) that sits in no fold
+    @example(([("t", "f", True), ("u", "g", False)],
+              [(_rows(), _rows()), (_rows(1), _rows())]))
+    @example(([("t\ud800", "\U0001f600", True)], []))
+    def test_matches_json_dumps(self, case):
+        pairs, partitions = case
+        fh = io.StringIO()
+        write_folds_json(fh, pairs, partitions)
+        assert fh.getvalue() == folds_json_reference(pairs, partitions)
+
+
+@pytest.fixture(scope="module")
+def no_posts_dir(corpus_dir, tmp_path_factory):
+    """``corpus_dir`` without its posts.jsonl."""
+    out = tmp_path_factory.mktemp("no-posts")
+    for name in ("profiles.jsonl", "pairs.csv"):
+        (out / name).write_bytes((corpus_dir / name).read_bytes())
+    return out
+
+
+def _outputs(data_dir, out, *args):
+    """Stdout and what the command wrote to ``out``: the fold file, or the
+    models and the report.json results."""
+    result = CliRunner().invoke(main, [*args, "--data-dir", str(data_dir), "--k", "2",
+                                       "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    if args[0] == "folds":
+        return result.output, out.read_bytes()
+    models = {p.name: p.read_bytes() for p in sorted((out / "models").iterdir())}
+    results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+    return result.output, models, results
+
+
+RUN_ARGS = ("--max-epochs", "2", "--hidden-nodes", "8")
+
+
+class TestPostsOnlyForTemporal:
+    """Only `run --model temporal` reads posts.jsonl."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("folds",), ("folds", "--user-disjoint"), ("run", "--model", "ps", *RUN_ARGS),
+         ("run", "--model", "embedding", *RUN_ARGS)],
+        ids=["folds", "folds-user-disjoint", "ps", "embedding"],
+    )
+    def test_same_outputs_without_posts(self, corpus_dir, no_posts_dir, tmp_path, args):
+        # one output path for both, so that stdout names the same files
+        out = tmp_path / ("folds.json" if args[0] == "folds" else "out")
+        with_posts = _outputs(corpus_dir, out, *args)
+        assert _outputs(no_posts_dir, out, *args) == with_posts
+
+    def test_temporal_needs_the_posts_file(self, no_posts_dir, tmp_path):
+        result = CliRunner().invoke(
+            main, ["run", "--data-dir", str(no_posts_dir), "--model", "temporal",
+                   "--output", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.startswith("error: FileNotFoundError: ")
+
+    def test_temporal_rejects_a_malformed_post(self, corpus_dir, tmp_path):
+        posts = tmp_path / "posts.jsonl"
+        lines = (corpus_dir / "posts.jsonl").read_text(encoding="utf-8").splitlines()
+        lines.insert(2, '{"platform": "twitter", "user_id": "t0", "timestamp": "soon"}')
+        posts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ["--data-dir", str(corpus_dir), "--posts", str(posts)]
+        result = CliRunner().invoke(
+            main, ["run", *args, "--model", "temporal", "--output", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"error: ParseError: {posts}:3: bad timestamp 'soon'\n"
+        assert CliRunner().invoke(main, ["folds", *args]).exit_code == 0
+
+    def test_only_temporal_loads_posts(self, corpus_dir, tmp_path, monkeypatch):
+        def unreadable(path):
+            raise OSError(f"{path} must not be read")
+
+        monkeypatch.setattr(dataset, "_load_posts", unreadable)
+        for i, args in enumerate([("folds",), ("run", "--model", "ps", *RUN_ARGS),
+                                  ("run", "--model", "temporal", *RUN_ARGS)]):
+            result = CliRunner().invoke(
+                main, [*args, "--data-dir", str(corpus_dir), "--k", "2",
+                       "--output", str(tmp_path / f"out-{i}")]
+            )
+            if "temporal" in args:
+                assert result.exit_code == 1
+                assert "must not be read" in result.output
+            else:
+                assert result.exit_code == 0, (args, result.output)
 
 
 class TestCharEmbeddings:
