@@ -45,8 +45,10 @@ from click.core import ParameterSource
 from . import synth
 from .atomic import replacing
 from .dataset import (
+    CORPUS_FILES,
     Corpus,
     LabeledPairSet,
+    UserProfile,
     load_corpus,
     negative_sample,
     k_folds,
@@ -61,12 +63,7 @@ from .embedding_features import (
 from .errors import OsnMatchError, ParseError, open_input
 from .evaluation import Featurizer, cross_validate, render_report
 from .mlp import MlpConfig, save_model
-from .profile_features import (
-    UserProfile,
-    extract_ps_features_all_measures,
-    featurize_pairs,
-    ps_schema,
-)
+from .profile_features import extract_ps_features_all_measures, featurize_pairs, ps_schema
 from .strsim import Measure, raw_measure
 from .temporal_features import HistogramMode, extract_temporal_features
 
@@ -115,10 +112,8 @@ def _resolve_paths(opts: dict) -> None:
     """Replace ``data_dir``, ``profiles``, ``posts`` and ``pairs`` in ``opts``
     by the input paths they name, ``profiles_path``, ``posts_path`` and ``pairs_path``."""
     base = Path(opts.pop("data_dir"))
-    for name, default in (("profiles", "profiles.jsonl"), ("posts", "posts.jsonl"),
-                          ("pairs", "pairs.csv")):
-        given = opts.pop(name)
-        opts[f"{name}_path"] = str(Path(given) if given else base / default)
+    for name, default in CORPUS_FILES.items():
+        opts[f"{name}_path"] = str(Path(opts.pop(name) or base / default))
 
 
 def _pair_set(opts: dict, reads_posts: bool) -> tuple[Corpus, LabeledPairSet]:
@@ -163,13 +158,13 @@ class Family(NamedTuple):
 
 FAMILIES = {
     "ps": Family(
-        ("measure", "all_measures", "include_names"), False, 50,
+        ("measure", "all_measures", "include_names"), False, MlpConfig.hidden_nodes,
         lambda opts: f"measure={'all' if opts['all_measures'] else opts['measure']}",
         _build_ps,
     ),
     "temporal": Family(
-        ("temporal_mode",), True, 50, lambda opts: f"mode={opts['temporal_mode']}",
-        _build_temporal,
+        ("temporal_mode",), True, MlpConfig.hidden_nodes,
+        lambda opts: f"mode={opts['temporal_mode']}", _build_temporal,
     ),
     "embedding": Family(
         ("include_description", "embedding_seed", "embeddings_path",
@@ -226,17 +221,19 @@ def synth_cmd(n_users, noise, seed, out_dir):
               help="embed the description field too (embedding model)")
 @click.option("--neg-ratio", type=int, default=8, show_default=True)
 @click.option("--k", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--user-disjoint", is_flag=True, default=False,
               help="stricter folds: no user appears in both train and test")
 @click.option("--hidden-nodes", type=int, default=None,
               help="[default: %s]" % "; ".join(f"{f.hidden_nodes} for {name}"
                                                for name, f in FAMILIES.items()))
-@click.option("--learning-rate", type=float, default=1e-3, show_default=True)
-@click.option("--dropout", "dropout_rate", type=float, default=0.5, show_default=True)
-@click.option("--batch-size", type=int, default=32, show_default=True)
-@click.option("--max-epochs", type=int, default=200, show_default=True)
-@click.option("--patience", "early_stop_patience", type=int, default=10, show_default=True)
+@click.option("--learning-rate", type=float, default=MlpConfig.learning_rate, show_default=True)
+@click.option("--dropout", "dropout_rate", type=float, default=MlpConfig.dropout_rate,
+              show_default=True)
+@click.option("--batch-size", type=int, default=MlpConfig.batch_size, show_default=True)
+@click.option("--max-epochs", type=int, default=MlpConfig.max_epochs, show_default=True)
+@click.option("--patience", "early_stop_patience", type=int,
+              default=MlpConfig.early_stop_patience, show_default=True)
 @click.option("--embedding-seed", type=int, default=0, show_default=True,
               help="seed of the hash-fallback embedder")
 @click.option("--embeddings", "embeddings_path", type=click.Path(exists=True),

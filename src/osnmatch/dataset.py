@@ -1,4 +1,6 @@
-"""Corpus ingestion, negative under-sampling and train/test partitioning.
+"""The corpus format (``CORPUS_FILES``, ``PAIRS_HEADER`` and the account
+record ``UserProfile``), corpus ingestion, negative under-sampling and
+train/test partitioning.
 
 Input files:
   profiles.jsonl  one JSON object per line:
@@ -27,6 +29,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from enum import Enum
 from json.decoder import JSONDecoder
 from json.scanner import make_scanner
 
@@ -40,11 +43,37 @@ from .errors import (
     TooFewExamplesError,
     open_input,
 )
-from .profile_features import PS_TEXT_FIELDS, Platform, UserProfile
 
 _EARLIEST_SECONDS = datetime(1990, 1, 1, tzinfo=timezone.utc).timestamp()
 
+CORPUS_FILES = {"profiles": "profiles.jsonl", "posts": "posts.jsonl", "pairs": "pairs.csv"}
 PAIRS_HEADER = ("twitter_id", "flickr_id")
+PS_TEXT_FIELDS = ("user_name", "real_name", "description", "location")
+
+
+class Platform(str, Enum):
+    TWITTER = "twitter"
+    FLICKR = "flickr"
+
+
+@dataclass(frozen=True)
+class UserProfile:
+    """One account's textual and count attributes on one platform."""
+
+    platform: Platform
+    user_id: str
+    user_name: str = ""
+    real_name: str = ""
+    description: str = ""
+    location: str = ""
+    post_count: int = 0
+
+    def __post_init__(self):
+        if not self.user_id:
+            raise ValueError("user_id must be nonempty")
+        if self.post_count < 0:
+            raise ValueError(f"post_count must be >= 0, got {self.post_count}")
+
 
 _PLATFORMS = {p.value: p for p in Platform}
 

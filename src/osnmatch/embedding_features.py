@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .dataset import Corpus
 from .errors import ParseError, open_input
 from .profile_features import FeatureMatrix, per_side
-
-if TYPE_CHECKING:
-    from .dataset import Corpus
 
 DEFAULT_DIM_WORD = 32
 DEFAULT_DIM_CHAR = 32
@@ -197,7 +195,7 @@ def _cosine(x: np.ndarray, y: np.ndarray) -> float:
 
 
 EMBEDDING_FIELDS = ("user_name", "real_name")
-EMBEDDING_FIELDS_WITH_DESC = ("user_name", "real_name", "description")
+EMBEDDING_FIELDS_WITH_DESC = (*EMBEDDING_FIELDS, "description")
 
 
 def pair_embedding_features(

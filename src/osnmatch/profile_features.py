@@ -1,4 +1,4 @@
-"""User profile records, the feature matrix and the profile-similarity features.
+"""The feature matrix, the per-account rows of every family, and the ps features.
 
 A candidate pair is one account on each platform. Its profile features
 are the score of each textual profile field under one chosen measure, or
@@ -22,40 +22,13 @@ same column code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .dataset import PS_TEXT_FIELDS, Corpus, Platform, UserProfile
 from .errors import SamePlatformError
-from .strsim import Measure, normalized_similarity
-
-if TYPE_CHECKING:
-    from .dataset import Corpus
-
-
-class Platform(str, Enum):
-    TWITTER = "twitter"
-    FLICKR = "flickr"
-
-
-@dataclass(frozen=True)
-class UserProfile:
-    """One account's textual and count attributes on one platform."""
-
-    platform: Platform
-    user_id: str
-    user_name: str = ""
-    real_name: str = ""
-    description: str = ""
-    location: str = ""
-    post_count: int = 0
-
-    def __post_init__(self):
-        if not self.user_id:
-            raise ValueError("user_id must be nonempty")
-        if self.post_count < 0:
-            raise ValueError(f"post_count must be >= 0, got {self.post_count}")
+from .strsim import Measure, fold, normalized_similarity
 
 
 @dataclass
@@ -101,8 +74,6 @@ def per_side(
     return sides[0], sides[1]
 
 
-PS_TEXT_FIELDS = ("user_name", "real_name", "description", "location")
-
 PS_SCHEMA = [
     "user_name_score",
     "real_name_score",
@@ -124,7 +95,7 @@ def post_count_ratio(count_a: int, count_b: int) -> float:
 def _account_row(profile: UserProfile, fields: tuple[str, ...]) -> list:
     """The account's text fields, folded as every measure folds them, then
     its post count."""
-    return [*(getattr(profile, name).lower() for name in fields), profile.post_count]
+    return [*(fold(getattr(profile, name)) for name in fields), profile.post_count]
 
 
 def _ps_columns(a: np.ndarray, b: np.ndarray, measures: tuple[Measure, ...]) -> np.ndarray:

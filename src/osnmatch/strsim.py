@@ -1,8 +1,8 @@
 """Nine character-level string similarity measures, plus a common [0, 1] scale.
 
-All measures compare lowercase-folded text at the level of Unicode code
-points. Distance-like measures (Levenshtein, Damerau-Levenshtein, Editex)
-return raw nonnegative integers; ``normalized_similarity`` maps every
+All measures compare text folded by ``fold`` (lowercased) at the level of
+Unicode code points. Distance-like measures (Levenshtein, Damerau-Levenshtein,
+Editex) return raw nonnegative integers; ``normalized_similarity`` maps every
 measure onto [0, 1] with 1.0 meaning identical.
 
 Algorithms:
@@ -87,7 +87,8 @@ class Measure(str, Enum):
     COSINE_2GRAM = "cosine"
 
 
-def _fold(text: str) -> str:
+def fold(text: str) -> str:
+    """The text as every measure compares it; callers folding a column use it too."""
     return text.lower()
 
 
@@ -99,7 +100,7 @@ def _columns(kernel: Callable[[list[str], list[str]], list]) -> Callable:
     @wraps(kernel)
     def measure(a, b):
         if isinstance(a, str):
-            return kernel([_fold(a)], [_fold(b)])[0]
+            return kernel([fold(a)], [fold(b)])[0]
         a, b = list(a), list(b)
         if len(a) != len(b):
             raise ValueError(f"{len(a)} strings against {len(b)}")
@@ -522,7 +523,7 @@ def normalized_similarity(
     unequal pairs.
     """
     if isinstance(a, str):
-        return normalized_similarity(measure, [_fold(a)], [_fold(b)])[0]
+        return normalized_similarity(measure, [fold(a)], [fold(b)])[0]
     scale = MEASURES[measure][1]
     out = [1.0] * len(a)
     rows = [i for i, (s, t) in enumerate(zip(a, b, strict=True)) if s != t]

@@ -1,6 +1,6 @@
 """Deterministic synthetic corpus generator.
 
-Emits profiles.jsonl, posts.jsonl and pairs.csv for a configurable number
+Emits the three files of ``dataset.CORPUS_FILES`` for a configurable number
 of ground-truth persons, each owning one twitter-like and one flickr-like
 account. A single ``noise`` knob in [0, 1] controls every cross-platform
 divergence: per-character edits on text fields, the chance of rewriting
@@ -19,6 +19,8 @@ import json
 import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+
+from .dataset import CORPUS_FILES, PAIRS_HEADER
 
 GENERATOR_VERSION = 1
 
@@ -231,14 +233,12 @@ def generate_corpus(n_users: int, noise: float, seed: int, out_dir: str) -> dict
                     )
                 )
 
-    profiles_path = out / "profiles.jsonl"
-    posts_path = out / "posts.jsonl"
-    pairs_path = out / "pairs.csv"
+    profiles_path, posts_path, pairs_path = (out / name for name in CORPUS_FILES.values())
     profiles_path.write_text("\n".join(profile_lines) + "\n", encoding="utf-8")
     posts_path.write_text("\n".join(post_lines) + "\n", encoding="utf-8")
     with open(pairs_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["twitter_id", "flickr_id"])
+        writer.writerow(PAIRS_HEADER)
         writer.writerows(pair_rows)
     return {
         "generator_version": GENERATOR_VERSION,

@@ -9,15 +9,13 @@ two accounts plus their Jaccard similarity form the classifier input.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .dataset import Corpus
 from .errors import ModeMismatchError
 from .profile_features import FeatureMatrix, per_side
-
-if TYPE_CHECKING:
-    from .dataset import Corpus
 
 
 class HistogramMode(str, Enum):

@@ -114,6 +114,33 @@ class TestRunConfigFile:
         assert "is a directory" in result.output
 
 
+class TestSeedRange:
+    """A negative seed is a usage error of ``run`` and ``folds``, raised
+    before the corpus is loaded."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_corpus", lambda *args: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("command", ["run", "folds"])
+    def test_negative_seed_on_the_command_line(self, corpus_dir, loads, command):
+        result = CliRunner().invoke(
+            main, [command, "--data-dir", str(corpus_dir), "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
+        assert loads == []
+
+    def test_negative_seed_in_the_config_file(self, corpus_dir, tmp_path, loads):
+        result, _, out = _run(corpus_dir, tmp_path, "seed = -1\n")
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
+        assert loads == []
+        assert not out.exists()
+
+
 def _folds(corpus_dir, out, *extra):
     return CliRunner().invoke(
         main,

@@ -1,6 +1,7 @@
 """Each piece of pipeline state is kept once: ``profile_features.per_side``
-alone maps a pair's sides to platforms, and ``folds`` declares none of
-the corpus options it shares with ``run``."""
+alone maps a pair's sides to platforms, ``folds`` declares none of
+the corpus options it shares with ``run``, and ``dataset`` alone declares
+the corpus format."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,30 @@ def test_folds_takes_its_corpus_options_from_run():
                                         "data_dir", "profiles", "posts", "pairs"]
     for param in shared:
         assert param is run_params[param.name], param.name
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+
+
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+
+
+def test_dataset_imports_no_package_module_but_errors():
+    imported = {(node.level, node.module) for node in ast.walk(_tree("dataset.py"))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.startswith("osnmatch"))}
+    assert imported == {(1, "errors")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_type_checking_guard(module):
+    assert "TYPE_CHECKING" not in _names(module)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "dataset.py"])
+def test_corpus_format_is_spelled_only_in_dataset(module):
+    format_names = {"profiles.jsonl", "posts.jsonl", "pairs.csv", "twitter_id", "flickr_id"}
+    constants = {node.value for node in ast.walk(_tree(module))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not constants & format_names

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -31,6 +32,17 @@ class TestDeterminism:
         assert files_a == files_b
         assert summary_a["generator_version"] == synth.GENERATOR_VERSION
         assert summary_a["posts"] == files_a["posts.jsonl"].count(b"\n")
+
+    def test_version_one_bytes_are_pinned(self, tmp_path):
+        """The pools and coefficients of version 1 make these exact files;
+        a change to them must bump ``GENERATOR_VERSION`` and these digests."""
+        synth.generate_corpus(12, 0.15, 7, str(tmp_path))
+        assert synth.GENERATOR_VERSION == 1
+        assert {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in FILES} == {
+            "profiles.jsonl": "c7c75555eb8303d056413dfdc08ebd2d689c321453d28aa689335998f5321d89",
+            "posts.jsonl": "de7489c7d547cf1b23fcb5b623dc387c701d842850d16f01bf70e5d140b9f6fa",
+            "pairs.csv": "63bd28b71f8e4753f6b3c28835c7fe75589e40ce58caba259fd418312adb739e",
+        }
 
     def test_other_seed_other_posts(self, tmp_path):
         _, files_a = _generate(tmp_path, "a", 7)
