@@ -1,8 +1,8 @@
 """Command-line front end: corpus synthesis, end-to-end evaluation runs,
 pair scoring and fold inspection.
 
-``FAMILIES`` holds one entry per ``run --model`` choice: the run options its
-featurizer reads, whether it reads post times, its default
+``FAMILIES`` holds one entry per ``run --model`` choice: the run options
+its featurizer reads, its input files among them, its default
 ``--hidden-nodes``, its report title suffix and
 ``build(corpus, opts) -> featurize(pairs)``. The choices, the width
 default, the title and the featurizer all come from that entry, and
@@ -17,10 +17,9 @@ looks up ``featurize_pairs``, ``extract_temporal_features`` and
 ``_CORPUS_OPTIONS``, from ``run`` as the same parameter objects, and both
 commands get their corpus and pair set from ``_resolve_paths`` and
 ``_pair_set``, which calls ``load_corpus`` and ``negative_sample`` as
-globals of this module for the same reason. ``_pair_set`` passes the posts
-path to ``load_corpus`` only for a family that reads post times
-(``temporal``); for any other model, and for ``folds``, posts.jsonl is
-neither opened nor checked.
+globals of this module for the same reason. ``--posts`` is a ``temporal``
+option, so only ``run --model temporal`` resolves a posts path; for any
+other model, and for ``folds``, posts.jsonl is neither opened nor checked.
 
 Every command has one error exit, the group's ``invoke``: an
 ``OsnMatchError``, ``OSError`` or ``ValueError`` ends the run with one
@@ -67,9 +66,6 @@ from .profile_features import extract_ps_features_all_measures, featurize_pairs,
 from .strsim import Measure, raw_measure
 from .temporal_features import HistogramMode, extract_temporal_features
 
-MEASURE_CHOICES = [m.value for m in Measure]
-
-
 def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     """Eager --config callback: file values become parameter defaults, so
     explicit flags still win. A key that names no option is an error."""
@@ -104,23 +100,22 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     return value
 
 
-_CORPUS_OPTIONS = ("neg_ratio", "k", "seed", "user_disjoint", "data_dir", "profiles",
-                  "posts", "pairs")
+_CORPUS_OPTIONS = ("neg_ratio", "k", "seed", "user_disjoint", "data_dir", "profiles", "pairs")
 
 
 def _resolve_paths(opts: dict) -> None:
-    """Replace ``data_dir``, ``profiles``, ``posts`` and ``pairs`` in ``opts``
-    by the input paths they name, ``profiles_path``, ``posts_path`` and ``pairs_path``."""
+    """Replace ``data_dir`` and each corpus file option in ``opts`` (``posts``
+    only for ``temporal``) by the input path it names, ``<name>_path``."""
     base = Path(opts.pop("data_dir"))
     for name, default in CORPUS_FILES.items():
-        opts[f"{name}_path"] = str(Path(opts.pop(name) or base / default))
+        if name in opts:
+            opts[f"{name}_path"] = str(Path(opts.pop(name) or base / default))
 
 
-def _pair_set(opts: dict, reads_posts: bool) -> tuple[Corpus, LabeledPairSet]:
+def _pair_set(opts: dict) -> tuple[Corpus, LabeledPairSet]:
     """The corpus at the resolved input paths of ``opts``, its posts only
-    if ``reads_posts``, and the pair set sampled from it."""
-    posts_path = opts["posts_path"] if reads_posts else None
-    corpus = load_corpus(opts["profiles_path"], posts_path, opts["pairs_path"])
+    if ``opts`` holds a posts path, and the pair set sampled from it."""
+    corpus = load_corpus(opts["profiles_path"], opts.get("posts_path"), opts["pairs_path"])
     return corpus, negative_sample(corpus, opts["neg_ratio"], opts["seed"])
 
 
@@ -138,7 +133,7 @@ def _build_temporal(corpus: Corpus, opts: dict):
 
 def _build_embedding(corpus: Corpus, opts: dict):
     if opts["embeddings_path"]:
-        table = load_embedding_file(opts["embeddings_path"], opts["char_embeddings_path"])
+        table = load_embedding_file(opts["embeddings_path"], opts["embedding_seed"])
     else:
         table = hash_fallback_table(seed=opts["embedding_seed"])
     return lambda pairs: pair_embedding_features(
@@ -149,8 +144,7 @@ def _build_embedding(corpus: Corpus, opts: dict):
 class Family(NamedTuple):
     """One ``--model`` choice."""
 
-    options: tuple[str, ...]  # the run options its featurizer reads
-    reads_posts: bool  # whether its featurizer reads the corpus's post times
+    options: tuple[str, ...]  # the run options it reads, its input files among them
     hidden_nodes: int  # the --hidden-nodes default
     title: Callable[[dict], str]  # the report title after "model=<name>"
     build: Callable[[Corpus, dict], Featurizer]
@@ -158,17 +152,17 @@ class Family(NamedTuple):
 
 FAMILIES = {
     "ps": Family(
-        ("measure", "all_measures", "include_names"), False, MlpConfig.hidden_nodes,
+        ("measure", "all_measures", "include_names"), MlpConfig.hidden_nodes,
         lambda opts: f"measure={'all' if opts['all_measures'] else opts['measure']}",
         _build_ps,
     ),
     "temporal": Family(
-        ("temporal_mode",), True, MlpConfig.hidden_nodes,
+        ("temporal_mode", "posts"), MlpConfig.hidden_nodes,
         lambda opts: f"mode={opts['temporal_mode']}", _build_temporal,
     ),
     "embedding": Family(
-        ("include_description", "embedding_seed", "embeddings_path",
-         "char_embeddings_path"), False, 300, lambda opts: "", _build_embedding,
+        ("include_description", "embedding_seed", "embeddings_path"), 300,
+        lambda opts: "", _build_embedding,
     ),
 }
 
@@ -208,11 +202,11 @@ def synth_cmd(n_users, noise, seed, out_dir):
               expose_value=False, type=click.Path(exists=True, dir_okay=False),
               help="key=value file supplying defaults for any option below")
 @click.option("--model", type=click.Choice(list(FAMILIES)), default="ps", show_default=True)
-@click.option("--measure", type=click.Choice(MEASURE_CHOICES), default="editex",
+@click.option("--measure", type=click.Choice([m.value for m in Measure]), default="editex",
               show_default=True, help="similarity measure (ps model)")
 @click.option("--all-measures", is_flag=True, default=False,
-              help="score the text fields under all nine measures, measure-major, "
-                   "instead of --measure alone (ps model)")
+              help="score the text fields under all nine measures, measure-major "
+                   "(ps model; excludes --measure)")
 @click.option("--temporal-mode", type=click.Choice(["hod", "dow"]), default="hod",
               show_default=True)
 @click.option("--names/--no-names", "include_names", default=True,
@@ -235,21 +229,18 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--patience", "early_stop_patience", type=int,
               default=MlpConfig.early_stop_patience, show_default=True)
 @click.option("--embedding-seed", type=int, default=0, show_default=True,
-              help="seed of the hash-fallback embedder")
+              help="seed of the hash fallback's vectors, and of the character "
+                   "n-grams an --embeddings file lacks (embedding model)")
 @click.option("--embeddings", "embeddings_path", type=click.Path(exists=True),
               default=None,
               help="word2vec-text embedding file (embedding model; else: hash "
                    "fallback); character n-gram vectors may follow its "
                    "'#char-ngrams' line")
-@click.option("--char-embeddings", "char_embeddings_path",
-              type=click.Path(exists=True), default=None,
-              help="separate character-n-gram embedding file; character "
-                   "vectors come from one of the two files, never both")
 @click.option("--data-dir", type=click.Path(), default=".", show_default=True)
 @click.option("--profiles", type=click.Path(), default=None)
 @click.option("--posts", type=click.Path(), default=None,
-              help="post times [default: <data-dir>/posts.jsonl]; only "
-                   "run --model temporal reads it")
+              help="post times [default: <data-dir>/posts.jsonl] "
+                   "(temporal model)")
 @click.option("--pairs", type=click.Path(), default=None)
 @click.option("--output", "output_dir", type=click.Path(), default="osnmatch-out",
               show_default=True)
@@ -264,8 +255,9 @@ def run(ctx: click.Context, **opts):
         if (param.name in foreign
                 and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
             raise click.UsageError(f"{param.opts[0]} needs --model {foreign[param.name]}")
-    if opts["char_embeddings_path"] and not opts["embeddings_path"]:
-        raise click.UsageError("--char-embeddings needs --embeddings")
+    if (opts["all_measures"]
+            and ctx.get_parameter_source("measure") is not ParameterSource.DEFAULT):
+        raise click.UsageError("--measure and --all-measures exclude each other")
     opts = {name: value for name, value in opts.items() if name not in foreign}
     if opts["hidden_nodes"] is None:
         opts["hidden_nodes"] = family.hidden_nodes
@@ -277,7 +269,7 @@ def _execute_run(opts: dict) -> dict:
     """Run ``opts`` (the `run` options its model reads, with the input paths
     resolved) and write the models and both reports."""
     family = FAMILIES[opts["model"]]
-    corpus, pair_set = _pair_set(opts, family.reads_posts)
+    corpus, pair_set = _pair_set(opts)
     featurize = family.build(corpus, opts)
     mlp_cfg = MlpConfig(
         input_dim=len(featurize([]).schema), rng_seed=opts["seed"],
@@ -340,14 +332,12 @@ def _read_profile(raw: str, which: str) -> UserProfile:
     return parse_profile(raw, f"--profile-{which}", 1)
 
 
-@main.command("score-pair")
+@main.command("score-pair",
+              params=[p for p in run.params if p.name in ("measure", "include_names")])
 @click.option("--profile-a", "-a", required=True,
               help="profile JSON, or @path to a JSON file")
 @click.option("--profile-b", "-b", required=True,
               help="profile JSON, or @path to a JSON file")
-@click.option("--measure", type=click.Choice(MEASURE_CHOICES), default="editex",
-              show_default=True)
-@click.option("--names/--no-names", "include_names", default=True)
 def score_pair(profile_a, profile_b, measure, include_names):
     """Print each profile feature's raw measure value and normalized score."""
     a = _read_profile(profile_a, "a")
@@ -406,7 +396,7 @@ def write_folds_json(
 def folds(output_path, **opts):
     """Inspect the stratified k-fold partition of the sampled pair set."""
     _resolve_paths(opts)
-    _, pair_set = _pair_set(opts, reads_posts=False)
+    _, pair_set = _pair_set(opts)
     folder = k_folds_user_disjoint if opts["user_disjoint"] else k_folds
     partitions = folder(pair_set, opts["k"], opts["seed"])
     if output_path:

@@ -44,7 +44,7 @@ class EmbeddingTable:
     ``source`` is "file" or "hash-fallback". Hash-fallback tables generate
     (and memoize) a vector for any token; file tables skip out-of-vocabulary
     words but still hash-generate missing character n-grams so every
-    n-gram has a vector.
+    n-gram has a vector. Both kinds hash from ``seed``.
     """
 
     dim_word: int
@@ -126,13 +126,12 @@ def _read_lines(path: str) -> list[str]:
     return lines
 
 
-def load_embedding_file(path: str, char_path: str | None = None) -> EmbeddingTable:
+def load_embedding_file(path: str, seed: int = 0) -> EmbeddingTable:
     """Load a word2vec-text table: header "V D" then V lines "token v1 .. vD".
 
-    Character n-gram vectors may follow in the same file after a
-    ``#char-ngrams`` marker line, or live in ``char_path`` using the same
-    format, but not both. Missing n-grams are later hash-generated at the
-    table's char dimension.
+    Character n-gram vectors may follow in the same format after a
+    ``#char-ngrams`` marker line. The n-grams that section lacks are later
+    hash-generated from ``seed`` at the table's char dimension.
     """
     lines = _read_lines(path)
     words, dim_word, next_no = _read_section(lines, path, 1)
@@ -143,20 +142,14 @@ def load_embedding_file(path: str, char_path: str | None = None) -> EmbeddingTab
             raise ParseError(
                 path, next_no, f"expected {CHAR_SECTION_MARKER!r} or end of file"
             )
-        if char_path is not None:
-            raise ParseError(path, next_no, f"character vectors both here and in {char_path}")
         char_vectors, dim_char, next_no = _read_section(lines, path, next_no + 1)
         if next_no <= len(lines):
             raise ParseError(path, next_no, "trailing content after sections")
-    if char_path is not None:
-        char_lines = _read_lines(char_path)
-        char_vectors, dim_char, last = _read_section(char_lines, char_path, 1)
-        if last <= len(char_lines):
-            raise ParseError(char_path, last, "trailing content after vectors")
     return EmbeddingTable(
         dim_word=dim_word,
         dim_char=dim_char,
         source="file",
+        seed=seed,
         word_vectors=words,
         char_ngram_vectors=char_vectors,
     )

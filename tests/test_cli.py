@@ -319,7 +319,9 @@ class TestPostsOnlyForTemporal:
         )
         assert result.exit_code == 1
         assert result.output == f"error: ParseError: {posts}:3: bad timestamp 'soon'\n"
-        assert CliRunner().invoke(main, ["folds", *args]).exit_code == 0
+        result = CliRunner().invoke(main, ["folds", *args])
+        assert result.exit_code == 2
+        assert "Error: No such option '--posts'" in result.output
 
     def test_only_temporal_loads_posts(self, corpus_dir, tmp_path, monkeypatch):
         def unreadable(path):
@@ -339,21 +341,6 @@ class TestPostsOnlyForTemporal:
                 assert result.exit_code == 0, (args, result.output)
 
 
-class TestCharEmbeddings:
-    def test_without_embeddings_is_a_usage_error(self, tmp_path):
-        chars = tmp_path / "c.txt"
-        chars.write_text("1 3\nfoo 0 0 1\n", encoding="utf-8")
-        out = tmp_path / "out"
-        # the data directory does not exist: the options are checked first
-        result = CliRunner().invoke(
-            main, ["run", "--model", "embedding", "--char-embeddings", str(chars),
-                   "--data-dir", str(tmp_path / "no-corpus"), "--output", str(out)]
-        )
-        assert result.exit_code == 2
-        assert "Error: --char-embeddings needs --embeddings" in result.output
-        assert not out.exists()
-
-
 class TestEmbeddings:
     @pytest.mark.parametrize(
         "model, options, message",
@@ -365,19 +352,22 @@ class TestEmbeddings:
             ("ps", ("--temporal-mode", "dow"), "--temporal-mode needs --model temporal"),
             ("ps", ("--include-description",),
              "--include-description needs --model embedding"),
-            ("ps", ("--char-embeddings", "e.txt"),
-             "--char-embeddings needs --model embedding"),
+            ("ps", ("--posts", "e.txt"), "--posts needs --model temporal"),
+            ("embedding", ("--posts", "e.txt"), "--posts needs --model temporal"),
             # a --config key is given too
             ("temporal", ("--config", "run.cfg"), "--measure needs --model ps"),
+            ("ps", ("--config", "posts.cfg"), "--posts needs --model temporal"),
         ],
         ids=["ps", "temporal", "temporal-measure", "temporal-no-names", "ps-temporal-mode",
-             "ps-include-description", "ps-char-embeddings", "temporal-config"],
+             "ps-include-description", "ps-posts", "embedding-posts", "temporal-config",
+             "ps-posts-config"],
     )
     def test_with_another_model_is_a_usage_error(self, tmp_path, monkeypatch, model,
                                                  options, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "e.txt").write_text("1 3\nfoo 0 0 1\n", encoding="utf-8")
         (tmp_path / "run.cfg").write_text("measure = lcs\n", encoding="utf-8")
+        (tmp_path / "posts.cfg").write_text("posts = e.txt\n", encoding="utf-8")
         out = tmp_path / "out"
         result = CliRunner().invoke(
             main, ["run", "--model", model, *options,
@@ -387,13 +377,45 @@ class TestEmbeddings:
         assert f"Error: {message}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("options", [("--measure", "lcs"), ("--config", "run.cfg")],
+                             ids=["command-line", "config"])
+    def test_measure_with_all_measures_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                        options):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("measure = lcs\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--model", "ps", "--all-measures", *options,
+                   "--data-dir", str(tmp_path / "no-corpus"), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "Error: --measure and --all-measures exclude each other" in result.output
+        assert not out.exists()
+
+    def test_embedding_seed_hashes_what_the_file_lacks(self, corpus_dir, tmp_path):
+        # the section has one n-gram; every other n-gram is hashed from the seed
+        table = tmp_path / "e.txt"
+        table.write_text("1 2\nalice 1 2\n#char-ngrams\n1 3\n^al 1 0 0\n",
+                         encoding="utf-8")
+        models = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"out-{seed}"
+            result = CliRunner().invoke(
+                main, ["run", "--data-dir", str(corpus_dir), "--model", "embedding",
+                       "--embeddings", str(table), "--embedding-seed", seed, "--k", "2",
+                       "--max-epochs", "1", "--hidden-nodes", "8", "--output", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            models.append([p.read_bytes() for p in sorted((out / "models").iterdir())])
+        assert models[0] != models[1]
+
 
 class TestReportTitle:
     @pytest.mark.parametrize(
         "options, title",
         [
             (("--model", "ps"), "model=ps measure=editex"),
-            (("--model", "ps", "--measure", "lcs", "--all-measures"), "model=ps measure=all"),
+            (("--model", "ps", "--all-measures"), "model=ps measure=all"),
             (("--model", "temporal", "--temporal-mode", "dow"), "model=temporal mode=dow"),
             (("--model", "embedding", "--hidden-nodes", "8"), "model=embedding"),
         ],
@@ -438,7 +460,7 @@ class TestHiddenNodes:
 SHARED_OPTIONS = {
     "model", "neg_ratio", "k", "seed", "user_disjoint", "hidden_nodes", "learning_rate",
     "dropout_rate", "batch_size", "max_epochs", "early_stop_patience", "profiles_path",
-    "posts_path", "pairs_path", "output_dir",
+    "pairs_path", "output_dir",
 }
 
 
@@ -461,9 +483,8 @@ class TestRunRecord:
         "model, own",
         [
             ("ps", {"measure", "all_measures", "include_names"}),
-            ("temporal", {"temporal_mode"}),
-            ("embedding", {"include_description", "embedding_seed", "embeddings_path",
-                           "char_embeddings_path"}),
+            ("temporal", {"temporal_mode", "posts_path"}),
+            ("embedding", {"include_description", "embedding_seed", "embeddings_path"}),
         ],
         ids=["ps", "temporal", "embedding"],
     )

@@ -78,23 +78,12 @@ class TestLoadEmbeddingFile:
         assert table.dim_char == 4
         assert np.allclose(table.char_ngram_vectors["^fo"], [1, 2, 3, 4])
 
-    def test_separate_char_file(self, tmp_path):
-        words = tmp_path / "w.txt"
-        chars = tmp_path / "c.txt"
-        words.write_text("1 2\nfoo 1 2\n")
-        chars.write_text("1 3\nfoo 0 0 1\n")
-        table = load_embedding_file(str(words), str(chars))
-        assert table.dim_word == 2
-        assert table.dim_char == 3
-
-    def test_char_vectors_in_both_files_are_rejected(self, tmp_path):
-        words = tmp_path / "w.txt"
-        chars = tmp_path / "c.txt"
-        words.write_text("1 2\nfoo 1 2\n#char-ngrams\n1 2\n^fo 1 2\n")
-        chars.write_text("1 3\nfoo 0 0 1\n")
-        with pytest.raises(ParseError) as exc:
-            load_embedding_file(str(words), str(chars))
-        assert str(exc.value) == f"{words}:3: character vectors both here and in {chars}"
+    def test_seed_hashes_the_ngrams_the_section_lacks(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 2\nfoo 1 2\n#char-ngrams\n1 4\n^fo 1 2 3 4\n")
+        tables = [load_embedding_file(str(path), seed=seed) for seed in (0, 5)]
+        assert np.array_equal(*(t.char_ngram_vector("^fo") for t in tables))
+        assert not np.allclose(*(embed_field("foo", t) for t in tables))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -108,18 +97,16 @@ class TestLoadEmbeddingFile:
         with pytest.raises(ParseError):
             load_embedding_file(str(path))
 
-    @pytest.mark.parametrize("bad_file", ["words", "chars"])
-    def test_not_utf8_names_the_line(self, tmp_path, bad_file):
-        lines = {"words": [b"2 2", b"foo 1 0", b"bar 0 1"],
-                 "chars": [b"2 3", b"^fo 1 0 0", b"foo 0 1 0"]}
-        lines[bad_file][2] = b"\xc3" + lines[bad_file][2]
-        paths = {}
-        for name, content in lines.items():
-            paths[name] = tmp_path / f"{name}.txt"
-            paths[name].write_bytes(b"\n".join(content) + b"\n")
+    @pytest.mark.parametrize("bad_line", [3, 7], ids=["words", "chars"])
+    def test_not_utf8_names_the_line(self, tmp_path, bad_line):
+        lines = [b"2 2", b"foo 1 0", b"bar 0 1",
+                 b"#char-ngrams", b"2 3", b"^fo 1 0 0", b"foo 0 1 0"]
+        lines[bad_line - 1] = b"\xc3" + lines[bad_line - 1]
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(ParseError) as exc:
-            load_embedding_file(str(paths["words"]), str(paths["chars"]))
-        assert str(exc.value) == f"{paths[bad_file]}:3: not valid UTF-8"
+            load_embedding_file(str(path))
+        assert str(exc.value) == f"{path}:{bad_line}: not valid UTF-8"
 
 
 class TestEmbedField:

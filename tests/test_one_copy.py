@@ -1,7 +1,8 @@
 """Each piece of pipeline state is kept once: ``profile_features.per_side``
-alone maps a pair's sides to platforms, ``folds`` declares none of
-the corpus options it shares with ``run``, and ``dataset`` alone declares
-the corpus format."""
+alone maps a pair's sides to platforms, ``folds`` and ``score-pair``
+declare none of the options they share with ``run``, ``cli.FAMILIES``
+alone says which model reads posts, and ``dataset`` alone declares the
+corpus format."""
 
 import ast
 from pathlib import Path
@@ -33,9 +34,23 @@ def test_folds_takes_its_corpus_options_from_run():
     run_params = {p.name: p for p in cli.run.params}
     shared = [p for p in cli.folds.params if p.name != "output_path"]
     assert [p.name for p in shared] == ["neg_ratio", "k", "seed", "user_disjoint",
-                                        "data_dir", "profiles", "posts", "pairs"]
+                                        "data_dir", "profiles", "pairs"]
     for param in shared:
         assert param is run_params[param.name], param.name
+
+
+def test_score_pair_takes_its_measure_options_from_run():
+    run_params = {p.name: p for p in cli.run.params}
+    shared = [p for p in cli.score_pair.params if p.name in run_params]
+    assert [p.name for p in shared] == ["measure", "include_names"]
+    for param in shared:
+        assert param is run_params[param.name], param.name
+
+
+def test_only_temporal_reads_posts():
+    assert [name for name, family in cli.FAMILIES.items()
+            if "posts" in family.options] == ["temporal"]
+    assert "reads_posts" not in cli.Family._fields
 
 
 def _tree(module):
