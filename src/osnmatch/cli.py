@@ -231,17 +231,17 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--embedding-seed", type=int, default=0, show_default=True,
               help="seed of the hash fallback's vectors, and of the character "
                    "n-grams an --embeddings file lacks (embedding model)")
-@click.option("--embeddings", "embeddings_path", type=click.Path(exists=True),
-              default=None,
+@click.option("--embeddings", "embeddings_path",
+              type=click.Path(exists=True, dir_okay=False), default=None,
               help="word2vec-text embedding file (embedding model; else: hash "
                    "fallback); character n-gram vectors may follow its "
-                   "'#char-ngrams' line")
+                   "'#char-ngrams' line; without them, every n-gram is hashed")
 @click.option("--data-dir", type=click.Path(), default=".", show_default=True)
-@click.option("--profiles", type=click.Path(), default=None)
-@click.option("--posts", type=click.Path(), default=None,
+@click.option("--profiles", type=click.Path(dir_okay=False), default=None)
+@click.option("--posts", type=click.Path(dir_okay=False), default=None,
               help="post times [default: <data-dir>/posts.jsonl] "
                    "(temporal model)")
-@click.option("--pairs", type=click.Path(), default=None)
+@click.option("--pairs", type=click.Path(dir_okay=False), default=None)
 @click.option("--output", "output_dir", type=click.Path(), default="osnmatch-out",
               show_default=True)
 @click.pass_context

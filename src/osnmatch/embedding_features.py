@@ -2,9 +2,9 @@
 
 Vectors come either from word2vec-style text files or from a deterministic
 hash-seeded fallback that can embed any token or character n-gram, so the
-pipeline runs with no external model artifacts. A field embedding is the
-concatenation of mean-pooled word vectors and mean-pooled character
-3-gram vectors.
+pipeline runs with no external model artifacts. Every table has a word half
+and a character half; a field embedding concatenates its mean-pooled word
+vectors and its mean-pooled character 3-gram vectors.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ def _hash_vector(kind: str, token: str, seed: int, dim: int) -> np.ndarray:
 class EmbeddingTable:
     """Token and character-n-gram vectors plus their provenance.
 
-    ``source`` is "file" or "hash-fallback". Hash-fallback tables generate
-    (and memoize) a vector for any token; file tables skip out-of-vocabulary
-    words but still hash-generate missing character n-grams so every
-    n-gram has a vector. Both kinds hash from ``seed``.
+    ``source`` is "file" or "hash-fallback". Both widths are positive.
+    Hash-fallback tables generate (and memoize) a vector for any token;
+    file tables skip out-of-vocabulary words. Every character n-gram has a
+    vector: the ones a table does not hold are hashed from ``seed``.
     """
 
     dim_word: int
@@ -60,7 +60,7 @@ class EmbeddingTable:
 
     def word_vector(self, token: str) -> np.ndarray | None:
         vec = self.word_vectors.get(token)
-        if vec is None and self.source == "hash-fallback" and self.dim_word > 0:
+        if vec is None and self.source == "hash-fallback":
             vec = _hash_vector("word", token, self.seed, self.dim_word)
             self.word_vectors[token] = vec
         return vec
@@ -73,15 +73,9 @@ class EmbeddingTable:
         return vec
 
 
-def hash_fallback_table(
-    seed: int = 0,
-    dim_word: int = DEFAULT_DIM_WORD,
-    dim_char: int = DEFAULT_DIM_CHAR,
-) -> EmbeddingTable:
-    """Table whose every vector is derived deterministically from the seed."""
-    return EmbeddingTable(
-        dim_word=dim_word, dim_char=dim_char, source="hash-fallback", seed=seed
-    )
+def hash_fallback_table(seed: int = 0) -> EmbeddingTable:
+    """Table of the default widths whose every vector is derived from the seed."""
+    return EmbeddingTable(DEFAULT_DIM_WORD, DEFAULT_DIM_CHAR, "hash-fallback", seed)
 
 
 def _read_section(lines, path, start_line_no):
@@ -113,6 +107,8 @@ def _read_section(lines, path, start_line_no):
             vec = np.array([float(x) for x in raw_values], dtype=np.float64)
         except ValueError:
             raise ParseError(path, line_no, "non-numeric vector value") from None
+        if not np.isfinite(vec).all():
+            raise ParseError(path, line_no, "non-finite vector value")
         vectors[token] = vec  # duplicate tokens: last one wins
     return vectors, dim, line_no + 1
 
@@ -130,13 +126,13 @@ def load_embedding_file(path: str, seed: int = 0) -> EmbeddingTable:
     """Load a word2vec-text table: header "V D" then V lines "token v1 .. vD".
 
     Character n-gram vectors may follow in the same format after a
-    ``#char-ngrams`` marker line. The n-grams that section lacks are later
-    hash-generated from ``seed`` at the table's char dimension.
+    ``#char-ngrams`` marker line; without it the char width is DEFAULT_DIM_CHAR.
+    The n-grams the file lacks are hashed from ``seed``. Values must be finite.
     """
     lines = _read_lines(path)
     words, dim_word, next_no = _read_section(lines, path, 1)
     char_vectors: dict[str, np.ndarray] = {}
-    dim_char = 0
+    dim_char = DEFAULT_DIM_CHAR
     if next_no <= len(lines):
         if lines[next_no - 1].strip() != CHAR_SECTION_MARKER:
             raise ParseError(
@@ -171,9 +167,8 @@ def embed_field(text: str, table: EmbeddingTable) -> np.ndarray:
         word_vecs = [v for v in (table.word_vector(t) for t in tokens) if v is not None]
         if word_vecs:
             word_part = np.mean(word_vecs, axis=0)
-        if table.dim_char > 0:
-            grams = [g for t in tokens for g in _token_ngrams(t)]
-            char_part = np.mean([table.char_ngram_vector(g) for g in grams], axis=0)
+        grams = [g for t in tokens for g in _token_ngrams(t)]
+        char_part = np.mean([table.char_ngram_vector(g) for g in grams], axis=0)
     return np.concatenate([word_part, char_part])
 
 

@@ -393,21 +393,43 @@ class TestEmbeddings:
         assert not out.exists()
 
     def test_embedding_seed_hashes_what_the_file_lacks(self, corpus_dir, tmp_path):
-        # the section has one n-gram; every other n-gram is hashed from the seed
-        table = tmp_path / "e.txt"
-        table.write_text("1 2\nalice 1 2\n#char-ngrams\n1 3\n^al 1 0 0\n",
-                         encoding="utf-8")
-        models = []
-        for seed in ("0", "5"):
-            out = tmp_path / f"out-{seed}"
-            result = CliRunner().invoke(
-                main, ["run", "--data-dir", str(corpus_dir), "--model", "embedding",
-                       "--embeddings", str(table), "--embedding-seed", seed, "--k", "2",
-                       "--max-epochs", "1", "--hidden-nodes", "8", "--output", str(out)]
-            )
-            assert result.exit_code == 0, result.output
-            models.append([p.read_bytes() for p in sorted((out / "models").iterdir())])
-        assert models[0] != models[1]
+        # the section has one n-gram; every other n-gram is hashed from the seed,
+        # and a file without the section has every n-gram hashed, 32 wide
+        files = {"sectioned": ("1 2\nalice 1 2\n#char-ngrams\n1 3\n^al 1 0 0\n", 3),
+                 "word-only": ("1 2\nalice 1 2\n", 32)}
+        for name, (text, dim_char) in files.items():
+            table = tmp_path / f"{name}.txt"
+            table.write_text(text, encoding="utf-8")
+            models = []
+            for seed in ("0", "5"):
+                out = tmp_path / f"out-{name}-{seed}"
+                result = CliRunner().invoke(
+                    main, ["run", "--data-dir", str(corpus_dir), "--model", "embedding",
+                           "--embeddings", str(table), "--embedding-seed", seed,
+                           "--k", "2", "--max-epochs", "1", "--hidden-nodes", "8",
+                           "--output", str(out)]
+                )
+                assert result.exit_code == 0, result.output
+                models.append([p.read_bytes() for p in sorted((out / "models").iterdir())])
+                report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+                assert report["mlp"]["input_dim"] == 2 * (2 + dim_char + 1)
+            assert models[0] != models[1], name
+
+    @pytest.mark.parametrize(
+        "option, model",
+        [("--embeddings", "embedding"), ("--profiles", "ps"), ("--posts", "temporal"),
+         ("--pairs", "ps")],
+    )
+    def test_directory_input_is_a_usage_error(self, tmp_path, option, model):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--model", model, option, str(tmp_path),
+                   "--data-dir", str(tmp_path / "no-corpus"), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert "is a directory" in result.output
+        assert not out.exists()
 
 
 class TestReportTitle:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import osnmatch.embedding_features as embedding_features
 from osnmatch.dataset import Corpus
 from osnmatch.embedding_features import (
+    DEFAULT_DIM_CHAR,
     _cosine,
     embed_field,
     hash_fallback_table,
@@ -48,7 +49,7 @@ class TestLoadEmbeddingFile:
         path.write_text("2 3\nfoo 1 2 3\nbar 0.5 0.5 0.5\n")
         table = load_embedding_file(str(path))
         assert table.dim_word == 3
-        assert table.dim_char == 0
+        assert table.dim_char == DEFAULT_DIM_CHAR
         assert np.allclose(table.word_vectors["foo"], [1, 2, 3])
         assert table.source == "file"
 
@@ -85,6 +86,24 @@ class TestLoadEmbeddingFile:
         assert np.array_equal(*(t.char_ngram_vector("^fo") for t in tables))
         assert not np.allclose(*(embed_field("foo", t) for t in tables))
 
+    def test_seed_hashes_every_ngram_of_a_word_only_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 2\nfoo 1 2\n")
+        tables = [load_embedding_file(str(path), seed=seed) for seed in (5, 0)]
+        assert not np.allclose(*(embed_field("foo", t) for t in tables))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("bad_line", [3, 7], ids=["words", "chars"])
+    def test_non_finite_value_names_the_line(self, tmp_path, bad_line, value):
+        lines = ["2 2", "foo 1 0", "bar 0 1", "#char-ngrams", "2 3", "^fo 1 0 0",
+                 "foo 0 1 0"]
+        lines[bad_line - 1] = lines[bad_line - 1].rsplit(" ", 1)[0] + f" {value}"
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_embedding_file(str(path))
+        assert str(exc.value) == f"{path}:{bad_line}: non-finite vector value"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("nonsense\n")
@@ -110,6 +129,24 @@ class TestLoadEmbeddingFile:
 
 
 class TestEmbedField:
+    @pytest.mark.parametrize(
+        "text", [None, "2 3\nab 1 2 3\ncd 0 1 0\n",
+                 "1 2\nab 1 2\n#char-ngrams\n1 4\n^ab 1 0 0 0\n"],
+        ids=["hash-fallback", "word-only-file", "sectioned-file"],
+    )
+    def test_every_table_has_both_halves(self, tmp_path, text):
+        if text is None:
+            table = hash_fallback_table(0)
+        else:
+            path = tmp_path / "emb.txt"
+            path.write_text(text)
+            table = load_embedding_file(str(path))
+        assert table.dim_word > 0
+        assert table.dim_char > 0
+        vec = embed_field("ab cd", table)
+        assert vec.shape == (table.dim_word + table.dim_char,)
+        assert np.linalg.norm(vec[table.dim_word:]) > 0
+
     def test_empty_field_is_zero(self):
         table = hash_fallback_table(seed=7)
         vec = embed_field("", table)
@@ -124,7 +161,9 @@ class TestEmbedField:
         path = tmp_path / "emb.txt"
         path.write_text("1 3\nhello 1 2 3\n")
         table = load_embedding_file(str(path))
-        assert np.allclose(embed_field("hello", table), [1, 2, 3])
+        vec = embed_field("hello", table)
+        assert np.allclose(vec[:3], [1, 2, 3])
+        assert vec[3:].shape == (DEFAULT_DIM_CHAR,)
 
     def test_duplication_invariance(self):
         table = hash_fallback_table(seed=7)
@@ -164,17 +203,19 @@ class TestPairEmbeddingFeatures:
         assert all(v == pytest.approx(1.0) for v in values)
 
     def test_dimension_contract(self):
-        table = hash_fallback_table(seed=5, dim_word=8, dim_char=4)
+        table = hash_fallback_table(seed=5)
         a = profile(Platform.TWITTER, "t1")
         b = profile(Platform.FLICKR, "f1")
-        assert len(pair_features(a, b, table)[0]) == 2 * (8 + 4 + 1)
+        assert len(pair_features(a, b, table)[0]) == 2 * (32 + 32 + 1)
         assert len(
             pair_features(a, b, table, include_description=True)[0]
-        ) == 3 * (8 + 4 + 1)
+        ) == 3 * (32 + 32 + 1)
 
     def test_orthogonal_tokens_cosine_feature(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("2 2\nfoo 1 0\nbar 0 1\n")
+        # foo's n-grams and bar's are orthogonal too
+        path.write_text("2 2\nfoo 1 0\nbar 0 1\n#char-ngrams\n6 2\n"
+                        "^fo 1 0\nfoo 1 0\noo$ 1 0\n^ba 0 1\nbar 0 1\nar$ 0 1\n")
         table = load_embedding_file(str(path))
         a = profile(Platform.TWITTER, "t1", user_name="foo", real_name="foo")
         b = profile(Platform.FLICKR, "f1", user_name="bar", real_name="bar")
@@ -200,7 +241,7 @@ class TestPairEmbeddingFeatures:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_rows_match_per_pair_formula(self, monkeypatch):
-        table = hash_fallback_table(seed=5, dim_word=8, dim_char=4)
+        table = hash_fallback_table(seed=5)
         calls = []
 
         def counting(text, tbl):
