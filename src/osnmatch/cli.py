@@ -213,20 +213,23 @@ def synth_cmd(n_users, noise, seed, out_dir):
               help="include user/real name scores (ps model)")
 @click.option("--include-description", is_flag=True, default=False,
               help="embed the description field too (embedding model)")
-@click.option("--neg-ratio", type=int, default=8, show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--neg-ratio", type=click.IntRange(min=0), default=8, show_default=True)
+@click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--user-disjoint", is_flag=True, default=False,
               help="stricter folds: no user appears in both train and test")
-@click.option("--hidden-nodes", type=int, default=None,
+@click.option("--hidden-nodes", type=click.IntRange(min=1), default=None,
               help="[default: %s]" % "; ".join(f"{f.hidden_nodes} for {name}"
                                                for name, f in FAMILIES.items()))
-@click.option("--learning-rate", type=float, default=MlpConfig.learning_rate, show_default=True)
-@click.option("--dropout", "dropout_rate", type=float, default=MlpConfig.dropout_rate,
+@click.option("--learning-rate", type=click.FloatRange(min=0, min_open=True),
+              default=MlpConfig.learning_rate, show_default=True)
+@click.option("--dropout", "dropout_rate", type=click.FloatRange(0, 1, max_open=True),
+              default=MlpConfig.dropout_rate, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=MlpConfig.batch_size,
               show_default=True)
-@click.option("--batch-size", type=int, default=MlpConfig.batch_size, show_default=True)
-@click.option("--max-epochs", type=int, default=MlpConfig.max_epochs, show_default=True)
-@click.option("--patience", "early_stop_patience", type=int,
+@click.option("--max-epochs", type=click.IntRange(min=1), default=MlpConfig.max_epochs,
+              show_default=True)
+@click.option("--patience", "early_stop_patience", type=click.IntRange(min=0),
               default=MlpConfig.early_stop_patience, show_default=True)
 @click.option("--embedding-seed", type=int, default=0, show_default=True,
               help="seed of the hash fallback's vectors, and of the character "
@@ -242,8 +245,8 @@ def synth_cmd(n_users, noise, seed, out_dir):
               help="post times [default: <data-dir>/posts.jsonl] "
                    "(temporal model)")
 @click.option("--pairs", type=click.Path(dir_okay=False), default=None)
-@click.option("--output", "output_dir", type=click.Path(), default="osnmatch-out",
-              show_default=True)
+@click.option("--output", "output_dir", type=click.Path(file_okay=False),
+              default="osnmatch-out", show_default=True)
 @click.pass_context
 def run(ctx: click.Context, **opts):
     """Run one model end-to-end with k-fold cross-validation."""
@@ -270,6 +273,10 @@ def _execute_run(opts: dict) -> dict:
     resolved) and write the models and both reports."""
     family = FAMILIES[opts["model"]]
     corpus, pair_set = _pair_set(opts)
+    out = Path(opts["output_dir"])
+    models_dir = out / "models"
+    # made before training, so that an output path under a file fails first
+    models_dir.mkdir(parents=True, exist_ok=True)
     featurize = family.build(corpus, opts)
     mlp_cfg = MlpConfig(
         input_dim=len(featurize([]).schema), rng_seed=opts["seed"],
@@ -284,9 +291,6 @@ def _execute_run(opts: dict) -> dict:
         user_disjoint=opts["user_disjoint"],
     )
 
-    out = Path(opts["output_dir"])
-    models_dir = out / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
     saved = {models_dir / f"fold-{i:02d}.bin": model for i, model in enumerate(models)}
     for path, model in saved.items():
         save_model(model, str(path))
@@ -391,7 +395,7 @@ def write_folds_json(
 
 
 @main.command(params=[p for p in run.params if p.name in _CORPUS_OPTIONS])
-@click.option("--output", "output_path", type=click.Path(), default=None,
+@click.option("--output", "output_path", type=click.Path(dir_okay=False), default=None,
               help="also write the fold membership as JSON")
 def folds(output_path, **opts):
     """Inspect the stratified k-fold partition of the sampled pair set."""

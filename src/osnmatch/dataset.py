@@ -269,7 +269,13 @@ def load_corpus(profiles_path: str, posts_path: str | None, pairs_path: str) -> 
 
 def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet:
     """Positive pairs plus ``neg_ratio`` times as many uniformly random
-    cross-platform non-pairs, sampled without replacement."""
+    cross-platform non-pairs, sampled without replacement.
+
+    Candidates are drawn, and positives and repeats rejected, until the
+    target is met. A request for over half the pool of non-pairs needs
+    n_twitter * n_flickr < (2r + 1) * n_pos at ratio r: with one-to-one
+    ground truth, at most 2r positives and a pool under 4r² pairs (256 at
+    ratio 8), which the draw fills in a few thousand candidates."""
     if neg_ratio < 0:
         raise ValueError("neg_ratio must be >= 0")
     positives = list(corpus.positive_pairs)
@@ -283,30 +289,16 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
     if target > pool:
         raise InsufficientPoolError(neg_ratio, pool / max(len(positives), 1))
     rng = np.random.default_rng(seed)
-    negatives: list[tuple[str, str]] = []
-    if target > pool // 2:
-        # dense request: enumerate the pool and take a seeded sample
-        candidates = [
-            (t, f)
-            for t in twitter_users
-            for f in flickr_users
-            if (t, f) not in pos_set
-        ]
-        order = rng.permutation(len(candidates))
-        negatives = [candidates[i] for i in order[:target]]
-    else:
-        # each row of a batch draw continues the sequence of two scalar
-        # draws (twitter, then flickr) per candidate; rows drawn past the
-        # target are left unused
-        bounds = np.array([len(twitter_users), len(flickr_users)])
-        chosen: set[tuple[str, str]] = set()
-        while len(negatives) < target:
-            for t, f in rng.integers(bounds, size=(target - len(negatives), 2)).tolist():
-                pair = (twitter_users[t], flickr_users[f])
-                if pair in pos_set or pair in chosen:
-                    continue
-                chosen.add(pair)
-                negatives.append(pair)
+    # each row of a batch draw continues the sequence of two scalar draws
+    # (twitter, then flickr) per candidate; rows drawn past the target are
+    # left unused
+    bounds = np.array([len(twitter_users), len(flickr_users)])
+    negatives: dict[tuple[str, str], None] = {}  # in order of first draw
+    while len(negatives) < target:
+        for t, f in rng.integers(bounds, size=(target - len(negatives), 2)).tolist():
+            pair = (twitter_users[t], flickr_users[f])
+            if pair not in pos_set:
+                negatives[pair] = None
                 if len(negatives) == target:
                     break
     pairs = [(t, f, True) for t, f in positives] + [(t, f, False) for t, f in negatives]

@@ -92,6 +92,10 @@ def post_count_ratio(count_a: int, count_b: int) -> float:
     return min(count_a, count_b) / max(count_a, count_b)
 
 
+def _scored_fields(include_names: bool) -> tuple[str, ...]:
+    return PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
+
+
 def _account_row(profile: UserProfile, fields: tuple[str, ...]) -> list:
     """The account's text fields, folded as every measure folds them, then
     its post count."""
@@ -129,7 +133,7 @@ def extract_ps_features_all_measures(
         raise SamePlatformError(
             f"both accounts are on {a.platform.value}: {a.user_id!r}, {b.user_id!r}"
         )
-    fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
+    fields = _scored_fields(include_names)
     rows = [np.array([_account_row(p, fields)], dtype=object) for p in (a, b)]
     return _ps_columns(*rows, measures)[0].tolist()
 
@@ -140,7 +144,7 @@ def ps_schema(
     """Column names of the ``ps`` matrix, and the order that takes a kernel
     row to them: every measure's columns in kernel order when ``measure`` is
     None, else the paper's ``PS_SCHEMA`` order, ``post_ratio`` third."""
-    fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
+    fields = _scored_fields(include_names)
     if measure is None:
         schema = [f"{name}_score_{m.value}" for m in Measure for name in fields]
         schema.append("post_ratio")
@@ -159,7 +163,7 @@ def featurize_pairs(
     """Profile-similarity matrix of (twitter_id, flickr_id, ...) pairs, in
     order, under one measure, or under every measure when ``measure`` is None."""
     schema, order = ps_schema(measure, include_names)
-    fields = PS_TEXT_FIELDS if include_names else PS_TEXT_FIELDS[2:]
+    fields = _scored_fields(include_names)
     accounts = per_side(
         pairs, len(fields) + 1,
         lambda platform, uid: _account_row(corpus.profile(platform, uid), fields),

@@ -6,11 +6,10 @@ Editex) return raw nonnegative integers; ``normalized_similarity`` maps every
 measure onto [0, 1] with 1.0 meaning identical.
 
 Algorithms:
-  Levenshtein     bit-vector DP of Myers (J. ACM 46(3), 1999) in the
-                  global-distance form of Hyyrö (Nordic J. Computing
-                  10(1), 2003)
-  Damerau (OSA)   Hyyrö's bit-vector DP with the transposition term
-                  (Nordic J. Computing 10(1), 2003)
+  Levenshtein     Hyyrö's bit-vector DP (Nordic J. Computing 10(1),
+                  2003), the global-distance form of Myers' (J. ACM
+                  46(3), 1999)
+  Damerau (OSA)   the same DP with Hyyrö's transposition term
   LCS             bit-vector recurrence V' = (V + U) | (V - U), U = V & M
                   (Allison & Dix, IPL 23(6), 1986; Crochemore et al.,
                   IPL 80(6), 2001)
@@ -48,7 +47,9 @@ strings (the shorter ones, where the measure is symmetric).
   column. The carry of an addition and the bit shifted out of a word pass
   to the next word. Every vector carried to the next column is masked to
   its lane's length; the distance is read off the last column's vertical
-  deltas at the end.
+  deltas at the end. Levenshtein and OSA run one kernel, in which only
+  OSA adds the transposition term, from the previous column's diagonal
+  deltas and match masks.
 - Jaro-Winkler marks, for each position of s over all pairs at once, the
   first unmatched equal position of t inside the window (``argmax`` over
   the candidates), and counts transpositions by comparing the matched
@@ -167,7 +168,7 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Set bits of each row of words."""
-    return np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 _ONE, _TOP = np.uint64(1), np.uint64(63)
@@ -214,23 +215,34 @@ def _lanes(s: list[str], t: list[str]):
     return n, m, full, steps
 
 
+def _edit_distance(s: list[str], t: list[str], osa: bool) -> np.ndarray:
+    """Hyyrö's bit-vector DP of the Levenshtein distance over a block of
+    pairs, with its transposition term when ``osa``."""
+    n, _, full, steps = _lanes(s, t)
+    # vertical +1/-1 deltas of the current column; column 0 is 0..m
+    vp, vn = full.copy(), np.zeros_like(full)
+    d0 = pm_prev = np.zeros_like(full)  # the previous column's d and pm
+    for k, pm in steps:
+        p, q = vp[:k], vn[:k]
+        d = (_add(pm & p, p) ^ p) | pm | q
+        if osa:
+            # diagonal zero-deltas reachable through a transposition
+            d |= _shl(~d0[:k] & pm) & pm_prev[:k]
+        d &= full[:k]
+        hp = _shl(q | ~(d | p), low=True)  # row 0 grows by one per column
+        hn = _shl(d & p)
+        vp[:k] = (hn | ~(d | hp)) & full[:k]
+        vn[:k] = hp & d
+        d0, pm_prev = d, pm
+    # row 0 of the last column is len(s)
+    return n + _popcount(vp) - _popcount(vn)
+
+
 @_blockwise()
 def levenshtein(s: list[str], t: list[str]) -> np.ndarray:
     """Minimum number of single-character insertions, deletions or
     substitutions turning one string into the other."""
-    n, _, full, steps = _lanes(s, t)
-    # vertical +1/-1 deltas of the current column; column 0 is 0..m
-    pv, mv = full.copy(), np.zeros_like(full)
-    for k, eq in steps:
-        p, q = pv[:k], mv[:k]
-        xv = eq | q
-        xh = (_add(eq & p, p) ^ p) | eq
-        ph = _shl(q | ~(xh | p), low=True)  # row 0 grows by one per column
-        mh = _shl(p & xh)
-        pv[:k] = (mh | ~(xv | ph)) & full[:k]
-        mv[:k] = ph & xv
-    # row 0 of the last column is len(s)
-    return n + _popcount(pv) - _popcount(mv)
+    return _edit_distance(s, t, osa=False)
 
 
 @_blockwise()
@@ -238,21 +250,7 @@ def damerau_levenshtein(s: list[str], t: list[str]) -> np.ndarray:
     """Edit distance that additionally allows transposing two adjacent
     characters (optimal string alignment: a transposed block is not
     edited again), so never exceeds plain Levenshtein."""
-    n, _, full, steps = _lanes(s, t)
-    vp, vn = full.copy(), np.zeros_like(full)
-    d0, pm_prev = np.zeros_like(full), np.zeros_like(full)
-    for k, pm in steps:
-        p, q = vp[:k], vn[:k]
-        # diagonal zero-deltas reachable through a transposition
-        tr = _shl(~d0[:k] & pm) & pm_prev[:k]
-        d = ((_add(pm & p, p) ^ p) | pm | q | tr) & full[:k]
-        hp = _shl(q | ~(d | p), low=True)
-        hn = _shl(d & p)
-        vp[:k] = (hn | ~(d | hp)) & full[:k]
-        vn[:k] = hp & d
-        d0[:k] = d
-        pm_prev[:k] = pm
-    return n + _popcount(vp) - _popcount(vn)
+    return _edit_distance(s, t, osa=True)
 
 
 # Phonetic letter groups: a substitution inside one group costs 1 instead

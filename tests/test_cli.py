@@ -141,6 +141,74 @@ class TestSeedRange:
         assert not out.exists()
 
 
+class TestNumericRange:
+    """An out-of-range numeric option of ``run`` is a usage error, on the
+    command line or in ``--config``, raised before the corpus is loaded."""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--k", "1"), ("--neg-ratio", "-1"), ("--hidden-nodes", "0"), ("--batch-size", "0"),
+        ("--max-epochs", "0"), ("--patience", "-1"), ("--dropout", "1"),
+        ("--learning-rate", "0"),
+    ])
+    @pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+    def test_is_a_usage_error(self, corpus_dir, tmp_path, monkeypatch, option, value,
+                              in_config):
+        loads = []
+        monkeypatch.setattr(cli, "load_corpus", lambda *args: loads.append(args))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option[2:]} = {value}\n" if in_config else "", encoding="utf-8")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(cfg), "--data-dir", str(corpus_dir), "--model",
+             "temporal", "--output", str(out), *([] if in_config else [option, value])],
+        )
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert loads == []
+        assert not out.exists()
+
+
+class TestOutputPath:
+    """``run --output`` names a directory and ``folds --output`` a file; the
+    wrong kind is a usage error, raised before the corpus is loaded."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("load_corpus", "cross_validate"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: calls.append(name))
+        return calls
+
+    @pytest.mark.parametrize("command", ["run", "folds"])
+    def test_wrong_kind_is_a_usage_error(self, corpus_dir, tmp_path, calls, command):
+        out = tmp_path / "out"
+        if command == "run":
+            out.write_text("keep\n", encoding="utf-8")
+        else:
+            out.mkdir()
+        result = CliRunner().invoke(
+            main, [command, "--data-dir", str(corpus_dir), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--output'" in result.output
+        assert calls == []
+        assert out.is_file() if command == "run" else not any(out.iterdir())
+
+    def test_run_under_a_file_fails_before_training(self, corpus_dir, tmp_path,
+                                                    monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "cross_validate", lambda *a, **kw: trained.append(a))
+        (tmp_path / "afile").write_text("keep\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["run", "--data-dir", str(corpus_dir), "--model", "temporal",
+                   "--output", str(tmp_path / "afile" / "out")]
+        )
+        assert result.exit_code == 1
+        assert "error: NotADirectoryError: " in result.output
+        assert trained == []
+
+
 def _folds(corpus_dir, out, *extra):
     return CliRunner().invoke(
         main,
@@ -462,9 +530,9 @@ class TestHiddenNodes:
             ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
              "--max-epochs", "1", "--hidden-nodes", "0", "--output", str(out)],
         )
-        assert result.exit_code == 1
-        assert "error: ValueError: layer dimensions must be positive" in result.output
-        assert not (out / "report.json").exists()
+        assert result.exit_code == 2
+        assert "Invalid value for '--hidden-nodes'" in result.output
+        assert not out.exists()
 
     def test_default_depends_on_the_model(self, corpus_dir, tmp_path):
         out = tmp_path / "out"
@@ -540,16 +608,24 @@ class TestRunRecord:
 
 
 class TestLearningRate:
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-    def test_non_finite_or_non_positive_is_rejected(self, corpus_dir, tmp_path, value):
+    @pytest.mark.parametrize("value, exit_code, message", [
+        pytest.param("nan", 1, "error: ValueError: learning_rate must be finite and positive",
+                     id="nan"),
+        pytest.param("inf", 1, "error: ValueError: learning_rate must be finite and positive",
+                     id="inf"),
+        pytest.param("-1", 2, "Invalid value for '--learning-rate'", id="-1"),
+        pytest.param("0", 2, "Invalid value for '--learning-rate'", id="0"),
+    ])
+    def test_non_finite_or_non_positive_is_rejected(self, corpus_dir, tmp_path, value,
+                                                    exit_code, message):
         out = tmp_path / "out"
         result = CliRunner().invoke(
             main,
             ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
              "--max-epochs", "2", "--learning-rate", value, "--output", str(out)],
         )
-        assert result.exit_code == 1
-        assert "error: ValueError: learning_rate must be finite and positive" in result.output
+        assert result.exit_code == exit_code
+        assert message in result.output
         assert not (out / "report.json").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

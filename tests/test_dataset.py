@@ -542,11 +542,13 @@ class TestNegativeSample:
 
     @pytest.mark.parametrize("n_twitter, n_flickr, n_pos, ratio, seed", [
         (30, 30, 10, 8, 1), (40, 9, 9, 4, 7), (6, 50, 6, 3, 42), (25, 25, 25, 8, 0),
+        (3, 3, 1, 8, 1), (5, 5, 2, 6, 3),
     ])
     def test_equals_the_scalar_draws(self, tmp_path, n_twitter, n_flickr, n_pos, ratio,
                                      seed):
-        # every case is a sparse request (target <= pool / 2); the last one
-        # rejects enough candidates to need more than one batch
+        # (25, 25, 25, 8, 0) rejects enough candidates to need more than one
+        # batch; the last two ask for the whole pool of 8 non-pairs, and for
+        # 12 of a pool of 23
         paths = write_corpus(tmp_path, n_twitter=n_twitter, n_flickr=n_flickr,
                              pairs=[(f"t{i}", f"f{i}") for i in range(n_pos)])
         corpus = load_corpus(*paths)
