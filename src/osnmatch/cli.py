@@ -167,6 +167,15 @@ FAMILIES = {
 }
 
 
+class _FiniteRange(click.FloatRange):
+    """A ``click.FloatRange`` that rejects NaN and the infinities too."""
+
+    def convert(self, value, param, ctx):
+        if not np.isfinite(value := super().convert(value, param, ctx)):
+            self.fail(f"{value} is not finite.", param, ctx)
+        return value
+
+
 class _Group(click.Group):
     """The command group; its ``invoke`` is every command's error exit."""
 
@@ -186,8 +195,9 @@ def main():
 
 
 @main.command("synth")
-@click.option("--n-users", type=int, default=100, show_default=True)
-@click.option("--noise", type=float, default=0.15, show_default=True)
+@click.option("--n-users", type=click.IntRange(min=synth.MIN_USERS), default=100,
+              show_default=True)
+@click.option("--noise", type=_FiniteRange(0, 1), default=0.15, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default="synth-corpus",
               show_default=True)
@@ -221,9 +231,9 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--hidden-nodes", type=click.IntRange(min=1), default=None,
               help="[default: %s]" % "; ".join(f"{f.hidden_nodes} for {name}"
                                                for name, f in FAMILIES.items()))
-@click.option("--learning-rate", type=click.FloatRange(min=0, min_open=True),
+@click.option("--learning-rate", type=_FiniteRange(min=0, min_open=True),
               default=MlpConfig.learning_rate, show_default=True)
-@click.option("--dropout", "dropout_rate", type=click.FloatRange(0, 1, max_open=True),
+@click.option("--dropout", "dropout_rate", type=_FiniteRange(0, 1, max_open=True),
               default=MlpConfig.dropout_rate, show_default=True)
 @click.option("--batch-size", type=click.IntRange(min=1), default=MlpConfig.batch_size,
               show_default=True)

@@ -26,34 +26,31 @@ one value per pair. One pair is a column of length one: each measure has
 one implementation, which works on a whole column of pairs.
 ``normalized_similarity`` scores two strings as a column of one too.
 
-Six measures run numpy over blocks of pairs (``_blockwise``): the pairs
-are sorted by their longer length and cut into blocks of at most
-``_BLOCK_CELLS`` cells per row, so one long string does not pad every
-pair to its length, and each block runs one pass per character of its
-strings (the shorter ones, where the measure is symmetric).
+Six measures, all symmetric, run numpy over blocks of pairs in one layout
+(``_blockwise``). Each pair comes shorter string first, s before t; the
+pairs are sorted by len(t) and cut into blocks of at most ``_BLOCK_CELLS``
+cells per row, so one long string does not pad every pair to its length.
+In a block len(s) decreases, so at character i of s each kernel steps only
+the lanes with len(s) > i, a prefix (``_running``), and reads no pad of s.
 
-- Editex and Smith-Waterman run one int64 row DP, padded to the block's
-  longest strings. Within a row, the term from the left neighbour is a
-  prefix scan: Editex's ``v[j] = min(h[j], v[j-1] + del_t[j])`` is
-  ``c + minimum.accumulate(h - c)`` with ``c`` the running sum of
-  ``del_t``, and Smith-Waterman's ``v[j] = max(h[j], v[j-1] - 1)`` is
-  ``maximum.accumulate(h + j) - j``.
+- Editex and Smith-Waterman run one int64 row DP over t. Within a row, the
+  term from the left neighbour is a prefix scan: Editex's
+  ``v[j] = min(h[j], v[j-1] + del_t[j])`` is ``c + minimum.accumulate(h - c)``
+  with ``c`` the running sum of ``del_t``, and Smith-Waterman's
+  ``v[j] = max(h[j], v[j-1] - 1)`` is ``maximum.accumulate(h + j) - j``.
 - Levenshtein, OSA and LCS are bit-vector DPs with one lane per pair
   (the inter-sequence layout of Rognes, BMC Bioinformatics 12:221, 2011):
-  bit i of a lane is row i + 1 of the DP column over the longer string,
-  held in W = ceil(longest / 64) uint64 words, word 0 lowest. A block's
-  pairs come in order of decreasing shorter length, so the lanes still
-  running at a character are a prefix and the others keep their last
-  column. The carry of an addition and the bit shifted out of a word pass
-  to the next word. Every vector carried to the next column is masked to
-  its lane's length; the distance is read off the last column's vertical
-  deltas at the end. Levenshtein and OSA run one kernel, in which only
-  OSA adds the transposition term, from the previous column's diagonal
-  deltas and match masks.
-- Jaro-Winkler marks, for each position of s over all pairs at once, the
-  first unmatched equal position of t inside the window (``argmax`` over
-  the candidates), and counts transpositions by comparing the matched
-  characters in rank order.
+  bit i of a lane is row i + 1 of the DP column over t, held in
+  W = ceil(longest / 64) uint64 words, word 0 lowest. The carry of an
+  addition and the bit shifted out of a word pass to the next word. Every
+  vector carried to the next column is masked to its lane's length; the
+  distance is read off the last column's vertical deltas at the end.
+  Levenshtein and OSA run one kernel, in which only OSA adds the
+  transposition term, from the previous column's diagonal deltas and
+  match masks.
+- Jaro-Winkler marks, for each position of s, the first unmatched equal
+  position of t inside the window (``argmax`` over the candidates), and
+  counts transpositions by comparing the matched characters in rank order.
 
 The bigram measures build each distinct string's bigram set or counter
 once per column, and NCD compresses each distinct string once per column.
@@ -110,28 +107,27 @@ def _columns(kernel: Callable[[list[str], list[str]], list]) -> Callable:
     return measure
 
 
-# the most pairs x (longer length + 1) cells one row of a block DP holds
+# the most pairs x (len(t) + 1) cells one row of a block DP holds
 _BLOCK_CELLS = 1 << 14
 
 
-def _blockwise(swap: bool = True, dtype=np.int64) -> Callable:
-    """Decorator: the measure ``dp(s, t)`` of a block of pairs of folded
-    strings as a ``_columns`` measure. The pairs are sorted by their longer
-    length and cut into blocks of at most ``_BLOCK_CELLS`` cells per DP row;
-    each block comes in order of decreasing len(s). With ``swap``, which
-    only a symmetric ``dp`` may take, each pair comes shorter string first."""
+def _blockwise(dtype=np.int64) -> Callable:
+    """Decorator: the symmetric measure ``dp(s, t)`` of a block of pairs of
+    folded strings as a ``_columns`` measure. Each pair comes shorter string
+    first; the pairs are sorted by len(t) and cut into blocks of at most
+    ``_BLOCK_CELLS`` cells per DP row, and each block comes in order of
+    decreasing len(s)."""
 
     def wrap(dp: Callable[[list[str], list[str]], np.ndarray]) -> Callable:
         @_columns
         @wraps(dp)
         def measure(a: list[str], b: list[str]) -> list:
-            if swap:
-                pairs = [(s, t) if len(s) <= len(t) else (t, s) for s, t in zip(a, b)]
-                a, b = [s for s, _ in pairs], [t for _, t in pairs]
+            pairs = [(s, t) if len(s) <= len(t) else (t, s) for s, t in zip(a, b)]
+            a, b = [s for s, _ in pairs], [t for _, t in pairs]
             len_a = np.fromiter(map(len, a), dtype=np.int64, count=len(a))
-            longer = np.maximum(len_a, np.fromiter(map(len, b), dtype=np.int64, count=len(b)))
-            order = np.argsort(longer, kind="stable")
-            cells = longer[order] + 1
+            len_b = np.fromiter(map(len, b), dtype=np.int64, count=len(b))
+            order = np.argsort(len_b, kind="stable")
+            cells = len_b[order] + 1
             out = np.empty(len(a), dtype=dtype)
             start = 0
             while start < len(order):
@@ -150,11 +146,11 @@ def _blockwise(swap: bool = True, dtype=np.int64) -> Callable:
     return wrap
 
 
-def _codes(strings: list[str], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Code points of each string as one int64 row padded with ``pad``, and
-    the lengths. Lone surrogates pass through as their own code points."""
+def _codes(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of each string as one int64 row padded with -1 (no code
+    point), and the lengths. Lone surrogates are their own code points."""
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    codes = np.full((len(strings), int(lengths.max(initial=0))), pad, dtype=np.int64)
+    codes = np.full((len(strings), int(lengths.max(initial=0))), -1, dtype=np.int64)
     flat = "".join(strings).encode("utf-32-le", "surrogatepass")
     codes[np.arange(codes.shape[1]) < lengths[:, None]] = np.frombuffer(flat, dtype="<u4")
     return codes, lengths
@@ -199,19 +195,21 @@ def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _running(lengths: np.ndarray) -> list[int]:
+    """Per character i of a block's s, the number of lanes with len(s) > i,
+    which are a prefix of the block as the ``lengths`` of s decrease."""
+    return (lengths[:, None] > np.arange(lengths.max(initial=0))).sum(axis=0).tolist()
+
+
 def _lanes(s: list[str], t: list[str]):
-    """The bit-vector lanes of a block of pairs, each ``s`` no longer than
-    its ``t``, in order of decreasing len(s): the lengths of the s and of
-    the t, each lane's mask of its len(t) low bits, and per character j of
-    the s, the number k of lanes with len(s) > j and their match masks
-    (bit i set where t[i] == s[j])."""
-    cs, n = _codes(s, -1)
-    ct, m = _codes(t, -1)  # -1 matches no code point
+    """The bit-vector lanes of a ``_blockwise`` block: len(s) and len(t),
+    each lane's mask of its len(t) low bits, and per character j of s, the
+    running lanes' count k and match masks (bit i set where t[i] == s[j])."""
+    (cs, n), (ct, m) = _codes(s), _codes(t)
     bits = 64 * max(1, -(-ct.shape[1] // 64))
     ct = np.pad(ct, ((0, 0), (0, bits - ct.shape[1])), constant_values=-1)
     full = _pack(np.arange(bits) < m[:, None])
-    running = (n[:, None] > np.arange(cs.shape[1])).sum(axis=0).tolist()
-    steps = ((k, _pack(ct[:k] == cs[:k, j, None])) for j, k in enumerate(running))
+    steps = ((k, _pack(ct[:k] == cs[:k, j, None])) for j, k in enumerate(_running(n)))
     return n, m, full, steps
 
 
@@ -260,17 +258,11 @@ _EDITEX_GROUPS = (
 )
 
 # bit g is set when the letter is in group g; every group letter is ASCII,
-# and code points outside the table are in no group
+# and code points outside the table, clipped to NUL or DEL, are in no group
 _GROUP_BITS = np.zeros(128, dtype=np.int64)
 for _gi, _letters in enumerate(_EDITEX_GROUPS):
     for _ch in _letters:
         _GROUP_BITS[ord(_ch)] |= 1 << _gi
-
-
-def _groups(codes: np.ndarray) -> np.ndarray:
-    return np.where(
-        (codes >= 0) & (codes < 128), _GROUP_BITS[np.clip(codes, 0, 127)], 0
-    )
 
 
 def _deletion_costs(codes: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -296,60 +288,56 @@ def editex(s: list[str], t: list[str]) -> np.ndarray:
     its predecessor; the first character's predecessor is a sentinel that
     matches nothing (cost 2).
     """
-    cs, _ = _codes(s, -1)
-    ct, len_t = _codes(t, -2)
-    gs, gt = _groups(cs), _groups(ct)
-    # a pad of s costs nothing to delete and matches nothing (cost 2 >= any
-    # deletion from t), so a pad row copies the row above it and the last
-    # row holds every pair's distance
-    del_s = np.where(cs < 0, 0, _deletion_costs(cs, gs))
+    (cs, len_s), (ct, len_t) = _codes(s), _codes(t)
+    gs, gt = (_GROUP_BITS[np.clip(x, 0, 127)] for x in (cs, ct))
+    del_s = _deletion_costs(cs, gs)
     # row 0, and the running deletion cost of t that the scan subtracts
     c = np.zeros((len(s), ct.shape[1] + 1), dtype=np.int64)
     np.cumsum(_deletion_costs(ct, gt), axis=1, out=c[:, 1:])
-    row = c
-    h = np.empty_like(c)
-    for i in range(cs.shape[1]):
-        sub = np.where(cs[:, i, None] == ct, 0, np.where(gs[:, i, None] & gt, 1, 2))
-        h[:, 0] = row[:, 0] + del_s[:, i]
-        np.minimum(row[:, :-1] + sub, row[:, 1:] + del_s[:, i, None], out=h[:, 1:])
-        row = np.minimum.accumulate(h - c, axis=1) + c
+    row, h = c.copy(), np.empty_like(c)
+    for i, k in enumerate(_running(len_s)):
+        x, gx = cs[:k, i, None], gs[:k, i, None]
+        sub = np.where(x == ct[:k], 0, np.where(gx & gt[:k], 1, 2))
+        h[:k, 0] = row[:k, 0] + del_s[:k, i]
+        np.minimum(row[:k, :-1] + sub, row[:k, 1:] + del_s[:k, i, None], out=h[:k, 1:])
+        row[:k] = np.minimum.accumulate(h[:k] - c[:k], axis=1) + c[:k]
     return row[np.arange(len(s)), len_t]
 
 
-@_blockwise(swap=False, dtype=np.float64)
+@_blockwise(dtype=np.float64)
 def jaro_winkler(s: list[str], t: list[str]) -> np.ndarray:
     """Jaro similarity boosted by a shared-prefix bonus (prefix capped at
     4 characters, scaling factor 0.1). Result lies in [0, 1].
 
     Each character of s matches the first unmatched equal character of t
     at most ``max(len(s), len(t)) // 2 - 1`` positions away."""
-    cs, len_s = _codes(s, -1)
-    ct, len_t = _codes(t, -2)
-    window = np.maximum(np.maximum(len_s, len_t) // 2 - 1, 0)[:, None]
+    # s may be the shorter string: per character, the first free match in the
+    # window pairs its positions in s and t as a two-pointer merge, the same
+    # from either side, and m/|s| + m/|t| adds the same floats in either order.
+    (cs, len_s), (ct, len_t) = _codes(s), _codes(t)
+    window = np.maximum(len_t // 2 - 1, 0)[:, None]
     lanes, pos = np.arange(len(s)), np.arange(ct.shape[1])
-    s_hit = np.zeros(cs.shape, dtype=bool)
-    t_free = np.ones(ct.shape, dtype=bool)
-    # past len(t) - 1 + window, a position of s has no position of t in reach
-    reach = np.minimum(len_s, len_t + window[:, 0]).max() if ct.size else 0
-    for i in range(reach):
-        found = (ct == cs[:, i, None]) & t_free & (np.abs(pos - i) <= window)
+    s_hit, t_free = np.zeros(cs.shape, dtype=bool), np.ones(ct.shape, dtype=bool)
+    for i, k in enumerate(_running(len_s)):
+        found = (ct[:k] == cs[:k, i, None]) & t_free[:k] & (np.abs(pos - i) <= window[:k])
         j = found.argmax(axis=1)
-        s_hit[:, i] = hit = found[lanes, j]
-        t_free[lanes, j] &= ~hit
+        s_hit[:k, i] = hit = found[lanes[:k], j]
+        t_free[lanes[:k], j] &= ~hit
     matches = s_hit.sum(axis=1)
     # row-major selection keeps each pair's matched characters in rank
     # order, and both sides of a pair have as many
     unequal = np.zeros(cs.shape, dtype=bool)
     unequal[s_hit] = cs[s_hit] != ct[~t_free]
     transpositions = unequal.sum(axis=1) // 2
-    some = np.maximum(matches, 1)
     jaro = (
         matches / np.maximum(len_s, 1) + matches / np.maximum(len_t, 1)
-        + (matches - transpositions) / some
+        + (matches - transpositions) / np.maximum(matches, 1)
     ) / 3.0
     # no match scores 0, but two empty strings are equal
     jaro = np.where(matches > 0, jaro, np.where(len_s + len_t == 0, 1.0, 0.0))
-    head = min(4, cs.shape[1], ct.shape[1])
+    # a pad of s meets a pad of t only past the end of two equal strings,
+    # whose Jaro is exactly 1.0, so the bonus it adds is 0
+    head = min(4, cs.shape[1])
     prefix = np.logical_and.accumulate(cs[:, :head] == ct[:, :head], axis=1).sum(axis=1)
     return jaro + prefix * 0.1 * (1.0 - jaro)
 
@@ -436,21 +424,19 @@ def smith_waterman(s: list[str], t: list[str]) -> np.ndarray:
     Cells never drop below zero; the returned score is the maximum cell
     of the scoring matrix (the value a traceback would start from).
 
-    The maximum is taken over the padded matrix: the pad codes of s and t
-    differ and match nothing, so a padded cell is at most one below a
-    neighbour, or 0, and never exceeds the pair's real maximum."""
-    cs, _ = _codes(s, -1)
-    ct, _ = _codes(t, -2)
+    The maximum runs over rows padded to the block's longest t: a pad
+    matches nothing, so a padded cell is 0 or one below a neighbour, and
+    never exceeds its pair's real maximum."""
+    (cs, len_s), (ct, _) = _codes(s), _codes(t)
     j = np.arange(ct.shape[1] + 1)
-    row = np.zeros((len(s), len(j)), dtype=np.int64)
+    row, h = np.zeros((2, len(s), len(j)), dtype=np.int64)
     best = np.zeros(len(s), dtype=np.int64)
-    h = np.zeros_like(row)
-    for i in range(cs.shape[1]):
-        diag = row[:, :-1] + np.where(cs[:, i, None] == ct, 1, -1)
-        np.maximum(diag, row[:, 1:] - 1, out=h[:, 1:])
-        np.maximum(h, 0, out=h)
-        row = np.maximum.accumulate(h + j, axis=1) - j
-        np.maximum(best, row.max(axis=1), out=best)
+    for i, k in enumerate(_running(len_s)):
+        diag = row[:k, :-1] + np.where(cs[:k, i, None] == ct[:k], 1, -1)
+        np.maximum(diag, row[:k, 1:] - 1, out=h[:k, 1:])
+        np.maximum(h[:k], 0, out=h[:k])
+        row[:k] = np.maximum.accumulate(h[:k] + j, axis=1) - j
+        np.maximum(best[:k], row[:k].max(axis=1), out=best[:k])
     return best
 
 

@@ -608,25 +608,28 @@ class TestRunRecord:
 
 
 class TestLearningRate:
-    @pytest.mark.parametrize("value, exit_code, message", [
-        pytest.param("nan", 1, "error: ValueError: learning_rate must be finite and positive",
-                     id="nan"),
-        pytest.param("inf", 1, "error: ValueError: learning_rate must be finite and positive",
-                     id="inf"),
-        pytest.param("-1", 2, "Invalid value for '--learning-rate'", id="-1"),
-        pytest.param("0", 2, "Invalid value for '--learning-rate'", id="0"),
+    # NaN compares false with every bound of a range, so it is checked apart
+    @pytest.mark.parametrize("option, value", [
+        pytest.param("--learning-rate", "nan", id="nan"),
+        pytest.param("--learning-rate", "inf", id="inf"),
+        pytest.param("--learning-rate", "-1", id="-1"),
+        pytest.param("--learning-rate", "0", id="0"),
+        pytest.param("--dropout", "nan", id="dropout-nan"),
     ])
-    def test_non_finite_or_non_positive_is_rejected(self, corpus_dir, tmp_path, value,
-                                                    exit_code, message):
+    def test_non_finite_or_non_positive_is_rejected(self, corpus_dir, tmp_path, monkeypatch,
+                                                    option, value):
+        loads = []
+        monkeypatch.setattr(cli, "load_corpus", lambda *args: loads.append(args))
         out = tmp_path / "out"
         result = CliRunner().invoke(
             main,
             ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "2",
-             "--max-epochs", "2", "--learning-rate", value, "--output", str(out)],
+             "--max-epochs", "2", option, value, "--output", str(out)],
         )
-        assert result.exit_code == exit_code
-        assert message in result.output
-        assert not (out / "report.json").exists()
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert loads == []
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

@@ -7,6 +7,7 @@ import tracemalloc
 from contextlib import contextmanager
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -555,6 +556,71 @@ class TestColumnKernels:
         assert kernel([], []) == []
         with pytest.raises(ValueError):
             kernel(["a"], [])
+
+
+@st.composite
+def jaro_pairs(draw):
+    """Two folded strings over one alphabet: of unequal lengths, of equal
+    lengths (one a permutation of the other), or runs of repeats."""
+    alphabet = draw(st.sampled_from(KERNEL_ALPHABETS))
+    text = st.one_of(kernel_text(alphabet), runs(alphabet), st.text(alphabet, max_size=6))
+    s = draw(text)
+    t = draw(st.one_of(text, st.permutations(s).map("".join)))
+    return s.lower(), t.lower()
+
+
+class TestBlockLayout:
+    """The one block layout of the blockwise measures: each pair shorter
+    string first, len(s) decreasing in a block, and only the lanes still
+    running stepped."""
+
+    @given(pair=jaro_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_jaro_winkler_is_symmetric(self, pair):
+        a, b = pair
+        # the scan over the characters of its first string gives the same
+        # value from either side, which is what lets the kernel swap a pair
+        want = repr(jaro_winkler_scan(a, b))
+        assert repr(jaro_winkler_scan(b, a)) == want
+        assert repr(jaro_winkler(a, b)) == repr(jaro_winkler(b, a)) == want
+        assert [repr(v) for v in jaro_winkler([a, b], [b, a])] == [want, want]
+
+    @given(pairs=st.lists(st.tuples(st.text("ab", max_size=200), st.text("ab", max_size=200)),
+                          min_size=1, max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_come_shorter_string_first(self, pairs):
+        blocks = []
+
+        @strsim._blockwise()
+        def record(s, t):
+            blocks.append((s, t))
+            return np.array([len(x) for x in s])
+
+        a, b = [s for s, _ in pairs], [t for _, t in pairs]
+        for cells in [strsim._BLOCK_CELLS, 128]:
+            blocks.clear()
+            with patch.object(strsim, "_BLOCK_CELLS", cells):
+                assert record(a, b) == [min(len(s), len(t)) for s, t in pairs]
+            for s, t in blocks:
+                assert all(len(x) <= len(y) for x, y in zip(s, t))
+                assert [len(x) for x in s] == sorted(map(len, s), reverse=True)
+            got = sorted(p for s, t in blocks for p in zip(s, t))
+            assert got == sorted((s, t) if len(s) <= len(t) else (t, s) for s, t in pairs)
+
+    def test_jaro_winkler_steps_per_character_of_the_shorter_string(self, monkeypatch):
+        rng = random.Random(5)
+        long = "".join(rng.choice("abcdefghijkl") for _ in range(20_000))
+        steps = []
+        running = strsim._running
+
+        def counting(lengths):
+            steps.append(running(lengths))
+            return steps[-1]
+
+        monkeypatch.setattr(strsim, "_running", counting)
+        got = jaro_winkler(long, "lkjihgfedcba")
+        assert [len(s) for s in steps] == [12]
+        assert repr(got) == repr(jaro_winkler_scan(long, "lkjihgfedcba"))
 
 
 def _ncd_inputs():

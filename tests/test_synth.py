@@ -90,5 +90,15 @@ class TestArguments:
         result = CliRunner().invoke(
             main, ["synth", "--n-users", "5", "--out", str(tmp_path / "out")]
         )
-        assert result.exit_code == 1
-        assert result.output == "error: ValueError: n_users must be >= 10, got 5\n"
+        assert result.exit_code == 2
+        assert "Invalid value for '--n-users': 5 is not in the range x>=10." in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.01", "1.01"])
+    def test_cli_noise_is_finite_and_in_range(self, tmp_path, noise):
+        result = CliRunner().invoke(
+            main, ["synth", "--noise", noise, "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--noise'" in result.output
+        assert not (tmp_path / "out").exists()
