@@ -10,7 +10,9 @@ Input files:
   posts.jsonl     {"platform", "user_id", "timestamp": ISO-8601 with zone}
                   (kept per account as one int64 array of UTC epoch
                    seconds, floored, in file order)
-  pairs.csv       header "twitter_id,flickr_id"; every row is a positive pair
+  pairs.csv       header "twitter_id,flickr_id"; every row is a positive pair.
+                  Duplicate rows, and rows naming a missing profile, are
+                  dropped and counted in ``Corpus.dropped_pairs``.
 
 ``load_corpus`` reads posts.jsonl only when given its path. With
 ``posts_path=None`` it opens no posts file and ``Corpus.posts`` is empty,
@@ -219,51 +221,43 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     return {key: np.array(account, dtype=np.int64) for key, account in times.items()}
 
 
-def load_corpus(profiles_path: str, posts_path: str | None, pairs_path: str) -> Corpus:
-    """Load and cross-reference the corpus files; with ``posts_path=None``
-    no posts are read and every account has none.
-
-    Pairs naming a missing profile, and duplicate pairs, are dropped and
-    counted in ``dropped_pairs`` rather than failing the load.
-    """
-    profiles = _load_profiles(profiles_path)
-    posts = _load_posts(posts_path) if posts_path is not None else {}
-    positive_pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    dropped = 0
-    with open_input(pairs_path) as fh:
+def _load_pairs(path: str) -> list[tuple[str, str]]:
+    """Every data row of pairs.csv as a stripped (twitter_id, flickr_id), in file order."""
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise ParseError(pairs_path, reader.line_num, f"bad CSV: {exc}") from None
+            raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from None
     if not rows or tuple(h.strip() for h in rows[0][1]) != PAIRS_HEADER:
-        raise ParseError(pairs_path, 1, "header must be 'twitter_id,flickr_id'")
+        raise ParseError(path, 1, "header must be 'twitter_id,flickr_id'")
+    pairs = []
     for line_no, row in rows[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
-            raise ParseError(pairs_path, line_no, f"expected 2 columns, got {len(row)}")
-        t_id, f_id = row[0].strip(), row[1].strip()
-        pair = (t_id, f_id)
-        if pair in seen:
-            dropped += 1
-            continue
-        seen.add(pair)
-        if (Platform.TWITTER, t_id) not in profiles or (
-            Platform.FLICKR,
-            f_id,
-        ) not in profiles:
-            dropped += 1
-            continue
-        positive_pairs.append(pair)
+            raise ParseError(path, line_no, f"expected 2 columns, got {len(row)}")
+        pairs.append((row[0].strip(), row[1].strip()))
+    return pairs
+
+
+def load_corpus(profiles_path: str, posts_path: str | None, pairs_path: str) -> Corpus:
+    """Load and cross-reference the corpus files; with ``posts_path=None``
+    no posts are read and every account has none. Duplicate pairs, and pairs
+    naming a missing profile, are dropped and counted in ``dropped_pairs``."""
+    profiles = _load_profiles(profiles_path)
+    posts = _load_posts(posts_path) if posts_path is not None else {}
+    rows = _load_pairs(pairs_path)
+    # the distinct pairs in the order of their first row
+    positive_pairs = [(t, f) for t, f in dict.fromkeys(rows)
+                      if (Platform.TWITTER, t) in profiles and (Platform.FLICKR, f) in profiles]
     if not positive_pairs:
         raise EmptyCorpusError("no valid positive pairs after filtering")
     return Corpus(
         profiles=profiles,
         posts=posts,
         positive_pairs=positive_pairs,
-        dropped_pairs=dropped,
+        dropped_pairs=len(rows) - len(positive_pairs),
     )
 
 

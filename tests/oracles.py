@@ -23,7 +23,9 @@ folds that the row-index ones in ``osnmatch.dataset`` replaced, in the same
 order; ``k_folds_user_disjoint_reference`` is the per-fold scan of every
 negative that ``osnmatch.dataset.k_folds_user_disjoint`` replaced;
 ``folds_json_reference`` is the ``json.dumps`` fold export that
-``osnmatch.cli.write_folds_json`` replaced. ``init_model`` builds one
+``osnmatch.cli.write_folds_json`` replaced; ``pairs_filter_reference`` is
+the loop with a seen set and a drop counter that the table of distinct
+pairs in ``osnmatch.dataset.load_corpus`` replaced. ``init_model`` builds one
 untrained network the way each stacked fold network starts.
 """
 
@@ -525,6 +527,23 @@ def folds_json_reference(pairs, partitions) -> str:
         for i, (train_rows, test_rows) in enumerate(partitions)
     ]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def pairs_filter_reference(rows, accounts):
+    """(positive pairs, dropped count) of pairs.csv data rows, given the
+    accounts as ("twitter"|"flickr", user_id): a repeat of a row already
+    read is dropped, and so is a first row naming a missing profile."""
+    kept, seen, dropped = [], set(), 0
+    for t, f in rows:
+        if (t, f) in seen:
+            dropped += 1
+            continue
+        seen.add((t, f))
+        if ("twitter", t) not in accounts or ("flickr", f) not in accounts:
+            dropped += 1
+            continue
+        kept.append((t, f))
+    return kept, dropped
 
 
 def normalized_similarity_reference(measure, a: str, b: str) -> float:

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osnmatch import cli, dataset, strsim, synth
+from osnmatch import cli, dataset, evaluation, strsim, synth
 from osnmatch.cli import main, write_folds_json
 from osnmatch.dataset import (
     LabeledPairSet,
@@ -566,6 +566,40 @@ class TestRunModels:
         assert sorted(p.name for p in (out / "models").iterdir()) == [
             "fold-00.bin", "fold-01.bin"
         ]
+
+
+class TestInnerSplitFallback:
+    def test_folds_too_small_to_split_stop_on_their_training_rows(self, tmp_path,
+                                                                   monkeypatch):
+        # one positive per training fold leaves the inner split no positive to hold out
+        profiles = [{"platform": p, "user_id": f"{p[0]}{i}", "user_name": f"user{i}"}
+                    for p in ("twitter", "flickr") for i in range(5)]
+        (tmp_path / "profiles.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in profiles), encoding="utf-8")
+        (tmp_path / "pairs.csv").write_text("twitter_id,flickr_id\nt0,f0\nt1,f1\n",
+                                            encoding="utf-8")
+        folds, jobs = [], []
+        train = evaluation.train
+
+        def recording_k_folds(*args):
+            result = dataset.k_folds(*args)
+            folds.extend(result)
+            return result
+
+        def recording_train(cfg, x, y, fold_jobs):
+            jobs.extend(fold_jobs)
+            return train(cfg, x, y, fold_jobs)
+
+        monkeypatch.setattr(evaluation, "k_folds", recording_k_folds)
+        monkeypatch.setattr(evaluation, "train", recording_train)
+        result = CliRunner().invoke(
+            main, ["run", "--data-dir", str(tmp_path), "--k", "2", "--max-epochs", "2",
+                   "--output", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(jobs) == len(folds) == 2
+        for job, (train_rows, _) in zip(jobs, folds):
+            assert job.fit.tolist() == job.stop.tolist() == train_rows.tolist()
 
 
 class TestRunRecord:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from osnmatch import dataset, synth
 from osnmatch.dataset import (
     LabeledPairSet,
+    _load_pairs,
     _load_posts,
     k_folds,
     k_folds_user_disjoint,
@@ -32,6 +33,7 @@ from osnmatch.temporal_features import HistogramMode, build_histogram
 from .oracles import (
     k_folds_reference,
     k_folds_user_disjoint_reference,
+    pairs_filter_reference,
     sparse_negatives_reference,
     split_reference,
 )
@@ -224,6 +226,69 @@ class TestLoadCorpus:
         )
         with pytest.raises(ParseError):
             load_corpus(str(profiles), paths[1], paths[2])
+
+
+# a blank row, padded fields, a repeat of a kept pair and a dangling pair
+# written twice: six data rows, of which two pairs are kept
+MIXED_PAIRS_CSV = (
+    "twitter_id,flickr_id\n"
+    " t1 , f1 \n"
+    "t0,f0\n"
+    "\n"
+    "t1,f1\n"
+    "t9,f0\n"
+    "t9,f0\n"
+    "t0,\tf0\n"
+)
+
+
+class TestPairsTable:
+    def test_distinct_pairs_in_first_row_order(self, tmp_path):
+        paths = write_corpus(tmp_path)
+        (tmp_path / "pairs.csv").write_text(MIXED_PAIRS_CSV)
+        corpus = load_corpus(*paths)
+        assert corpus.positive_pairs == [("t1", "f1"), ("t0", "f0")]
+        assert corpus.dropped_pairs == 6 - 2
+
+    def test_dangling_pair_written_twice_counts_twice(self, tmp_path):
+        paths = write_corpus(tmp_path, pairs=[("t0", "f0"), ("t9", "f0"), ("t9", "f0")])
+        corpus = load_corpus(*paths)
+        assert corpus.positive_pairs == [("t0", "f0")]
+        assert corpus.dropped_pairs == 2
+
+    def test_reader_keeps_every_data_row(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text(MIXED_PAIRS_CSV)
+        assert _load_pairs(str(path)) == [("t1", "f1"), ("t0", "f0"), ("t1", "f1"),
+                                          ("t9", "f0"), ("t9", "f0"), ("t0", "f0")]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["t0", " t1", "t2 ", "t9"]),
+                                   st.sampled_from(["f0", "f1 ", " f2", "f9"])),
+                         max_size=8))
+    def test_equals_the_seen_set_loop(self, fuzz_dir, rows):
+        path = fuzz_dir / "drawn-pairs.csv"
+        path.write_text("twitter_id,flickr_id\n" + "".join(f"{t},{f}\n" for t, f in rows))
+        accounts = {(p, f"{p[0]}{i}") for p in ("twitter", "flickr") for i in range(3)}
+        kept, dropped = pairs_filter_reference(
+            [(t.strip(), f.strip()) for t, f in rows], accounts
+        )
+        if not kept:
+            with pytest.raises(EmptyCorpusError):
+                load_corpus(str(fuzz_dir / "profiles.jsonl"), None, str(path))
+            return
+        corpus = load_corpus(str(fuzz_dir / "profiles.jsonl"), None, str(path))
+        assert corpus.positive_pairs == kept
+        assert corpus.dropped_pairs == dropped
+
+
+def test_blank_profile_lines_are_skipped(tmp_path):
+    paths = write_corpus(tmp_path, n_twitter=2, n_flickr=2)
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text("\n" + profiles.read_text().replace("\n", "\n \t\n"))
+    corpus = load_corpus(*paths)
+    assert set(corpus.profiles) == {(Platform.TWITTER, "t0"), (Platform.TWITTER, "t1"),
+                                    (Platform.FLICKR, "f0"), (Platform.FLICKR, "f1")}
 
 
 def post_line(timestamp, platform="twitter", user_id="t0"):
@@ -573,6 +638,11 @@ class TestNegativeSample:
         s = negative_sample(corpus, 8, seed=1)  # pool is exactly 8
         assert s.n_neg == 8
 
+    def test_negative_ratio_is_rejected(self, tmp_path):
+        corpus = load_corpus(*write_corpus(tmp_path))
+        with pytest.raises(ValueError, match="neg_ratio must be >= 0"):
+            negative_sample(corpus, -1, seed=0)
+
 
 class TestSplit:
     def test_stratified_arithmetic(self):
@@ -703,3 +773,14 @@ class TestUserDisjoint:
         for _, test in folds:
             seen.extend(p for p in gather(s, test) if p[2])
         assert sorted(seen) == sorted(p for p in s.pairs if p[2])
+
+    def test_k_must_be_at_least_two(self):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            k_folds_user_disjoint(make_set(5, 5), 1, seed=0)
+
+    def test_fewer_user_groups_than_k(self):
+        # t0-f0 and t0-f1 share a user: three positives, two groups
+        s = LabeledPairSet([("t0", "f0", True), ("t0", "f1", True), ("t2", "f2", True),
+                            ("t2", "f0", False)])
+        with pytest.raises(TooFewExamplesError, match="2 user groups with positives"):
+            k_folds_user_disjoint(s, 3, seed=0)

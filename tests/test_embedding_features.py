@@ -127,6 +127,38 @@ class TestLoadEmbeddingFile:
             load_embedding_file(str(path))
         assert str(exc.value) == f"{path}:{bad_line}: not valid UTF-8"
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("2 x\n", 1, "header must be two integers"),
+            ("-1 3\n", 1, "invalid header counts: -1 3"),
+            ("1 0\n", 1, "invalid header counts: 1 0"),
+            ("3 2\nfoo 1 2\nbar 3 4\n", 4, "fewer vector lines than declared"),
+            ("2 2\nfoo 1 2\n\nbar 3 4\n", 3, "empty vector line"),
+            ("1 2\nfoo 1 2\n#chars\n1 2\n^f 1 2\n", 3,
+             "expected '#char-ngrams' or end of file"),
+            ("1 2\nfoo 1 2\n#char-ngrams\n1 2\n^f 1 2\nbar 3 4\n", 6,
+             "trailing content after sections"),
+        ],
+        ids=["header-not-integers", "negative-count", "zero-dim", "too-few-vectors",
+             "blank-vector-line", "wrong-marker", "trailing-content"],
+    )
+    def test_malformed_file_names_the_line(self, tmp_path, text, line_no, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_embedding_file(str(path))
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    @pytest.mark.parametrize("text", ["1 2\nfoo 1 2\n\n \n\n",
+                                      "1 2\nfoo 1 2\n#char-ngrams\n1 2\n^f 1 2\n\n\t\n"],
+                             ids=["words", "chars"])
+    def test_trailing_blank_lines_load(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        table = load_embedding_file(str(path))
+        assert np.array_equal(table.word_vectors["foo"], [1.0, 2.0])
+
 
 class TestEmbedField:
     @pytest.mark.parametrize(

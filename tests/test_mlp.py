@@ -121,6 +121,21 @@ class TestInitModel:
         with pytest.raises(ValueError):
             MlpConfig(input_dim=5, dropout_rate=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", 0.0, "learning_rate must be finite and positive"),
+            ("learning_rate", -1.0, "learning_rate must be finite and positive"),
+            ("learning_rate", math.nan, "learning_rate must be finite and positive"),
+            ("batch_size", 0, "batch_size and max_epochs must be positive"),
+            ("max_epochs", 0, "batch_size and max_epochs must be positive"),
+            ("early_stop_patience", -1, "early_stop_patience must be >= 0"),
+        ],
+    )
+    def test_invalid_training_setting(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MlpConfig(input_dim=5, **{field: value})
+
 
 class TestForward:
     def test_zero_weights_give_uniform_probs(self):
@@ -750,6 +765,13 @@ class TestLoadModelStrict:
         header["config"][name] = value
         self._write(path, header, body)
         self._assert_rejected(path, f"config {name} must be ")
+
+    @pytest.mark.parametrize("config", [None, [], "config", 3])
+    def test_config_not_an_object(self, saved, config):
+        path, header, body = saved
+        header["config"] = config
+        self._write(path, header, body)
+        self._assert_rejected(path, "config is not a JSON object")
 
     def test_header_nested_past_the_recursion_limit(self, saved):
         path, _, body = saved

@@ -72,6 +72,23 @@ class TestCorpus:
         assert corpus.dropped_pairs == 0
 
 
+class TestBeyondTheNamePool:
+    def test_names_repeat_and_usernames_stay_distinct(self, tmp_path, monkeypatch):
+        # two name combinations for 30 people: names are drawn with repeats,
+        # and colliding usernames get suffixes
+        monkeypatch.setattr(synth, "FIRST_NAMES", ["ann", "bob"])
+        monkeypatch.setattr(synth, "LAST_NAMES", ["lee"])
+        synth.generate_corpus(30, 0.0, 3, str(tmp_path))
+        corpus = _load(tmp_path)
+        twitter = [p for (platform, _), p in corpus.profiles.items()
+                   if platform is Platform.TWITTER]
+        assert len(twitter) == 30
+        assert {p.real_name for p in twitter} <= {"Ann Lee", "Bob Lee"}
+        assert len({p.user_name for p in twitter}) == 30
+        assert len(corpus.positive_pairs) == 30
+        assert corpus.dropped_pairs == 0
+
+
 class TestArguments:
     @pytest.mark.parametrize(
         "n_users, noise, message",
