@@ -30,6 +30,7 @@ errors stay click's, with exit status 2.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -84,7 +85,8 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     except ParseError as exc:
         raise click.BadParameter(str(exc)) from None
     for line_no, line in enumerate(lines, 1):
-        stripped = line.split("#", 1)[0].strip()
+        # a comment opens at a "#" that starts the line or follows whitespace
+        stripped = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -217,8 +219,8 @@ def synth_cmd(n_users, noise, seed, out_dir):
 @click.option("--all-measures", is_flag=True, default=False,
               help="score the text fields under all nine measures, measure-major "
                    "(ps model; excludes --measure)")
-@click.option("--temporal-mode", type=click.Choice(["hod", "dow"]), default="hod",
-              show_default=True)
+@click.option("--temporal-mode", type=click.Choice([m.value for m in HistogramMode]),
+              default=HistogramMode.HOUR_OF_DAY.value, show_default=True)
 @click.option("--names/--no-names", "include_names", default=True,
               help="include user/real name scores (ps model)")
 @click.option("--include-description", is_flag=True, default=False,
@@ -357,9 +359,8 @@ def score_pair(profile_a, profile_b, measure, include_names):
     a = _read_profile(profile_a, "a")
     b = _read_profile(profile_b, "b")
     m = Measure(measure)
-    values = extract_ps_features_all_measures(a, b, include_names, (m,))
-    schema, order = ps_schema(m, include_names)
-    for name, value in zip(schema, map(values.__getitem__, order)):
+    values = extract_ps_features_all_measures(a, b, include_names, m)
+    for name, value in zip(ps_schema(m, include_names), values):
         if name == "post_ratio":
             click.echo(
                 f"{name:<18} raw={a.post_count}/{b.post_count} score={value:.4f}"

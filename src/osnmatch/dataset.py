@@ -299,6 +299,14 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
     return LabeledPairSet(pairs)
 
 
+def _shuffled_classes(s: LabeledPairSet, rows: np.ndarray, seed: int) -> list[np.ndarray]:
+    """The positive ``rows`` (indices into ``s.pairs``), then the negative
+    ones, each shuffled in turn by one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    labels = s.labels[rows]
+    return [cls[rng.permutation(len(cls))] for cls in (rows[labels], rows[~labels])]
+
+
 def split(
     s: LabeledPairSet, rows: np.ndarray, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -308,19 +316,16 @@ def split(
     sides are an exact disjoint partition of ``rows``."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
-    labels = s.labels[rows]
     train_rows, test_rows = [], []
-    for cls in (rows[labels], rows[~labels]):
+    for cls in _shuffled_classes(s, rows, seed):
         n_train = int(len(cls) * train_fraction)
         if len(cls) and n_train in (0, len(cls)):
             raise DegenerateSplitError(
                 f"fraction {train_fraction} leaves a side without a class "
                 f"(class size {len(cls)})"
             )
-        shuffled = cls[rng.permutation(len(cls))]
-        train_rows.append(shuffled[:n_train])
-        test_rows.append(shuffled[n_train:])
+        train_rows.append(cls[:n_train])
+        test_rows.append(cls[n_train:])
     return np.concatenate(train_rows), np.concatenate(test_rows)
 
 
@@ -330,16 +335,14 @@ def k_folds(s: LabeledPairSet, k: int, seed: int) -> list[tuple[np.ndarray, np.n
     per-class fold sizes differ by at most one."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    rng = np.random.default_rng(seed)
     members: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in (np.flatnonzero(s.labels), np.flatnonzero(~s.labels)):
+    for cls in _shuffled_classes(s, np.arange(len(s.labels)), seed):
         if 0 < len(cls) < k:
             raise TooFewExamplesError(
                 f"a class has {len(cls)} examples, fewer than k={k}"
             )
-        shuffled = cls[rng.permutation(len(cls))]
         for i in range(k):
-            members[i].append(shuffled[i::k])
+            members[i].append(cls[i::k])
     tests = [np.concatenate(m) for m in members]
     return [(np.concatenate(tests[:i] + tests[i + 1 :]), test) for i, test in enumerate(tests)]
 

@@ -40,12 +40,8 @@ class SamePlatformError(OsnMatchError):
     """Both accounts of a candidate pair live on the same platform."""
 
 
-class ModeMismatchError(OsnMatchError):
-    """Two activity histograms/masks use different binning modes."""
-
-
 class DimensionMismatchError(OsnMatchError):
-    """A vector or matrix has an unexpected dimension."""
+    """A vector, matrix or sequence has an unexpected shape or length."""
 
 
 class ModelFormatError(OsnMatchError, ValueError):
@@ -95,7 +91,3 @@ class EmptyDatasetError(OsnMatchError):
 
 class TrainingDivergedError(OsnMatchError):
     """A network never reached a finite validation loss."""
-
-
-class LengthMismatchError(OsnMatchError):
-    """Sequences that must pair up element by element differ in length."""

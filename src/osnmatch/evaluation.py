@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import LabeledPairSet, k_folds, k_folds_user_disjoint, split
-from .errors import DegenerateSplitError, LengthMismatchError
+from .errors import DegenerateSplitError, DimensionMismatchError
 from .mlp import FoldJob, MlpConfig, MlpModel, predict_batch, train
 from .profile_features import FeatureMatrix
 
@@ -39,7 +39,7 @@ def confusion(p_same, labels) -> dict[str, int]:
     predicted = np.asarray(p_same) >= 0.5
     labels = np.asarray(labels, dtype=bool)
     if predicted.shape != labels.shape:
-        raise LengthMismatchError(f"{len(predicted)} predictions for {len(labels)} labels")
+        raise DimensionMismatchError(f"{len(predicted)} predictions for {len(labels)} labels")
     return {
         "tp": int(np.count_nonzero(predicted & labels)),
         "fp": int(np.count_nonzero(predicted & ~labels)),
@@ -48,7 +48,7 @@ def confusion(p_same, labels) -> dict[str, int]:
     }
 
 
-def _ratio(num: int, den: int) -> float:
+def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
@@ -58,10 +58,7 @@ def metrics(counts: dict[str, int]) -> dict:
     are 0.0 by convention."""
     precision = _ratio(counts["tp"], counts["tp"] + counts["fp"])
     recall = _ratio(counts["tp"], counts["tp"] + counts["fn"])
-    if precision + recall == 0.0:
-        f1 = 0.0
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
     return {"counts": counts, "precision": precision, "recall": recall, "f1": f1}
 
 

@@ -398,11 +398,8 @@ def _schedule(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, in
     steps = []
     for start in range(0, sizes[-1], batch_size):
         lo = next(r for r, n in enumerate(sizes) if n > start)
-        while lo < len(sizes):
-            b = min(batch_size, sizes[lo] - start)
-            hi = lo + 1
-            while hi < len(sizes) and min(batch_size, sizes[hi] - start) == b:
-                hi += 1
+        for b, run in itertools.groupby(min(batch_size, n - start) for n in sizes[lo:]):
+            hi = lo + len(list(run))
             steps.append((start, lo, hi, b))
             lo = hi
     return steps
@@ -432,7 +429,6 @@ def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
     stack = Stack(cfg, len(runs))
     for r, run in enumerate(runs):
         _init_weights(cfg, run.rng, [w[r] for w in stack.weights])
-    schedule = _schedule([len(run.fit) for run in runs], cfg.batch_size)
     buffers: dict[tuple[int, int], _Buffers] = {}
 
     def work(shape: tuple[int, int]) -> _Buffers:
@@ -441,6 +437,7 @@ def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
         return buffers[shape]
 
     for epoch in range(1, cfg.max_epochs + 1):
+        schedule = _schedule([len(run.fit) for run in runs], cfg.batch_size)
         order = np.empty((len(runs), len(runs[-1].fit)), dtype=np.intp)
         for row, run in zip(order, runs):
             row[: len(run.fit)] = run.fit[run.rng.permutation(len(run.fit))]
@@ -481,7 +478,6 @@ def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
                 return
             stack.keep(keep)
             runs = [runs[r] for r in keep]
-            schedule = _schedule([len(run.fit) for run in runs], cfg.batch_size)
 
 
 def predict_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:

@@ -14,9 +14,8 @@ pair at a time: ``featurize_pairs`` looks up each account's profile and
 folds its fields once, applies the field rule to a whole field at once,
 and makes one ``normalized_similarity`` call per column on the pairs that
 still need a raw value, so Editex and Smith-Waterman run as one DP over
-all of them. ``post_ratio`` is the last column of that kernel
-order; ``ps_schema`` says how to reorder it. A single pair goes through the
-same column code.
+all of them. The columns come out in ``ps_schema`` order. A single pair
+goes through the same column code.
 """
 
 from __future__ import annotations
@@ -102,12 +101,12 @@ def _account_row(profile: UserProfile, fields: tuple[str, ...]) -> list:
     return [*(fold(getattr(profile, name)) for name in fields), profile.post_count]
 
 
-def _ps_columns(a: np.ndarray, b: np.ndarray, measures: tuple[Measure, ...]) -> np.ndarray:
-    """Kernel-order features of the pairs whose accounts' ``_account_row``s
-    are the rows of ``a`` and ``b``: each measure's field scores
-    (measure-major), then the post-count ratio."""
+def _ps_columns(a: np.ndarray, b: np.ndarray, measure: Measure | None) -> np.ndarray:
+    """The ``ps_schema(measure, ...)`` columns of the pairs whose accounts'
+    ``_account_row``s are the rows of ``a`` and ``b``."""
+    measures = tuple(Measure) if measure is None else (measure,)
     n, k = a.shape[0], a.shape[1] - 1
-    x = np.empty((n, len(measures) * k + 1))
+    x = np.empty((n, len(measures) * k))
     for f in range(k):
         fa, fb = a[:, f].tolist(), b[:, f].tolist()
         # on folded text, a field equal on both sides (both empty included)
@@ -119,39 +118,36 @@ def _ps_columns(a: np.ndarray, b: np.ndarray, measures: tuple[Measure, ...]) -> 
             x[:, j * k + f] = base
             if rows:
                 x[rows, j * k + f] = normalized_similarity(m, sa, sb)
-    x[:, -1] = [post_count_ratio(p, q) for p, q in zip(a[:, k].tolist(), b[:, k].tolist())]
-    return x
+    ratio = [post_count_ratio(p, q) for p, q in zip(a[:, k].tolist(), b[:, k].tolist())]
+    # post_ratio is last under every measure, and under one it follows the
+    # name fields (those before description and location), as in PS_SCHEMA
+    return np.insert(x, x.shape[1] if measure is None else k - 2, ratio, axis=1)
 
 
 def extract_ps_features_all_measures(
     a: UserProfile, b: UserProfile, include_names: bool = True,
-    measures: tuple[Measure, ...] = tuple(Measure),
+    measure: Measure | None = None,
 ) -> list[float]:
-    """Text-field scores of a cross-platform pair under each of ``measures``
-    (measure-major), followed by the post-count ratio."""
+    """The ``ps_schema(measure, include_names)`` features of a
+    cross-platform pair: under ``measure``, or under every measure when it
+    is None."""
     if a.platform == b.platform:
         raise SamePlatformError(
             f"both accounts are on {a.platform.value}: {a.user_id!r}, {b.user_id!r}"
         )
     fields = _scored_fields(include_names)
     rows = [np.array([_account_row(p, fields)], dtype=object) for p in (a, b)]
-    return _ps_columns(*rows, measures)[0].tolist()
+    return _ps_columns(*rows, measure)[0].tolist()
 
 
-def ps_schema(
-    measure: Measure | None, include_names: bool = True
-) -> tuple[list[str], list[int]]:
-    """Column names of the ``ps`` matrix, and the order that takes a kernel
-    row to them: every measure's columns in kernel order when ``measure`` is
-    None, else the paper's ``PS_SCHEMA`` order, ``post_ratio`` third."""
+def ps_schema(measure: Measure | None, include_names: bool = True) -> list[str]:
+    """Column names of the ``ps`` matrix: every measure's field scores
+    (measure-major), then ``post_ratio``, when ``measure`` is None, else
+    the paper's ``PS_SCHEMA``, or ``PS_SCHEMA_NO_NAMES`` without names."""
+    if measure is not None:
+        return list(PS_SCHEMA if include_names else PS_SCHEMA_NO_NAMES)
     fields = _scored_fields(include_names)
-    if measure is None:
-        schema = [f"{name}_score_{m.value}" for m in Measure for name in fields]
-        schema.append("post_ratio")
-        return schema, list(range(len(schema)))
-    if include_names:
-        return list(PS_SCHEMA), [0, 1, 4, 2, 3]
-    return list(PS_SCHEMA_NO_NAMES), [2, 0, 1]
+    return [f"{name}_score_{m.value}" for m in Measure for name in fields] + ["post_ratio"]
 
 
 def featurize_pairs(
@@ -162,12 +158,10 @@ def featurize_pairs(
 ) -> FeatureMatrix:
     """Profile-similarity matrix of (twitter_id, flickr_id, ...) pairs, in
     order, under one measure, or under every measure when ``measure`` is None."""
-    schema, order = ps_schema(measure, include_names)
     fields = _scored_fields(include_names)
     accounts = per_side(
         pairs, len(fields) + 1,
         lambda platform, uid: _account_row(corpus.profile(platform, uid), fields),
         dtype=object,
     )
-    x = _ps_columns(*accounts, tuple(Measure) if measure is None else (measure,))
-    return FeatureMatrix(x[:, order], schema)
+    return FeatureMatrix(_ps_columns(*accounts, measure), ps_schema(measure, include_names))

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Corpus
-from .errors import ModeMismatchError
+from .errors import DimensionMismatchError
 from .profile_features import FeatureMatrix, per_side
 
 
@@ -43,7 +43,7 @@ def boolean_jaccard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     activity masks; two silent accounts share no evidence, so
     empty-vs-empty scores 0.0."""
     if x.shape != y.shape:
-        raise ModeMismatchError(f"masks of shape {x.shape} vs {y.shape}")
+        raise DimensionMismatchError(f"masks of shape {x.shape} vs {y.shape}")
     inter = (x & y).sum(axis=-1)
     union = (x | y).sum(axis=-1)
     return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)

@@ -25,8 +25,10 @@ negative that ``osnmatch.dataset.k_folds_user_disjoint`` replaced;
 ``folds_json_reference`` is the ``json.dumps`` fold export that
 ``osnmatch.cli.write_folds_json`` replaced; ``pairs_filter_reference`` is
 the loop with a seen set and a drop counter that the table of distinct
-pairs in ``osnmatch.dataset.load_corpus`` replaced. ``init_model`` builds one
-untrained network the way each stacked fold network starts.
+pairs in ``osnmatch.dataset.load_corpus`` replaced; ``schedule_reference``
+is the scan for the end of each run of equal batch sizes that
+``osnmatch.mlp._schedule`` replaced. ``init_model`` builds one untrained
+network the way each stacked fold network starts.
 """
 
 from __future__ import annotations
@@ -544,6 +546,23 @@ def pairs_filter_reference(rows, accounts):
             continue
         kept.append((t, f))
     return kept, dropped
+
+
+def schedule_reference(sizes, batch_size):
+    """One epoch's lockstep steps (start, lo, hi, b) of networks with the
+    ascending fit ``sizes``: networks lo..hi-1 each take b rows from
+    position ``start``."""
+    steps = []
+    for start in range(0, sizes[-1], batch_size):
+        lo = next(r for r, n in enumerate(sizes) if n > start)
+        while lo < len(sizes):
+            b = min(batch_size, sizes[lo] - start)
+            hi = lo + 1
+            while hi < len(sizes) and min(batch_size, sizes[hi] - start) == b:
+                hi += 1
+            steps.append((start, lo, hi, b))
+            lo = hi
+    return steps
 
 
 def normalized_similarity_reference(measure, a: str, b: str) -> float:

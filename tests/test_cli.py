@@ -2,6 +2,8 @@ import dataclasses
 import errno
 import io
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +106,21 @@ class TestRunConfigFile:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"{cfg}:2: not valid UTF-8" in result.output
+
+    def test_hash_opens_a_comment_only_at_line_start_or_after_whitespace(
+            self, corpus_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(corpus_dir, "d#1")
+        Path("run.cfg").write_text(
+            "# a tiny run\ndata_dir = d#1\nk = 3 # three folds\nmax_epochs = 1\t#one\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, ["run", "--config", "run.cfg", "--model", "ps"])
+        assert result.exit_code == 0, result.output
+        report_json = json.loads(result.output.splitlines()[-1])["report_json"]
+        run = json.loads(Path(report_json).read_text(encoding="utf-8"))["run"]
+        assert run["profiles_path"] == str(Path("d#1", "profiles.jsonl"))
+        assert (run["k"], run["max_epochs"]) == (3, 1)
 
     def test_directory_is_rejected(self, corpus_dir, tmp_path):
         result = CliRunner().invoke(

@@ -4,12 +4,16 @@
 stdout closed by its reader stays click's to handle."""
 
 import ast
+import errno
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import osnmatch
+from osnmatch import cli
 
 CLI = ast.parse((Path(osnmatch.__file__).parent / "cli.py").read_text(encoding="utf-8"))
 
@@ -57,3 +61,15 @@ def test_closed_stdout_is_left_to_click(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_broken_pipe_passes_through_the_group_invoke(tmp_path, monkeypatch, capsys):
+    def closed(*args):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli.synth, "generate_corpus", closed)
+    # the group's invoke itself: click's main would turn EPIPE into exit 1
+    ctx = cli.main.make_context("osnmatch", ["synth", "--out", str(tmp_path / "corpus")])
+    with ctx, pytest.raises(BrokenPipeError):
+        cli.main.invoke(ctx)
+    assert capsys.readouterr().err == ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from osnmatch.dataset import LabeledPairSet
-from osnmatch.errors import LengthMismatchError
+from osnmatch.errors import DimensionMismatchError
 from osnmatch.evaluation import confusion, cross_validate, metrics, render_report
 from osnmatch.mlp import MlpConfig
 from osnmatch.profile_features import FeatureMatrix
@@ -21,7 +21,7 @@ class TestConfusion:
         assert confusion(np.array([]), []) == {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DimensionMismatchError):
             confusion(np.array([0.2, 0.8]), [True])
 
 

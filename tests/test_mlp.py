@@ -35,7 +35,7 @@ from osnmatch.mlp import (
     train,
 )
 
-from .oracles import adam_step_reference, init_model, train_reference
+from .oracles import adam_step_reference, init_model, schedule_reference, train_reference
 
 
 def toy_separable(n_per_class=100, noise=0.08, seed=0):
@@ -519,6 +519,12 @@ class TestLockstep:
         jobs = _jobs(len(x), self.FIT, self.STOP, 4)
         models, history = train(cfg, x, y, jobs)
         _assert_equals_reference(cfg, x, y, jobs, models, history)
+
+    @given(st.lists(st.integers(1, 200), min_size=1, max_size=12), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_equals_the_scan(self, sizes, batch_size):
+        sizes.sort()
+        assert mlp._schedule(sizes, batch_size) == schedule_reference(sizes, batch_size)
 
     def test_width_follows_the_parameter_count(self):
         # the temporal net stacks all its folds; the 300-unit embedding

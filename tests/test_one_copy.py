@@ -1,8 +1,10 @@
 """Each piece of pipeline state is kept once: ``profile_features.per_side``
 alone maps a pair's sides to platforms, ``folds`` and ``score-pair``
 declare none of the options they share with ``run``, ``cli.FAMILIES``
-alone says which model reads posts, and ``dataset`` alone declares the
-corpus format."""
+alone says which model reads posts, ``dataset`` alone declares the
+corpus format, ``HistogramMode`` alone names the temporal modes,
+``DimensionMismatchError`` is the one shape error, and ``ps_schema`` gives
+the ``ps`` column names with no reordering beside them."""
 
 import ast
 from pathlib import Path
@@ -10,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import osnmatch
-from osnmatch import cli
+from osnmatch import cli, errors
+from osnmatch.profile_features import ps_schema
+from osnmatch.strsim import Measure
+from osnmatch.temporal_features import HistogramMode
 
 PACKAGE = Path(osnmatch.__file__).parent
 
@@ -78,3 +83,25 @@ def test_corpus_format_is_spelled_only_in_dataset(module):
     constants = {node.value for node in ast.walk(_tree(module))
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert not constants & format_names
+
+
+def test_cli_takes_the_temporal_modes_from_histogram_mode():
+    constants = {node.value for node in ast.walk(_tree("cli.py"))
+                 if isinstance(node, ast.Constant)}
+    assert not constants & {mode.value for mode in HistogramMode}
+    (param,) = [p for p in cli.run.params if p.name == "temporal_mode"]
+    assert list(param.type.choices) == [mode.value for mode in HistogramMode]
+
+
+def test_errors_has_one_shape_mismatch_class():
+    assert [name for name in vars(errors) if name.endswith("MismatchError")] == [
+        "DimensionMismatchError"
+    ]
+
+
+@pytest.mark.parametrize("names", [True, False], ids=["names", "no-names"])
+@pytest.mark.parametrize("measure", [Measure.EDITEX, None], ids=["one", "all"])
+def test_ps_schema_is_the_names_alone(measure, names):
+    schema = ps_schema(measure, names)
+    assert type(schema) is list
+    assert all(type(name) is str for name in schema)

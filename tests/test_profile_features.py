@@ -123,14 +123,14 @@ class TestPerSide:
 
 
 class TestExtractPsFeatures:
-    """The single-measure layout: the kernel under one measure, and its
-    ``featurize_pairs`` row in ``PS_SCHEMA`` order."""
+    """The single-measure layout: one pair's features and its
+    ``featurize_pairs`` row, both in ``PS_SCHEMA`` order."""
 
     def test_identical_twins_all_ones(self):
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
         assert ps_row(a, b, Measure.EDITEX, include_names=True) == [1.0] * 5
-        assert extract_ps_features_all_measures(a, b, True, (Measure.EDITEX,)) == [1.0] * 5
+        assert extract_ps_features_all_measures(a, b, True, Measure.EDITEX) == [1.0] * 5
         assert PS_SCHEMA == [
             "user_name_score",
             "real_name_score",
@@ -143,7 +143,7 @@ class TestExtractPsFeatures:
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.TWITTER, user_id="u2")
         with pytest.raises(SamePlatformError):
-            extract_ps_features_all_measures(a, b, measures=(Measure.EDITEX,))
+            extract_ps_features_all_measures(a, b, measure=Measure.EDITEX)
 
     def test_post_ratio_and_empty_fields(self):
         a = make_profile(
@@ -155,8 +155,8 @@ class TestExtractPsFeatures:
             description="", location="", post_count=100,
         )
         assert ps_row(a, b, Measure.EDITEX, include_names=False) == [0.25, 1.0, 1.0]
-        kernel = extract_ps_features_all_measures(a, b, False, (Measure.EDITEX,))
-        assert kernel == [1.0, 1.0, 0.25]
+        single = extract_ps_features_all_measures(a, b, False, Measure.EDITEX)
+        assert single == [0.25, 1.0, 1.0]
 
     def test_username_single_edit(self):
         a = make_profile(Platform.TWITTER, user_name="kwanhui")
@@ -185,9 +185,8 @@ class TestExtractPsFeatures:
             Platform.FLICKR, user_id="u2", user_name="base", real_name="Base",
             description="desc", location="city", post_count=pb,
         )
-        measures = (Measure.LEVENSHTEIN,)
-        forward = extract_ps_features_all_measures(a, b, measures=measures)
-        swapped = extract_ps_features_all_measures(b, a, measures=measures)
+        forward = extract_ps_features_all_measures(a, b, measure=Measure.LEVENSHTEIN)
+        swapped = extract_ps_features_all_measures(b, a, measure=Measure.LEVENSHTEIN)
         assert forward == swapped
 
     @given(un=profile_text, de=profile_text, pa=st.integers(0, 50))
@@ -201,11 +200,12 @@ class TestExtractPsFeatures:
         ablated = ps_row(a, b, Measure.JARO_WINKLER, include_names=False)
         assert ablated == full[2:]
         assert PS_SCHEMA_NO_NAMES == PS_SCHEMA[2:]
-        for measures in [(Measure.JARO_WINKLER,), tuple(Measure)]:
-            full = extract_ps_features_all_measures(a, b, True, measures)
-            ablated = extract_ps_features_all_measures(a, b, False, measures)
-            assert ablated[-1] == full[-1]
-            assert ablated[:-1] == [v for i, v in enumerate(full[:-1]) if i % 4 >= 2]
+        for measure in [Measure.JARO_WINKLER, None]:
+            full = extract_ps_features_all_measures(a, b, True, measure)
+            ablated = extract_ps_features_all_measures(a, b, False, measure)
+            kept = ps_schema(measure, False)
+            assert ablated == [v for name, v in zip(ps_schema(measure, True), full)
+                               if name in kept]
 
     def test_schema_depends_only_on_flag(self):
         a1 = make_profile(Platform.TWITTER, user_name="", description="")
@@ -220,7 +220,7 @@ class TestExtractPsFeatures:
         for names in (True, False):
             all1 = featurize_pairs(corpus, [("u1", "u2", True)], None, names)
             all2 = featurize_pairs(corpus, [("u3", "u2", False)], None, names)
-            assert all1.schema == all2.schema == ps_schema(None, names)[0]
+            assert all1.schema == all2.schema == ps_schema(None, names)
 
 
 class TestAllMeasuresVector:
@@ -228,9 +228,9 @@ class TestAllMeasuresVector:
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
         values = extract_ps_features_all_measures(a, b, include_names=True)
-        assert len(values) == len(ps_schema(None, True)[0]) == 9 * 4 + 1
+        assert len(values) == len(ps_schema(None, True)) == 9 * 4 + 1
         values_nn = extract_ps_features_all_measures(a, b, include_names=False)
-        assert len(values_nn) == len(ps_schema(None, False)[0]) == 9 * 2 + 1
+        assert len(values_nn) == len(ps_schema(None, False)) == 9 * 2 + 1
 
     def test_identity_all_ones(self):
         a = make_profile(Platform.TWITTER)
@@ -242,7 +242,7 @@ class TestAllMeasuresVector:
         a = make_profile(Platform.TWITTER, user_name="kwan", description="x")
         b = make_profile(Platform.FLICKR, user_id="u2")
         values = extract_ps_features_all_measures(a, b)
-        schema = ps_schema(None)[0]
+        schema = ps_schema(None)
         assert ps_row(a, b, None) == values
         assert schema[:5] == [
             "user_name_score_levenshtein", "real_name_score_levenshtein",
@@ -272,7 +272,7 @@ class TestFeaturizePairs:
                                       (None, False, 19)]:
             out = featurize_pairs(corpus_of(), [], measure, names)
             assert out.x.shape == (0, width)
-            assert out.schema == ps_schema(measure, names)[0]
+            assert out.schema == ps_schema(measure, names)
 
     def test_identity_pair_with_label(self):
         a = make_profile(Platform.TWITTER)
@@ -341,7 +341,7 @@ class TestColumnPath:
         monkeypatch.setattr(strsim, "_BLOCK_CELLS", 200)
         corpus, pairs = varied_corpus()
         out = featurize_pairs(corpus, pairs, measure, names)
-        assert out.schema == ps_schema(measure, names)[0]
+        assert out.schema == ps_schema(measure, names)
         for row, (t, f, _) in zip(out.x, pairs):
             a = corpus.profile(Platform.TWITTER, t)
             b = corpus.profile(Platform.FLICKR, f)

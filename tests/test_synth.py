@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import pytest
@@ -87,6 +88,21 @@ class TestBeyondTheNamePool:
         assert len({p.user_name for p in twitter}) == 30
         assert len(corpus.positive_pairs) == 30
         assert corpus.dropped_pairs == 0
+
+
+class TestCommand:
+    def test_writes_the_corpus_and_one_summary_line(self, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["synth", "--n-users", "20", "--seed", "3", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.count("\n") == 1
+        expected = synth.generate_corpus(20, 0.15, 3, str(tmp_path / "api"))
+        for key, name in zip(("profiles_path", "posts_path", "pairs_path"), FILES):
+            expected[key] = str(out / name)
+            assert (out / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+        assert json.loads(result.output) == expected
 
 
 class TestArguments:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import osnmatch.temporal_features as temporal_features
 from osnmatch import synth
 from osnmatch.dataset import Corpus, load_corpus, negative_sample
-from osnmatch.errors import ModeMismatchError
+from osnmatch.errors import DimensionMismatchError
 from osnmatch.profile_features import Platform
 from osnmatch.temporal_features import (
     HistogramMode,
@@ -121,7 +121,7 @@ class TestBooleanJaccard:
         assert boolean_jaccard(x, x) == 0.0
 
     def test_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             boolean_jaccard(mask([False] * 7), mask([False] * 24))
 
     @given(st.lists(st.booleans(), min_size=7, max_size=7),
