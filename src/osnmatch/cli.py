@@ -380,20 +380,22 @@ def _pairs_json(triples: list[str], rows: np.ndarray) -> str:
 
 def write_folds_json(
     fh: TextIO,
-    pairs: list[tuple[str, str, bool]],
+    pairs: list[tuple[str, str]],
+    labels: np.ndarray,
     partitions: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """Write the fold membership exactly as ``json.dumps(doc, sort_keys=True,
     indent=2) + "\\n"`` would, for doc = ``[{"fold": i, "test": [[t, f,
     label], ...], "train": [...]}, ...]``, where each fold's (train_rows,
-    test_rows) index ``pairs``. With an indent the json module encodes in
-    pure Python, so each pair's indented triple is formatted here once, with
-    its C string encoder, and every fold joins the triples of its rows."""
+    test_rows) index ``pairs`` and ``labels``. With an indent the json
+    module encodes in pure Python, so each pair's indented triple is
+    formatted here once, with its C string encoder, and every fold joins
+    the triples of its rows."""
     enc = encode_basestring_ascii
     triples = [
         f"      [\n        {enc(t)},\n        {enc(f)},\n        "
         f"{'true' if lbl else 'false'}\n      ]"
-        for t, f, lbl in pairs
+        for (t, f), lbl in zip(pairs, labels.tolist(), strict=True)
     ]
     fh.write("[")
     for i, (train_rows, test_rows) in enumerate(partitions):
@@ -416,7 +418,7 @@ def folds(output_path, **opts):
     partitions = folder(pair_set, opts["k"], opts["seed"])
     if output_path:
         with replacing(output_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            write_folds_json(fh, pair_set.pairs, partitions)
+            write_folds_json(fh, pair_set.pairs, pair_set.labels, partitions)
     click.echo(f"{'fold':>4} {'train+':>7} {'train-':>7} {'test+':>6} {'test-':>6}")
     for i, (train_rows, test_rows) in enumerate(partitions):
         train_pos = int(np.count_nonzero(pair_set.labels[train_rows]))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from json.decoder import JSONDecoder
@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSplitError,
+    DimensionMismatchError,
     EmptyCorpusError,
     InsufficientPoolError,
     ParseError,
@@ -99,15 +100,17 @@ class Corpus:
 
 @dataclass
 class LabeledPairSet:
-    """(twitter_id, flickr_id, label) triples; ``labels`` holds their labels
-    as one boolean array. Splits and folds are arrays of row indices into
-    ``pairs``."""
+    """(twitter_id, flickr_id) pairs, and ``labels``, one boolean array
+    whose row i is the label of pair i. Splits and folds are arrays of row
+    indices into ``pairs``."""
 
-    pairs: list[tuple[str, str, bool]]
-    labels: np.ndarray = field(init=False, repr=False)
+    pairs: list[tuple[str, str]]
+    labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.array([lbl for _, _, lbl in self.pairs], dtype=bool)
+        self.labels = np.asarray(self.labels, dtype=bool)
+        if self.labels.shape != (len(self.pairs),):
+            raise DimensionMismatchError(f"{self.labels.shape} labels for {len(self.pairs)} pairs")
 
     @property
     def n_pos(self) -> int:
@@ -262,8 +265,8 @@ def load_corpus(profiles_path: str, posts_path: str | None, pairs_path: str) -> 
 
 
 def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet:
-    """Positive pairs plus ``neg_ratio`` times as many uniformly random
-    cross-platform non-pairs, sampled without replacement.
+    """The positive pairs, then ``neg_ratio`` times as many uniformly random
+    cross-platform non-pairs, sampled without replacement, in order of draw.
 
     Candidates are drawn, and positives and repeats rejected, until the
     target is met. A request for over half the pool of non-pairs needs
@@ -295,8 +298,8 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
                 negatives[pair] = None
                 if len(negatives) == target:
                     break
-    pairs = [(t, f, True) for t, f in positives] + [(t, f, False) for t, f in negatives]
-    return LabeledPairSet(pairs)
+    pairs = positives + list(negatives)
+    return LabeledPairSet(pairs, np.arange(len(pairs)) < len(positives))
 
 
 def _shuffled_classes(s: LabeledPairSet, rows: np.ndarray, seed: int) -> list[np.ndarray]:
@@ -347,7 +350,7 @@ def k_folds(s: LabeledPairSet, k: int, seed: int) -> list[tuple[np.ndarray, np.n
     return [(np.concatenate(tests[:i] + tests[i + 1 :]), test) for i, test in enumerate(tests)]
 
 
-def _positive_components(pairs: list[tuple[str, str, bool]], rows: list[int]):
+def _positive_components(pairs: list[tuple[str, str]], rows: list[int]):
     """Group the positive ``rows`` whose pairs share a user (either
     endpoint) so a person can never straddle a user-disjoint partition."""
     parent: dict[tuple[str, str], tuple[str, str]] = {}
@@ -359,7 +362,7 @@ def _positive_components(pairs: list[tuple[str, str, bool]], rows: list[int]):
         return x
 
     for r in rows:
-        t, f, _ = pairs[r]
+        t, f = pairs[r]
         a, b = ("t", t), ("f", f)
         parent.setdefault(a, a)
         parent.setdefault(b, b)
@@ -398,7 +401,7 @@ def k_folds_user_disjoint(
     flickr_fold: dict[str, int] = {}
     for fold_i, members in enumerate(fold_pos):
         for r in members:
-            t, f, _ = pairs[r]
+            t, f = pairs[r]
             twitter_fold[t] = fold_i
             flickr_fold[f] = fold_i
     # a fold is drawn for both endpoints of every negative, used or not;
@@ -407,7 +410,7 @@ def k_folds_user_disjoint(
     fold_t, fold_f = np.array(
         [
             (twitter_fold.setdefault(t, next(draws)), flickr_fold.setdefault(f, next(draws)))
-            for t, f, _ in map(pairs.__getitem__, neg.tolist())
+            for t, f in map(pairs.__getitem__, neg.tolist())
         ],
         dtype=np.intp,
     ).reshape(-1, 2).T

@@ -188,11 +188,11 @@ EMBEDDING_FIELDS_WITH_DESC = (*EMBEDDING_FIELDS, "description")
 
 def pair_embedding_features(
     corpus: Corpus,
-    pairs: Sequence[tuple],
+    pairs: Sequence[tuple[str, str]],
     table: EmbeddingTable,
     include_description: bool = False,
 ) -> FeatureMatrix:
-    """Per (twitter_id, flickr_id, ...) pair and field: the element-wise
+    """Per (twitter_id, flickr_id) pair and field: the element-wise
     absolute embedding difference mapped through 1/(1+|d|), then the
     embedding cosine mapped to [0, 1]. Each account's fields are embedded
     once."""

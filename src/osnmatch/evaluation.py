@@ -30,7 +30,7 @@ from .profile_features import FeatureMatrix
 # out for early stopping so the test fold never steers training
 INNER_TRAIN_FRACTION = 0.9
 
-Featurizer = Callable[[list[tuple[str, str, bool]]], FeatureMatrix]
+Featurizer = Callable[[list[tuple[str, str]]], FeatureMatrix]
 
 
 def confusion(p_same, labels) -> dict[str, int]:

@@ -21,9 +21,9 @@ the 2-D operation does: a network's parameters and losses are the same
 to the bit as when it is trained alone. The Adam state belongs to the
 stack; a model holds only its config and parameters.
 
-A forward pass records its input, activations, logits, probabilities and
-dropout masks in the ``_Buffers`` it runs in, for ``backward`` to read; it
-applies dropout only when it is given one generator per network.
+A forward pass records its input, activations (after dropout), dropout
+masks, logits and probabilities in the ``_Buffers`` it runs in, for
+``backward``; it applies dropout only when given one generator per network.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 class _Buffers:
     """Work arrays of one batch shape, and the record of the last forward
-    pass run in them: each hidden layer's ``pre``-activation, ``act``ivation
+    pass run in them: each hidden layer's ``act``ivation (after dropout)
     and dropout ``mask``, and ``x``, ``logits``, ``probs`` and ``masks`` (the
     masks applied, [] without dropout); ``da`` and ``dz`` serve ``backward``.
     A training loop keeps one per batch shape, so a step allocates no large
@@ -232,9 +232,7 @@ class _Buffers:
     def __init__(self, cfg: MlpConfig, lead: tuple[int, ...]):
         shape = (*lead, cfg.hidden_nodes)
         n = cfg.n_hidden_layers
-        self.pre, self.act, self.mask = (
-            [np.empty(shape) for _ in range(n)] for _ in range(3)
-        )
+        self.act, self.mask = ([np.empty(shape) for _ in range(n)] for _ in range(2))
         self.da, self.dz = np.empty(shape), np.empty(shape)
 
 
@@ -263,9 +261,9 @@ def _forward_batch(
     rate = cfg.dropout_rate if rngs is not None else 0.0
     a = x
     for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
-        z = np.matmul(a, w, out=buffers.pre[layer])
-        z += b[..., None, :]
-        a = np.maximum(z, 0.0, out=buffers.act[layer])
+        a = np.matmul(a, w, out=buffers.act[layer])
+        a += b[..., None, :]
+        np.maximum(a, 0.0, out=a)
         if rate > 0.0:
             mask = buffers.mask[layer]
             for rng, out in zip(rngs, mask.reshape(-1, *mask.shape[-2:]), strict=True):
@@ -308,7 +306,9 @@ def backward(stack: Stack, record: _Buffers, labels: np.ndarray) -> None:
         da = np.matmul(dz, stack.weights[layer].swapaxes(-1, -2), out=record.da)
         if record.masks:
             da *= record.masks[layer - 1]
-        dz = np.multiply(da, record.pre[layer - 1] > 0.0, out=record.dz)
+        # a kept unit is scaled by 1/keep >= 1, so its act > 0 exactly when
+        # its pre-activation is; a dropped unit's da is already (da * 0)
+        dz = np.multiply(da, record.act[layer - 1] > 0.0, out=record.dz)
 
 
 def adam_step(stack: Stack) -> None:

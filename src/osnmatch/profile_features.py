@@ -55,9 +55,9 @@ class FeatureMatrix:
 
 
 def per_side(
-    pairs: Sequence[tuple], width: int, compute: Callable, dtype=np.float64
+    pairs: Sequence[tuple[str, str]], width: int, compute: Callable, dtype=np.float64
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(twitter_rows, flickr_rows) of (twitter_id, flickr_id, ...) pairs:
+    """(twitter_rows, flickr_rows) of (twitter_id, flickr_id) pairs:
     row i of each is ``compute(platform, uid)`` of that side's account of
     pair i. ``compute`` runs once per distinct account on each side, and
     its result is repeated for every pair the account is in."""
@@ -152,11 +152,11 @@ def ps_schema(measure: Measure | None, include_names: bool = True) -> list[str]:
 
 def featurize_pairs(
     corpus: Corpus,
-    pairs: Sequence[tuple],
+    pairs: Sequence[tuple[str, str]],
     measure: Measure | None,
     include_names: bool = True,
 ) -> FeatureMatrix:
-    """Profile-similarity matrix of (twitter_id, flickr_id, ...) pairs, in
+    """Profile-similarity matrix of (twitter_id, flickr_id) pairs, in
     order, under one measure, or under every measure when ``measure`` is None."""
     fields = _scored_fields(include_names)
     accounts = per_side(

@@ -50,9 +50,9 @@ def boolean_jaccard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def extract_temporal_features(
-    corpus: Corpus, pairs: Sequence[tuple], mode: HistogramMode
+    corpus: Corpus, pairs: Sequence[tuple[str, str]], mode: HistogramMode
 ) -> FeatureMatrix:
-    """Per (twitter_id, flickr_id, ...) pair, both accounts' activity masks
+    """Per (twitter_id, flickr_id) pair, both accounts' activity masks
     (as 0/1 values) followed by their Jaccard similarity: 24+24+1 columns
     for hour-of-day, 7+7+1 for day-of-week. Each account's mask is built
     once."""

@@ -487,7 +487,8 @@ def k_folds_user_disjoint_reference(pairs, k: int, seed: int):
     rng = np.random.default_rng(seed)
     pos = [p for p in pairs if p[2]]
     neg = [p for p in pairs if not p[2]]
-    components = [[pos[i] for i in c] for c in _positive_components(pos, range(len(pos)))]
+    ids = [(t, f) for t, f, _ in pos]
+    components = [[pos[i] for i in c] for c in _positive_components(ids, range(len(pos)))]
     order = rng.permutation(len(components))
     fold_pos = [[] for _ in range(k)]
     for i in order:

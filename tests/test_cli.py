@@ -238,8 +238,21 @@ def _rows(*rows):
     return np.array(rows, dtype=np.intp)
 
 
-_K2 = LabeledPairSet([("t0", "f0", True), ("t1", "f1", True), ("t0", "f1", False),
-                      ("t1", "f0", False)])
+_K2 = LabeledPairSet([("t0", "f0"), ("t1", "f1"), ("t0", "f1"), ("t1", "f0")],
+                     np.array([True, True, False, False]))
+
+
+def _triples(pair_set):
+    """The (t, f, label) triples the fold file lists."""
+    return [(*pair, lbl) for pair, lbl in zip(pair_set.pairs, pair_set.labels.tolist())]
+
+
+def _write_folds(triples, partitions):
+    """``write_folds_json``'s text for the pairs and labels of ``triples``."""
+    fh = io.StringIO()
+    labels = np.array([lbl for _, _, lbl in triples], dtype=bool)
+    write_folds_json(fh, [(t, f) for t, f, _ in triples], labels, partitions)
+    return fh.getvalue()
 
 
 class TestFoldsExport:
@@ -253,7 +266,7 @@ class TestFoldsExport:
         folder = k_folds_user_disjoint if user_disjoint else k_folds
         pair_set = negative_sample(corpus, 8, 42)
         partitions = folder(pair_set, 3, 42)
-        assert out.read_bytes() == folds_json_reference(pair_set.pairs, partitions).encode(
+        assert out.read_bytes() == folds_json_reference(_triples(pair_set), partitions).encode(
             "utf-8"
         )
 
@@ -265,15 +278,13 @@ class TestFoldsExport:
                  ("a", "b", False)],
                 [(_rows(0, 1), _rows(2)), (_rows(), _rows(3))],
             ),
-            (_K2.pairs, k_folds(_K2, 2, 5)),
+            (_triples(_K2), k_folds(_K2, 2, 5)),
             ([], []),
         ],
         ids=["escapes-and-empty-list", "k2", "no-folds"],
     )
     def test_unit_cases(self, pairs, partitions):
-        fh = io.StringIO()
-        write_folds_json(fh, pairs, partitions)
-        assert fh.getvalue() == folds_json_reference(pairs, partitions)
+        assert _write_folds(pairs, partitions) == folds_json_reference(pairs, partitions)
 
     def test_missing_directory_is_an_error(self, corpus_dir, tmp_path):
         out = tmp_path / "missing" / "x" / "folds.json"
@@ -339,9 +350,7 @@ class TestFoldsExportDifferential:
     @example(([("t\ud800", "\U0001f600", True)], []))
     def test_matches_json_dumps(self, case):
         pairs, partitions = case
-        fh = io.StringIO()
-        write_folds_json(fh, pairs, partitions)
-        assert fh.getvalue() == folds_json_reference(pairs, partitions)
+        assert _write_folds(pairs, partitions) == folds_json_reference(pairs, partitions)
 
 
 @pytest.fixture(scope="module")

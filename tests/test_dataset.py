@@ -21,6 +21,7 @@ from osnmatch.dataset import (
 )
 from osnmatch.errors import (
     DegenerateSplitError,
+    DimensionMismatchError,
     EmptyCorpusError,
     InsufficientPoolError,
     OsnMatchError,
@@ -79,9 +80,9 @@ def write_corpus(tmp_path, n_twitter=3, n_flickr=3, pairs=None, extra_pair_rows=
 
 
 def make_set(n_pos, n_neg):
-    pairs = [(f"t{i}", f"f{i}", True) for i in range(n_pos)]
-    pairs += [(f"t{i}", f"f{(i + 1) % max(n_pos, 1)}", False) for i in range(n_neg)]
-    return LabeledPairSet(pairs)
+    pairs = [(f"t{i}", f"f{i}") for i in range(n_pos)]
+    pairs += [(f"t{i}", f"f{(i + 1) % max(n_pos, 1)}") for i in range(n_neg)]
+    return LabeledPairSet(pairs, np.arange(n_pos + n_neg) < n_pos)
 
 
 def all_rows(s):
@@ -89,8 +90,13 @@ def all_rows(s):
 
 
 def gather(s, rows):
-    """The triples that row indices name, in their order."""
-    return [s.pairs[r] for r in rows]
+    """The (t, f, label) triples that row indices name, in their order."""
+    labels = s.labels.tolist()
+    return [(*s.pairs[r], labels[r]) for r in rows]
+
+
+def triples(s):
+    return gather(s, all_rows(s))
 
 
 def class_counts(s, rows):
@@ -566,6 +572,13 @@ class TestLoaderFuzz:
             pass
 
 
+class TestLabeledPairSet:
+    @pytest.mark.parametrize("labels", [[True], [True, False, True], [[True, False]]])
+    def test_one_label_per_pair(self, labels):
+        with pytest.raises(DimensionMismatchError):
+            LabeledPairSet([("t0", "f0"), ("t1", "f0")], labels)
+
+
 class TestNegativeSample:
     def test_exact_ratio(self, tmp_path):
         paths = write_corpus(tmp_path, n_twitter=30, n_flickr=30,
@@ -575,6 +588,15 @@ class TestNegativeSample:
         assert s.n_pos == 10
         assert s.n_neg == 80
         assert len(s.pairs) == 90
+
+    def test_pairs_are_id_pairs_and_the_positives_lead(self, tmp_path):
+        paths = write_corpus(tmp_path, n_twitter=20, n_flickr=20,
+                             pairs=[(f"t{i}", f"f{i}") for i in range(5)])
+        corpus = load_corpus(*paths)
+        s = negative_sample(corpus, 3, seed=2)
+        assert all(type(p) is tuple and len(p) == 2 for p in s.pairs)
+        assert s.pairs[:5] == corpus.positive_pairs
+        assert s.labels.tolist() == [True] * 5 + [False] * 15
 
     def test_ratio_zero(self, tmp_path):
         paths = write_corpus(tmp_path)
@@ -594,7 +616,7 @@ class TestNegativeSample:
         corpus = load_corpus(*paths)
         s = negative_sample(corpus, 8, seed=3)
         positives = set(corpus.positive_pairs)
-        negatives = [(t, f) for t, f, lbl in s.pairs if not lbl]
+        negatives = [t_f for t_f, lbl in zip(s.pairs, s.labels) if not lbl]
         assert not positives & set(negatives)
         assert len(set(negatives)) == len(negatives)
 
@@ -617,7 +639,8 @@ class TestNegativeSample:
         paths = write_corpus(tmp_path, n_twitter=n_twitter, n_flickr=n_flickr,
                              pairs=[(f"t{i}", f"f{i}") for i in range(n_pos)])
         corpus = load_corpus(*paths)
-        got = [(t, f) for t, f, lbl in negative_sample(corpus, ratio, seed).pairs if not lbl]
+        s = negative_sample(corpus, ratio, seed)
+        got = [t_f for t_f, lbl in zip(s.pairs, s.labels) if not lbl]
         want = sparse_negatives_reference(
             [f"t{i}" for i in range(n_twitter)], [f"f{i}" for i in range(n_flickr)],
             corpus.positive_pairs, ratio * n_pos, seed,
@@ -660,7 +683,7 @@ class TestSplit:
     def test_partition_exact(self):
         s = make_set(9, 33)
         train, test = split(s, all_rows(s), 0.6, seed=5)
-        assert sorted(gather(s, train) + gather(s, test)) == sorted(s.pairs)
+        assert sorted(gather(s, train) + gather(s, test)) == sorted(triples(s))
         assert not set(gather(s, train)) & set(gather(s, test))
 
     def test_degenerate(self):
@@ -683,7 +706,7 @@ class TestSplit:
             train, test = split(s, all_rows(s), frac, seed)
         except DegenerateSplitError:
             return
-        assert sorted(gather(s, train) + gather(s, test)) == sorted(s.pairs)
+        assert sorted(gather(s, train) + gather(s, test)) == sorted(triples(s))
         assert class_counts(s, train)[0] == int(n_pos * frac)
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
@@ -714,7 +737,7 @@ class TestKFolds:
         seen = []
         for _, test in folds:
             seen.extend(gather(s, test))
-        assert sorted(seen) == sorted(s.pairs)
+        assert sorted(seen) == sorted(triples(s))
 
     def test_k2_on_two_per_class(self):
         s = make_set(2, 2)
@@ -735,14 +758,14 @@ class TestKFolds:
         s = make_set(6, 18)
         for train, test in k_folds(s, 3, seed=9):
             assert not set(gather(s, train)) & set(gather(s, test))
-            assert sorted(gather(s, train) + gather(s, test)) == sorted(s.pairs)
+            assert sorted(gather(s, train) + gather(s, test)) == sorted(triples(s))
 
     @pytest.mark.parametrize("n_pos, n_neg, k, seed", [(30, 240, 2, 0), (30, 240, 5, 1),
                                                         (30, 240, 10, 42), (12, 0, 3, 7)])
     def test_equals_the_pair_list_folds(self, n_pos, n_neg, k, seed):
         s = make_set(n_pos, n_neg)
         got = [(gather(s, a), gather(s, b)) for a, b in k_folds(s, k, seed)]
-        assert got == k_folds_reference(s.pairs, k, seed)
+        assert got == k_folds_reference(triples(s), k, seed)
 
 
 class TestUserDisjoint:
@@ -751,12 +774,12 @@ class TestUserDisjoint:
         # negatives join users with and without positives, so some of the
         # drawn folds are used and some are not
         rng = np.random.default_rng(seed)
-        pairs = [(f"t{i}", f"f{i}", True) for i in range(20)]
+        pairs = [(f"t{i}", f"f{i}") for i in range(20)]
         negs = {(f"t{rng.integers(40)}", f"f{rng.integers(40)}") for _ in range(300)}
-        pairs += [(t, f, False) for t, f in sorted(negs) if t[1:] != f[1:]]
-        s = LabeledPairSet(pairs)
+        pairs += [(t, f) for t, f in sorted(negs) if t[1:] != f[1:]]
+        s = LabeledPairSet(pairs, np.arange(len(pairs)) < 20)
         got = k_folds_user_disjoint(s, k, seed)
-        want = k_folds_user_disjoint_reference(s.pairs, k, seed)
+        want = k_folds_user_disjoint_reference(triples(s), k, seed)
         assert [(gather(s, a), gather(s, b)) for a, b in got] == want
 
     def test_folds_test_users_not_in_train(self):
@@ -772,7 +795,7 @@ class TestUserDisjoint:
         seen = []
         for _, test in folds:
             seen.extend(p for p in gather(s, test) if p[2])
-        assert sorted(seen) == sorted(p for p in s.pairs if p[2])
+        assert sorted(seen) == sorted(p for p in triples(s) if p[2])
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="k must be >= 2"):
@@ -780,7 +803,7 @@ class TestUserDisjoint:
 
     def test_fewer_user_groups_than_k(self):
         # t0-f0 and t0-f1 share a user: three positives, two groups
-        s = LabeledPairSet([("t0", "f0", True), ("t0", "f1", True), ("t2", "f2", True),
-                            ("t2", "f0", False)])
+        s = LabeledPairSet([("t0", "f0"), ("t0", "f1"), ("t2", "f2"), ("t2", "f0")],
+                           np.array([True, True, True, False]))
         with pytest.raises(TooFewExamplesError, match="2 user groups with positives"):
             k_folds_user_disjoint(s, 3, seed=0)

@@ -27,8 +27,9 @@ class TestConfusion:
 
 def _pairs(n_pos, n_neg):
     return LabeledPairSet(
-        [(f"t{i}", f"f{i}", True) for i in range(n_pos)]
-        + [(f"t{i}", f"f{i + 1}", False) for i in range(n_neg)]
+        [(f"t{i}", f"f{i}") for i in range(n_pos)]
+        + [(f"t{i}", f"f{i + 1}") for i in range(n_neg)],
+        np.arange(n_pos + n_neg) < n_pos,
     )
 
 
@@ -39,12 +40,14 @@ class TestCrossValidate:
 
         def featurizer(pairs):
             calls.append(list(pairs))
-            x = np.array([[1.0, 0.9] if lbl else [0.0, 0.1] for _, _, lbl in pairs])
+            # a positive pair's ids share their index
+            x = np.array([[1.0, 0.9] if t[1:] == f[1:] else [0.0, 0.1] for t, f in pairs])
             return FeatureMatrix(x, ["a", "b"])
 
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, max_epochs=2)
         results, models = cross_validate(cfg, featurizer, pair_set, 3, seed=1)
         assert calls == [pair_set.pairs]
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in calls[0])
         assert len(models) == 3
         assert sum(results["counts"].values()) == len(pair_set.pairs)
         assert results["counts"]["tp"] + results["counts"]["fn"] == 12

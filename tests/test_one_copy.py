@@ -3,10 +3,14 @@ alone maps a pair's sides to platforms, ``folds`` and ``score-pair``
 declare none of the options they share with ``run``, ``cli.FAMILIES``
 alone says which model reads posts, ``dataset`` alone declares the
 corpus format, ``HistogramMode`` alone names the temporal modes,
-``DimensionMismatchError`` is the one shape error, and ``ps_schema`` gives
-the ``ps`` column names with no reordering beside them."""
+``DimensionMismatchError`` is the one shape error, ``ps_schema`` gives
+the ``ps`` column names with no reordering beside them, and the package
+``__init__`` loads none of the modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,13 @@ def test_ps_schema_is_the_names_alone(measure, names):
     schema = ps_schema(measure, names)
     assert type(schema) is list
     assert all(type(name) is str for name in schema)
+
+
+def test_importing_dataset_loads_no_other_package_module():
+    code = ("import sys, osnmatch.dataset; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'osnmatch'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert ast.literal_eval(out) == ["osnmatch", "osnmatch.dataset", "osnmatch.errors"]

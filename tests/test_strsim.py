@@ -678,12 +678,12 @@ class TestCorpusFields:
         corpus = load_corpus(
             str(out / "profiles.jsonl"), str(out / "posts.jsonl"), str(out / "pairs.csv")
         )
-        pairs = negative_sample(corpus, 8, seed=0).pairs
-        negatives = [p for p in pairs if not p[2]]
-        chosen = [p for p in pairs if p[2]]
+        s = negative_sample(corpus, 8, seed=0)
+        negatives = [p for p, lbl in zip(s.pairs, s.labels) if not lbl]
+        chosen = [p for p, lbl in zip(s.pairs, s.labels) if lbl]
         chosen += random.Random(0).sample(negatives, 30)
         out_pairs = []
-        for t_id, f_id, _ in chosen:
+        for t_id, f_id in chosen:
             a = corpus.profile(Platform.TWITTER, t_id)
             b = corpus.profile(Platform.FLICKR, f_id)
             for name in PS_TEXT_FIELDS:

@@ -187,7 +187,7 @@ class TestExtractTemporalFeatures:
                                ("profiles.jsonl", "posts.jsonl", "pairs.csv")))
         pairs = negative_sample(corpus, 8, 4).pairs
         fm = extract_temporal_features(corpus, pairs, mode)
-        for row, (t, f, _) in zip(fm.x, pairs):
+        for row, (t, f) in zip(fm.x, pairs):
             expected = temporal_features_reference(
                 corpus.posts_for(Platform.TWITTER, t), corpus.posts_for(Platform.FLICKR, f),
                 mode,
