@@ -36,7 +36,7 @@ from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO
+from typing import BinaryIO, Callable, NamedTuple
 
 import click
 import numpy as np
@@ -372,39 +372,41 @@ def score_pair(profile_a, profile_b, measure, include_names):
             click.echo(f"{name:<18} raw={raw_str} score={value:.4f}")
 
 
-def _pairs_json(triples: list[str], rows: np.ndarray) -> str:
-    if not len(rows):
-        return "[]"
-    return "[\n" + ",\n".join(map(triples.__getitem__, rows.tolist())) + "\n    ]"
-
-
 def write_folds_json(
-    fh: TextIO,
+    fh: BinaryIO,
     pairs: list[tuple[str, str]],
     labels: np.ndarray,
     partitions: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    """Write the fold membership exactly as ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\\n"`` would, for doc = ``[{"fold": i, "test": [[t, f,
-    label], ...], "train": [...]}, ...]``, where each fold's (train_rows,
-    test_rows) index ``pairs`` and ``labels``. With an indent the json
-    module encodes in pure Python, so each pair's indented triple is
-    formatted here once, with its C string encoder, and every fold joins
-    the triples of its rows."""
+    """Write the fold membership, to a binary file, exactly as
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` would encode it
+    to UTF-8, for doc = ``[{"fold": i, "test": [[t, f, label], ...],
+    "train": [...]}, ...]``, where each fold's (train_rows, test_rows) index
+    ``pairs`` and ``labels``. With an indent the json module encodes in pure
+    Python, so each pair's indented triple is formatted here once, with its
+    C string encoder, into one numpy object array of bytes, and every fold
+    list joins the triples its rows pick from that array."""
     enc = encode_basestring_ascii
-    triples = [
+    triples = np.array([
         f"      [\n        {enc(t)},\n        {enc(f)},\n        "
-        f"{'true' if lbl else 'false'}\n      ]"
+        f"{'true' if lbl else 'false'}\n      ]".encode()
         for (t, f), lbl in zip(pairs, labels.tolist(), strict=True)
-    ]
-    fh.write("[")
+    ], dtype=object)
+
+    def write_list(rows: np.ndarray) -> None:
+        if len(rows):
+            fh.writelines((b"[\n", b",\n".join(triples[rows].tolist()), b"\n    ]"))
+        else:
+            fh.write(b"[]")
+
+    fh.write(b"[")
     for i, (train_rows, test_rows) in enumerate(partitions):
-        fh.write(f"{',' if i else ''}\n  {{\n    \"fold\": {i},\n    \"test\": ")
-        fh.write(_pairs_json(triples, test_rows))
-        fh.write(',\n    "train": ')
-        fh.write(_pairs_json(triples, train_rows))
-        fh.write("\n  }")
-    fh.write("\n]\n" if partitions else "]\n")
+        fh.write(b'%s\n  {\n    "fold": %d,\n    "test": ' % (b"," if i else b"", i))
+        write_list(test_rows)
+        fh.write(b',\n    "train": ')
+        write_list(train_rows)
+        fh.write(b"\n  }")
+    fh.write(b"\n]\n" if partitions else b"]\n")
 
 
 @main.command(params=[p for p in run.params if p.name in _CORPUS_OPTIONS])
@@ -417,7 +419,7 @@ def folds(output_path, **opts):
     folder = k_folds_user_disjoint if opts["user_disjoint"] else k_folds
     partitions = folder(pair_set, opts["k"], opts["seed"])
     if output_path:
-        with replacing(output_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        with replacing(output_path) as tmp, open(tmp, "wb") as fh:
             write_folds_json(fh, pair_set.pairs, pair_set.labels, partitions)
     click.echo(f"{'fold':>4} {'train+':>7} {'train-':>7} {'test+':>6} {'test-':>6}")
     for i, (train_rows, test_rows) in enumerate(partitions):

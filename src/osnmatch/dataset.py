@@ -287,12 +287,13 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
         raise InsufficientPoolError(neg_ratio, pool / max(len(positives), 1))
     rng = np.random.default_rng(seed)
     # each row of a batch draw continues the sequence of two scalar draws
-    # (twitter, then flickr) per candidate; rows drawn past the target are
-    # left unused
+    # (twitter, then flickr) per candidate, and is read from the draw's two
+    # flat columns; rows drawn past the target are left unused
     bounds = np.array([len(twitter_users), len(flickr_users)])
     negatives: dict[tuple[str, str], None] = {}  # in order of first draw
     while len(negatives) < target:
-        for t, f in rng.integers(bounds, size=(target - len(negatives), 2)).tolist():
+        draw_t, draw_f = rng.integers(bounds, size=(target - len(negatives), 2)).T.tolist()
+        for t, f in zip(draw_t, draw_f):
             pair = (twitter_users[t], flickr_users[f])
             if pair not in pos_set:
                 negatives[pair] = None
@@ -379,9 +380,12 @@ def k_folds_user_disjoint(
     s: LabeledPairSet, k: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stricter k-fold, as (train_rows, test_rows) per fold, where fold-i
-    test users never appear in fold-i training pairs. Negatives with
-    endpoints in two different folds are only used for training (in folds
-    holding neither endpoint)."""
+    test users never appear in fold-i training pairs. The groups of
+    positives that share a user go, in a seeded order, each to the fold with
+    the fewest positives so far (the lowest index on a tie); each endpoint
+    of a negative that no positive placed gets a seeded random fold.
+    Negatives with endpoints in two different folds are only used for
+    training (in folds holding neither endpoint)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
@@ -394,9 +398,11 @@ def k_folds_user_disjoint(
         )
     order = rng.permutation(len(components))
     fold_pos: list[list[int]] = [[] for _ in range(k)]
-    for i in order:
-        smallest = min(range(k), key=lambda j: (len(fold_pos[j]), j))
+    sizes = [0] * k
+    for i in order.tolist():
+        smallest = sizes.index(min(sizes))
         fold_pos[smallest].extend(components[i])
+        sizes[smallest] += len(components[i])
     twitter_fold: dict[str, int] = {}
     flickr_fold: dict[str, int] = {}
     for fold_i, members in enumerate(fold_pos):
@@ -404,16 +410,16 @@ def k_folds_user_disjoint(
             t, f = pairs[r]
             twitter_fold[t] = fold_i
             flickr_fold[f] = fold_i
-    # a fold is drawn for both endpoints of every negative, used or not;
-    # one batch draw yields the sequence of the scalar draws
-    draws = iter(rng.integers(k, size=2 * len(neg)).tolist())
-    fold_t, fold_f = np.array(
-        [
-            (twitter_fold.setdefault(t, next(draws)), flickr_fold.setdefault(f, next(draws)))
-            for t, f in map(pairs.__getitem__, neg.tolist())
-        ],
-        dtype=np.intp,
-    ).reshape(-1, 2).T
+    # a fold is drawn for both endpoints of every negative, used or not: row
+    # i of one batch draw holds the scalar draws of negative i (twitter, then
+    # flickr). The two dicts are independent, so each side takes its column
+    # in turn; an endpoint already placed keeps its fold.
+    draw_t, draw_f = rng.integers(k, size=(len(neg), 2)).T.tolist()
+    neg_pairs = list(map(pairs.__getitem__, neg.tolist()))
+    fold_t = np.array(list(map(twitter_fold.setdefault, [t for t, _ in neg_pairs], draw_t)),
+                      dtype=np.intp)
+    fold_f = np.array(list(map(flickr_fold.setdefault, [f for _, f in neg_pairs], draw_f)),
+                      dtype=np.intp)
     pos = [np.array(members, dtype=np.intp) for members in fold_pos]
     folds = []
     for i in range(k):

@@ -21,7 +21,9 @@ draw in ``osnmatch.dataset.negative_sample`` replaced;
 ``split_reference`` and ``k_folds_reference`` are the pair-list split and
 folds that the row-index ones in ``osnmatch.dataset`` replaced, in the same
 order; ``k_folds_user_disjoint_reference`` is the per-fold scan of every
-negative that ``osnmatch.dataset.k_folds_user_disjoint`` replaced;
+negative that ``osnmatch.dataset.k_folds_user_disjoint`` replaced, with a
+breadth-first grouping of the positives that share a user in place of the
+library's union-find;
 ``folds_json_reference`` is the ``json.dumps`` fold export that
 ``osnmatch.cli.write_folds_json`` replaced; ``pairs_filter_reference`` is
 the loop with a seen set and a drop counter that the table of distinct
@@ -36,7 +38,7 @@ from __future__ import annotations
 import bz2
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 
 import numpy as np
@@ -478,17 +480,42 @@ def k_folds_reference(pairs, k: int, seed: int):
     ]
 
 
+def _shared_user_groups(ids):
+    """The indices of the (t, f) ``ids`` linked by a shared Twitter or
+    Flickr id, by breadth-first search from each index not yet reached:
+    groups in order of their first index, each in index order."""
+    by_user = {}
+    for i, (t, f) in enumerate(ids):
+        by_user.setdefault(("t", t), []).append(i)
+        by_user.setdefault(("f", f), []).append(i)
+    reached, groups = set(), []
+    for start in range(len(ids)):
+        if start in reached:
+            continue
+        reached.add(start)
+        queue, group = deque([start]), []
+        while queue:
+            i = queue.popleft()
+            group.append(i)
+            t, f = ids[i]
+            for j in by_user[("t", t)] + by_user[("f", f)]:
+                if j not in reached:
+                    reached.add(j)
+                    queue.append(j)
+        groups.append(sorted(group))
+    return groups
+
+
 def k_folds_user_disjoint_reference(pairs, k: int, seed: int):
     """User-disjoint folds of a list of triples as (train, test) lists, with
-    one scalar draw per negative endpoint and a scan of every negative for
-    every fold."""
-    from osnmatch.dataset import _positive_components
-
+    its own grouping of positives, a scan of the folds for the smallest per
+    group, one scalar draw per negative endpoint and a scan of every
+    negative for every fold."""
     rng = np.random.default_rng(seed)
     pos = [p for p in pairs if p[2]]
     neg = [p for p in pairs if not p[2]]
     ids = [(t, f) for t, f, _ in pos]
-    components = [[pos[i] for i in c] for c in _positive_components(ids, range(len(pos)))]
+    components = [[pos[i] for i in c] for c in _shared_user_groups(ids)]
     order = rng.permutation(len(components))
     fold_pos = [[] for _ in range(k)]
     for i in order:

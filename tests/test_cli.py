@@ -248,11 +248,12 @@ def _triples(pair_set):
 
 
 def _write_folds(triples, partitions):
-    """``write_folds_json``'s text for the pairs and labels of ``triples``."""
-    fh = io.StringIO()
+    """``write_folds_json``'s bytes for the pairs and labels of ``triples``,
+    decoded as UTF-8."""
+    fh = io.BytesIO()
     labels = np.array([lbl for _, _, lbl in triples], dtype=bool)
     write_folds_json(fh, [(t, f) for t, f, _ in triples], labels, partitions)
-    return fh.getvalue()
+    return fh.getvalue().decode("utf-8")
 
 
 class TestFoldsExport:

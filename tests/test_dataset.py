@@ -768,16 +768,33 @@ class TestKFolds:
         assert got == k_folds_reference(triples(s), k, seed)
 
 
+# positives that share a user with the one-to-one t{i}-f{i}: groups of 3
+# (t0-f0, t1-f1, t0-f1; t3-f3, t3-f33, t34-f33) and of 2 (t5-f5, t5-f25;
+# t26-f9, t9-f9; t12-f12, t12-f31)
+_SHARED_POSITIVES = (("t0", "f1"), ("t3", "f33"), ("t34", "f33"), ("t5", "f25"),
+                     ("t26", "f9"), ("t12", "f31"))
+
+
 class TestUserDisjoint:
-    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 7), (5, 1), (10, 301)])
-    def test_equals_the_per_fold_scan(self, k, seed):
+    @pytest.mark.parametrize("k, seed, shared", [
+        pytest.param(2, 0, (), id="2-0"),
+        pytest.param(3, 7, (), id="3-7"),
+        pytest.param(5, 1, (), id="5-1"),
+        pytest.param(10, 301, (), id="10-301"),
+        pytest.param(2, 3, _SHARED_POSITIVES, id="2-3-shared-users"),
+        pytest.param(3, 11, _SHARED_POSITIVES, id="3-11-shared-users"),
+        pytest.param(4, 5, _SHARED_POSITIVES, id="4-5-shared-users"),
+        pytest.param(7, 8, _SHARED_POSITIVES, id="7-8-shared-users"),
+    ])
+    def test_equals_the_per_fold_scan(self, k, seed, shared):
         # negatives join users with and without positives, so some of the
         # drawn folds are used and some are not
         rng = np.random.default_rng(seed)
-        pairs = [(f"t{i}", f"f{i}") for i in range(20)]
+        pairs = [(f"t{i}", f"f{i}") for i in range(20)] + list(shared)
+        n_pos = len(pairs)
         negs = {(f"t{rng.integers(40)}", f"f{rng.integers(40)}") for _ in range(300)}
-        pairs += [(t, f) for t, f in sorted(negs) if t[1:] != f[1:]]
-        s = LabeledPairSet(pairs, np.arange(len(pairs)) < 20)
+        pairs += sorted(negs - {(f"t{i}", f"f{i}") for i in range(40)} - set(shared))
+        s = LabeledPairSet(pairs, np.arange(len(pairs)) < n_pos)
         got = k_folds_user_disjoint(s, k, seed)
         want = k_folds_user_disjoint_reference(triples(s), k, seed)
         assert [(gather(s, a), gather(s, b)) for a, b in got] == want
