@@ -17,7 +17,8 @@ looks up ``featurize_pairs``, ``extract_temporal_features`` and
 ``_CORPUS_OPTIONS``, from ``run`` as the same parameter objects, and both
 commands get their corpus and pair set from ``_resolve_paths`` and
 ``_pair_set``, which calls ``load_corpus`` and ``negative_sample`` as
-globals of this module for the same reason. ``--posts`` is a ``temporal``
+globals of this module for the same reason, and their partitions from
+``evaluation.fold_partitions``. ``--posts`` is a ``temporal``
 option, so only ``run --model temporal`` resolves a posts path; for any
 other model, and for ``folds``, posts.jsonl is neither opened nor checked.
 
@@ -51,17 +52,17 @@ from .dataset import (
     UserProfile,
     load_corpus,
     negative_sample,
-    k_folds,
-    k_folds_user_disjoint,
     parse_profile,
 )
+# not called here; perfbench/tracer.py TARGETS name them until ROADMAP item 5's revision
+from .dataset import k_folds, k_folds_user_disjoint  # noqa: F401
 from .embedding_features import (
     hash_fallback_table,
     load_embedding_file,
     pair_embedding_features,
 )
 from .errors import OsnMatchError, ParseError, open_input
-from .evaluation import Featurizer, cross_validate, render_report
+from .evaluation import Featurizer, cross_validate, fold_partitions, render_report, results
 from .mlp import MlpConfig, save_model
 from .profile_features import extract_ps_features_all_measures, featurize_pairs, ps_schema
 from .strsim import Measure, raw_measure
@@ -294,16 +295,11 @@ def _execute_run(opts: dict) -> dict:
         input_dim=len(featurize([]).schema), rng_seed=opts["seed"],
         **{f.name: opts[f.name] for f in fields(MlpConfig) if f.name in opts},
     )
-    results, models = cross_validate(
-        mlp_cfg,
-        featurize,
-        pair_set,
-        opts["k"],
-        opts["seed"],
-        user_disjoint=opts["user_disjoint"],
-    )
+    partitions = fold_partitions(pair_set, opts["k"], opts["seed"], opts["user_disjoint"])
+    cv = cross_validate(mlp_cfg, featurize, pair_set, partitions, opts["seed"])
+    summary = results(cv, pair_set.labels)
 
-    saved = {models_dir / f"fold-{i:02d}.bin": model for i, model in enumerate(models)}
+    saved = {models_dir / f"fold-{i:02d}.bin": model for i, model in enumerate(cv.models)}
     for path, model in saved.items():
         save_model(model, str(path))
     for path in set(models_dir.glob("fold-*.bin")) - saved.keys():  # a larger k's
@@ -317,7 +313,7 @@ def _execute_run(opts: dict) -> dict:
             "n_neg": pair_set.n_neg,
         },
         "mlp": asdict(mlp_cfg),
-        "results": results,
+        "results": summary,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     json_path = out / "report.json"
@@ -328,13 +324,13 @@ def _execute_run(opts: dict) -> dict:
         )
     title = f"model={opts['model']} {family.title(opts)}".rstrip()
     with replacing(txt_path) as tmp:
-        tmp.write_text(render_report(results, title), encoding="utf-8")
+        tmp.write_text(render_report(summary, title), encoding="utf-8")
     return {
         "report_json": str(json_path),
         "report_txt": str(txt_path),
-        "f1": results["f1"],
-        "precision": results["precision"],
-        "recall": results["recall"],
+        "f1": summary["f1"],
+        "precision": summary["precision"],
+        "recall": summary["recall"],
     }
 
 
@@ -416,8 +412,7 @@ def folds(output_path, **opts):
     """Inspect the stratified k-fold partition of the sampled pair set."""
     _resolve_paths(opts)
     _, pair_set = _pair_set(opts)
-    folder = k_folds_user_disjoint if opts["user_disjoint"] else k_folds
-    partitions = folder(pair_set, opts["k"], opts["seed"])
+    partitions = fold_partitions(pair_set, opts["k"], opts["seed"], opts["user_disjoint"])
     if output_path:
         with replacing(output_path) as tmp, open(tmp, "wb") as fh:
             write_folds_json(fh, pair_set.pairs, pair_set.labels, partitions)

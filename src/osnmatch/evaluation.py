@@ -4,9 +4,12 @@ The positive class is "same individual". Micro-averaged metrics (summed
 counts over folds) are primary; the per-fold macro average is reported
 alongside.
 
-``cross_validate`` returns its results as one dict, which ``report.json``
-holds as-is under ``results`` and ``render_report`` renders as
-``report.txt``:
+``fold_partitions`` alone picks stratified or user-disjoint folds.
+``cross_validate`` returns the out-of-fold record, a ``CrossValidation``
+of each row's p(same) from the model of the fold that tests it, the
+partitions, the fold models and ``train``'s epoch history; from it
+``results(cv, labels)`` builds the dict that ``report.json`` holds as-is
+under ``results`` and ``render_report`` renders as ``report.txt``:
 
     {"counts": {"tp": int, "fp": int, "fn": int, "tn": int},  # summed over folds
      "precision": float, "recall": float, "f1": float,        # micro, from counts
@@ -17,13 +20,13 @@ holds as-is under ``results`` and ``render_report`` renders as
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import LabeledPairSet, k_folds, k_folds_user_disjoint, split
 from .errors import DegenerateSplitError, DimensionMismatchError
-from .mlp import FoldJob, MlpConfig, MlpModel, predict_batch, train
+from .mlp import EpochStats, FoldJob, MlpConfig, MlpModel, predict_batch, train
 from .profile_features import FeatureMatrix
 
 # share of each fold's training pairs actually fitted; the rest is held
@@ -31,6 +34,14 @@ from .profile_features import FeatureMatrix
 INNER_TRAIN_FRACTION = 0.9
 
 Featurizer = Callable[[list[tuple[str, str]]], FeatureMatrix]
+Partitions = list[tuple[np.ndarray, np.ndarray]]
+
+
+class CrossValidation(NamedTuple):
+    p_same: np.ndarray  # (n,) p(same) from the fold testing each row; NaN if none does
+    partitions: Partitions  # (train_rows, test_rows) per fold
+    models: list[MlpModel]  # one per fold
+    history: list[EpochStats]  # every epoch of every fold, as ``train`` returns it
 
 
 def confusion(p_same, labels) -> dict[str, int]:
@@ -73,40 +84,46 @@ def _fold_job(pair_set: LabeledPairSet, fold_i: int, train_rows: np.ndarray,
     return FoldJob(fit=fit, stop=stop, seed=fold_seed)
 
 
-def cross_validate(
-    cfg: MlpConfig,
-    featurizer: Featurizer,
-    pair_set: LabeledPairSet,
-    k: int,
-    seed: int,
-    user_disjoint: bool = False,
-) -> tuple[dict, list[MlpModel]]:
-    """Train on k-1 folds and score the held-out fold, k times; returns the
-    results dict laid out in the module docstring and the k fold models.
+def fold_partitions(pair_set: LabeledPairSet, k: int, seed: int,
+                    user_disjoint: bool) -> Partitions:
+    """The k (train_rows, test_rows) folds of ``pair_set``, user-disjoint or stratified."""
+    folder = k_folds_user_disjoint if user_disjoint else k_folds
+    return folder(pair_set, k, seed)
+
+
+def cross_validate(cfg: MlpConfig, featurizer: Featurizer, pair_set: LabeledPairSet,
+                   partitions: Partitions, seed: int) -> CrossValidation:
+    """Train on each fold's training rows and score its test rows; returns
+    the out-of-fold record laid out in the module docstring.
 
     All pairs are featurized once into one matrix; the folds are row
-    indices into it, and the k fold models are trained in one ``train``
+    indices into it, and the fold models are trained in one ``train``
     call. Per-fold seeds are derived as seed XOR fold index; within each
     fold an inner stratified slice of the training pairs serves as the
     early-stopping set.
     """
-    folder = k_folds_user_disjoint if user_disjoint else k_folds
-    folds = folder(pair_set, k, seed)
     features = featurizer(pair_set.pairs)
-    y = pair_set.labels
+    jobs = [_fold_job(pair_set, i, rows, seed) for i, (rows, _) in enumerate(partitions)]
+    models, history = train(cfg, features.x, pair_set.labels, jobs)
+    p_same = np.full(len(pair_set.labels), np.nan)
+    for model, (_, test) in zip(models, partitions):
+        p_same[test] = predict_batch(model, features.x[test])
+    return CrossValidation(p_same, partitions, models, history)
 
-    jobs = [_fold_job(pair_set, i, rows, seed) for i, (rows, _) in enumerate(folds)]
-    models, _ = train(cfg, features.x, y, jobs)
+
+def results(cv: CrossValidation, labels: np.ndarray) -> dict:
+    """The results dict laid out in the module docstring, from each fold's
+    test rows of ``cv.p_same`` and ``labels``."""
     per_fold = [
-        {"fold": i, **metrics(confusion(predict_batch(model, features.x[test]), y[test]))}
-        for i, (model, (_, test)) in enumerate(zip(models, folds))
+        {"fold": i, **metrics(confusion(cv.p_same[test], labels[test]))}
+        for i, (_, test) in enumerate(cv.partitions)
     ]
-    results = metrics({c: sum(f["counts"][c] for f in per_fold)
-                       for c in ("tp", "fp", "fn", "tn")})
-    results["macro"] = {m: float(np.mean([f[m] for f in per_fold]))
-                        for m in ("precision", "recall", "f1")}
-    results["per_fold"] = per_fold
-    return results, models
+    pooled = metrics({c: sum(f["counts"][c] for f in per_fold)
+                      for c in ("tp", "fp", "fn", "tn")})
+    pooled["macro"] = {m: float(np.mean([f[m] for f in per_fold]))
+                       for m in ("precision", "recall", "f1")}
+    pooled["per_fold"] = per_fold
+    return pooled
 
 
 def render_report(results: dict, title: str) -> str:

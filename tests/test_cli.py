@@ -595,6 +595,30 @@ class TestRunModels:
         ]
 
 
+class TestRunAndFoldsAgree:
+    """``run`` tests each fold on the rows ``folds`` lists for it."""
+
+    @pytest.mark.parametrize("user_disjoint", [False, True], ids=["stratified", "user-disjoint"])
+    def test_fold_class_counts(self, corpus_dir, tmp_path, user_disjoint):
+        extra = ["--seed", "7", *(["--user-disjoint"] if user_disjoint else [])]
+        result = _folds(corpus_dir, tmp_path / "folds.json", *extra)
+        assert result.exit_code == 0, result.output
+        result = CliRunner().invoke(
+            main, ["run", "--data-dir", str(corpus_dir), "--model", "temporal", "--k", "3",
+                   "--max-epochs", "1", "--output", str(tmp_path / "out"), *extra]
+        )
+        assert result.exit_code == 0, result.output
+        listed = json.loads((tmp_path / "folds.json").read_text(encoding="utf-8"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        per_fold = report["results"]["per_fold"]
+        assert len(per_fold) == len(listed) == 3
+        for fold, doc in zip(per_fold, listed):
+            n_pos = sum(label for _, _, label in doc["test"])
+            c = fold["counts"]
+            assert c["tp"] + c["fn"] == n_pos
+            assert c["fp"] + c["tn"] == len(doc["test"]) - n_pos
+
+
 class TestInnerSplitFallback:
     def test_folds_too_small_to_split_stop_on_their_training_rows(self, tmp_path,
                                                                    monkeypatch):

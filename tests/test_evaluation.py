@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from osnmatch import evaluation
 from osnmatch.dataset import LabeledPairSet
 from osnmatch.errors import DimensionMismatchError
-from osnmatch.evaluation import confusion, cross_validate, metrics, render_report
-from osnmatch.mlp import MlpConfig
+from osnmatch.evaluation import confusion, cross_validate, fold_partitions, metrics, render_report
+from osnmatch.mlp import MlpConfig, predict_batch
 from osnmatch.profile_features import FeatureMatrix
 
 
@@ -45,13 +46,58 @@ class TestCrossValidate:
             return FeatureMatrix(x, ["a", "b"])
 
         cfg = MlpConfig(input_dim=2, hidden_nodes=8, max_epochs=2)
-        results, models = cross_validate(cfg, featurizer, pair_set, 3, seed=1)
+        cv = cross_validate(cfg, featurizer, pair_set, fold_partitions(pair_set, 3, 1, False),
+                            seed=1)
+        results, models = evaluation.results(cv, pair_set.labels), cv.models
         assert calls == [pair_set.pairs]
         assert all(type(pair) is tuple and len(pair) == 2 for pair in calls[0])
         assert len(models) == 3
         assert sum(results["counts"].values()) == len(pair_set.pairs)
         assert results["counts"]["tp"] + results["counts"]["fn"] == 12
         assert [f["fold"] for f in results["per_fold"]] == [0, 1, 2]
+
+
+def _index_features(pairs):
+    """One row per pair; a positive pair's ids share their index."""
+    x = np.array([[1.0, 0.9] if t[1:] == f[1:] else [0.0, 0.1] for t, f in pairs])
+    return FeatureMatrix(x, ["a", "b"])
+
+
+class TestOutOfFoldRecord:
+    """``cross_validate``'s record, on 12 positives and 12 negatives in 3 folds."""
+
+    @staticmethod
+    def record(user_disjoint):
+        pair_set = _pairs(12, 12)
+        cfg = MlpConfig(input_dim=2, hidden_nodes=8, max_epochs=2)
+        partitions = fold_partitions(pair_set, 3, 1, user_disjoint)
+        return pair_set, cross_validate(cfg, _index_features, pair_set, partitions, seed=1)
+
+    @pytest.mark.parametrize("user_disjoint", [False, True], ids=["stratified", "user-disjoint"])
+    def test_each_test_row_holds_its_fold_models_score(self, user_disjoint):
+        pair_set, cv = self.record(user_disjoint)
+        x = _index_features(pair_set.pairs).x
+        assert len(cv.models) == len(cv.partitions) == 3
+        for model, (_, test) in zip(cv.models, cv.partitions):
+            assert cv.p_same[test].tobytes() == predict_batch(model, x[test]).tobytes()
+
+    def test_only_rows_no_fold_tests_are_nan_and_results_skip_them(self):
+        pair_set, cv = self.record(user_disjoint=True)
+        tested = np.zeros(len(pair_set.labels), dtype=bool)
+        for _, test in cv.partitions:
+            tested[test] = True
+        assert not tested.all()  # negatives whose users fall in two folds
+        assert np.array_equal(np.isnan(cv.p_same), ~tested)
+        want = evaluation.results(cv, pair_set.labels)
+        assert sum(want["counts"].values()) == np.count_nonzero(tested)
+        # no score or label of an untested row changes the results
+        labels = np.where(tested, pair_set.labels, True)
+        p_same = np.where(tested, cv.p_same, 1.0)
+        assert evaluation.results(cv._replace(p_same=p_same), labels) == want
+
+    def test_history_has_epochs_of_every_fold(self):
+        _, cv = self.record(user_disjoint=False)
+        assert sorted({stats.fold for stats in cv.history}) == [0, 1, 2]
 
 
 def _two_fold_results():

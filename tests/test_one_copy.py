@@ -4,8 +4,9 @@ declare none of the options they share with ``run``, ``cli.FAMILIES``
 alone says which model reads posts, ``dataset`` alone declares the
 corpus format, ``HistogramMode`` alone names the temporal modes,
 ``DimensionMismatchError`` is the one shape error, ``ps_schema`` gives
-the ``ps`` column names with no reordering beside them, and the package
-``__init__`` loads none of the modules."""
+the ``ps`` column names with no reordering beside them, the package
+``__init__`` loads none of the modules, and ``evaluation.fold_partitions``
+alone picks the kind of folds."""
 
 import ast
 import os
@@ -119,3 +120,15 @@ def test_importing_dataset_loads_no_other_package_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert ast.literal_eval(out) == ["osnmatch", "osnmatch.dataset", "osnmatch.errors"]
+
+
+@pytest.mark.parametrize("folder", ["k_folds", "k_folds_user_disjoint"])
+def test_one_function_picks_the_kind_of_folds(folder):
+    users = set()
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.Name) and n.id == folder for n in ast.walk(node)
+            ):
+                users.add((module, node.name))
+    assert users == {("evaluation.py", "fold_partitions")}
