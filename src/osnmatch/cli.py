@@ -64,7 +64,9 @@ from .embedding_features import (
 from .errors import OsnMatchError, ParseError, open_input
 from .evaluation import Featurizer, cross_validate, fold_partitions, render_report, results
 from .mlp import MlpConfig, save_model
-from .profile_features import extract_ps_features_all_measures, featurize_pairs, ps_schema
+from .profile_features import (
+    extract_ps_features_all_measures, featurize_pairs, ps_layout, ps_schema,
+)
 from .strsim import Measure, raw_measure
 from .temporal_features import HistogramMode, extract_temporal_features
 
@@ -356,16 +358,13 @@ def score_pair(profile_a, profile_b, measure, include_names):
     b = _read_profile(profile_b, "b")
     m = Measure(measure)
     values = extract_ps_features_all_measures(a, b, include_names, m)
-    for name, value in zip(ps_schema(m, include_names), values):
-        if name == "post_ratio":
-            click.echo(
-                f"{name:<18} raw={a.post_count}/{b.post_count} score={value:.4f}"
-            )
-        else:
-            field = name.removesuffix("_score")
-            raw = raw_measure(m, getattr(a, field), getattr(b, field))
-            raw_str = f"{raw:.4f}" if isinstance(raw, float) else str(raw)
-            click.echo(f"{name:<18} raw={raw_str} score={value:.4f}")
+    columns = zip(ps_schema(m, include_names), ps_layout(m, include_names), values, strict=True)
+    for name, (attr, column_measure), value in columns:
+        s, t = getattr(a, attr), getattr(b, attr)
+        # the post counts' raw value is the two counts
+        raw = f"{s}/{t}" if column_measure is None else raw_measure(column_measure, s, t)
+        raw_str = f"{raw:.4f}" if isinstance(raw, float) else str(raw)
+        click.echo(f"{name:<18} raw={raw_str} score={value:.4f}")
 
 
 def write_folds_json(

@@ -6,7 +6,7 @@ Input files:
   profiles.jsonl  one JSON object per line:
                   {"platform": "twitter"|"flickr", "user_id", "user_name",
                    "real_name", "description", "location", "post_count"}
-                  (missing or null text fields default to "")
+                  (missing, null or whitespace-only text fields are "")
   posts.jsonl     {"platform", "user_id", "timestamp": ISO-8601 with zone}
                   (kept per account as one int64 array of UTC epoch
                    seconds, floored, in file order)
@@ -172,7 +172,7 @@ def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
         value = obj.get(name)
         if value is not None and not isinstance(value, str):
             raise ParseError(path, line_no, f"{name} must be a string or null")
-        texts[name] = value or ""
+        texts[name] = value if value and not value.isspace() else ""
     return UserProfile(platform=platform, user_id=user_id, post_count=post_count, **texts)
 
 

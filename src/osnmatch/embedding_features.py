@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus
+from .dataset import PS_TEXT_FIELDS, Corpus
 from .errors import ParseError, open_input
 from .profile_features import FeatureMatrix, per_side
 
@@ -182,8 +182,8 @@ def _cosine(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.dot(x, y) / (nx * ny), -1.0, 1.0))
 
 
-EMBEDDING_FIELDS = ("user_name", "real_name")
-EMBEDDING_FIELDS_WITH_DESC = (*EMBEDDING_FIELDS, "description")
+EMBEDDING_FIELDS = PS_TEXT_FIELDS[:2]  # the names; perfbench/tracer.py reads it
+EMBEDDING_FIELDS_WITH_DESC = PS_TEXT_FIELDS[:3]  # and the description
 
 
 def pair_embedding_features(

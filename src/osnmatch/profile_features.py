@@ -9,13 +9,15 @@ a batch of pairs into one ``FeatureMatrix``, and builds its per-account
 rows through ``per_side``: the one place that maps a pair's sides to
 their platforms, and that computes each distinct account once.
 
-The ``ps`` matrix is built one (measure, field) column at a time, not one
-pair at a time: ``featurize_pairs`` looks up each account's profile and
-folds its fields once, applies the field rule to a whole field at once,
-and makes one ``normalized_similarity`` call per column on the pairs that
-still need a raw value, so Editex and Smith-Waterman run as one DP over
-all of them. The columns come out in ``ps_schema`` order. A single pair
-goes through the same column code.
+``ps_layout`` alone orders the ``ps`` columns: it gives each column's
+profile attribute and measure, and ``ps_schema``, the column code and
+``score-pair`` read it. The matrix is built one (measure, field) column
+at a time, not one pair at a time: ``featurize_pairs`` looks up each
+account's profile and folds its fields once, applies the field rule to a
+whole field at once, and makes one ``normalized_similarity`` call per
+column on the pairs that still need a raw value, so Editex and
+Smith-Waterman run as one DP over all of them. A single pair goes through
+the same column code.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class FeatureMatrix:
             i, j = np.argwhere(outside)[0]
             raise ValueError(f"feature {self.schema[j]} out of [0, 1]: {self.x[i, j]}")
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # perfbench/tracer.py counts profile pairs with it
         return self.x.shape[0]
 
 
@@ -73,16 +75,6 @@ def per_side(
     return sides[0], sides[1]
 
 
-PS_SCHEMA = [
-    "user_name_score",
-    "real_name_score",
-    "post_ratio",
-    "description_score",
-    "location_score",
-]
-PS_SCHEMA_NO_NAMES = PS_SCHEMA[2:]
-
-
 def post_count_ratio(count_a: int, count_b: int) -> float:
     """min/max of the two lifetime post counts; two inactive accounts
     are indistinguishable on this axis, so 0/0 maps to 1.0."""
@@ -101,27 +93,40 @@ def _account_row(profile: UserProfile, fields: tuple[str, ...]) -> list:
     return [*(fold(getattr(profile, name)) for name in fields), profile.post_count]
 
 
-def _ps_columns(a: np.ndarray, b: np.ndarray, measure: Measure | None) -> np.ndarray:
-    """The ``ps_schema(measure, ...)`` columns of the pairs whose accounts'
-    ``_account_row``s are the rows of ``a`` and ``b``."""
-    measures = tuple(Measure) if measure is None else (measure,)
-    n, k = a.shape[0], a.shape[1] - 1
-    x = np.empty((n, len(measures) * k))
-    for f in range(k):
+def ps_layout(measure: Measure | None, include_names: bool = True) -> list[tuple]:
+    """One (``UserProfile`` attribute, measure) pair per ``ps`` column, in
+    column order; the post count ratio has no measure. Under every
+    measure (``measure`` None) the scored fields come measure-major, then
+    the post count; under one, the post count follows the name fields, as
+    in the paper."""
+    fields = _scored_fields(include_names)
+    if measure is None:
+        return [(name, m) for m in Measure for name in fields] + [("post_count", None)]
+    scored = [(name, measure) for name in fields]
+    return scored[:-2] + [("post_count", None)] + scored[-2:]
+
+
+def _ps_columns(a, b, measure: Measure | None, include_names: bool) -> np.ndarray:
+    """The ``ps_layout(measure, include_names)`` columns of the pairs whose
+    accounts' ``_account_row``s are the rows of ``a`` and ``b``."""
+    layout = ps_layout(measure, include_names)
+    x = np.empty((a.shape[0], len(layout)))
+    for f, field in enumerate(_scored_fields(include_names)):
         fa, fb = a[:, f].tolist(), b[:, f].tolist()
         # on folded text, a field equal on both sides (both empty included)
         # scores 1.0, one side empty 0.0, and only the rest need the measure
         base = [1.0 if s == t else 0.0 for s, t in zip(fa, fb)]
         rows = [i for i, (s, t) in enumerate(zip(fa, fb)) if s != t and s and t]
         sa, sb = [fa[i] for i in rows], [fb[i] for i in rows]
-        for j, m in enumerate(measures):
-            x[:, j * k + f] = base
-            if rows:
-                x[rows, j * k + f] = normalized_similarity(m, sa, sb)
-    ratio = [post_count_ratio(p, q) for p, q in zip(a[:, k].tolist(), b[:, k].tolist())]
-    # post_ratio is last under every measure, and under one it follows the
-    # name fields (those before description and location), as in PS_SCHEMA
-    return np.insert(x, x.shape[1] if measure is None else k - 2, ratio, axis=1)
+        for j, (name, m) in enumerate(layout):
+            if name == field:
+                x[:, j] = base
+                if rows:
+                    x[rows, j] = normalized_similarity(m, sa, sb)
+    (ratio,) = [j for j, (_, m) in enumerate(layout) if m is None]
+    counts = zip(a[:, -1].tolist(), b[:, -1].tolist())
+    x[:, ratio] = [post_count_ratio(p, q) for p, q in counts]
+    return x
 
 
 def extract_ps_features_all_measures(
@@ -137,17 +142,16 @@ def extract_ps_features_all_measures(
         )
     fields = _scored_fields(include_names)
     rows = [np.array([_account_row(p, fields)], dtype=object) for p in (a, b)]
-    return _ps_columns(*rows, measure)[0].tolist()
+    return _ps_columns(*rows, measure, include_names)[0].tolist()
 
 
 def ps_schema(measure: Measure | None, include_names: bool = True) -> list[str]:
-    """Column names of the ``ps`` matrix: every measure's field scores
-    (measure-major), then ``post_ratio``, when ``measure`` is None, else
-    the paper's ``PS_SCHEMA``, or ``PS_SCHEMA_NO_NAMES`` without names."""
-    if measure is not None:
-        return list(PS_SCHEMA if include_names else PS_SCHEMA_NO_NAMES)
-    fields = _scored_fields(include_names)
-    return [f"{name}_score_{m.value}" for m in Measure for name in fields] + ["post_ratio"]
+    """Column names of the ``ps`` matrix, one per ``ps_layout`` entry:
+    ``<field>_score`` under one measure, ``<field>_score_<measure>`` under
+    every measure, and ``post_ratio``."""
+    return ["post_ratio" if m is None
+            else f"{name}_score" if measure is not None else f"{name}_score_{m.value}"
+            for name, m in ps_layout(measure, include_names)]
 
 
 def featurize_pairs(
@@ -164,4 +168,5 @@ def featurize_pairs(
         lambda platform, uid: _account_row(corpus.profile(platform, uid), fields),
         dtype=object,
     )
-    return FeatureMatrix(_ps_columns(*accounts, measure), ps_schema(measure, include_names))
+    x = _ps_columns(*accounts, measure, include_names)
+    return FeatureMatrix(x, ps_schema(measure, include_names))

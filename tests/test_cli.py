@@ -21,6 +21,7 @@ from osnmatch.dataset import (
     negative_sample,
 )
 from osnmatch.mlp import load_model
+from osnmatch.profile_features import featurize_pairs
 from tests.oracles import folds_json_reference
 
 
@@ -835,6 +836,44 @@ class TestScorePair:
                 continue
             value = fn(PROFILE_A[field], PROFILE_B[field])
             assert raw == (f"raw={value:.4f}" if isinstance(value, float) else f"raw={value}")
+
+
+# real_name and location are empty on one side, description on both
+SPARSE_A = {**PROFILE_A, "real_name": "", "description": ""}
+SPARSE_B = {**PROFILE_B, "description": "", "location": ""}
+
+
+class TestScorePairIsTheMatrixRow:
+    """Each ``score-pair`` line is its ``featurize_pairs`` column: the same
+    name and score, and as raw value the strsim measure of the two fields,
+    or the two post counts."""
+
+    @pytest.mark.parametrize("names", ["--names", "--no-names"])
+    @pytest.mark.parametrize("measure", list(strsim.Measure), ids=lambda m: m.value)
+    @pytest.mark.parametrize("pair", [(PROFILE_A, PROFILE_B), (SPARSE_A, SPARSE_B)],
+                             ids=["full", "empty-fields"])
+    def test_lines_are_the_featurize_pairs_row(self, pair, measure, names):
+        result = _score(*pair, "--measure", measure.value, names)
+        assert result.exit_code == 0, result.output
+        a, b = (dataset.parse_profile(json.dumps(obj), "profile", 1) for obj in pair)
+        corpus = dataset.Corpus({(p.platform, p.user_id): p for p in (a, b)}, {}, [])
+        fm = featurize_pairs(corpus, [(a.user_id, b.user_id)], measure, names == "--names")
+        lines = [line.split() for line in result.output.splitlines()]
+        assert [name for name, _, _ in lines] == fm.schema
+        for (name, raw, score), value in zip(lines, fm.x[0].tolist(), strict=True):
+            assert score == f"score={value:.4f}", name
+            if name == "post_ratio":
+                assert raw == f"raw={a.post_count}/{b.post_count}"
+                continue
+            field = name.removesuffix("_score")
+            expected = strsim.raw_measure(measure, getattr(a, field), getattr(b, field))
+            shown = f"{expected:.4f}" if isinstance(expected, float) else str(expected)
+            assert raw == f"raw={shown}", name
+        if pair[0] is SPARSE_A:
+            scores = {name: score for name, _, score in lines}
+            assert scores["description_score"] == "score=1.0000"
+            assert scores["location_score"] == "score=0.0000"
+            assert scores.get("real_name_score", "score=0.0000") == "score=0.0000"
 
 
 def _exits_cleanly(result):

@@ -1,5 +1,6 @@
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnmatch import dataset, synth
+from osnmatch.embedding_features import hash_fallback_table, pair_embedding_features
 from osnmatch.dataset import (
     LabeledPairSet,
     _load_pairs,
@@ -28,7 +30,8 @@ from osnmatch.errors import (
     ParseError,
     TooFewExamplesError,
 )
-from osnmatch.profile_features import Platform
+from osnmatch.profile_features import Platform, featurize_pairs
+from osnmatch.strsim import Measure
 from osnmatch.temporal_features import HistogramMode, build_histogram
 
 from .oracles import (
@@ -114,6 +117,29 @@ class TestLoadCorpus:
         assert len(corpus.posts_for(Platform.TWITTER, "t0")) == 1
         silent = corpus.posts_for(Platform.FLICKR, "f9")
         assert silent.tolist() == [] and silent.dtype == np.int64
+
+    @pytest.mark.parametrize("blank", [" ", "   ", "\t\r\n", "\u3000"],
+                             ids=["space", "spaces", "controls", "ideographic"])
+    def test_whitespace_only_text_is_absent_in_every_family(self, tmp_path, blank):
+        paths = write_corpus(tmp_path, n_twitter=1, n_flickr=1, pairs=[("t0", "f0")])
+        Path(paths[0]).write_text(
+            profile_line("twitter", "t0", user_name=blank, description=blank,
+                         real_name=" Al ") + "\n"
+            + profile_line("flickr", "f0", user_name="", real_name=" Al ") + "\n"
+        )
+        corpus = load_corpus(*paths)
+        twitter = corpus.profile(Platform.TWITTER, "t0")
+        assert (twitter.user_name, twitter.description, twitter.real_name) == ("", "", " Al ")
+        pairs = [("t0", "f0")]
+        ps = featurize_pairs(corpus, pairs, Measure.EDITEX)
+        ps_row = dict(zip(ps.schema, ps.x[0].tolist()))
+        assert ps_row["user_name_score"] == ps_row["description_score"] == 1.0
+        emb = pair_embedding_features(corpus, pairs, hash_fallback_table(),
+                                      include_description=True)
+        for field in ("user_name", "description"):
+            values = [v for name, v in zip(emb.schema, emb.x[0].tolist())
+                      if name.startswith(f"{field}_")]
+            assert values == [1.0] * len(values)  # two zero vectors, cosine 1
 
     def test_dangling_pair_dropped_with_count(self, tmp_path):
         paths = write_corpus(

@@ -4,9 +4,10 @@ declare none of the options they share with ``run``, ``cli.FAMILIES``
 alone says which model reads posts, ``dataset`` alone declares the
 corpus format, ``HistogramMode`` alone names the temporal modes,
 ``DimensionMismatchError`` is the one shape error, ``ps_schema`` gives
-the ``ps`` column names with no reordering beside them, the package
-``__init__`` loads none of the modules, and ``evaluation.fold_partitions``
-alone picks the kind of folds."""
+the ``ps`` column names with no reordering beside them, ``ps_layout``
+alone orders the ``ps`` columns, ``dataset`` alone names the text fields
+the embedding reads, the package ``__init__`` loads none of the modules,
+and ``evaluation.fold_partitions`` alone picks the kind of folds."""
 
 import ast
 import os
@@ -18,6 +19,7 @@ import pytest
 
 import osnmatch
 from osnmatch import cli, errors
+from osnmatch.dataset import PS_TEXT_FIELDS
 from osnmatch.profile_features import ps_schema
 from osnmatch.strsim import Measure
 from osnmatch.temporal_features import HistogramMode
@@ -132,3 +134,32 @@ def test_one_function_picks_the_kind_of_folds(folder):
             ):
                 users.add((module, node.name))
     assert users == {("evaluation.py", "fold_partitions")}
+
+
+def _strings(module, in_f_strings=True):
+    """The module's string constants; the pieces of f-strings only if
+    ``in_f_strings``."""
+    tree = _tree(module)
+    pieces = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+              for v in node.values}
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (in_f_strings or id(node) not in pieces)}
+
+
+def test_score_pair_reads_the_ps_layout_not_the_column_names():
+    strings = _strings("cli.py")
+    assert "post_ratio" not in strings
+    assert not [text for text in strings if text.endswith("_score")]
+    assert "removesuffix" not in _names("cli.py")
+
+
+def test_ps_column_names_are_spelled_only_by_the_naming_rule():
+    # ps_schema's f-string is the rule; a whole literal would be a second list
+    assert "insert" not in _names("profile_features.py")  # nor is a column moved
+    assert not [text for text in _strings("profile_features.py", in_f_strings=False)
+                if text.endswith("_score")]
+
+
+def test_embedding_takes_its_text_fields_from_dataset():
+    assert not _strings("embedding_features.py") & set(PS_TEXT_FIELDS)

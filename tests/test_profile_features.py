@@ -11,8 +11,6 @@ from osnmatch import strsim
 from osnmatch.dataset import Corpus, parse_profile
 from osnmatch.errors import SamePlatformError
 from osnmatch.profile_features import (
-    PS_SCHEMA,
-    PS_SCHEMA_NO_NAMES,
     PS_TEXT_FIELDS,
     FeatureMatrix,
     Platform,
@@ -21,6 +19,7 @@ from osnmatch.profile_features import (
     featurize_pairs,
     per_side,
     post_count_ratio,
+    ps_layout,
     ps_schema,
 )
 from osnmatch.strsim import Measure
@@ -124,14 +123,14 @@ class TestPerSide:
 
 class TestExtractPsFeatures:
     """The single-measure layout: one pair's features and its
-    ``featurize_pairs`` row, both in ``PS_SCHEMA`` order."""
+    ``featurize_pairs`` row, both in ``ps_schema(measure)`` order."""
 
     def test_identical_twins_all_ones(self):
         a = make_profile(Platform.TWITTER)
         b = make_profile(Platform.FLICKR, user_id="u2")
         assert ps_row(a, b, Measure.EDITEX, include_names=True) == [1.0] * 5
         assert extract_ps_features_all_measures(a, b, True, Measure.EDITEX) == [1.0] * 5
-        assert PS_SCHEMA == [
+        assert ps_schema(Measure.EDITEX) == [
             "user_name_score",
             "real_name_score",
             "post_ratio",
@@ -168,7 +167,7 @@ class TestExtractPsFeatures:
         a = make_profile(Platform.TWITTER, description="")
         b = make_profile(Platform.FLICKR, user_id="u2")
         values = ps_row(a, b, Measure.EDITEX)
-        assert PS_SCHEMA[3] == "description_score"
+        assert ps_schema(Measure.EDITEX)[3] == "description_score"
         assert values[3] == 0.0
 
     @given(
@@ -199,7 +198,7 @@ class TestExtractPsFeatures:
         full = ps_row(a, b, Measure.JARO_WINKLER, include_names=True)
         ablated = ps_row(a, b, Measure.JARO_WINKLER, include_names=False)
         assert ablated == full[2:]
-        assert PS_SCHEMA_NO_NAMES == PS_SCHEMA[2:]
+        assert ps_schema(Measure.JARO_WINKLER, False) == ps_schema(Measure.JARO_WINKLER)[2:]
         for measure in [Measure.JARO_WINKLER, None]:
             full = extract_ps_features_all_measures(a, b, True, measure)
             ablated = extract_ps_features_all_measures(a, b, False, measure)
@@ -214,13 +213,43 @@ class TestExtractPsFeatures:
         corpus = corpus_of(a1, b1, a2)
         m1 = featurize_pairs(corpus, [("u1", "u2", True)], Measure.LCS)
         m2 = featurize_pairs(corpus, [("u3", "u2", False)], Measure.LCS)
-        assert m1.schema == m2.schema == PS_SCHEMA
+        assert m1.schema == m2.schema == ps_schema(Measure.LCS)
         m3 = featurize_pairs(corpus, [("u3", "u2", False)], Measure.LCS, include_names=False)
-        assert m3.schema == PS_SCHEMA_NO_NAMES
+        assert m3.schema == ps_schema(Measure.LCS, False)
         for names in (True, False):
             all1 = featurize_pairs(corpus, [("u1", "u2", True)], None, names)
             all2 = featurize_pairs(corpus, [("u3", "u2", False)], None, names)
             assert all1.schema == all2.schema == ps_schema(None, names)
+
+
+class TestPsLayout:
+    """``ps_layout`` orders the columns; ``ps_schema`` names them."""
+
+    def test_one_measure_puts_the_post_count_after_the_names(self):
+        m = Measure.EDITEX
+        assert ps_layout(m) == [("user_name", m), ("real_name", m), ("post_count", None),
+                                ("description", m), ("location", m)]
+        assert ps_layout(m, False) == [("post_count", None), ("description", m),
+                                       ("location", m)]
+
+    @pytest.mark.parametrize("names", [True, False], ids=["names", "no-names"])
+    def test_every_measure_is_measure_major_then_the_post_count(self, names):
+        fields = PS_TEXT_FIELDS if names else PS_TEXT_FIELDS[2:]
+        assert ps_layout(None, names) == [
+            *((field, m) for m in Measure for field in fields), ("post_count", None)
+        ]
+
+    @pytest.mark.parametrize("names", [True, False], ids=["names", "no-names"])
+    @pytest.mark.parametrize("measure", [*Measure, None], ids=lambda m: getattr(m, "value", "all"))
+    def test_schema_names_each_layout_entry(self, measure, names):
+        layout = ps_layout(measure, names)
+        assert len(ps_schema(measure, names)) == len(layout)
+        for name, (attr, m) in zip(ps_schema(measure, names), layout):
+            assert attr in UserProfile.__dataclass_fields__
+            if m is None:
+                assert (name, attr) == ("post_ratio", "post_count")
+            else:
+                assert name == f"{attr}_score" + ("" if measure else f"_{m.value}")
 
 
 class TestAllMeasuresVector:
@@ -251,7 +280,7 @@ class TestAllMeasuresVector:
         ]
         assert schema[-1] == "post_ratio"
         for measure in Measure:
-            single = dict(zip(PS_SCHEMA, ps_row(a, b, measure)))
+            single = dict(zip(ps_schema(measure), ps_row(a, b, measure)))
             for field in ("user_name", "real_name", "description", "location"):
                 at = schema.index(f"{field}_score_{measure.value}")
                 assert values[at] == single[f"{field}_score"]
@@ -396,7 +425,7 @@ class TestHelpers:
                          description="x")
         b = make_profile(Platform.FLICKR, user_id="f", user_name="", real_name="x",
                          description="")
-        row = dict(zip(PS_SCHEMA, ps_row(a, b, Measure.NCD_BZIP2)))
+        row = dict(zip(ps_schema(Measure.NCD_BZIP2), ps_row(a, b, Measure.NCD_BZIP2)))
         assert row["user_name_score"] == 1.0
         assert row["real_name_score"] == 0.0
         assert row["description_score"] == 0.0
