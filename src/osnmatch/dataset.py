@@ -61,7 +61,9 @@ class Platform(str, Enum):
 
 @dataclass(frozen=True)
 class UserProfile:
-    """One account's textual and count attributes on one platform."""
+    """One account's textual and count attributes on one platform. A null
+    or whitespace-only text field is stored as "", so every family reads it
+    as absent."""
 
     platform: Platform
     user_id: str
@@ -76,6 +78,10 @@ class UserProfile:
             raise ValueError("user_id must be nonempty")
         if self.post_count < 0:
             raise ValueError(f"post_count must be >= 0, got {self.post_count}")
+        for name in PS_TEXT_FIELDS:
+            value = getattr(self, name)
+            if not value or value.isspace():
+                object.__setattr__(self, name, "")  # the class is frozen
 
 
 _PLATFORMS = {p.value: p for p in Platform}
@@ -169,10 +175,9 @@ def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
         raise ParseError(path, line_no, "post_count must be a nonnegative integer")
     texts = {}
     for name in PS_TEXT_FIELDS:
-        value = obj.get(name)
+        texts[name] = value = obj.get(name)
         if value is not None and not isinstance(value, str):
             raise ParseError(path, line_no, f"{name} must be a string or null")
-        texts[name] = value if value and not value.isspace() else ""
     return UserProfile(platform=platform, user_id=user_id, post_count=post_count, **texts)
 
 

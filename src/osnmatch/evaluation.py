@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import LabeledPairSet, k_folds, k_folds_user_disjoint, split
 from .errors import DegenerateSplitError, DimensionMismatchError
-from .mlp import EpochStats, FoldJob, MlpConfig, MlpModel, predict_batch, train
+from .mlp import DTYPE, EpochStats, FoldJob, MlpConfig, MlpModel, predict_batch, train
 from .profile_features import FeatureMatrix
 
 # share of each fold's training pairs actually fitted; the rest is held
@@ -105,7 +105,7 @@ def cross_validate(cfg: MlpConfig, featurizer: Featurizer, pair_set: LabeledPair
     features = featurizer(pair_set.pairs)
     jobs = [_fold_job(pair_set, i, rows, seed) for i, (rows, _) in enumerate(partitions)]
     models, history = train(cfg, features.x, pair_set.labels, jobs)
-    p_same = np.full(len(pair_set.labels), np.nan)
+    p_same = np.full(len(pair_set.labels), np.nan, dtype=DTYPE)
     for model, (_, test) in zip(models, partitions):
         p_same[test] = predict_batch(model, features.x[test])
     return CrossValidation(p_same, partitions, models, history)

@@ -5,9 +5,10 @@ categorical cross-entropy and early stopping on validation loss.
 ``predict_batch`` returns p(same) per row. All randomness flows from
 explicit seeds, so training runs are bit-reproducible.
 
-A model keeps its parameters in one float64 vector, ``params``, ordered
-W0, b0, W1, b1, ... as on disk; ``weights[i]`` and ``biases[i]`` are
-views into it.
+Training and inference run in one dtype, float32 (``DTYPE``): a model
+keeps its parameters in one float32 vector, ``params``, ordered W0, b0,
+W1, b1, ... as on disk, where they are stored widened to float64;
+``weights[i]`` and ``biases[i]`` are views into it.
 
 ``train`` fits one network per ``FoldJob`` (the k folds of a
 cross-validation), ``stack_width`` of them at a time in lockstep. It
@@ -50,12 +51,21 @@ _PROB_FLOOR = 1e-12
 # class index 1 means "same individual"
 POSITIVE_CLASS = 1
 
+# the dtype of every parameter, gradient, Adam moment and work array
+DTYPE = np.float32
+
+# Adam's first moment is zeroed below this magnitude, the smallest normal
+# float32: a dead unit's moment decays by beta1 each step into subnormal
+# values, which then never reach zero, and every operation on a subnormal
+# value runs 30-40 times slower
+_MOMENT_FLOOR = np.finfo(DTYPE).tiny
+
 # elements per pass of the Adam update: the five arrays of one pass
-# (128 KiB each) stay in a core's L2 cache
-_ADAM_CHUNK = 16384
+# (256 KiB each) stay in a core's L2 cache
+_ADAM_CHUNK = 65536
 
 # networks stacked together hold at most this many parameters per buffer
-# (1 MiB of float64). Stacking saves per-call overhead, which dominates a
+# (512 KiB of float32). Stacking saves per-call overhead, which dominates a
 # small net's step; a large net's step is already array-bound, and
 # stacking it only multiplies its parameter-sized buffers.
 _STACK_PARAMS = 1 << 17
@@ -137,9 +147,9 @@ class MlpModel:
 
     def __post_init__(self):
         n = self.config.n_params
-        if self.params.dtype != np.float64 or self.params.shape != (n,):
+        if self.params.dtype != DTYPE or self.params.shape != (n,):
             raise DimensionMismatchError(
-                f"expected {n} float64 parameters, got "
+                f"expected {n} {np.dtype(DTYPE)} parameters, got "
                 f"{self.params.dtype} {self.params.shape}"
             )
         self.weights, self.biases = _layer_views(self.config, self.params)
@@ -159,9 +169,9 @@ class Stack:
         n = cfg.n_params
         self.config = cfg
         self.params, self.grads, self.adam_m, self.adam_v = (
-            np.zeros((g, n)) for _ in range(4)
+            np.zeros((g, n), dtype=DTYPE) for _ in range(4)
         )
-        self.scratch = np.empty(min(g * n, _ADAM_CHUNK))
+        self.scratch = np.empty(min(g * n, _ADAM_CHUNK), dtype=DTYPE)
         self.adam_t = np.zeros(g, dtype=np.int64)
         self._index_layers()
 
@@ -209,7 +219,8 @@ class FoldJob:
 
 
 def _init_weights(cfg: MlpConfig, rng: np.random.Generator, weights) -> None:
-    """Weights uniform in ±sqrt(6/fan_in), the He-style bound for ReLU."""
+    """Weights uniform in ±sqrt(6/fan_in), the He-style bound for ReLU,
+    drawn in float64 and rounded into ``weights``."""
     for w, (fan_in, fan_out) in zip(weights, cfg.layer_dims):
         bound = np.sqrt(6.0 / fan_in)
         w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -226,14 +237,16 @@ class _Buffers:
     pass run in them: each hidden layer's ``act``ivation (after dropout)
     and dropout ``mask``, and ``x``, ``logits``, ``probs`` and ``masks`` (the
     masks applied, [] without dropout); ``da`` and ``dz`` serve ``backward``.
-    A training loop keeps one per batch shape, so a step allocates no large
-    array: freeing and reallocating them each step costs page faults."""
+    The arrays take the dtype of the parameters of ``net``, the model or
+    stack they serve. A training loop keeps one per batch shape, so a step
+    allocates no large array: freeing and reallocating them each step costs
+    page faults."""
 
-    def __init__(self, cfg: MlpConfig, lead: tuple[int, ...]):
-        shape = (*lead, cfg.hidden_nodes)
-        n = cfg.n_hidden_layers
-        self.act, self.mask = ([np.empty(shape) for _ in range(n)] for _ in range(2))
-        self.da, self.dz = np.empty(shape), np.empty(shape)
+    def __init__(self, net: MlpModel | Stack, lead: tuple[int, ...]):
+        shape, dtype = (*lead, net.config.hidden_nodes), net.params.dtype
+        n = net.config.n_hidden_layers
+        self.act, self.mask = ([np.empty(shape, dtype) for _ in range(n)] for _ in range(2))
+        self.da, self.dz = np.empty(shape, dtype), np.empty(shape, dtype)
 
 
 def _forward_batch(
@@ -245,10 +258,11 @@ def _forward_batch(
     """Run a batch; returns (softmax probabilities, the record).
 
     A model takes (n, input_dim) rows, a stack one (g, n, input_dim)
-    batch per network. Given ``rngs``, one per network, each hidden
-    activation is masked by inverted dropout (scaled by 1/keep so the
-    expectation matches inference), network r drawing its masks from
-    ``rngs[r]``. The record is ``buffers`` (fresh ones by default).
+    batch per network; the rows are cast to the parameters' dtype. Given
+    ``rngs``, one per network, each hidden activation is masked by
+    inverted dropout (scaled by 1/keep so the expectation matches
+    inference), network r drawing its masks from ``rngs[r]``. The record
+    is ``buffers`` (fresh ones by default).
     """
     cfg = net.config
     lead = net.weights[0].shape[:-2]
@@ -256,9 +270,11 @@ def _forward_batch(
         raise DimensionMismatchError(
             f"expected {(*lead, '*', cfg.input_dim)} inputs, got {x.shape}"
         )
+    x = np.asarray(x, dtype=net.params.dtype)
     if buffers is None:
-        buffers = _Buffers(cfg, x.shape[:-1])
+        buffers = _Buffers(net, x.shape[:-1])
     rate = cfg.dropout_rate if rngs is not None else 0.0
+    scale = x.dtype.type(1.0 / (1.0 - rate))  # a kept unit's mask value
     a = x
     for layer, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
         a = np.matmul(a, w, out=buffers.act[layer])
@@ -267,8 +283,8 @@ def _forward_batch(
         if rate > 0.0:
             mask = buffers.mask[layer]
             for rng, out in zip(rngs, mask.reshape(-1, *mask.shape[-2:]), strict=True):
-                rng.random(out=out)
-            np.divide(mask >= rate, 1.0 - rate, out=mask)
+                rng.random(out=out, dtype=out.dtype)
+            np.multiply(mask >= rate, scale, out=mask)
             a *= mask
     buffers.x = x
     buffers.logits = np.matmul(a, net.weights[-1])
@@ -318,9 +334,9 @@ def adam_step(stack: Stack) -> None:
     Each run of adjacent networks with the same step count t is updated
     as one flat vector, one cache-sized chunk at a time. Each elementwise
     operation and its order are those of the per-array form
-    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p -= lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``, so the results
-    are the same to the bit.
+    ``m = b1*m + (1-b1)*g; m = m * (|m| >= _MOMENT_FLOOR);
+    v = b2*v + (1-b2)*g*g; p -= lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``,
+    so the results are the same to the bit.
     """
     cfg = stack.config
     stack.adam_t += 1
@@ -338,6 +354,8 @@ def adam_step(stack: Stack) -> None:
             np.multiply(m, b1, out=m)
             np.multiply(g, 1.0 - b1, out=s)
             np.add(m, s, out=m)
+            np.abs(m, out=s)
+            np.multiply(m, s >= _MOMENT_FLOOR, out=m)
             np.multiply(g, 1.0 - b2, out=s)
             np.multiply(s, g, out=s)
             np.multiply(v, b2, out=v)
@@ -379,6 +397,7 @@ def train(
         raise DimensionMismatchError(
             f"{x.shape} features for {len(y)} labels, expected {cfg.input_dim} columns"
         )
+    x = np.asarray(x, dtype=DTYPE)
     for job in jobs:
         if not len(job.fit) or not len(job.stop):
             raise EmptyDatasetError("train and validation sets must be nonempty")
@@ -433,7 +452,7 @@ def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
 
     def work(shape: tuple[int, int]) -> _Buffers:
         if shape not in buffers:
-            buffers[shape] = _Buffers(cfg, shape)
+            buffers[shape] = _Buffers(stack, shape)
         return buffers[shape]
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -482,13 +501,15 @@ def _train_stack(cfg, x, y, jobs, ids, models, history) -> None:
 
 def predict_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     """p(same) of every row, from an inference-mode (dropout-free) pass."""
-    probs, _ = _forward_batch(model, np.asarray(xs, dtype=np.float64))
+    probs, _ = _forward_batch(model, np.asarray(xs))
     return probs[:, POSITIVE_CLASS]
 
 
 # On-disk model format "osnmatch-mlp/1": one UTF-8 JSON header line holding
 # the config and parameter shapes, then the parameters as raw little-endian
 # float64, row-major, ordered W0, b0, W1, b1, ... (the layout of ``params``).
+# The float32 parameters are widened exactly on save and rounded back on
+# load, so a file written by a float64 model loads with rounded values.
 FORMAT_TAG = "osnmatch-mlp/1"
 
 
@@ -558,4 +579,4 @@ def load_model(path: str) -> MlpModel:
             raise ModelFormatError(path, "truncated parameter data")
         if fh.read(1):
             raise ModelFormatError(path, "trailing bytes after the parameters")
-    return MlpModel(config=cfg, params=np.frombuffer(buf, dtype="<f8"))
+    return MlpModel(config=cfg, params=np.frombuffer(buf, dtype="<f8").astype(DTYPE))

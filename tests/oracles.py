@@ -310,11 +310,11 @@ def all_strings(alphabet: str, max_len: int):
 
 
 def init_model(cfg: MlpConfig, rng: np.random.Generator | None = None) -> MlpModel:
-    """Weights drawn by ``osnmatch.mlp._init_weights`` from ``rng`` (by
-    default seeded with ``cfg.rng_seed``), biases zero."""
+    """Float32 weights drawn by ``osnmatch.mlp._init_weights`` from ``rng``
+    (by default seeded with ``cfg.rng_seed``), biases zero."""
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    model = MlpModel(config=cfg, params=np.zeros(cfg.n_params))
+    model = MlpModel(config=cfg, params=np.zeros(cfg.n_params, dtype=np.float32))
     _init_weights(cfg, rng, model.weights)
     return model
 
@@ -324,7 +324,9 @@ def adam_step_reference(model, grads: dict) -> None:
     allocating its result. ``model`` holds ``config``, per-layer lists
     ``weights``, ``biases``, ``adam_m_w``, ``adam_v_w``, ``adam_m_b``,
     ``adam_v_b`` and the step count ``adam_t``; the list entries are
-    rebound, never written in place."""
+    rebound, never written in place. Each operation runs in the dtype of
+    the arrays given, float32 for the trainer's; ``m`` is zeroed where its
+    magnitude is below the dtype's smallest normal value."""
     cfg = model.config
     model.adam_t += 1
     t = model.adam_t
@@ -335,6 +337,7 @@ def adam_step_reference(model, grads: dict) -> None:
     ):
         for i, g in enumerate(grad_list):
             m_list[i] = b1 * m_list[i] + (1.0 - b1) * g
+            m_list[i] = m_list[i] * (np.abs(m_list[i]) >= np.finfo(g.dtype).tiny)
             v_list[i] = b2 * v_list[i] + (1.0 - b2) * g * g
             m_hat = m_list[i] / (1.0 - b1**t)
             v_hat = v_list[i] / (1.0 - b2**t)
@@ -342,8 +345,9 @@ def adam_step_reference(model, grads: dict) -> None:
 
 
 def _forward_reference(weights, biases, x, rate, rng):
-    """One (n, input_dim) batch through the net with per-layer 2-D arrays;
-    returns (probabilities, activations, pre-activations, masks)."""
+    """One (n, input_dim) batch through the net with per-layer 2-D arrays,
+    in the dtype of ``x``; returns (probabilities, activations,
+    pre-activations, masks)."""
     activations, pre_acts, masks = [x], [], []
     a = x
     for w, b in zip(weights[:-1], biases[:-1]):
@@ -351,7 +355,8 @@ def _forward_reference(weights, biases, x, rate, rng):
         pre_acts.append(z)
         a = np.maximum(z, 0.0)
         if rate > 0.0:
-            mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+            keep = rng.random(a.shape, dtype=a.dtype) >= rate
+            mask = (keep / (1.0 - rate)).astype(a.dtype)
             a = a * mask
             masks.append(mask)
         activations.append(a)
@@ -368,18 +373,20 @@ def _cce_reference(probs, labels) -> float:
 
 
 def train_reference(cfg, x_train, y_train, x_val, y_val):
-    """Train one network alone: seeded init, shuffling and dropout, Adam
-    through ``adam_step_reference`` and early stopping on validation loss.
+    """Train one network alone, in float32: seeded init (drawn in float64,
+    then rounded), shuffling and dropout, Adam through
+    ``adam_step_reference`` and early stopping on validation loss.
     Returns (the best epoch's parameters as one vector in W0, b0, W1, b1,
     ... order, [(epoch, train_loss, val_loss), ...])."""
     from types import SimpleNamespace
 
+    x_train, x_val = x_train.astype(np.float32), x_val.astype(np.float32)
     rng = np.random.default_rng(cfg.rng_seed)
     weights, biases = [], []
     for fan_in, fan_out in cfg.layer_dims:
         bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32))
+        biases.append(np.zeros(fan_out, dtype=np.float32))
     model = SimpleNamespace(
         config=cfg, weights=weights, biases=biases,
         adam_m_w=[np.zeros_like(w) for w in weights],

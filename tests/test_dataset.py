@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from osnmatch import dataset, synth
 from osnmatch.embedding_features import hash_fallback_table, pair_embedding_features
 from osnmatch.dataset import (
+    Corpus,
     LabeledPairSet,
+    UserProfile,
     _load_pairs,
     _load_posts,
     k_folds,
@@ -312,6 +314,24 @@ class TestPairsTable:
         corpus = load_corpus(str(fuzz_dir / "profiles.jsonl"), None, str(path))
         assert corpus.positive_pairs == kept
         assert corpus.dropped_pairs == dropped
+
+
+@pytest.mark.parametrize("blank", [" ", "   ", "\t\r\n", "\u3000", None],
+                         ids=["space", "spaces", "controls", "ideographic", "none"])
+def test_a_profile_built_directly_stores_a_blank_field_as_empty(blank):
+    # a library caller builds UserProfile without parse_profile; both
+    # families must score the blank user_name as they score an empty one
+    def row_pair(user_name):
+        twitter = UserProfile(Platform.TWITTER, "t", user_name=user_name, real_name="Al")
+        flickr = UserProfile(Platform.FLICKR, "f", real_name="Al")
+        corpus = Corpus({(p.platform, p.user_id): p for p in (twitter, flickr)}, {}, [])
+        ps = featurize_pairs(corpus, [("t", "f")], Measure.EDITEX)
+        emb = pair_embedding_features(corpus, [("t", "f")], hash_fallback_table())
+        return twitter, ps.x[0].tolist(), emb.x[0].tolist()
+
+    profile, ps_row, emb_row = row_pair(blank)
+    assert profile.user_name == ""
+    assert (ps_row, emb_row) == row_pair("")[1:]
 
 
 def test_blank_profile_lines_are_skipped(tmp_path):

@@ -3,11 +3,10 @@
 Each case runs ``osnmatch run`` (negative sampling, ``cross_validate`` with
 k = 3 and 3 epochs, ``save_model``) on one small synthetic corpus and
 compares the per-fold counts of ``report.json`` and the SHA-256 of every
-``models/fold-*.bin`` with values recorded before the feature pipeline
-became one matrix (the user-disjoint and early-stopping cases: before the
-folds were trained in lockstep; the no-names ``ps`` cases: before both
-``ps`` layouts came from one featurizer). Any change to a feature value, its column
-order, the folds, the training or the file format shows up here.
+``models/fold-*.bin`` with values recorded when training became float32;
+they were the same at 1, 2 and 4 BLAS threads and on one CPU. Any change
+to a feature value, its column order, the folds, the training or the file
+format shows up here.
 """
 
 import hashlib
@@ -33,20 +32,20 @@ def corpus_dir(tmp_path_factory):
 GOLDEN = {
     "ps-editex": (
         ("--model", "ps", "--measure", "editex"),
-        [(0, 0, 7, 54), (1, 0, 6, 53), (0, 0, 6, 53)],
+        [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
         [
-            "2f4a4a710005c178c09c1b5ea4e411d7b74da10c6ea5ed53d7d3afee994c143f",
-            "cf379448952d6ce7e06e904a04da6457ba888eda74df372e5bb6e98eb27e9234",
-            "533a4aa0d1efeb05745c303a37cee9b7ca658abfda3ec9c6d6504b732d911b29",
+            "a3952a388c97015272ca8550a9c0f6c9cde61a76a92f9f28fa2509212cd66f20",
+            "c90cc3e3d6030c8207d8c32584faf7b8398a090cc58e209e4f840031ef25a9eb",
+            "55f8cb5c2294c2f2376ba8867b5c0925cbf9653aa9f9427cdf80726c4a4ddced",
         ],
     ),
     "ps-all-measures": (
         ("--model", "ps", "--all-measures"),
         [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
         [
-            "e3732f1dd735076f928a7276c507908224a905c66733cab78f4bb3c20281656e",
-            "45c1676b1908d873e98f44a349d10830422454f7e448564e9f224c5a8a4730a4",
-            "4f0ad23c148084c1c6be6e5a8468b4ba7e3a005848cc766347f68883905a0cce",
+            "ebafb1332a06a31c623c52a10b9e58d853855b9c66c25a9a79a7006a1c943f1e",
+            "671afd7d4297fdea233c0f30b7de41318da9e702350deffda6c3c9aae1232186",
+            "b22a281c2fb5a43e1016a0510de9c8ab78d85b38d9e13314c14fa0d8af8892f0",
         ],
     ),
     # post_ratio first: the [2, 0, 1] order of the single-measure no-names row
@@ -54,55 +53,55 @@ GOLDEN = {
         ("--model", "ps", "--measure", "ncd-bzip2", "--no-names"),
         [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
         [
-            "a236f20a2d8070c4c344f3c99362ec6fe8af95a1c25e914cf480eeb56852d490",
-            "34f8e0bdff46ff31aeba9911b4cd45698370896d1cd6f87c802bfa9463442fd8",
-            "2ea69c3174413c75ec5f6d1018557cb2f541d3c880e2a78ddc439b6f3bc8b772",
+            "6c5e6f81b72c12510d68d10dfb04af0934e7e7f3f393d6efe1a20bf261a011cd",
+            "0a29e8094000896de66b138ce936598ce5e3b0ea00079d4774c9760398301a7f",
+            "56dd0f2316b5cff67832e9300b621baf0e0c29688f4643c28919acf3c1aa806f",
         ],
     ),
     "ps-all-no-names": (
         ("--model", "ps", "--all-measures", "--no-names"),
         [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
         [
-            "ef546a56c02158f19028a690b6d591b936ff98983334d711fe122609a4ab0ac5",
-            "32e90f942251619cf014405a2801e47f3bcd9e5ec79374a3d387d62fa5fc74d5",
-            "2f541edb2a2cf2829fed347784b6149e0a03b1889d16aedd9eebab33c77f503e",
+            "de348de0ac48dbd408858065d99aaf7c6a599a404a7f336012301c922ce181ed",
+            "96ae44467dd33fdf990211e3ed7357959ac7d518ced3dec4350d66d33a8c1d6c",
+            "2152a34fac185457cc0fc64ff0d0c1d6335164aebc4d6a3f911e7dee26e7b653",
         ],
     ),
     "temporal-hod": (
         ("--model", "temporal", "--temporal-mode", "hod"),
         [(1, 3, 6, 51), (0, 0, 7, 53), (0, 3, 6, 50)],
         [
-            "8d95266637ed6662cd73b9d67773e2b539a3111a861c4d0746068ec495f9b7e0",
-            "66c9fdd0ffb47931856e538c29e08c4b2fca31199a3d01978da2c2b7d1db6186",
-            "04f8bdbcf0258d522b25b362643ddb98a6cc6fb507be5fa6da623e62388b0a91",
+            "e9b57ccf59653f508852bf7152160315174845ce4113aac0b9ea77991710d4ec",
+            "665400d01f9fc0f93e6f52c858e734822d89bb884b97da4dbd37a55f4f88482b",
+            "43a6734ed46f82619a279f2fef33fc59c5d484534a619f93406c4d5427de2779",
         ],
     ),
     "embedding-hash": (
         ("--model", "embedding"),
         [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
         [
-            "8ca14e3461259c68a9bf6c346861e2f46e80215ec8a37577f2203875099c45bc",
-            "ce85e8694aa19ecfc98c3366a4c23eab93af521eb45637b382c983900634d9e6",
-            "795dbaf1a7ae3b2e83d28c29b8c5e7f042c1bb5dff964ec81ae358d13add31fe",
+            "f935ed8a402198f1a7386c7b41cb0f731af6dad80e84e510397f87b9c5592ef2",
+            "f6f34046f3000f01c9115355eb027946c7c7d04f07378804f1ad52a3df882c3e",
+            "d13b32a4e25c28097a4f02198e6e992273b9c55ab76371947e888e5d7e8f7932",
         ],
     ),
     "temporal-user-disjoint": (
         ("--model", "temporal", "--user-disjoint"),
-        [(2, 2, 5, 14), (0, 0, 7, 15), (1, 1, 5, 10)],
+        [(2, 3, 5, 13), (0, 0, 7, 15), (1, 1, 5, 10)],
         [
-            "7d6b18c5456cb38df06e97bdc4ecc946b4aac137eb5a442a87393999769a6dad",
-            "1a984dcfb24db119ff4164d49ae1aeafe5901b25f4afb47cd82b5bf4e074c6d8",
-            "8aa7369787eb477e25c70b83b40f92c26837bc531301d99db3721f14da004300",
+            "b6c5e13f89ce77ad2f20f7f1e738f82cd01ed322fea8399b0e54106c3d7c88e9",
+            "c08afc15837621e92561dd94674c5b1079119cec7ac8893fc2981e4b75d90c4e",
+            "322199bd8e771bbf1397c3cbd800faa4cb0c0c5fc4c2d333e07d4e45adb172cf",
         ],
     ),
-    # the three folds stop early after 10, 4 and 7 epochs
+    # the three folds stop early after 9, 4 and 7 epochs
     "temporal-patience-1": (
         ("--model", "temporal", "--patience", "1", "--max-epochs", "40"),
         [(0, 0, 7, 54), (0, 0, 7, 53), (0, 0, 6, 53)],
         [
-            "c2cb48e55514455785d718551f22373893d51b7d608bc3d346553b8940e39ddb",
-            "76b316eb56514463d997f43bf81c0bd0edf8518158bcad9de454bb5019256e35",
-            "721cc258f7560be268e260712408d455e6b7fe261803535434f525fc3a2b8d6d",
+            "0984b411f6b41906af1e6265588c3573ee7b08f69d2c866c025291b72995b1e0",
+            "6f83ed0c54bc4f461fdca6473051f216b1724381c7ed22704e9cdfcf15036176",
+            "43185f13040121c7b1350beac1fe913b9dcfc6e15d76fa0ce0b47d3ba521feba",
         ],
     ),
 }
@@ -136,15 +135,15 @@ def test_counts_and_model_digests(corpus_dir, tmp_path, case):
 
 # per case: the SHA-256 of ``json.dumps(results, sort_keys=True)`` for the
 # ``results`` object of report.json, and of the report.txt lines below the
-# title rule; recorded before the results became one dict
+# title rule; recorded when training became float32
 REPORT_GOLDEN = {
     "ps-all-measures": (
         "d7b5b9f9ae1233bafe69c04d8524b54c8a1b481771f147dc8b8e8609f8b91096",
         "46b9f18a7e6d45cde4358c73e331e57081fabb33d91d82c66928b4c67554ba68",
     ),
     "temporal-user-disjoint": (
-        "31dd06f3854a0abea33080eeb335fccc22a5b65591a06e8f9601f457b7deee34",
-        "05c4210a5391b0e19d0b56efad8ecf6a5fa262c69cd0b2599371730340d2c0c9",
+        "ed1c934e27470f4a47d1b59ee15a4e8846aa319351c1ae71a76e53fc7a3c6663",
+        "2b9430104c191b5d4462c28d53c85b8609b4ab40c507ad51f0cc0826238a2226",
     ),
 }
 

@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,9 +224,19 @@ def _fd_gradient(stack, x, labels, arr, flat_idx, mask_seed, h=1e-5):
     return float(_batch_cce(probs_p, labels)[0] - _batch_cce(probs_m, labels)[0]) / (2 * h)
 
 
+def float64_stack(model):
+    """A one-network stack holding ``model``'s parameters widened to
+    float64, whose passes then run in float64: a float32 loss cannot
+    resolve a central difference at h = 1e-5."""
+    stack = stack_of(model)
+    stack.params, stack.grads = stack.params.astype(np.float64), stack.grads.astype(np.float64)
+    stack._index_layers()
+    return stack
+
+
 def _check_gradients(cfg, n_probes, seed, with_dropout):
     rng = np.random.default_rng(seed)
-    stack = stack_of(init_model(cfg))
+    stack = float64_stack(init_model(cfg))
     x = rng.random(cfg.input_dim)[None, None, :]
     labels = np.array([[True]])
     mask_seed = seed if with_dropout else None
@@ -305,6 +315,19 @@ class TestAdamStep:
         assert not stack.params.any()
         assert stack.adam_t.tolist() == [1]
 
+    def test_a_dead_units_moment_reaches_zero(self):
+        # with zero gradients m decays by beta1 each step; below the smallest
+        # normal float32 it is zeroed, so it never lingers as a subnormal value
+        stack = self._zero_stack()
+        stack.adam_m[:] = 1e-3
+        tiny = np.finfo(np.float32).tiny
+        for _ in range(1000):
+            stack.grads[:] = 0.0
+            adam_step(stack)
+            m = np.abs(stack.adam_m)
+            assert not np.any((m > 0) & (m < tiny))
+        assert not stack.adam_m.any()
+
     def test_determinism(self):
         cfg = MlpConfig(input_dim=3, hidden_nodes=4, rng_seed=2)
         s1, s2 = stack_of(init_model(cfg)), stack_of(init_model(cfg))
@@ -356,7 +379,7 @@ class TestDropout:
         stack = stack_of(init_model(cfg))
         x = np.random.default_rng(1).random((1, 4, 5))
         labels = [[True, False, True, False]]
-        record = _Buffers(cfg, x.shape[:-1])
+        record = _Buffers(stack, x.shape[:-1])
         _forward_batch(stack, x, rngs=[np.random.default_rng(0)], buffers=record)
         assert record.masks
         _forward_batch(stack, x, buffers=record)
@@ -571,6 +594,7 @@ class TestSaveLoad:
         save_model(model, str(path))
         loaded = load_model(str(path))
         assert loaded.config == model.config
+        assert loaded.params.dtype == np.float32
         for w1, w2 in zip(model.weights, loaded.weights):
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(model.biases, loaded.biases):
@@ -578,6 +602,27 @@ class TestSaveLoad:
         path2 = tmp_path / "model2.bin"
         save_model(loaded, str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_float64_file_loads_rounded_and_predicts(self, tmp_path):
+        # a file as a float64 model wrote it, by hand: the header that
+        # save_model writes, then values float32 cannot hold exactly
+        cfg = MlpConfig(input_dim=3, hidden_nodes=4, rng_seed=2)
+        values = np.random.default_rng(8).uniform(-1, 1, cfg.n_params)
+        values[:3] = [0.1, 1 / 3, 1 + 2.0**-40]
+        assert not np.array_equal(values.astype(np.float32).astype(np.float64), values)
+        header = {"format": "osnmatch-mlp/1", "config": asdict(cfg),
+                  "shapes": cfg.param_shapes}
+        path = tmp_path / "float64.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + values.astype("<f8").tobytes())
+        loaded = load_model(str(path))
+        assert loaded.params.dtype == np.float32
+        assert loaded.params.tolist() == values.astype(np.float32).tolist()
+        x = np.random.default_rng(9).random((5, 3))
+        p = predict_batch(loaded, x)
+        assert p.dtype == np.float32 and np.all((p > 0) & (p < 1))
+        rounded = init_model(cfg)
+        rounded.params[:] = values
+        assert np.array_equal(p, predict_batch(rounded, x))
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -592,7 +637,7 @@ def _interleave(weights, biases):
 
 
 class TestFlatAdam:
-    @pytest.mark.parametrize("hidden_nodes", [16, 100])  # 1 chunk; several, one partial
+    @pytest.mark.parametrize("hidden_nodes", [16, 200])  # 1 chunk; several, one partial
     def test_matches_per_layer_reference_bitwise(self, hidden_nodes):
         # three networks step together, alone and in pairs, so that one
         # update meets rows with different step counts
@@ -600,6 +645,7 @@ class TestFlatAdam:
                         learning_rate=0.01)
         models = [init_model(cfg, np.random.default_rng(seed)) for seed in (3, 4, 5)]
         stack = stack_of(*models)
+        assert (stack.params.size > mlp._ADAM_CHUNK) == (hidden_nodes > 16)
         refs = [
             SimpleNamespace(
                 config=cfg,
@@ -617,8 +663,10 @@ class TestFlatAdam:
         for lo, hi in [(0, 3)] * 10 + [(0, 1)] * 3 + [(2, 3)] * 2 + [(0, 3)] * 5 + [(1, 3)]:
             for r in range(lo, hi):
                 grads = {
-                    "weights": [rng.normal(0, 0.1, w.shape) for w in models[r].weights],
-                    "biases": [rng.normal(0, 0.1, b.shape) for b in models[r].biases],
+                    "weights": [rng.normal(0, 0.1, w.shape).astype(np.float32)
+                                for w in models[r].weights],
+                    "biases": [rng.normal(0, 0.1, b.shape).astype(np.float32)
+                               for b in models[r].biases],
                 }
                 for view, g in zip(stack.grad_weights + stack.grad_biases,
                                    grads["weights"] + grads["biases"]):
@@ -632,8 +680,8 @@ class TestFlatAdam:
             assert np.array_equal(stack.adam_v[r], _interleave(ref.adam_v_w, ref.adam_v_b))
 
     def test_trained_model_is_bitwise_golden(self, tmp_path):
-        # digest of the model trained by the per-layer optimizer before the
-        # flat one replaced it
+        # digest of the float32 model, which the per-layer optimizer of
+        # train_reference also trains to the bit
         data = toy_separable(30)
         cfg = MlpConfig(input_dim=2, hidden_nodes=16, rng_seed=5, max_epochs=12,
                         early_stop_patience=200)
@@ -641,7 +689,7 @@ class TestFlatAdam:
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "67322dbb21e885660420aa0d5e19f1fee8566588f70f2dd38fc4ecea4bbd88ae"
+            "ff6c71c6910ec127bb74111856eb9f858946932ca8a962fe5875381fbfb71227"
         )
 
     def test_returned_models_hold_no_adam_state(self, tmp_path):
