@@ -48,21 +48,22 @@ from .atomic import replacing
 from .dataset import (
     CORPUS_FILES,
     Corpus,
+    Featurizer,
     LabeledPairSet,
     UserProfile,
     load_corpus,
     negative_sample,
     parse_profile,
 )
-# not called here; perfbench/tracer.py TARGETS name them until ROADMAP item 5's revision
-from .dataset import k_folds, k_folds_user_disjoint  # noqa: F401
 from .embedding_features import (
     hash_fallback_table,
     load_embedding_file,
     pair_embedding_features,
 )
 from .errors import OsnMatchError, ParseError, open_input
-from .evaluation import Featurizer, cross_validate, fold_partitions, render_report, results
+from .evaluation import cross_validate, fold_partitions, render_report, results
+# not called here; perfbench/tracer.py TARGETS name them until ROADMAP item 5's revision
+from .evaluation import k_folds, k_folds_user_disjoint  # noqa: F401
 from .mlp import MlpConfig, save_model
 from .profile_features import (
     extract_ps_features_all_measures, featurize_pairs, ps_layout, ps_schema,

@@ -1,6 +1,8 @@
 """The corpus format (``CORPUS_FILES``, ``PAIRS_HEADER`` and the account
-record ``UserProfile``), corpus ingestion, negative under-sampling and
-train/test partitioning.
+record ``UserProfile``), corpus ingestion, negative under-sampling, and
+what every later stage shares: ``LabeledPairSet``, the ``FeatureMatrix``
+of every feature family, and ``per_side``, the one place that maps a
+pair's sides to their platforms.
 
 Input files:
   profiles.jsonl  one JSON object per line:
@@ -34,16 +36,15 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from json.decoder import JSONDecoder
 from json.scanner import make_scanner
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
-    DegenerateSplitError,
     DimensionMismatchError,
     EmptyCorpusError,
     InsufficientPoolError,
     ParseError,
-    TooFewExamplesError,
     open_input,
 )
 
@@ -63,7 +64,8 @@ class Platform(str, Enum):
 class UserProfile:
     """One account's textual and count attributes on one platform. A null
     or whitespace-only text field is stored as "", so every family reads it
-    as absent."""
+    as absent. A post count that is not a nonnegative int, or a text field
+    that is neither a str nor None, raises ValueError."""
 
     platform: Platform
     user_id: str
@@ -76,10 +78,12 @@ class UserProfile:
     def __post_init__(self):
         if not self.user_id:
             raise ValueError("user_id must be nonempty")
-        if self.post_count < 0:
-            raise ValueError(f"post_count must be >= 0, got {self.post_count}")
+        if type(self.post_count) is not int or self.post_count < 0:  # bool is no count
+            raise ValueError("post_count must be a nonnegative integer")
         for name in PS_TEXT_FIELDS:
             value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null")
             if not value or value.isspace():
                 object.__setattr__(self, name, "")  # the class is frozen
 
@@ -127,6 +131,52 @@ class LabeledPairSet:
         return len(self.labels) - self.n_pos
 
 
+@dataclass
+class FeatureMatrix:
+    """Features of a batch of candidate pairs: row i of ``x`` belongs to
+    pair i, column j is named by ``schema[j]``, and every value lies in
+    [0, 1]."""
+
+    x: np.ndarray
+    schema: list[str]
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=np.float64)
+        if self.x.ndim != 2 or self.x.shape[1] != len(self.schema):
+            raise ValueError(
+                f"{self.x.shape} matrix for {len(self.schema)} schema entries"
+            )
+        outside = ~((self.x >= 0.0) & (self.x <= 1.0))  # NaN compares False
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValueError(f"feature {self.schema[j]} out of [0, 1]: {self.x[i, j]}")
+
+    def __len__(self) -> int:  # perfbench/tracer.py counts profile pairs with it
+        return self.x.shape[0]
+
+
+Featurizer = Callable[[list[tuple[str, str]]], FeatureMatrix]
+
+
+def per_side(
+    pairs: Sequence[tuple[str, str]], width: int, compute: Callable, dtype=np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """(twitter_rows, flickr_rows) of (twitter_id, flickr_id) pairs:
+    row i of each is ``compute(platform, uid)`` of that side's account of
+    pair i. ``compute`` runs once per distinct account on each side, and
+    its result is repeated for every pair the account is in."""
+    sides = []
+    for side, platform in enumerate((Platform.TWITTER, Platform.FLICKR)):
+        first: dict = {}
+        for pair in pairs:
+            first.setdefault(pair[side], len(first))
+        table = np.empty((len(first), width), dtype=dtype)
+        for row, uid in enumerate(first):
+            table[row] = compute(platform, uid)
+        sides.append(table[[first[pair[side]] for pair in pairs]])
+    return sides[0], sides[1]
+
+
 # the C scanner behind json.loads, without its per-call Python wrapper
 _scan = make_scanner(JSONDecoder())
 
@@ -170,15 +220,11 @@ def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
     """One profile from its JSON text; any malformed part raises
     ``ParseError(path, line_no)``."""
     obj, platform, user_id = _decode_record(text, path, line_no)
-    post_count = obj.get("post_count", 0)
-    if type(post_count) is not int or post_count < 0:  # bool is no count
-        raise ParseError(path, line_no, "post_count must be a nonnegative integer")
-    texts = {}
-    for name in PS_TEXT_FIELDS:
-        texts[name] = value = obj.get(name)
-        if value is not None and not isinstance(value, str):
-            raise ParseError(path, line_no, f"{name} must be a string or null")
-    return UserProfile(platform=platform, user_id=user_id, post_count=post_count, **texts)
+    texts = {name: obj.get(name) for name in PS_TEXT_FIELDS}
+    try:
+        return UserProfile(platform, user_id, post_count=obj.get("post_count", 0), **texts)
+    except ValueError as exc:
+        raise ParseError(path, line_no, str(exc)) from None
 
 
 def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
@@ -306,130 +352,3 @@ def negative_sample(corpus: Corpus, neg_ratio: int, seed: int) -> LabeledPairSet
                     break
     pairs = positives + list(negatives)
     return LabeledPairSet(pairs, np.arange(len(pairs)) < len(positives))
-
-
-def _shuffled_classes(s: LabeledPairSet, rows: np.ndarray, seed: int) -> list[np.ndarray]:
-    """The positive ``rows`` (indices into ``s.pairs``), then the negative
-    ones, each shuffled in turn by one generator seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
-    labels = s.labels[rows]
-    return [cls[rng.permutation(len(cls))] for cls in (rows[labels], rows[~labels])]
-
-
-def split(
-    s: LabeledPairSet, rows: np.ndarray, train_fraction: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified split of ``rows`` (indices into ``s.pairs``) into
-    (train_rows, test_rows): each class, in the order of ``rows``, is
-    shuffled with the seed and cut at ``train_fraction`` (floor), so the two
-    sides are an exact disjoint partition of ``rows``."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    train_rows, test_rows = [], []
-    for cls in _shuffled_classes(s, rows, seed):
-        n_train = int(len(cls) * train_fraction)
-        if len(cls) and n_train in (0, len(cls)):
-            raise DegenerateSplitError(
-                f"fraction {train_fraction} leaves a side without a class "
-                f"(class size {len(cls)})"
-            )
-        train_rows.append(cls[:n_train])
-        test_rows.append(cls[n_train:])
-    return np.concatenate(train_rows), np.concatenate(test_rows)
-
-
-def k_folds(s: LabeledPairSet, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stratified k-fold partition as (train_rows, test_rows) per fold, row
-    indices into ``s.pairs``: every row lands in exactly one test fold and
-    per-class fold sizes differ by at most one."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    members: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in _shuffled_classes(s, np.arange(len(s.labels)), seed):
-        if 0 < len(cls) < k:
-            raise TooFewExamplesError(
-                f"a class has {len(cls)} examples, fewer than k={k}"
-            )
-        for i in range(k):
-            members[i].append(cls[i::k])
-    tests = [np.concatenate(m) for m in members]
-    return [(np.concatenate(tests[:i] + tests[i + 1 :]), test) for i, test in enumerate(tests)]
-
-
-def _positive_components(pairs: list[tuple[str, str]], rows: list[int]):
-    """Group the positive ``rows`` whose pairs share a user (either
-    endpoint) so a person can never straddle a user-disjoint partition."""
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in rows:
-        t, f = pairs[r]
-        a, b = ("t", t), ("f", f)
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    components: dict[tuple[str, str], list[int]] = {}
-    for r in rows:
-        components.setdefault(find(("t", pairs[r][0])), []).append(r)
-    return list(components.values())
-
-
-def k_folds_user_disjoint(
-    s: LabeledPairSet, k: int, seed: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stricter k-fold, as (train_rows, test_rows) per fold, where fold-i
-    test users never appear in fold-i training pairs. The groups of
-    positives that share a user go, in a seeded order, each to the fold with
-    the fewest positives so far (the lowest index on a tie); each endpoint
-    of a negative that no positive placed gets a seeded random fold.
-    Negatives with endpoints in two different folds are only used for
-    training (in folds holding neither endpoint)."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    rng = np.random.default_rng(seed)
-    pairs = s.pairs
-    neg = np.flatnonzero(~s.labels)
-    components = _positive_components(pairs, np.flatnonzero(s.labels).tolist())
-    if len(components) < k:
-        raise TooFewExamplesError(
-            f"{len(components)} user groups with positives, fewer than k={k}"
-        )
-    order = rng.permutation(len(components))
-    fold_pos: list[list[int]] = [[] for _ in range(k)]
-    sizes = [0] * k
-    for i in order.tolist():
-        smallest = sizes.index(min(sizes))
-        fold_pos[smallest].extend(components[i])
-        sizes[smallest] += len(components[i])
-    twitter_fold: dict[str, int] = {}
-    flickr_fold: dict[str, int] = {}
-    for fold_i, members in enumerate(fold_pos):
-        for r in members:
-            t, f = pairs[r]
-            twitter_fold[t] = fold_i
-            flickr_fold[f] = fold_i
-    # a fold is drawn for both endpoints of every negative, used or not: row
-    # i of one batch draw holds the scalar draws of negative i (twitter, then
-    # flickr). The two dicts are independent, so each side takes its column
-    # in turn; an endpoint already placed keeps its fold.
-    draw_t, draw_f = rng.integers(k, size=(len(neg), 2)).T.tolist()
-    neg_pairs = list(map(pairs.__getitem__, neg.tolist()))
-    fold_t = np.array(list(map(twitter_fold.setdefault, [t for t, _ in neg_pairs], draw_t)),
-                      dtype=np.intp)
-    fold_f = np.array(list(map(flickr_fold.setdefault, [f for _, f in neg_pairs], draw_f)),
-                      dtype=np.intp)
-    pos = [np.array(members, dtype=np.intp) for members in fold_pos]
-    folds = []
-    for i in range(k):
-        in_t, in_f = fold_t == i, fold_f == i
-        test = np.concatenate([pos[i], neg[in_t & in_f]])
-        train = np.concatenate([*pos[:i], *pos[i + 1 :], neg[~in_t & ~in_f]])
-        folds.append((train, test))
-    return folds

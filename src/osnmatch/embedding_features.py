@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PS_TEXT_FIELDS, Corpus
+from .dataset import PS_TEXT_FIELDS, Corpus, FeatureMatrix, per_side
 from .errors import ParseError, open_input
-from .profile_features import FeatureMatrix, per_side
+from .strsim import fold
 
 DEFAULT_DIM_WORD = 32
 DEFAULT_DIM_CHAR = 32
@@ -160,7 +160,7 @@ def embed_field(text: str, table: EmbeddingTable) -> np.ndarray:
     """Mean word vector of the field's tokens stacked with the mean vector
     of all their character 3-grams. Empty fields embed to the zero vector;
     pooling makes the result invariant to token order and duplication."""
-    tokens = text.lower().split()
+    tokens = fold(text).split()
     word_part = np.zeros(table.dim_word)
     char_part = np.zeros(table.dim_char)
     if tokens:

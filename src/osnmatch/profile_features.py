@@ -1,13 +1,12 @@
-"""The feature matrix, the per-account rows of every family, and the ps features.
+"""The ps family: profile-similarity features of candidate pairs.
 
 A candidate pair is one account on each platform. Its profile features
 are the score of each textual profile field under one chosen measure, or
 under every measure, plus the ratio of lifetime post counts. A field
 present on only one side scores 0.0, absent on both sides 1.0, and
-present on both its ``normalized_similarity``. Every feature family turns
-a batch of pairs into one ``FeatureMatrix``, and builds its per-account
-rows through ``per_side``: the one place that maps a pair's sides to
-their platforms, and that computes each distinct account once.
+present on both its ``normalized_similarity``. Like every family, it
+builds its per-account rows through ``dataset.per_side`` and returns a
+``dataset.FeatureMatrix``.
 
 ``ps_layout`` alone orders the ``ps`` columns: it gives each column's
 profile attribute and measure, and ``ps_schema``, the column code and
@@ -22,57 +21,13 @@ the same column code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import PS_TEXT_FIELDS, Corpus, Platform, UserProfile
+from .dataset import PS_TEXT_FIELDS, Corpus, FeatureMatrix, UserProfile, per_side
 from .errors import SamePlatformError
 from .strsim import Measure, fold, normalized_similarity
-
-
-@dataclass
-class FeatureMatrix:
-    """Features of a batch of candidate pairs: row i of ``x`` belongs to
-    pair i, column j is named by ``schema[j]``, and every value lies in
-    [0, 1]."""
-
-    x: np.ndarray
-    schema: list[str]
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.x.ndim != 2 or self.x.shape[1] != len(self.schema):
-            raise ValueError(
-                f"{self.x.shape} matrix for {len(self.schema)} schema entries"
-            )
-        outside = ~((self.x >= 0.0) & (self.x <= 1.0))  # NaN compares False
-        if outside.any():
-            i, j = np.argwhere(outside)[0]
-            raise ValueError(f"feature {self.schema[j]} out of [0, 1]: {self.x[i, j]}")
-
-    def __len__(self) -> int:  # perfbench/tracer.py counts profile pairs with it
-        return self.x.shape[0]
-
-
-def per_side(
-    pairs: Sequence[tuple[str, str]], width: int, compute: Callable, dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray]:
-    """(twitter_rows, flickr_rows) of (twitter_id, flickr_id) pairs:
-    row i of each is ``compute(platform, uid)`` of that side's account of
-    pair i. ``compute`` runs once per distinct account on each side, and
-    its result is repeated for every pair the account is in."""
-    sides = []
-    for side, platform in enumerate((Platform.TWITTER, Platform.FLICKR)):
-        first: dict = {}
-        for pair in pairs:
-            first.setdefault(pair[side], len(first))
-        table = np.empty((len(first), width), dtype=dtype)
-        for row, uid in enumerate(first):
-            table[row] = compute(platform, uid)
-        sides.append(table[[first[pair[side]] for pair in pairs]])
-    return sides[0], sides[1]
 
 
 def post_count_ratio(count_a: int, count_b: int) -> float:

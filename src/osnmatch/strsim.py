@@ -347,8 +347,8 @@ def _per_string(f: Callable[[str], object], s: list[str], t: list[str]) -> dict:
     return {x: f(x) for x in dict.fromkeys([*s, *t])}
 
 
-def _bigrams(s: str) -> set[str]:
-    return {s[i : i + 2] for i in range(len(s) - 1)}
+def _bigram_counts(s: str) -> Counter[str]:
+    return Counter(s[i : i + 2] for i in range(len(s) - 1))
 
 
 @_columns
@@ -356,10 +356,10 @@ def jaccard_2gram(s: list[str], t: list[str]) -> list[float]:
     """Jaccard coefficient |A∩B| / |A∪B| over the sets of character
     2-grams. Strings too short to form a 2-gram count as identical only
     when equal."""
-    grams = _per_string(_bigrams, s, t)
+    grams = _per_string(_bigram_counts, s, t)
     out = []
     for x, y in zip(s, t):
-        ga, gb = grams[x], grams[y]
+        ga, gb = grams[x].keys(), grams[y].keys()
         if not ga or not gb:
             out.append(1.0 if (not ga and not gb and x == y) else 0.0)
         else:
@@ -438,10 +438,6 @@ def smith_waterman(s: list[str], t: list[str]) -> np.ndarray:
         row[:k] = np.maximum.accumulate(h[:k] + j, axis=1) - j
         np.maximum(best[:k], row[:k].max(axis=1), out=best[:k])
     return best
-
-
-def _bigram_counts(s: str) -> Counter[str]:
-    return Counter(s[i : i + 2] for i in range(len(s) - 1))
 
 
 @_columns

@@ -20,7 +20,7 @@ import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .dataset import CORPUS_FILES, PAIRS_HEADER
+from .dataset import CORPUS_FILES, PAIRS_HEADER, Platform
 
 GENERATOR_VERSION = 1
 
@@ -166,6 +166,7 @@ def generate_corpus(n_users: int, noise: float, seed: int, out_dir: str) -> dict
     pair_rows: list[tuple[str, str]] = []
     used_usernames: set[str] = set()
     name_combos = _sample_name_combos(n_users, rng)
+    twitter, flickr = Platform  # in declaration order
 
     for person in range(n_users):
         first, last = name_combos[person]
@@ -180,12 +181,12 @@ def generate_corpus(n_users: int, noise: float, seed: int, out_dir: str) -> dict
         t_id, f_id = f"tw{person:05d}", f"fl{person:05d}"
         pair_rows.append((t_id, f_id))
 
-        for platform, user_id in (("twitter", t_id), ("flickr", f_id)):
+        for platform, user_id in ((twitter, t_id), (flickr, f_id)):
             platform_bio = bio
-            if platform == "flickr" and rng.random() < bio_rewrite_p:
+            if platform is flickr and rng.random() < bio_rewrite_p:
                 platform_bio = rng.choice(BIO_PHRASES)
             platform_city = city
-            if platform == "flickr" and rng.random() < city_move_p:
+            if platform is flickr and rng.random() < city_move_p:
                 platform_city = rng.choice(CITIES)
             jitter = rng.uniform(-POST_COUNT_JITTER_COEF * noise,
                                  POST_COUNT_JITTER_COEF * noise)
@@ -193,7 +194,7 @@ def generate_corpus(n_users: int, noise: float, seed: int, out_dir: str) -> dict
             profile_lines.append(
                 json.dumps(
                     {
-                        "platform": platform,
+                        "platform": platform.value,
                         "user_id": user_id,
                         "user_name": _perturb(username, noise, rng),
                         "real_name": _perturb(real_name, noise, rng),
@@ -225,7 +226,7 @@ def generate_corpus(n_users: int, noise: float, seed: int, out_dir: str) -> dict
                 post_lines.append(
                     json.dumps(
                         {
-                            "platform": platform,
+                            "platform": platform.value,
                             "user_id": user_id,
                             "timestamp": ts.isoformat(),
                         },

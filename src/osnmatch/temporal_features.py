@@ -13,9 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus
+from .dataset import Corpus, FeatureMatrix, per_side
 from .errors import DimensionMismatchError
-from .profile_features import FeatureMatrix, per_side
 
 
 class HistogramMode(str, Enum):

@@ -19,9 +19,9 @@ replaced, on 2-D arrays and that per-layer update;
 ``sparse_negatives_reference`` is the scalar candidate loop that the batch
 draw in ``osnmatch.dataset.negative_sample`` replaced;
 ``split_reference`` and ``k_folds_reference`` are the pair-list split and
-folds that the row-index ones in ``osnmatch.dataset`` replaced, in the same
+folds that the row-index ones in ``osnmatch.evaluation`` replaced, in the same
 order; ``k_folds_user_disjoint_reference`` is the per-fold scan of every
-negative that ``osnmatch.dataset.k_folds_user_disjoint`` replaced, with a
+negative that ``osnmatch.evaluation.k_folds_user_disjoint`` replaced, with a
 breadth-first grouping of the positives that share a user in place of the
 library's union-find;
 ``folds_json_reference`` is the ``json.dumps`` fold export that

@@ -13,13 +13,8 @@ from hypothesis import strategies as st
 
 from osnmatch import cli, dataset, evaluation, strsim, synth
 from osnmatch.cli import main, write_folds_json
-from osnmatch.dataset import (
-    LabeledPairSet,
-    k_folds,
-    k_folds_user_disjoint,
-    load_corpus,
-    negative_sample,
-)
+from osnmatch.dataset import LabeledPairSet, load_corpus, negative_sample
+from osnmatch.evaluation import k_folds, k_folds_user_disjoint
 from osnmatch.mlp import load_model
 from osnmatch.profile_features import featurize_pairs
 from tests.oracles import folds_json_reference
@@ -634,7 +629,7 @@ class TestInnerSplitFallback:
         train = evaluation.train
 
         def recording_k_folds(*args):
-            result = dataset.k_folds(*args)
+            result = k_folds(*args)
             folds.extend(result)
             return result
 

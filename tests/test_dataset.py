@@ -13,15 +13,13 @@ from osnmatch.embedding_features import hash_fallback_table, pair_embedding_feat
 from osnmatch.dataset import (
     Corpus,
     LabeledPairSet,
+    Platform,
     UserProfile,
     _load_pairs,
     _load_posts,
-    k_folds,
-    k_folds_user_disjoint,
     load_corpus,
     negative_sample,
     parse_profile,
-    split,
 )
 from osnmatch.errors import (
     DegenerateSplitError,
@@ -32,7 +30,8 @@ from osnmatch.errors import (
     ParseError,
     TooFewExamplesError,
 )
-from osnmatch.profile_features import Platform, featurize_pairs
+from osnmatch.evaluation import k_folds, k_folds_user_disjoint, split
+from osnmatch.profile_features import featurize_pairs
 from osnmatch.strsim import Measure
 from osnmatch.temporal_features import HistogramMode, build_histogram
 
@@ -332,6 +331,20 @@ def test_a_profile_built_directly_stores_a_blank_field_as_empty(blank):
     profile, ps_row, emb_row = row_pair(blank)
     assert profile.user_name == ""
     assert (ps_row, emb_row) == row_pair("")[1:]
+
+
+@pytest.mark.parametrize("post_count", [True, 2.9, float("nan"), "7"],
+                         ids=["bool", "float", "nan", "text"])
+def test_a_profile_built_directly_rejects_a_post_count_parse_profile_rejects(post_count):
+    # the rule parse_profile reports as a ParseError is UserProfile's own
+    with pytest.raises(ValueError, match="^post_count must be a nonnegative integer$"):
+        UserProfile(Platform.TWITTER, "t", post_count=post_count)
+
+
+@pytest.mark.parametrize("value", [5, ["al"]], ids=["int", "list"])
+def test_a_profile_built_directly_rejects_a_text_field_that_is_no_string(value):
+    with pytest.raises(ValueError, match="^user_name must be a string or null$"):
+        UserProfile(Platform.TWITTER, "t", user_name=value)
 
 
 def test_blank_profile_lines_are_skipped(tmp_path):

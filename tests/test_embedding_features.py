@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osnmatch.embedding_features as embedding_features
-from osnmatch.dataset import Corpus
+from osnmatch.dataset import Corpus, Platform, UserProfile
 from osnmatch.embedding_features import (
     DEFAULT_DIM_CHAR,
     _cosine,
@@ -14,7 +14,6 @@ from osnmatch.embedding_features import (
     pair_embedding_features,
 )
 from osnmatch.errors import ParseError
-from osnmatch.profile_features import Platform, UserProfile
 
 
 def profile(platform, user_id, user_name="alice", real_name="Alice A",

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from osnmatch import evaluation
-from osnmatch.dataset import LabeledPairSet
+from osnmatch.dataset import FeatureMatrix, LabeledPairSet
 from osnmatch.errors import DimensionMismatchError
 from osnmatch.evaluation import confusion, cross_validate, fold_partitions, metrics, render_report
 from osnmatch.mlp import MlpConfig, predict_batch
-from osnmatch.profile_features import FeatureMatrix
 
 
 class TestConfusion:

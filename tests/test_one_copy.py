@@ -1,6 +1,9 @@
-"""Each piece of pipeline state is kept once: ``profile_features.per_side``
-alone maps a pair's sides to platforms, ``folds`` and ``score-pair``
-declare none of the options they share with ``run``, ``cli.FAMILIES``
+"""Each piece of pipeline state is kept once: ``dataset.per_side``
+alone maps a pair's sides to platforms, ``dataset`` alone spells the
+platforms, no module but ``cli`` imports the ``ps`` family,
+``evaluation`` alone defines the splits and folds, ``strsim.fold`` alone
+folds case, ``folds`` and ``score-pair`` declare none of the options
+they share with ``run``, ``cli.FAMILIES``
 alone says which model reads posts, ``dataset`` alone declares the
 corpus format, ``HistogramMode`` alone names the temporal modes,
 ``DimensionMismatchError`` is the one shape error, ``ps_schema`` gives
@@ -19,7 +22,7 @@ import pytest
 
 import osnmatch
 from osnmatch import cli, errors
-from osnmatch.dataset import PS_TEXT_FIELDS
+from osnmatch.dataset import PS_TEXT_FIELDS, Platform
 from osnmatch.profile_features import ps_schema
 from osnmatch.strsim import Measure
 from osnmatch.temporal_features import HistogramMode
@@ -163,3 +166,37 @@ def test_ps_column_names_are_spelled_only_by_the_naming_rule():
 
 def test_embedding_takes_its_text_fields_from_dataset():
     assert not _strings("embedding_features.py") & set(PS_TEXT_FIELDS)
+
+
+def _attributes(module):
+    return {node.attr for node in ast.walk(_tree(module)) if isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])
+def test_no_module_but_cli_imports_the_ps_family(module):
+    # "from .profile_features import", "from . import profile_features" and
+    # "import osnmatch.profile_features" all name it
+    imported = [name for node in ast.walk(_tree(module))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)]]
+    assert not [name for name in imported if "profile_features" in name.split(".")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "dataset.py"])
+def test_platforms_are_spelled_only_in_dataset(module):
+    assert not _attributes(module) & {p.name for p in Platform}
+    assert not _strings(module) & {p.value for p in Platform}
+
+
+def test_splits_and_folds_are_defined_only_in_evaluation():
+    names = {"split", "k_folds", "k_folds_user_disjoint"}
+    defined = {(module, node.name) for module in MODULES for node in ast.walk(_tree(module))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in names}
+    assert defined == {("evaluation.py", name) for name in names}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "strsim.py"])
+def test_case_is_folded_only_in_strsim(module):
+    assert "lower" not in _attributes(module)

@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnmatch import strsim
-from osnmatch.dataset import Corpus, parse_profile
+from osnmatch.dataset import (
+    PS_TEXT_FIELDS, Corpus, FeatureMatrix, Platform, UserProfile, parse_profile, per_side,
+)
 from osnmatch.errors import SamePlatformError
 from osnmatch.profile_features import (
-    PS_TEXT_FIELDS,
-    FeatureMatrix,
-    Platform,
-    UserProfile,
     extract_ps_features_all_measures,
     featurize_pairs,
-    per_side,
     post_count_ratio,
     ps_layout,
     ps_schema,

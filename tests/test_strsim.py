@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnmatch import strsim
-from osnmatch.dataset import load_corpus, negative_sample
-from osnmatch.profile_features import PS_TEXT_FIELDS, Platform
+from osnmatch.dataset import PS_TEXT_FIELDS, Platform, load_corpus, negative_sample
 from osnmatch.strsim import (
     Measure,
     cosine_2gram,

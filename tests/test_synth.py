@@ -7,8 +7,7 @@ from click.testing import CliRunner
 
 from osnmatch import synth
 from osnmatch.cli import main
-from osnmatch.dataset import load_corpus
-from osnmatch.profile_features import Platform
+from osnmatch.dataset import Platform, load_corpus
 
 FILES = ("profiles.jsonl", "posts.jsonl", "pairs.csv")
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import osnmatch.temporal_features as temporal_features
 from osnmatch import synth
-from osnmatch.dataset import Corpus, load_corpus, negative_sample
+from osnmatch.dataset import Corpus, Platform, load_corpus, negative_sample
 from osnmatch.errors import DimensionMismatchError
-from osnmatch.profile_features import Platform
 from osnmatch.temporal_features import (
     HistogramMode,
     boolean_jaccard,
