@@ -16,6 +16,21 @@ Input files:
                   Duplicate rows, and rows naming a missing profile, are
                   dropped and counted in ``Corpus.dropped_pairs``.
 
+A post timestamp loads on every supported Python when it is written as
+``datetime.isoformat()`` writes an aware time, ``YYYY-MM-DDTHH:MM:SS±HH:MM``
+with or without ``.ffffff`` after the seconds, or with ``Z`` for
+``+00:00``. Python 3.11 and later also accept forms that 3.10 rejects,
+such as ``20220501T093000+00:00``, ``2022-05-01T09:30:00.5+00:00``,
+``2022-W17-7T09:30:00+00:00`` and ``2022-05-01T09:30:00+0000``.
+
+The canonical post line loads fastest: the text ``json.dumps`` writes with
+``sort_keys=True`` for the three keys (what ``synth`` writes), with a
+whole-second ``YYYY-MM-DDTHH:MM:SS±HH:MM`` timestamp and a user_id of
+printable ASCII other than '"' and '\\', ended by \\n. posts.jsonl is read
+in blocks of whole lines. A block of canonical lines is decoded at once
+with numpy; any other block is decoded line by line, to the same posts
+and, for a malformed line, the same error.
+
 ``load_corpus`` reads posts.jsonl only when given its path. With
 ``posts_path=None`` it opens no posts file and ``Corpus.posts`` is empty,
 for the callers whose features never read post times.
@@ -24,13 +39,16 @@ Every file must be UTF-8, with \\n, \\r\\n or \\r line ends; blank lines are
 skipped. Any malformed line, bytes that are not UTF-8 included, raises
 ``ParseError`` naming ``path:line``. Lines are physical lines: a pairs.csv
 row is numbered by the line it ends on, even when a quoted field spans
-several.
+several. Bytes that are not UTF-8 are met when the block of lines (or, in
+profiles.jsonl and pairs.csv, the 8 KiB chunk) holding them is read, so
+they are reported ahead of a malformed line earlier in that block.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -39,6 +57,7 @@ from json.scanner import make_scanner
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -241,37 +260,166 @@ def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
     return profiles
 
 
+# posts.jsonl is read in blocks of whole lines of about this many characters
+_BLOCK_CHARS = 1 << 17
+
+# A canonical post line is the text ``json.dumps(..., sort_keys=True)``
+# writes for a platform, a whole-second timestamp as ``isoformat()`` writes
+# it, and a user_id of printable ASCII other than '"' and '\\'; then a line
+# end, or the end of the file. A line's row starts at its first byte for
+# twitter and a byte earlier for flickr, so that every field after the
+# platform sits in the same columns; its head is matched against the
+# platform's template, in whole 8-byte words, where "?" marks a free byte.
+_HEADS = (
+    '{"platform": "twitter", "timestamp": "????-??-??T??:??:?????:??", "user_id": "??',
+    '?{"platform": "flickr", "timestamp": "????-??-??T??:??:?????:??", "user_id": "??',
+)
+_HEAD_BYTES = np.frombuffer("".join(_HEADS).encode(), np.uint8)
+_HEAD_WORDS = _HEAD_BYTES.view(np.uint64).reshape(2, -1)
+_HEAD_MASKS = (np.where(_HEAD_BYTES == ord("?"), 0, 0xFF).astype(np.uint8)
+               .view(np.uint64).reshape(2, -1))
+_HEAD_LEN = len(_HEADS[0])
+_PLATFORM_COL = _HEADS[0].index("twitter")  # the platform's first column
+_TS_COL = _HEADS[0].index("?")  # the timestamp's
+_ID_COL = _HEAD_LEN - 2  # and the user_id's
+_MAX_ID = 128  # a line with a longer user_id is read by itself
+_PADDING = "\0" * (_HEAD_LEN + _MAX_ID)
+_ID_BYTE = np.zeros(256, dtype=bool)
+_ID_BYTE[0x20:0x7F] = True
+_ID_BYTE[[ord('"'), ord("\\")]] = False
+
+_STAMP = "0000-00-00T00:00:00+00:00"  # the timestamp's shape
+_DIGIT_COLS = [i for i, c in enumerate(_STAMP) if c == "0"]
+_SIGN_COL = _STAMP.index("+")
+_FIELD_COLS = np.array(_DIGIT_COLS[::2])  # the tens digit of every two-digit field
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
+_EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
+
+
+def _utc_seconds(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, seconds) of the ``(n, 25)`` uint8 rows of timestamps shaped
+    ``YYYY-MM-DDTHH:MM:SS+HH:MM``, whose separators other than the sign the
+    caller checks. ``ok`` says whether ``datetime.fromisoformat`` accepts
+    the row, by its checks on each field, and where it does ``seconds`` is
+    ``int(datetime.fromisoformat(row).timestamp())``, by civil-date
+    arithmetic."""
+    digits = stamps - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    ok = (digits[:, _DIGIT_COLS] <= 9).all(axis=1)
+    # valid digits make fields of at most 99, which uint8 holds
+    fields = (digits[:, _FIELD_COLS] * np.uint8(10) + digits[:, _FIELD_COLS + 1]).T
+    century, year, month, day, hour, minute, second, offset_h, offset_m = fields.astype(np.int32)
+    year += century * 100
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_index = np.where((month >= 1) & (month <= 12), month, 0)
+    ok &= (year >= 1) & (month_index > 0) & (day >= 1)
+    ok &= day <= _DAYS_IN_MONTH[month_index] + (leap & (month == 2))
+    offset = (offset_h * 60 + offset_m) * 60
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59) & (offset < 86400)
+    sign = stamps[:, _SIGN_COL]
+    ok &= (sign == ord("+")) | (sign == ord("-"))
+    y = year - 1
+    days = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month_index]
+            + (leap & (month > 2)) + day - _EPOCH_ORDINAL)
+    seconds = days.astype(np.int64) * 86400 + (hour * 3600 + minute * 60 + second)
+    return ok, seconds - np.where(sign == ord("-"), -offset, offset)
+
+
+def _decode_block(lines: list[str], latest: int, times: dict[tuple[Platform, str], list[int]]
+                  ) -> bool:
+    """Append the posts of ``lines`` to ``times`` and return True when every
+    line is a bare line end or a canonical post line (see ``_HEADS``) timed
+    in 1990..``latest``; else return False and leave ``times`` as it was.
+    Each line is matched alone, at its own offset."""
+    # a byte for the row of a flickr line at offset 0 to start in, the
+    # lines, and a row of padding
+    try:
+        data = "".join(["\0", *lines, _PADDING]).encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    buf = np.frombuffer(data, np.uint8)
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+    starts = np.cumsum(lengths) - lengths  # line i is buf[starts[i] + 1:][:lengths[i]]
+    sizes = lengths - (buf[starts + lengths] == ord("\n"))  # without the line end
+    starts, sizes = starts[sizes > 0], sizes[sizes > 0]
+    if not len(starts):
+        return True
+    twitter = buf[starts + 1 + _PLATFORM_COL] == ord("t")
+    row_starts = starts + twitter
+    id_lens = sizes + ~twitter - _ID_COL - 2  # the row ends with the id, then '"}'
+    if id_lens.min() < 1 or id_lens.max() > _MAX_ID:
+        return False
+    heads = sliding_window_view(buf, _HEAD_LEN)[row_starts]
+    good_time, seconds = _utc_seconds(heads[:, _TS_COL:_TS_COL + len(_STAMP)])
+    if not (good_time & (seconds >= _EARLIEST_SECONDS) & (seconds <= latest)).all():
+        return False
+    platform = np.where(twitter, 0, 1)
+    words = heads.view(np.uint64)  # the heads are not read past this
+    words ^= _HEAD_WORDS.take(platform, axis=0)
+    words &= _HEAD_MASKS.take(platform, axis=0)
+    if words.any():
+        return False
+    ends = row_starts + _ID_COL + id_lens
+    if (buf[ends] != ord('"')).any() or (buf[ends + 1] != ord("}")).any():
+        return False
+    # each row's user_id, then zeros
+    ids = sliding_window_view(buf, id_lens.max())[row_starts + _ID_COL]
+    ids[np.arange(ids.shape[1]) >= id_lens[:, None]] = 0
+    if np.count_nonzero(_ID_BYTE[ids]) != id_lens.sum():
+        return False
+    # the accounts, in runs of lines with the same platform and user_id
+    same = (twitter[1:] == twitter[:-1]) & (ids[1:] == ids[:-1]).all(axis=1)
+    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
+    firsts = bounds[:-1]
+    seconds = seconds.tolist()
+    runs = zip(twitter[firsts].tolist(), (row_starts[firsts] + _ID_COL).tolist(),
+               ends[firsts].tolist(), firsts.tolist(), bounds[1:].tolist())
+    for is_twitter, id_start, id_end, first, end in runs:
+        key = (Platform.TWITTER if is_twitter else Platform.FLICKR,
+               data[id_start:id_end].decode("ascii"))
+        times.setdefault(key, []).extend(seconds[first:end])
+    return True
+
+
 def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     """Each account's post times as int64 UTC epoch seconds (floored), in
-    file order. The loop runs once per post: past the decoder it is inlined."""
+    file order. The file is read in blocks of whole lines. A block of
+    canonical lines is decoded at once by ``_decode_block``; any other
+    block runs a loop once per post, inlined past the decoder."""
     times: dict[tuple[Platform, str], list[int]] = {}
     decode = _decode_record
     fromisoformat = datetime.fromisoformat
     # float seconds compare as the instants do: they are whole microseconds,
     # and floats near 2**31 are spaced 2.4e-7 apart
     latest = (datetime.now(timezone.utc) + timedelta(hours=1)).timestamp()
+    # a whole second is at most latest when it is at most its floor
+    latest_second = math.floor(latest)
+    lines_before = 0
     with open_input(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            obj, platform, user_id = decode(line, path, line_no)
-            raw = obj.get("timestamp")
-            try:
-                # 3.10's fromisoformat rejects a "Z" suffix
-                ts = fromisoformat(raw.replace("Z", "+00:00"))
-            except (ValueError, TypeError, AttributeError):
-                raise ParseError(path, line_no, f"bad timestamp {raw!r}") from None
-            if ts.tzinfo is None:
-                raise ParseError(path, line_no, f"timestamp {raw!r} lacks a timezone")
-            seconds = ts.timestamp()
-            if not _EARLIEST_SECONDS <= seconds <= latest:
-                raise ParseError(path, line_no, f"timestamp {raw!r} outside 1990..now")
-            key = (platform, user_id)
-            account = times.get(key)
-            if account is None:
-                account = times[key] = []
-            # int() floors: every accepted instant is after 1990
-            account.append(int(seconds))
+        while lines := fh.readlines(_BLOCK_CHARS):
+            if not _decode_block(lines, latest_second, times):
+                for line_no, line in enumerate(lines, lines_before + 1):
+                    if not line.strip():
+                        continue
+                    obj, platform, user_id = decode(line, path, line_no)
+                    raw = obj.get("timestamp")
+                    try:
+                        # 3.10's fromisoformat rejects a "Z" suffix
+                        ts = fromisoformat(raw.replace("Z", "+00:00"))
+                    except (ValueError, TypeError, AttributeError):
+                        raise ParseError(path, line_no, f"bad timestamp {raw!r}") from None
+                    if ts.tzinfo is None:
+                        raise ParseError(path, line_no, f"timestamp {raw!r} lacks a timezone")
+                    seconds = ts.timestamp()
+                    if not _EARLIEST_SECONDS <= seconds <= latest:
+                        raise ParseError(path, line_no, f"timestamp {raw!r} outside 1990..now")
+                    key = (platform, user_id)
+                    account = times.get(key)
+                    if account is None:
+                        account = times[key] = []
+                    # int() floors: every accepted instant is after 1990
+                    account.append(int(seconds))
+            lines_before += len(lines)
     return {key: np.array(account, dtype=np.int64) for key, account in times.items()}
 
 

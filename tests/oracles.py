@@ -27,7 +27,9 @@ library's union-find;
 ``folds_json_reference`` is the ``json.dumps`` fold export that
 ``osnmatch.cli.write_folds_json`` replaced; ``pairs_filter_reference`` is
 the loop with a seen set and a drop counter that the table of distinct
-pairs in ``osnmatch.dataset.load_corpus`` replaced; ``schedule_reference``
+pairs in ``osnmatch.dataset.load_corpus`` replaced; ``posts_reference``
+decodes posts.jsonl line by line with ``json`` and ``datetime`` alone,
+for the block decoding in ``osnmatch.dataset``; ``schedule_reference``
 is the scan for the end of each run of equal batch sizes that
 ``osnmatch.mlp._schedule`` replaced. ``init_model`` builds one untrained
 network the way each stacked fold network starts.
@@ -39,10 +41,12 @@ import bz2
 import json
 import math
 from collections import Counter, deque
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 
 import numpy as np
 
+from osnmatch.dataset import Platform
 from osnmatch.mlp import MlpConfig, MlpModel, _init_weights
 
 
@@ -581,6 +585,24 @@ def pairs_filter_reference(rows, accounts):
             continue
         kept.append((t, f))
     return kept, dropped
+
+
+def posts_reference(path):
+    """Post times grouped per account, decoded line by line with the
+    standard library alone: whole UTC epoch seconds by integer timedelta
+    arithmetic."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    posts = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                obj = json.loads(line)
+                platform = Platform(obj["platform"])
+                ts = datetime.fromisoformat(obj["timestamp"].replace("Z", "+00:00"))
+                posts.setdefault((platform, obj["user_id"]), []).append(
+                    (ts - epoch) // timedelta(seconds=1)
+                )
+    return posts
 
 
 def schedule_reference(sizes, batch_size):

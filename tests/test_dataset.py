@@ -1,11 +1,13 @@
 import json
+import os
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osnmatch import dataset, synth
@@ -39,6 +41,7 @@ from .oracles import (
     k_folds_reference,
     k_folds_user_disjoint_reference,
     pairs_filter_reference,
+    posts_reference,
     sparse_negatives_reference,
     split_reference,
 )
@@ -356,26 +359,11 @@ def test_blank_profile_lines_are_skipped(tmp_path):
                                     (Platform.FLICKR, "f0"), (Platform.FLICKR, "f1")}
 
 
-def post_line(timestamp, platform="twitter", user_id="t0"):
-    return json.dumps({"platform": platform, "user_id": user_id, "timestamp": timestamp})
-
-
-def posts_reference(path):
-    """Post times grouped per account, decoded line by line with the
-    standard library alone: whole UTC epoch seconds by integer timedelta
-    arithmetic."""
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    posts = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                platform = Platform(obj["platform"])
-                ts = datetime.fromisoformat(obj["timestamp"].replace("Z", "+00:00"))
-                posts.setdefault((platform, obj["user_id"]), []).append(
-                    (ts - epoch) // timedelta(seconds=1)
-                )
-    return posts
+def post_line(timestamp, platform="twitter", user_id="t0", sort_keys=False):
+    """A post as JSON, its keys in insertion order or, with ``sort_keys``,
+    in the canonical order that synth writes."""
+    return json.dumps({"platform": platform, "user_id": user_id, "timestamp": timestamp},
+                      sort_keys=sort_keys)
 
 
 class TestLoaderEdgeCases:
@@ -404,11 +392,14 @@ class TestLoaderEdgeCases:
     def test_zone_suffixes_give_utc_instants(self, tmp_path):
         stamps = ["2022-05-01T09:30:00Z", "2022-05-01T09:30:00+05:30",
                   "2022-05-01T09:30:00-08:00"]
-        paths = write_corpus(tmp_path, posts=[post_line(s) for s in stamps])
-        seconds = load_corpus(*paths).posts_for(Platform.TWITTER, "t0")
-        utc = [datetime.fromtimestamp(s, timezone.utc) for s in seconds.tolist()]
-        assert utc == [datetime.fromisoformat(s.replace("Z", "+00:00")) for s in stamps]
-        assert [t.hour for t in utc] == [9, 4, 17]
+        # the last file has canonical lines alone, which are decoded as a block
+        for sort_keys, chosen in [(False, stamps), (True, stamps), (True, stamps[1:])]:
+            paths = write_corpus(tmp_path, posts=[post_line(s, sort_keys=sort_keys)
+                                                  for s in chosen])
+            seconds = load_corpus(*paths).posts_for(Platform.TWITTER, "t0")
+            utc = [datetime.fromtimestamp(s, timezone.utc) for s in seconds.tolist()]
+            assert utc == [datetime.fromisoformat(s.replace("Z", "+00:00")) for s in chosen]
+            assert [t.hour for t in utc] == [9, 4, 17][-len(chosen):]
 
     def test_timestamp_two_hours_ahead_rejected(self, tmp_path):
         ahead = (datetime.now(timezone.utc) + timedelta(hours=2)).isoformat()
@@ -416,6 +407,22 @@ class TestLoaderEdgeCases:
         with pytest.raises(ParseError) as exc:
             load_corpus(*paths)
         assert str(exc.value) == f"{paths[1]}:1: timestamp {ahead!r} outside 1990..now"
+
+    def test_synthetic_blocks_are_decoded_as_blocks(self, tmp_path):
+        summary = synth.generate_corpus(30, 0.15, 0, str(tmp_path))
+        decoded = []
+
+        def spy(*args):
+            decoded.append(decode_block(*args))
+            return decoded[-1]
+
+        decode_block = dataset._decode_block
+        with mock.patch.object(dataset, "_decode_block", spy), \
+                mock.patch.object(dataset, "_BLOCK_CHARS", 4096):
+            loaded = _load_posts(summary["posts_path"])
+        assert len(decoded) > 10 and all(decoded)
+        reference = posts_reference(summary["posts_path"])
+        assert [(k, v.tolist()) for k, v in loaded.items()] == list(reference.items())
 
     def test_synthetic_posts_equal_the_reference(self, tmp_path):
         summary = synth.generate_corpus(30, 0.15, 0, str(tmp_path))
@@ -426,36 +433,52 @@ class TestLoaderEdgeCases:
         assert sum(len(v) for v in loaded.values()) == summary["posts"]
 
 
-GOOD_POST = post_line("2022-05-01T09:30:00+00:00")
+GOOD_POST = post_line("2022-05-01T09:30:00+00:00", sort_keys=True)
 
-# the loader's messages for malformed post lines, as json.loads and the
-# per-field checks word them
-BAD_POST_LINES = {
-    "trailing-data": (GOOD_POST + " x", "bad JSON: Extra data"),
-    "two-objects": ("{}{}", "bad JSON: Extra data"),
-    "bom": ("\ufeff" + GOOD_POST, "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
-    "nan": ("NaN", "expected a JSON object"),
-    "deep": ("[" * 100_000, "bad JSON: maximum recursion depth exceeded while decoding"
-                            " a JSON array from a unicode string"),
-    "long-int": ('{"platform": "twitter", "user_id": "t0", "timestamp": ' + "1" * 4301 + "}",
-                 "bad JSON: Exceeds the limit (4300 digits) for integer string conversion:"
-                 " value has 4301 digits; use sys.set_int_max_str_digits() to increase"
-                 " the limit"),
-    "array": ("[1, 2]", "expected a JSON object"),
-    "string": ('"twitter"', "expected a JSON object"),
-    "unterminated": ('{"platform": "twitter', "bad JSON: Invalid control character at"),
-    "form-feed-before-json": (" \x0c" + GOOD_POST, "bad JSON: Expecting value"),
-    "empty-object": ("{}", "unknown platform None"),
-    "last-key-wins": (GOOD_POST[:-1] + ', "platform": "Flickr"}', "unknown platform 'Flickr'"),
-    "empty-user": (post_line("2022-05-01T09:30:00+00:00", user_id=""),
-                   "user_id must be a nonempty string"),
-    "number-timestamp": (GOOD_POST.replace('"2022-05-01T09:30:00+00:00"', "1651397400"),
-                         "bad timestamp 1651397400"),
-    "naive": (post_line("2022-05-01T09:30:00"),
-              "timestamp '2022-05-01T09:30:00' lacks a timezone"),
-    "a-microsecond-early": (post_line("1989-12-31T23:59:59.999999Z"),
-                            "timestamp '1989-12-31T23:59:59.999999Z' outside 1990..now"),
-}
+
+def _bad_post_lines(sort_keys):
+    """The loader's messages for malformed post lines, as json.loads and
+    the per-field checks word them, every post written with its keys in
+    canonical or in insertion order."""
+
+    def post(timestamp, **fields):
+        return post_line(timestamp, sort_keys=sort_keys, **fields)
+
+    good = post("2022-05-01T09:30:00+00:00")
+    return {
+        "trailing-data": (good + " x", "bad JSON: Extra data"),
+        "two-objects": ("{}{}", "bad JSON: Extra data"),
+        "bom": ("\ufeff" + good, "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        "nan": ("NaN", "expected a JSON object"),
+        "deep": ("[" * 100_000, "bad JSON: maximum recursion depth exceeded while decoding"
+                                " a JSON array from a unicode string"),
+        "long-int": ('{"platform": "twitter", "user_id": "t0", "timestamp": ' + "1" * 4301 + "}",
+                     "bad JSON: Exceeds the limit (4300 digits) for integer string conversion:"
+                     " value has 4301 digits; use sys.set_int_max_str_digits() to increase"
+                     " the limit"),
+        "array": ("[1, 2]", "expected a JSON object"),
+        "string": ('"twitter"', "expected a JSON object"),
+        "unterminated": ('{"platform": "twitter', "bad JSON: Invalid control character at"),
+        "form-feed-before-json": (" \x0c" + good, "bad JSON: Expecting value"),
+        "empty-object": ("{}", "unknown platform None"),
+        "last-key-wins": (good[:-1] + ', "platform": "Flickr"}', "unknown platform 'Flickr'"),
+        "empty-user": (post("2022-05-01T09:30:00+00:00", user_id=""),
+                       "user_id must be a nonempty string"),
+        "number-timestamp": (good.replace('"2022-05-01T09:30:00+00:00"', "1651397400"),
+                             "bad timestamp 1651397400"),
+        "naive": (post("2022-05-01T09:30:00"),
+                  "timestamp '2022-05-01T09:30:00' lacks a timezone"),
+        "a-microsecond-early": (post("1989-12-31T23:59:59.999999Z"),
+                                "timestamp '1989-12-31T23:59:59.999999Z' outside 1990..now"),
+    }
+
+
+BAD_POST_LINES = _bad_post_lines(sort_keys=True)
+
+
+# a line number past the first block of lines the posts loader reads, in a
+# file of GOOD_POST lines
+PAST_THE_FIRST_BLOCK = dataset._BLOCK_CHARS // len(GOOD_POST) + 2
 
 
 class _Clock2031(datetime):
@@ -467,13 +490,32 @@ class _Clock2031(datetime):
 
 
 class TestPostLineDecoding:
-    @pytest.mark.parametrize("line, message", BAD_POST_LINES.values(), ids=BAD_POST_LINES)
-    def test_malformed_line_message(self, tmp_path, line, message):
+    @pytest.mark.parametrize("name", BAD_POST_LINES)
+    def test_malformed_line_message(self, tmp_path, name):
         path = tmp_path / "posts.jsonl"
-        path.write_text(GOOD_POST + "\n" + line + "\n", encoding="utf-8")
+        for sort_keys in (True, False):
+            line, message = _bad_post_lines(sort_keys)[name]
+            good = post_line("2022-05-01T09:30:00+00:00", sort_keys=sort_keys)
+            path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+            with pytest.raises(ParseError) as exc:
+                _load_posts(str(path))
+            assert str(exc.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("kind", ["bad-json", "two-hours-ahead"])
+    def test_error_past_the_first_block_names_its_line(self, tmp_path, kind):
+        ahead = (datetime.now(timezone.utc) + timedelta(hours=2)).replace(microsecond=0)
+        line, message = {
+            "bad-json": (GOOD_POST[:-1], "bad JSON: Expecting ',' delimiter"),
+            "two-hours-ahead": (post_line(ahead.isoformat(), sort_keys=True),
+                                f"timestamp {ahead.isoformat()!r} outside 1990..now"),
+        }[kind]
+        lines = [GOOD_POST] * (PAST_THE_FIRST_BLOCK + 100)
+        lines[PAST_THE_FIRST_BLOCK - 1] = line
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             _load_posts(str(path))
-        assert str(exc.value) == f"{path}:2: {message}"
+        assert str(exc.value) == f"{path}:{PAST_THE_FIRST_BLOCK}: {message}"
 
     @pytest.mark.parametrize("blank", ["\x0c", " ", "\u00a0", "\t\r"])
     def test_unicode_whitespace_line_is_blank(self, tmp_path, blank):
@@ -491,15 +533,145 @@ class TestPostLineDecoding:
         stamps = [u.astimezone(timezone(timedelta(minutes=m)))
                   for u, (_, m) in zip(utc, instants)]
         path = fuzz_dir / "zoned-posts.jsonl"
-        path.write_text("\n".join(post_line(t.isoformat()) for t in stamps))
-        with mock.patch.object(dataset, "datetime", _Clock2031):
-            seconds = _load_posts(str(path))[(Platform.TWITTER, "t0")]
         epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-        assert seconds.tolist() == [(u - epoch) // timedelta(seconds=1) for u in utc]
+        # whole seconds in canonical key order are decoded as a block
+        for sort_keys, whole in [(False, False), (True, False), (False, True), (True, True)]:
+            path.write_text("\n".join(
+                post_line(t.replace(microsecond=0).isoformat() if whole else t.isoformat(),
+                          sort_keys=sort_keys) for t in stamps))
+            with mock.patch.object(dataset, "datetime", _Clock2031):
+                seconds = _load_posts(str(path))[(Platform.TWITTER, "t0")]
+            assert seconds.tolist() == [(u - epoch) // timedelta(seconds=1) for u in utc]
         for s, u in zip(seconds, utc):
             one = np.array([s])
             assert build_histogram(one, HistogramMode.HOUR_OF_DAY)[u.hour] == 1
             assert build_histogram(one, HistogramMode.DAY_OF_WEEK)[u.weekday()] == 1
+
+
+def _post_text(platform, user_id, stamp, form):
+    """One post line without its line end: canonical, or in a form that
+    only the line-by-line decoder reads."""
+    if form == "insertion-order":
+        return post_line(stamp, platform, user_id)
+    line = post_line(stamp, platform, user_id, sort_keys=True)
+    if form == "escaped-id":  # the same id, its first character escaped
+        escaped = f"\\u{ord(user_id[0]):04x}{user_id[1:]}"
+        return line.replace(f'"user_id": "{user_id}"', f'"user_id": "{escaped}"')
+    return line
+
+
+# canonical timestamps: leap days, month ends, the earliest instant, offsets
+EDGE_STAMPS = ["1990-01-01T00:00:00+00:00", "2000-02-29T23:59:59+00:00",
+               "2024-02-29T00:00:00-05:00", "2023-01-31T12:00:00+14:00",
+               "2023-04-30T23:59:59-11:30", "2023-12-31T23:59:59+23:59",
+               "2021-06-30T00:00:00-23:59"]
+ZONED = st.builds(
+    lambda t, minutes: t.replace(tzinfo=timezone.utc).astimezone(
+        timezone(timedelta(minutes=minutes))),
+    st.datetimes(min_value=datetime(1990, 1, 2), max_value=datetime(2030, 12, 30)),
+    st.integers(-(23 * 60 + 59), 23 * 60 + 59),
+)
+CANONICAL_STAMPS = st.sampled_from(EDGE_STAMPS) | ZONED.map(
+    lambda t: t.replace(microsecond=0).isoformat())
+# a "Z" suffix, and fractional seconds, take the line-by-line decoder
+OTHER_STAMPS = (ZONED.map(lambda t: t.astimezone(timezone.utc).replace(microsecond=0)
+                          .isoformat().replace("+00:00", "Z"))
+                | ZONED.filter(lambda t: t.microsecond).map(datetime.isoformat))
+ACCOUNTS = st.tuples(st.sampled_from(["twitter", "flickr"]),
+                    st.sampled_from(["t0", "t1", "f0", "a b", "~!#"]))
+CANONICAL_LINES = st.builds(lambda account, stamp: _post_text(*account, stamp, "canonical") + "\n",
+                            ACCOUNTS, CANONICAL_STAMPS)
+OTHER_LINES = st.one_of(
+    st.builds(lambda account, stamp, form: _post_text(*account, stamp, form) + "\n",
+              ACCOUNTS, CANONICAL_STAMPS, st.sampled_from(["insertion-order", "escaped-id"])),
+    st.builds(lambda account, stamp: _post_text(*account, stamp, "canonical") + "\n",
+              ACCOUNTS, OTHER_STAMPS),
+    st.builds(lambda account, stamp, end: _post_text(*account, stamp, "canonical") + end,
+              ACCOUNTS, CANONICAL_STAMPS, st.sampled_from(["\r\n", "\r"])),
+    st.sampled_from(["", " ", "\t", "\x0c", "\u00a0"]).map(lambda s: s + "\n"),
+)
+# one line in six of another form, so that many blocks hold canonical lines alone
+MIXED_LINES = st.builds(lambda canonical, other, pick: canonical if pick else other,
+                        CANONICAL_LINES, OTHER_LINES, st.sampled_from(range(6)))
+
+
+class TestBlockDecoding:
+    """Blocks of canonical lines, decoded at once, give what the line by
+    line reference gives, and so does every other line around them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(MIXED_LINES, min_size=1, max_size=40),
+           block_chars=st.integers(1, 400), last_end=st.booleans())
+    def test_equals_the_line_by_line_reference(self, fuzz_dir, lines, block_chars, last_end):
+        text = "".join(lines)
+        path = fuzz_dir / "mixed-posts.jsonl"
+        path.write_bytes((text if last_end else text.rstrip("\r\n")).encode())
+        with mock.patch.object(dataset, "datetime", _Clock2031), \
+                mock.patch.object(dataset, "_BLOCK_CHARS", block_chars):
+            loaded = _load_posts(str(path))
+        reference = posts_reference(path)
+        assert [(k, v.tolist()) for k, v in loaded.items()] == list(reference.items())
+        assert all(v.dtype == np.int64 for v in loaded.values())
+
+    def test_a_fifo_loads_as_the_regular_file(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        summary = synth.generate_corpus(10, 0.15, 0, str(tmp_path / "corpus"))
+        data = Path(summary["posts_path"]).read_bytes()
+        fifo = tmp_path / "posts.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        with mock.patch.object(dataset, "_BLOCK_CHARS", 4096):
+            piped = _load_posts(str(fifo))
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        loaded = _load_posts(summary["posts_path"])
+        assert len(data) > 4 * 4096
+        assert [(k, v.tolist()) for k, v in piped.items()] == \
+            [(k, v.tolist()) for k, v in loaded.items()]
+
+
+def _digits(size, *special):
+    return st.sampled_from(special) | st.text("0123456789", min_size=size, max_size=size)
+
+
+# the timestamp shape of a canonical line with any digits in every field
+STAMP_SHAPES = st.builds(
+    "{}-{}-{}T{}:{}:{}{}{}:{}".format,
+    _digits(4, "0000", "0001", "1900", "2000", "2023", "2024", "9999"),
+    _digits(2, "00", "01", "02", "04", "12", "13"),
+    _digits(2, "00", "01", "28", "29", "30", "31", "32"),
+    _digits(2, "00", "23", "24"),
+    _digits(2, "00", "59", "60"),
+    _digits(2, "00", "59", "60"),
+    st.sampled_from("+-"),
+    _digits(2, "00", "23", "24"),
+    _digits(2, "00", "59", "60"),
+)
+
+
+class TestTimestampOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(STAMP_SHAPES, min_size=1, max_size=30))
+    @example(["2022-00-10T00:00:00+00:00", "2022-13-10T00:00:00+00:00",
+              "2022-04-31T00:00:00+00:00", "1900-02-29T00:00:00+00:00",
+              "2000-02-29T00:00:00+00:00", "2023-02-29T00:00:00+00:00",
+              "2024-02-29T00:00:00+00:00", "2022-05-01T24:00:00+00:00",
+              "2022-05-01T23:59:60+00:00", "2022-05-01T09:30:00+24:00",
+              "2022-05-01T09:30:00-24:00", "2022-05-01T09:30:00+23:60",
+              "2022-05-01T09:30:00-23:60", "2022-05-01T09:30:00-00:00",
+              "2022-05-01T09:30:00+00:99", "0000-01-01T00:00:00+00:00",
+              "0001-01-01T00:00:00+23:59", "9999-12-31T23:59:59-23:59"])
+    def test_accepts_what_fromisoformat_accepts(self, stamps):
+        rows = np.frombuffer("".join(stamps).encode(), np.uint8).reshape(-1, 25)
+        ok, seconds = dataset._utc_seconds(rows)
+        for stamp, accepted, second in zip(stamps, ok.tolist(), seconds.tolist()):
+            try:
+                expected = int(datetime.fromisoformat(stamp).timestamp())
+            except ValueError:
+                expected = None
+            assert (stamp, second if accepted else None) == (stamp, expected)
 
 
 class TestUndecodableInput:
@@ -508,19 +680,21 @@ class TestUndecodableInput:
 
     @pytest.mark.parametrize("kind", ["profiles", "posts", "pairs"])
     def test_not_utf8_names_the_line(self, tmp_path, kind):
-        # line 301 lies past the first read chunk of the profiles and posts
+        # line 301 lies past the first read chunk of the profiles and the
+        # pairs; the bad posts line lies past the first block of posts
+        bad_line = PAST_THE_FIRST_BLOCK if kind == "posts" else 301
         paths = write_corpus(tmp_path, n_twitter=400, n_flickr=400,
                              pairs=[(f"t{i}", f"f{i}") for i in range(400)],
-                             posts=[post_line("2022-05-01T09:30:00+00:00")] * 400)
+                             posts=[GOOD_POST] * (PAST_THE_FIRST_BLOCK + 100))
         path = dict(zip(["profiles", "posts", "pairs"], paths))[kind]
         with open(path, "rb") as fh:
             lines = fh.readlines()
-        lines[300] = lines[300][:3] + b"\xff" + lines[300][3:]
+        lines[bad_line - 1] = lines[bad_line - 1][:3] + b"\xff" + lines[bad_line - 1][3:]
         with open(path, "wb") as fh:
             fh.writelines(lines)
         with pytest.raises(ParseError) as exc:
             load_corpus(*paths)
-        assert str(exc.value) == f"{path}:301: not valid UTF-8"
+        assert str(exc.value) == f"{path}:{bad_line}: not valid UTF-8"
 
     def test_not_utf8_line_counts_carriage_returns(self, tmp_path):
         path = tmp_path / "posts.jsonl"
