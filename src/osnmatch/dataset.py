@@ -39,9 +39,7 @@ Every file must be UTF-8, with \\n, \\r\\n or \\r line ends; blank lines are
 skipped. Any malformed line, bytes that are not UTF-8 included, raises
 ``ParseError`` naming ``path:line``. Lines are physical lines: a pairs.csv
 row is numbered by the line it ends on, even when a quoted field spans
-several. Bytes that are not UTF-8 are met when the block of lines (or, in
-profiles.jsonl and pairs.csv, the 8 KiB chunk) holding them is read, so
-they are reported ahead of a malformed line earlier in that block.
+several.
 """
 
 from __future__ import annotations
@@ -64,6 +62,7 @@ from .errors import (
     EmptyCorpusError,
     InsufficientPoolError,
     ParseError,
+    line_blocks,
     open_input,
 )
 
@@ -260,8 +259,8 @@ def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
     return profiles
 
 
-# posts.jsonl is read in blocks of whole lines of about this many characters
-_BLOCK_CHARS = 1 << 17
+# posts.jsonl is read in blocks of this many lines
+_BLOCK_LINES = 1 << 10
 
 # A canonical post line is the text ``json.dumps(..., sort_keys=True)``
 # writes for a platform, a whole-second timestamp as ``isoformat()`` writes
@@ -279,6 +278,7 @@ _HEAD_WORDS = _HEAD_BYTES.view(np.uint64).reshape(2, -1)
 _HEAD_MASKS = (np.where(_HEAD_BYTES == ord("?"), 0, 0xFF).astype(np.uint8)
                .view(np.uint64).reshape(2, -1))
 _HEAD_LEN = len(_HEADS[0])
+_FIRST_KEY = '{"platform": "'
 _PLATFORM_COL = _HEADS[0].index("twitter")  # the platform's first column
 _TS_COL = _HEADS[0].index("?")  # the timestamp's
 _ID_COL = _HEAD_LEN - 2  # and the user_id's
@@ -327,10 +327,14 @@ def _utc_seconds(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _decode_block(lines: list[str], latest: int, times: dict[tuple[Platform, str], list[int]]
                   ) -> bool:
-    """Append the posts of ``lines`` to ``times`` and return True when every
-    line is a bare line end or a canonical post line (see ``_HEADS``) timed
-    in 1990..``latest``; else return False and leave ``times`` as it was.
+    """Append the posts of ``lines`` to ``times`` and return True when the
+    first line is a canonical post line (see ``_HEADS``) ended by \\n and
+    every other line is one or a bare line end, each timed in
+    1990..``latest``; else return False and leave ``times`` as it was.
     Each line is matched alone, at its own offset."""
+    # a block of lines in another form is most often told by its first
+    if lines and not (lines[0].startswith(_FIRST_KEY) and lines[0].endswith('"}\n')):
+        return False
     # a byte for the row of a flickr line at offset 0 to start in, the
     # lines, and a row of padding
     try:
@@ -385,7 +389,9 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     """Each account's post times as int64 UTC epoch seconds (floored), in
     file order. The file is read in blocks of whole lines. A block of
     canonical lines is decoded at once by ``_decode_block``; any other
-    block runs a loop once per post, inlined past the decoder."""
+    block runs a loop once per post, inlined past the decoder. A byte that
+    is not UTF-8 is met where a line by line read meets it, so a malformed
+    line read before it is reported first."""
     times: dict[tuple[Platform, str], list[int]] = {}
     decode = _decode_record
     fromisoformat = datetime.fromisoformat
@@ -396,7 +402,7 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     latest_second = math.floor(latest)
     lines_before = 0
     with open_input(path) as fh:
-        while lines := fh.readlines(_BLOCK_CHARS):
+        for lines in line_blocks(fh, _BLOCK_LINES):
             if not _decode_block(lines, latest_second, times):
                 for line_no, line in enumerate(lines, lines_before + 1):
                     if not line.strip():

@@ -2,6 +2,7 @@
 input file is opened."""
 
 from contextlib import contextmanager
+from itertools import islice
 
 
 def undecodable_line(path) -> int:
@@ -30,6 +31,23 @@ def open_input(path):
             yield fh
         except UnicodeDecodeError:
             raise ParseError(path, undecodable_line(path), "not valid UTF-8") from None
+
+
+def line_blocks(fh, size):
+    """The lines of ``fh``, an ``open_input`` file, in lists of ``size``
+    (the last shorter). A byte that is not UTF-8 ends them where a line by
+    line read meets it: the lines read before it come as a last list, and
+    the error is raised once that list has been handled."""
+    while True:
+        lines = []
+        try:
+            lines.extend(islice(fh, size))  # extend keeps what it read
+        except UnicodeDecodeError:
+            yield lines
+            raise
+        yield lines
+        if len(lines) < size:
+            return
 
 
 class OsnMatchError(Exception):

@@ -408,7 +408,7 @@ class TestLoaderEdgeCases:
             load_corpus(*paths)
         assert str(exc.value) == f"{paths[1]}:1: timestamp {ahead!r} outside 1990..now"
 
-    def test_synthetic_blocks_are_decoded_as_blocks(self, tmp_path):
+    def test_synthetic_posts_equal_the_reference(self, tmp_path):
         summary = synth.generate_corpus(30, 0.15, 0, str(tmp_path))
         decoded = []
 
@@ -417,16 +417,11 @@ class TestLoaderEdgeCases:
             return decoded[-1]
 
         decode_block = dataset._decode_block
+        # synth writes canonical lines alone, so every block is decoded at once
         with mock.patch.object(dataset, "_decode_block", spy), \
-                mock.patch.object(dataset, "_BLOCK_CHARS", 4096):
+                mock.patch.object(dataset, "_BLOCK_LINES", 50):
             loaded = _load_posts(summary["posts_path"])
         assert len(decoded) > 10 and all(decoded)
-        reference = posts_reference(summary["posts_path"])
-        assert [(k, v.tolist()) for k, v in loaded.items()] == list(reference.items())
-
-    def test_synthetic_posts_equal_the_reference(self, tmp_path):
-        summary = synth.generate_corpus(30, 0.15, 0, str(tmp_path))
-        loaded = _load_posts(summary["posts_path"])
         reference = posts_reference(summary["posts_path"])
         assert [(k, v.tolist()) for k, v in loaded.items()] == list(reference.items())
         assert all(v.dtype == np.int64 for v in loaded.values())
@@ -478,7 +473,7 @@ BAD_POST_LINES = _bad_post_lines(sort_keys=True)
 
 # a line number past the first block of lines the posts loader reads, in a
 # file of GOOD_POST lines
-PAST_THE_FIRST_BLOCK = dataset._BLOCK_CHARS // len(GOOD_POST) + 2
+PAST_THE_FIRST_BLOCK = dataset._BLOCK_LINES + 2
 
 
 class _Clock2031(datetime):
@@ -601,13 +596,13 @@ class TestBlockDecoding:
 
     @settings(max_examples=150, deadline=None)
     @given(lines=st.lists(MIXED_LINES, min_size=1, max_size=40),
-           block_chars=st.integers(1, 400), last_end=st.booleans())
-    def test_equals_the_line_by_line_reference(self, fuzz_dir, lines, block_chars, last_end):
+           block_lines=st.integers(1, 12), last_end=st.booleans())
+    def test_equals_the_line_by_line_reference(self, fuzz_dir, lines, block_lines, last_end):
         text = "".join(lines)
         path = fuzz_dir / "mixed-posts.jsonl"
         path.write_bytes((text if last_end else text.rstrip("\r\n")).encode())
         with mock.patch.object(dataset, "datetime", _Clock2031), \
-                mock.patch.object(dataset, "_BLOCK_CHARS", block_chars):
+                mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
             loaded = _load_posts(str(path))
         reference = posts_reference(path)
         assert [(k, v.tolist()) for k, v in loaded.items()] == list(reference.items())
@@ -622,12 +617,12 @@ class TestBlockDecoding:
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
         writer.start()
-        with mock.patch.object(dataset, "_BLOCK_CHARS", 4096):
+        with mock.patch.object(dataset, "_BLOCK_LINES", 50):
             piped = _load_posts(str(fifo))
         writer.join(timeout=30)
         assert not writer.is_alive()
         loaded = _load_posts(summary["posts_path"])
-        assert len(data) > 4 * 4096
+        assert data.count(b"\n") > 4 * 50
         assert [(k, v.tolist()) for k, v in piped.items()] == \
             [(k, v.tolist()) for k, v in loaded.items()]
 
@@ -695,6 +690,23 @@ class TestUndecodableInput:
         with pytest.raises(ParseError) as exc:
             load_corpus(*paths)
         assert str(exc.value) == f"{path}:{bad_line}: not valid UTF-8"
+
+    @pytest.mark.parametrize("gap, line_no, message", [
+        (200, 2, "bad JSON: Expecting ',' delimiter"),
+        (1, 4, "not valid UTF-8"),
+    ], ids=["in-a-later-chunk", "in-the-same-chunk"])
+    def test_not_utf8_after_a_malformed_post_line(self, tmp_path, gap, line_no, message):
+        # as a line by line read: the malformed line is met first unless the
+        # bad byte lies in the same 8 KiB chunk, which is decoded whole;
+        # both lines lie in the first block of lines
+        good = GOOD_POST.encode() + b"\n"
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(good + GOOD_POST[:-1].encode() + b"\n" + good * gap
+                         + b"\xff" + good + good * 10)
+        assert 2 + gap + 11 < dataset._BLOCK_LINES
+        with pytest.raises(ParseError) as exc:
+            _load_posts(str(path))
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
 
     def test_not_utf8_line_counts_carriage_returns(self, tmp_path):
         path = tmp_path / "posts.jsonl"
