@@ -60,7 +60,7 @@ from .embedding_features import (
     load_embedding_file,
     pair_embedding_features,
 )
-from .errors import OsnMatchError, ParseError, open_input
+from .errors import OsnMatchError, ParseError, input_lines, open_input
 from .evaluation import cross_validate, fold_partitions, render_report, results
 # not called here; perfbench/tracer.py TARGETS name them until ROADMAP item 5's revision
 from .evaluation import k_folds, k_folds_user_disjoint  # noqa: F401
@@ -85,23 +85,22 @@ def _read_config_file(ctx: click.Context, param: click.Parameter, value):
     overrides = {}
     try:
         with open_input(value) as fh:
-            lines = fh.readlines()
+            for line_no, line in enumerate(input_lines(fh), 1):
+                # a comment opens at a "#" that starts the line or follows whitespace
+                stripped = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
+                if not stripped:
+                    continue
+                if "=" not in stripped:
+                    raise click.BadParameter(
+                        f"{value}:{line_no}: expected key=value, got {stripped!r}"
+                    )
+                key, _, raw = stripped.partition("=")
+                key = key.strip().replace("-", "_")
+                if key not in known:
+                    raise click.BadParameter(f"{value}:{line_no}: unknown key {key!r}")
+                overrides[known[key]] = raw.strip()
     except ParseError as exc:
         raise click.BadParameter(str(exc)) from None
-    for line_no, line in enumerate(lines, 1):
-        # a comment opens at a "#" that starts the line or follows whitespace
-        stripped = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise click.BadParameter(
-                f"{value}:{line_no}: expected key=value, got {stripped!r}"
-            )
-        key, _, raw = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in known:
-            raise click.BadParameter(f"{value}:{line_no}: unknown key {key!r}")
-        overrides[known[key]] = raw.strip()
     ctx.default_map = {**(ctx.default_map or {}), **overrides}
     return value
 
@@ -343,7 +342,7 @@ def _read_profile(raw: str, which: str) -> UserProfile:
     if raw.startswith("@"):
         path = raw[1:]
         with open_input(path) as fh:
-            return parse_profile(fh.read(), path, 1)
+            return parse_profile("".join(input_lines(fh)), path, 1)
     return parse_profile(raw, f"--profile-{which}", 1)
 
 

@@ -37,9 +37,11 @@ for the callers whose features never read post times.
 
 Every file must be UTF-8, with \\n, \\r\\n or \\r line ends; blank lines are
 skipped. Any malformed line, bytes that are not UTF-8 included, raises
-``ParseError`` naming ``path:line``. Lines are physical lines: a pairs.csv
-row is numbered by the line it ends on, even when a quoted field spans
-several.
+``ParseError`` naming ``path:line``. A byte that is not UTF-8 is reported
+at its own line on any input, pipes included, and each file is checked
+in file order, so the first fault in it is the one reported. Lines are
+physical lines: a pairs.csv row is numbered by the line it ends on, even
+when a quoted field spans several.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .errors import (
     EmptyCorpusError,
     InsufficientPoolError,
     ParseError,
+    input_lines,
     line_blocks,
     open_input,
 )
@@ -248,7 +251,7 @@ def parse_profile(text: str, path: str, line_no: int) -> UserProfile:
 def _load_profiles(path: str) -> dict[tuple[Platform, str], UserProfile]:
     profiles: dict[tuple[Platform, str], UserProfile] = {}
     with open_input(path) as fh:
-        for line_no, line in enumerate(fh, 1):
+        for line_no, line in enumerate(input_lines(fh), 1):
             if not line.strip():
                 continue
             profile = parse_profile(line, path, line_no)
@@ -389,9 +392,9 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     """Each account's post times as int64 UTC epoch seconds (floored), in
     file order. The file is read in blocks of whole lines. A block of
     canonical lines is decoded at once by ``_decode_block``; any other
-    block runs a loop once per post, inlined past the decoder. A byte that
-    is not UTF-8 is met where a line by line read meets it, so a malformed
-    line read before it is reported first."""
+    block runs a loop once per post, inlined past the decoder. A line
+    with a byte that is not UTF-8 is reported after every line before it,
+    so the first fault in the file is the one reported."""
     times: dict[tuple[Platform, str], list[int]] = {}
     decode = _decode_record
     fromisoformat = datetime.fromisoformat
@@ -400,11 +403,10 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
     latest = (datetime.now(timezone.utc) + timedelta(hours=1)).timestamp()
     # a whole second is at most latest when it is at most its floor
     latest_second = math.floor(latest)
-    lines_before = 0
     with open_input(path) as fh:
-        for lines in line_blocks(fh, _BLOCK_LINES):
+        for block, lines in enumerate(line_blocks(fh, _BLOCK_LINES)):
             if not _decode_block(lines, latest_second, times):
-                for line_no, line in enumerate(lines, lines_before + 1):
+                for line_no, line in enumerate(lines, block * _BLOCK_LINES + 1):
                     if not line.strip():
                         continue
                     obj, platform, user_id = decode(line, path, line_no)
@@ -425,27 +427,27 @@ def _load_posts(path: str) -> dict[tuple[Platform, str], np.ndarray]:
                         account = times[key] = []
                     # int() floors: every accepted instant is after 1990
                     account.append(int(seconds))
-            lines_before += len(lines)
     return {key: np.array(account, dtype=np.int64) for key, account in times.items()}
 
 
 def _load_pairs(path: str) -> list[tuple[str, str]]:
     """Every data row of pairs.csv as a stripped (twitter_id, flickr_id), in file order."""
+    pairs = []
     with open_input(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(input_lines(fh))
         try:
-            rows = [(reader.line_num, row) for row in reader]
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != PAIRS_HEADER:
+                raise ParseError(path, 1, "header must be 'twitter_id,flickr_id'")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ParseError(path, reader.line_num,
+                                     f"expected 2 columns, got {len(row)}")
+                pairs.append((row[0].strip(), row[1].strip()))
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from None
-    if not rows or tuple(h.strip() for h in rows[0][1]) != PAIRS_HEADER:
-        raise ParseError(path, 1, "header must be 'twitter_id,flickr_id'")
-    pairs = []
-    for line_no, row in rows[1:]:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise ParseError(path, line_no, f"expected 2 columns, got {len(row)}")
-        pairs.append((row[0].strip(), row[1].strip()))
     return pairs
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PS_TEXT_FIELDS, Corpus, FeatureMatrix, per_side
-from .errors import ParseError, open_input
+from .errors import ParseError, input_lines, open_input
 from .strsim import fold
 
 DEFAULT_DIM_WORD = 32
@@ -116,7 +116,7 @@ def _read_section(lines, path, start_line_no):
 def _read_lines(path: str) -> list[str]:
     """The file's lines without their newlines, trailing blank lines dropped."""
     with open_input(path) as fh:
-        lines = [ln.rstrip("\r\n") for ln in fh]
+        lines = [ln.rstrip("\r\n") for ln in input_lines(fh)]
     while lines and not lines[-1].strip():
         lines.pop()
     return lines

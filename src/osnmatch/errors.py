@@ -1,53 +1,45 @@
 """Exception types shared across the osnmatch package, and the one way an
-input file is opened."""
+input file is opened and read."""
 
-from contextlib import contextmanager
-from itertools import islice
+import re
+from itertools import chain, count, islice
 
-
-def undecodable_line(path) -> int:
-    """The number of the first line of ``path`` that is not valid UTF-8,
-    with lines ended as ``open_input`` ends them (\\n, \\r\\n or \\r).
-    Called after a read failed, so that the read loops stay unchanged."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    line_no = 0
-    for line_no, raw in enumerate(lines, 1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            break
-    return line_no
+# a strict UTF-8 decode never yields these; "surrogateescape" reads each
+# byte it cannot decode as one of them
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-@contextmanager
 def open_input(path):
     """``path`` opened for reading as UTF-8 text. Line ends are kept as they
     are (``newline=""``, as the csv module needs), and every other reader
-    strips them. A byte that is not UTF-8, met anywhere in the ``with``
-    block, raises ``ParseError(path, line, "not valid UTF-8")``."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            raise ParseError(path, undecodable_line(path), "not valid UTF-8") from None
+    strips them. A byte that is not UTF-8 is read as a lone surrogate
+    (``errors="surrogateescape"``), so the file must be read only through
+    ``line_blocks`` or ``input_lines``, which raise ``ParseError`` at the
+    line that holds one."""
+    return open(path, encoding="utf-8", errors="surrogateescape", newline="")
 
 
-def line_blocks(fh, size):
+def line_blocks(fh, size=1 << 10):
     """The lines of ``fh``, an ``open_input`` file, in lists of ``size``
-    (the last shorter). A byte that is not UTF-8 ends them where a line by
-    line read meets it: the lines read before it come as a last list, and
-    the error is raised once that list has been handled."""
-    while True:
-        lines = []
-        try:
-            lines.extend(islice(fh, size))  # extend keeps what it read
-        except UnicodeDecodeError:
-            yield lines
-            raise
+    (the last shorter). A line holding a byte that is not UTF-8 ends them:
+    the lines before it come as a last list, and once that list has been
+    handled ``ParseError(fh.name, line, "not valid UTF-8")`` is raised."""
+    for first in count(1, size):
+        lines = list(islice(fh, size))
+        text = "".join(lines)
+        if not text.isascii() and _UNDECODED.search(text):
+            bad = next(i for i, line in enumerate(lines) if _UNDECODED.search(line))
+            yield lines[:bad]
+            raise ParseError(fh.name, first + bad, "not valid UTF-8")
         yield lines
         if len(lines) < size:
             return
+
+
+def input_lines(fh):
+    """The lines of ``fh``, an ``open_input`` file, one at a time, checked
+    as ``line_blocks`` checks them."""
+    return chain.from_iterable(line_blocks(fh))
 
 
 class OsnMatchError(Exception):

@@ -103,6 +103,15 @@ class TestRunConfigFile:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"{cfg}:2: not valid UTF-8" in result.output
 
+    def test_a_malformed_line_before_a_bad_byte_is_reported(self, corpus_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 2\nmax_epochs\n# caf\xe9\n")
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg), "--data-dir", str(corpus_dir)]
+        )
+        assert result.exit_code == 2
+        assert f"{cfg}:2: expected key=value, got 'max_epochs'" in result.output
+
     def test_hash_opens_a_comment_only_at_line_start_or_after_whitespace(
             self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

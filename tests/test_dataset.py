@@ -691,22 +691,49 @@ class TestUndecodableInput:
             load_corpus(*paths)
         assert str(exc.value) == f"{path}:{bad_line}: not valid UTF-8"
 
-    @pytest.mark.parametrize("gap, line_no, message", [
-        (200, 2, "bad JSON: Expecting ',' delimiter"),
-        (1, 4, "not valid UTF-8"),
-    ], ids=["in-a-later-chunk", "in-the-same-chunk"])
-    def test_not_utf8_after_a_malformed_post_line(self, tmp_path, gap, line_no, message):
-        # as a line by line read: the malformed line is met first unless the
-        # bad byte lies in the same 8 KiB chunk, which is decoded whole;
-        # both lines lie in the first block of lines
+    def test_not_utf8_after_a_malformed_post_line(self, tmp_path):
+        # the malformed line is met first, whether or not the bad byte
+        # lies in the same 8 KiB chunk of text
         good = GOOD_POST.encode() + b"\n"
         path = tmp_path / "posts.jsonl"
-        path.write_bytes(good + GOOD_POST[:-1].encode() + b"\n" + good * gap
-                         + b"\xff" + good + good * 10)
-        assert 2 + gap + 11 < dataset._BLOCK_LINES
+        for gap in (1, 200):
+            path.write_bytes(good + GOOD_POST[:-1].encode() + b"\n" + good * gap
+                             + b"\xff" + good + good * 10)
+            with pytest.raises(ParseError) as exc:
+                _load_posts(str(path))
+            assert str(exc.value) == f"{path}:2: bad JSON: Expecting ',' delimiter"
+
+    @pytest.mark.parametrize("rows, line_no, message", [
+        (b"a,b\n\xff,f0\n", 1, "header must be 'twitter_id,flickr_id'"),
+        (b"twitter_id,flickr_id\nt0,f0,x\nt1,\xff\n", 2, "expected 2 columns, got 3"),
+        (b"twitter_id,flickr_id\nt0,f0,x\n" + b"t1," + b"f" * 131_073 + b"\n", 2,
+         "expected 2 columns, got 3"),
+    ], ids=["header", "columns", "columns-before-a-csv-error"])
+    def test_pairs_fault_before_a_later_one(self, tmp_path, rows, line_no, message):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(rows)
         with pytest.raises(ParseError) as exc:
-            _load_posts(str(path))
+            _load_pairs(str(path))
         assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    @pytest.mark.parametrize("load, line", [
+        (_load_posts, lambda i: GOOD_POST),
+        (dataset._load_profiles, lambda i: profile_line("twitter", f"t{i}")),
+    ], ids=["posts", "profiles"])
+    def test_not_utf8_in_a_fifo_names_the_line(self, tmp_path, load, line):
+        # a pipe cannot be read twice: the line is counted as it is read
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+        data = "".join(line(i) + "\n" for i in range(5)).encode() + b"\xff\n"
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        with pytest.raises(ParseError) as exc:
+            load(str(fifo))
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert str(exc.value) == f"{fifo}:6: not valid UTF-8"
 
     def test_not_utf8_line_counts_carriage_returns(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -732,6 +759,54 @@ class TestUndecodableInput:
         with pytest.raises(ParseError) as exc:
             parse_profile(text, "profiles.jsonl", 7)
         assert str(exc.value).startswith("profiles.jsonl:7: bad JSON: ")
+
+
+# a file of GOOD_POST lines that spans two blocks, and line numbers on
+# either side of the boundary between them
+FAULTY_LINES = dataset._BLOCK_LINES + 8
+FAULT_LINE_NOS = (st.integers(1, 4) | st.integers(dataset._BLOCK_LINES - 3, FAULTY_LINES)
+                  | st.integers(1, FAULTY_LINES))
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xb2\x80"]  # the last a surrogate
+
+
+def _decodes(raw):
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+class TestFirstFaultInFileOrder:
+    """Of a malformed post line and a line with a byte that is not UTF-8,
+    the loader reports the one a line by line strict read meets first."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(sorted(BAD_POST_LINES)), malformed_no=FAULT_LINE_NOS,
+           bad_no=FAULT_LINE_NOS, bad_byte=st.sampled_from(NOT_UTF8),
+           offset=st.integers(0, 80), end=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    @example(kind="trailing-data", malformed_no=3, bad_no=3, bad_byte=b"\xff", offset=0,
+             end=b"\n")
+    @example(kind="naive", malformed_no=dataset._BLOCK_LINES + 1, bad_no=dataset._BLOCK_LINES,
+             bad_byte=b"\xff", offset=60, end=b"\n")
+    @example(kind="naive", malformed_no=dataset._BLOCK_LINES, bad_no=dataset._BLOCK_LINES + 1,
+             bad_byte=b"\xe2\x82", offset=60, end=b"\n")
+    def test_reports_the_first_fault(self, fuzz_dir, kind, malformed_no, bad_no, bad_byte,
+                                     offset, end):
+        lines = [GOOD_POST.encode()] * FAULTY_LINES
+        lines[malformed_no - 1] = BAD_POST_LINES[kind][0].encode()
+        line = lines[bad_no - 1]
+        lines[bad_no - 1] = line[:offset] + bad_byte + line[offset:]
+        data = end.join(lines) + end
+        path = fuzz_dir / "faulty-posts.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            _load_posts(str(path))
+        # the oracle: the first line that fails a strict decode or is malformed
+        line_no, raw = next((no, raw) for no, raw in enumerate(data.splitlines(), 1)
+                            if no == malformed_no or not _decodes(raw))
+        assert exc.value.line_no == line_no
+        assert str(exc.value).endswith(": not valid UTF-8") == (not _decodes(raw))
 
 
 JSON_VALUES = st.recursive(
