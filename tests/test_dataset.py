@@ -691,17 +691,19 @@ class TestUndecodableInput:
             load_corpus(*paths)
         assert str(exc.value) == f"{path}:{bad_line}: not valid UTF-8"
 
-    def test_not_utf8_after_a_malformed_post_line(self, tmp_path):
+    @pytest.mark.parametrize("gap", [200, 1], ids=["in-a-later-chunk", "in-the-same-chunk"])
+    def test_not_utf8_after_a_malformed_post_line(self, tmp_path, gap):
         # the malformed line is met first, whether or not the bad byte
-        # lies in the same 8 KiB chunk of text
+        # lies in the same 8 KiB chunk of text; both lines lie in the first
+        # block of lines
         good = GOOD_POST.encode() + b"\n"
         path = tmp_path / "posts.jsonl"
-        for gap in (1, 200):
-            path.write_bytes(good + GOOD_POST[:-1].encode() + b"\n" + good * gap
-                             + b"\xff" + good + good * 10)
-            with pytest.raises(ParseError) as exc:
-                _load_posts(str(path))
-            assert str(exc.value) == f"{path}:2: bad JSON: Expecting ',' delimiter"
+        path.write_bytes(good + GOOD_POST[:-1].encode() + b"\n" + good * gap
+                         + b"\xff" + good + good * 10)
+        assert 2 + gap + 11 < dataset._BLOCK_LINES
+        with pytest.raises(ParseError) as exc:
+            _load_posts(str(path))
+        assert str(exc.value) == f"{path}:2: bad JSON: Expecting ',' delimiter"
 
     @pytest.mark.parametrize("rows, line_no, message", [
         (b"a,b\n\xff,f0\n", 1, "header must be 'twitter_id,flickr_id'"),
